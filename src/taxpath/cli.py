@@ -359,8 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="taxpath",
         description="Hierarchical tax-code prediction workflow",
     )
-    parser.add_argument("--threads", type=int, default=1,
-                        help="parallelism bound (current implementation is single-threaded)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, config=True):

@@ -10,8 +10,6 @@ from pathlib import Path
 from .taxonomy import Taxonomy, build_taxonomy, is_valid_path
 from .util import read_jsonl, stream_rng, write_jsonl
 
-SOURCES = ("goods_registry", "knowledge_base", "validation_record", "invoice_archive", "synthetic")
-
 REJECT_EMPTY_TITLE = "empty-title"
 REJECT_UNKNOWN_CODE = "unknown-code"
 REJECT_INVALID_PATH = "invalid-path"

@@ -152,51 +152,73 @@ def prepare_records(records: list[ProductRecord], config: EncoderConfig) -> list
     return prepared
 
 
+def _flatten_tokens(token_lists: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenated token ids and the token count of each sample."""
+    lengths = np.array([t.size for t in token_lists], dtype=np.int64)
+    flat = np.concatenate(token_lists) if token_lists else np.zeros(0, dtype=np.int64)
+    return flat, lengths
+
+
+def _token_means(table: np.ndarray, flat: np.ndarray, lengths: np.ndarray, out: np.ndarray) -> None:
+    """Write each sample's mean of the table rows of its tokens into `out`;
+    rows of samples without tokens are left untouched.
+
+    Summed one token position at a time, first position assigned and later
+    ones added, which is exactly the order `table[tokens].mean(axis=0)` adds
+    in (`np.add.reduceat` sums in another order and differs in the last bit).
+    Samples go longest first, so those with more than j tokens form a prefix
+    and each step works on slices of two preallocated buffers.
+    """
+    order = np.argsort(-lengths, kind="stable")
+    counts = lengths[order]
+    starts = (np.cumsum(lengths) - lengths)[order]
+    with_tokens = int(np.count_nonzero(counts))
+    sums = np.empty((with_tokens, table.shape[1]))
+    rows = np.empty_like(sums)
+    for j in range(int(counts[0]) if with_tokens else 0):
+        k = int(np.count_nonzero(counts > j))
+        np.take(table, flat[starts[:k] + j], axis=0, out=rows[:k])
+        if j == 0:
+            sums[:k] = rows[:k]
+        else:
+            sums[:k] += rows[:k]
+    sums /= counts[:with_tokens, None]
+    out[order[:with_tokens]] = sums
+
+
 def assemble_batch(prepared: list[PreparedRecord], tables: dict, config: EncoderConfig) -> EncodedBatch:
     n = len(prepared)
     text_table = tables["text_table"]
+    dt = config.text_dim
     dense = np.zeros((n, config.dense_dim))
     routing = np.zeros((n, config.routing_dim))
 
-    title_tok, title_sample, title_weight = [], [], []
-    cat_tok, cat_sample, cat_weight = [], [], []
+    title_tok, title_len = _flatten_tokens([p.title_tok for p in prepared])
+    cat_tok, cat_len = _flatten_tokens([p.cat_tok for p in prepared])
+    _token_means(text_table, title_tok, title_len, dense[:, :dt])
+    _token_means(text_table, cat_tok, cat_len, dense[:, dt : 2 * dt])
+
     field_idx = np.zeros((n, len(config.fields)), dtype=np.int64)
-
-    block_offsets = []
-    off = 0
-    for name in config.fields:
-        block_offsets.append(off)
-        off += len(config.vocab(name)) + 1
-
-    for i, prep in enumerate(prepared):
-        if prep.title_tok.size:
-            dense[i, : config.text_dim] = text_table[prep.title_tok].mean(axis=0)
-            title_tok.extend(prep.title_tok.tolist())
-            title_sample.extend([i] * prep.title_tok.size)
-            title_weight.extend([1.0 / prep.title_tok.size] * prep.title_tok.size)
-        if prep.cat_tok.size:
-            dense[i, config.text_dim : 2 * config.text_dim] = text_table[prep.cat_tok].mean(axis=0)
-            cat_tok.extend(prep.cat_tok.tolist())
-            cat_sample.extend([i] * prep.cat_tok.size)
-            cat_weight.extend([1.0 / prep.cat_tok.size] * prep.cat_tok.size)
-
-        dense_off = 2 * config.text_dim
-        for f_pos, name in enumerate(config.fields):
-            idx = int(prep.field_idx[f_pos])
-            field_idx[i, f_pos] = idx
-            dense[i, dense_off : dense_off + config.cat_dim] = tables[f"field/{name}/table"][idx]
-            routing[i, block_offsets[f_pos] + idx] = 1.0
-            dense_off += config.cat_dim
+    if n:
+        field_idx[:] = np.stack([p.field_idx for p in prepared])
+    samples = np.arange(n, dtype=np.int64)
+    dense_off, block_off = 2 * dt, 0
+    for f_pos, name in enumerate(config.fields):
+        idx = field_idx[:, f_pos]
+        dense[:, dense_off : dense_off + config.cat_dim] = tables[f"field/{name}/table"][idx]
+        routing[samples, block_off + idx] = 1.0
+        dense_off += config.cat_dim
+        block_off += len(config.vocab(name)) + 1
 
     return EncodedBatch(
         dense=dense,
         routing=routing,
-        title_tok=np.array(title_tok, dtype=np.int64),
-        title_sample=np.array(title_sample, dtype=np.int64),
-        title_weight=np.array(title_weight),
-        cat_tok=np.array(cat_tok, dtype=np.int64),
-        cat_sample=np.array(cat_sample, dtype=np.int64),
-        cat_weight=np.array(cat_weight),
+        title_tok=title_tok,
+        title_sample=np.repeat(samples, title_len),
+        title_weight=np.repeat(1.0 / np.maximum(title_len, 1), title_len),
+        cat_tok=cat_tok,
+        cat_sample=np.repeat(samples, cat_len),
+        cat_weight=np.repeat(1.0 / np.maximum(cat_len, 1), cat_len),
         field_idx=field_idx,
     )
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .dataset import ProductRecord
-from .moe import CheckpointError, LevelDistribution, MoEModel, distributions_from_probs, forward_records
+from .encoder import EncodedBatch, assemble_batch, prepare_records
+from .moe import CheckpointError, LevelDistribution, MoEModel, distributions_from_probs, forward_batch
 from .taxonomy import NULL_CODE, Taxonomy, ancestors, is_valid_path
 from .util import read_jsonl, write_jsonl
 
@@ -121,16 +122,30 @@ def predict_batch(
     use_repath: bool = False,
 ) -> list[PredictionPath]:
     """Order-preserving batch prediction; verifies the model/taxonomy pairing."""
+    enc = model.encoder_config
+    batch = assemble_batch(prepare_records(records, enc), model.params, enc)
+    return predict_encoded(model, batch, taxonomy, tau_leaf, use_repath)
+
+
+def predict_encoded(
+    model: MoEModel,
+    batch: EncodedBatch,
+    taxonomy: Taxonomy,
+    tau_leaf: float = DEFAULT_TAU_LEAF,
+    use_repath: bool = False,
+) -> list[PredictionPath]:
+    """`predict_batch` over a batch already encoded with the model's parameters."""
     if model.taxonomy_hash != taxonomy.fingerprint():
         raise CheckpointError(
             f"taxonomy hash mismatch: model {model.taxonomy_hash[:12]}..., "
             f"supplied {taxonomy.fingerprint()[:12]}..."
         )
-    if not records:
+    n = batch.dense.shape[0]
+    if not n:
         return []
-    cache = forward_records(model, records)
+    cache = forward_batch(model, batch, for_backward=False)
     out = []
-    for i in range(len(records)):
+    for i in range(n):
         dists = distributions_from_probs(model, [p[i] for p in cache.probs])
         pred = select_prediction(dists, taxonomy, tau_leaf)
         if use_repath:

@@ -11,6 +11,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .dataset import ProductRecord
 from .taxonomy import Taxonomy, is_valid_path
 from .util import atomic_write_text
@@ -199,11 +201,10 @@ def evaluate(
             "leaf_micro_f1": micro_f1(bucket, "leaf")[2],
         }
 
-    cdf = []
     n = len(confidences)
-    for c in sorted(set(confidences)):
-        covered = sum(1 for x in confidences if x <= c)
-        cdf.append((c, covered / n))
+    distinct = sorted(set(confidences))
+    covered = np.searchsorted(np.sort(np.array(confidences)), distinct, side="right")
+    cdf = [(c, int(k) / n) for c, k in zip(distinct, covered)]
 
     return EvalReport(
         path_macro_f1=macro_f1(pairs, taxonomy, "path", include_absent)[2],

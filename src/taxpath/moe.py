@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoder import EncodedBatch, EncoderConfig, FeatureVector, encode_batch
+from .encoder import EncodedBatch, EncoderConfig, FeatureVector
 from .taxonomy import NULL_CODE, Taxonomy
 
 CHECKPOINT_MAGIC = b"TAXN"
@@ -65,16 +66,36 @@ class LevelDistribution:
     confidence: float
 
 
-@dataclass
+@dataclass(eq=False)  # holds a parameter buffer: compare by identity
 class MoEModel:
+    """The model's parameters live in one contiguous float64 buffer, `flat`,
+    laid out in manifest order (`_param_specs`); `params` names views into it.
+    Update parameters in place (`flat[:] = ...`, `params[name][...] = ...`):
+    rebinding `flat` would leave the views on the old buffer.
+    """
+
     encoder_config: EncoderConfig
     moe_config: MoEConfig
     taxonomy_hash: str
     level_labels: tuple[tuple[str, ...], ...]  # label space per level, NULL last
-    params: dict[str, np.ndarray] = field(repr=False, default_factory=dict)
+    flat: np.ndarray | None = field(repr=False, default=None)  # None: all zeros
 
-    def clone_params(self) -> dict[str, np.ndarray]:
-        return {k: v.copy() for k, v in self.params.items()}
+    def __post_init__(self):
+        manifest = param_manifest(self.encoder_config, self.moe_config, self.level_labels)
+        size = sum(math.prod(shape) for _, shape in manifest)
+        if self.flat is None:
+            self.flat = np.zeros(size)
+        if self.flat.dtype != np.float64 or self.flat.shape != (size,):
+            raise ValueError(
+                f"parameter buffer {self.flat.dtype}{self.flat.shape} does not match "
+                f"the model's float64({size},)"
+            )
+        self._views = param_views(self.flat, manifest)
+
+    @property
+    def params(self) -> dict[str, np.ndarray]:
+        """Named views into `flat`, in manifest order."""
+        return self._views
 
 
 def level_spaces(taxonomy: Taxonomy, moe_config: MoEConfig) -> tuple[tuple[str, ...], ...]:
@@ -125,6 +146,24 @@ def _param_specs(encoder_config: EncoderConfig, moe_config: MoEConfig, spaces) -
     return specs
 
 
+def param_manifest(
+    encoder_config: EncoderConfig, moe_config: MoEConfig, spaces
+) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every parameter, in canonical manifest order."""
+    return [(name, shape) for name, shape, _ in _param_specs(encoder_config, moe_config, spaces)]
+
+
+def param_views(flat: np.ndarray, manifest) -> dict[str, np.ndarray]:
+    """Views into `flat` for (name, shape) pairs laid out back to back."""
+    views: dict[str, np.ndarray] = {}
+    offset = 0
+    for name, shape in manifest:
+        size = math.prod(shape)
+        views[name] = flat[offset : offset + size].reshape(shape)
+        offset += size
+    return views
+
+
 def init_model(
     taxonomy: Taxonomy,
     encoder_config: EncoderConfig,
@@ -136,17 +175,16 @@ def init_model(
 
     spaces = level_spaces(taxonomy, moe_config)
     rng = stream_rng(seed, "init")
-    params: dict[str, np.ndarray] = {}
-    for name, shape, fan_in in _param_specs(encoder_config, moe_config, spaces):
-        scale = 1.0 / np.sqrt(fan_in)
-        params[name] = rng.uniform(-scale, scale, size=shape)
-    return MoEModel(
+    model = MoEModel(
         encoder_config=encoder_config,
         moe_config=moe_config,
         taxonomy_hash=taxonomy.fingerprint(),
         level_labels=spaces,
-        params=params,
     )
+    for name, shape, fan_in in _param_specs(encoder_config, moe_config, spaces):
+        scale = 1.0 / np.sqrt(fan_in)
+        model.params[name][...] = rng.uniform(-scale, scale, size=shape)
+    return model
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -176,7 +214,10 @@ class ForwardCache:
     semantic_probs: np.ndarray  # (B, semantic_classes)
 
 
-def forward_batch(model: MoEModel, batch: EncodedBatch) -> ForwardCache:
+def forward_batch(model: MoEModel, batch: EncodedBatch, for_backward: bool = True) -> ForwardCache:
+    """Forward pass over a batch. With `for_backward=False` each expert's
+    activations are dropped once mixed (`tanh_out`/`expert_out` stay empty),
+    which is all prediction needs and keeps a large batch's memory down."""
     cfg = model.moe_config
     x, r = batch.dense, batch.routing
     gates, tanh_out, expert_out, hidden, probs = [], [], [], [], []
@@ -187,8 +228,9 @@ def forward_batch(model: MoEModel, batch: EncodedBatch) -> ForwardCache:
         for e in range(cfg.experts_per_level):
             t = np.tanh(x @ model.params[f"level{level}/expert{e}/W1"] + model.params[f"level{level}/expert{e}/b1"])
             h = t @ model.params[f"level{level}/expert{e}/W2"] + model.params[f"level{level}/expert{e}/b2"]
-            t_list.append(t)
-            h_list.append(h)
+            if for_backward:
+                t_list.append(t)
+                h_list.append(h)
             u += g[:, e : e + 1] * h
         p = softmax(u @ model.params[f"level{level}/head/W"] + model.params[f"level{level}/head/b"])
         gates.append(g)
@@ -254,11 +296,6 @@ def _single_feature_batch(model: MoEModel, fv: FeatureVector) -> EncodedBatch:
     )
 
 
-def forward_records(model: MoEModel, records, config: EncoderConfig | None = None) -> ForwardCache:
-    config = config or model.encoder_config
-    return forward_batch(model, encode_batch(records, model.params, config))
-
-
 # --- checkpoint container (shared by model and judge checkpoints) ---
 
 
@@ -279,7 +316,8 @@ def write_container(magic: bytes, meta: dict, params: dict[str, np.ndarray]) -> 
     )
 
 
-def read_container(blob: bytes, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
+def read_container(blob: bytes, magic: bytes) -> tuple[dict, list[tuple[str, tuple[int, ...]]], np.ndarray]:
+    """(meta, manifest of (name, shape), flat float64 payload) of a verified container."""
     if len(blob) < 16 or blob[:4] != magic:
         raise CheckpointError(f"bad magic: expected {magic!r}")
     (version,) = struct.unpack("<I", blob[4:8])
@@ -292,7 +330,7 @@ def read_container(blob: bytes, magic: bytes) -> tuple[dict, dict[str, np.ndarra
         header = json.loads(blob[16 : 16 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"corrupt checkpoint header: {exc}") from exc
-    payload = blob[16 + header_len :]
+    payload = memoryview(blob)[16 + header_len :]
     expected = sum(int(np.prod(item["shape"])) for item in header["manifest"]) * 8
     if len(payload) != expected:
         raise CheckpointError(
@@ -300,16 +338,9 @@ def read_container(blob: bytes, magic: bytes) -> tuple[dict, dict[str, np.ndarra
         )
     if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
         raise CheckpointError("truncated or corrupt checkpoint: payload checksum mismatch")
-    params: dict[str, np.ndarray] = {}
-    offset = 0
-    for item in header["manifest"]:
-        shape = tuple(item["shape"])
-        size = int(np.prod(shape)) * 8
-        params[item["name"]] = (
-            np.frombuffer(payload[offset : offset + size], dtype="<f8").reshape(shape).copy()
-        )
-        offset += size
-    return header["meta"], params
+    manifest = [(item["name"], tuple(item["shape"])) for item in header["manifest"]]
+    flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)  # the one copy
+    return header["meta"], manifest, flat
 
 
 def save_checkpoint(model: MoEModel, sink) -> None:
@@ -336,13 +367,18 @@ def load_checkpoint(source, taxonomy: Taxonomy | None = None) -> MoEModel:
     else:
         with open(source, "rb") as fh:
             blob = fh.read()
-    meta, params = read_container(blob, CHECKPOINT_MAGIC)
+    meta, manifest, flat = read_container(blob, CHECKPOINT_MAGIC)
+    encoder_config = EncoderConfig.from_dict(meta["encoder_config"])
+    moe_config = MoEConfig.from_dict(meta["moe_config"])
+    level_labels = tuple(tuple(labels) for labels in meta["level_labels"])
+    if manifest != param_manifest(encoder_config, moe_config, level_labels):
+        raise CheckpointError("parameter manifest does not match the checkpoint's model configuration")
     model = MoEModel(
-        encoder_config=EncoderConfig.from_dict(meta["encoder_config"]),
-        moe_config=MoEConfig.from_dict(meta["moe_config"]),
+        encoder_config=encoder_config,
+        moe_config=moe_config,
         taxonomy_hash=meta["taxonomy_hash"],
-        level_labels=tuple(tuple(labels) for labels in meta["level_labels"]),
-        params=params,
+        level_labels=level_labels,
+        flat=flat,
     )
     if taxonomy is not None and taxonomy.fingerprint() != model.taxonomy_hash:
         raise CheckpointError(

@@ -112,7 +112,7 @@ def run_pipeline(
             loss_weights=replace(config.train.loss_weights, omega_s=1.0),
         )
         prelim = init_model(taxonomy, enc_cfg, config.moe, seed)
-        prelim, _ = fit(prelim, train_recs, val_recs, taxonomy, None, prelim_cfg)
+        prelim, _ = fit(prelim, train_recs, val_recs, taxonomy, None, prelim_cfg, tau_leaf=config.tau_leaf)
         scored = score_records(prelim, kept, taxonomy, config.tau_leaf)
         dev = stratified_dev_sample(
             scored, config.confidence_threshold, config.high_conf_fraction, seed
@@ -159,7 +159,7 @@ def run_pipeline(
         )
         final_cfg = replace(config.train, seed=seed)
         final = init_model(taxonomy, enc_cfg, config.moe, seed)
-        final, _ = fit(final, train_recs, val_recs, taxonomy, judge, final_cfg)
+        final, _ = fit(final, train_recs, val_recs, taxonomy, judge, final_cfg, tau_leaf=config.tau_leaf)
         artifacts["final"] = out / "final.ckpt"
         save_checkpoint(final, artifacts["final"])
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import ProductRecord, normalize_title
-from .moe import JUDGE_MAGIC, read_container, write_container
+from .moe import JUDGE_MAGIC, param_views, read_container, write_container
 from .taxonomy import Taxonomy, ancestors
 from .util import atomic_write_bytes, stream_rng
 
@@ -277,7 +277,8 @@ def load_judge(source) -> JudgeModel:
     else:
         with open(source, "rb") as fh:
             blob = fh.read()
-    meta, params = read_container(blob, JUDGE_MAGIC)
+    meta, manifest, flat = read_container(blob, JUDGE_MAGIC)
+    params = param_views(flat, manifest)
     return JudgeModel(
         weights=params["weights"],
         bias=params["bias"],

@@ -41,6 +41,11 @@ class Taxonomy:
     per_level_labels: dict[int, tuple[str, ...]]  # sorted codes + NULL, per level
     children: dict[str, tuple[str, ...]] = field(repr=False, default_factory=dict)
     _level_index: dict[int, dict[str, int]] = field(repr=False, default_factory=dict)
+    _fingerprint: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # Hashed once here: model/taxonomy pairing checks compare it on every call.
+        object.__setattr__(self, "_fingerprint", _fingerprint(self.nodes))
 
     def node(self, code: str) -> TaxNode:
         try:
@@ -56,19 +61,8 @@ class Taxonomy:
         return self._level_index[level][code]
 
     def fingerprint(self) -> str:
-        payload = canonical_json(
-            [
-                {
-                    "code": n.code,
-                    "name": n.name,
-                    "definition": n.definition,
-                    "parent": n.parent,
-                    "level": n.level,
-                }
-                for n in sorted(self.nodes.values(), key=lambda n: n.code)
-            ]
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        """sha256 of the canonical JSON of every node (code order)."""
+        return self._fingerprint
 
     def to_json_bytes(self) -> bytes:
         doc = {
@@ -85,6 +79,22 @@ class Taxonomy:
             ],
         }
         return (json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=1) + "\n").encode("utf-8")
+
+
+def _fingerprint(nodes: dict[str, TaxNode]) -> str:
+    payload = canonical_json(
+        [
+            {
+                "code": n.code,
+                "name": n.name,
+                "definition": n.definition,
+                "parent": n.parent,
+                "level": n.level,
+            }
+            for n in sorted(nodes.values(), key=lambda n: n.code)
+        ]
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def build_taxonomy(raw_nodes: list[dict]) -> Taxonomy:

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import ProductRecord
-from .encoder import EncodedBatch, assemble_batch, prepare_records
-from .infer import predict_batch
-from .moe import ForwardCache, MoEModel, forward_batch
+from .encoder import EncodedBatch, PreparedRecord, assemble_batch, prepare_records
+from .infer import DEFAULT_TAU_LEAF, predict_batch, predict_encoded  # noqa: F401 (perfbench patches train.predict_batch)
+from .moe import ForwardCache, MoEModel, forward_batch, param_views
 from .semantic import judge_verdict
 from .taxonomy import NULL_CODE, Taxonomy
 from .util import stream_rng
@@ -130,12 +130,15 @@ def backward(
     weights: LossWeights,
     sample_ids: list[str] | None = None,
     cache: ForwardCache | None = None,
+    grad_flat: np.ndarray | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean total loss over the batch and its gradient for every parameter.
 
     `semantic_targets` holds class indices with -1 marking excluded samples.
     The gradient is exact for the clamped loss: levels whose target probability
-    sits at the clamp floor contribute zero.
+    sits at the clamp floor contribute zero. Gradients are named views into one
+    buffer laid out like `model.flat`: `grad_flat` when given (it is zeroed
+    first), a fresh one otherwise.
     """
     cfg = model.moe_config
     enc = model.encoder_config
@@ -145,7 +148,11 @@ def backward(
     ar = np.arange(n)
     omega_c, omega_s = weights.omega_c, weights.omega_s
 
-    grads = {k: np.zeros_like(v) for k, v in model.params.items()}
+    if grad_flat is None:
+        grad_flat = np.zeros_like(model.flat)
+    else:
+        grad_flat.fill(0.0)
+    grads = param_views(grad_flat, ((k, v.shape) for k, v in model.params.items()))
     d_dense = np.zeros_like(batch.dense)
 
     # Semantic branch
@@ -235,34 +242,57 @@ def backward(
 
 
 class SGD:
+    """Plain gradient descent over a flat parameter buffer, in place."""
+
     def __init__(self, learning_rate: float):
         self.learning_rate = learning_rate
+        self._step: np.ndarray | None = None  # scratch
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
-        for name, g in grads.items():
-            params[name] -= self.learning_rate * g
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
+        if self._step is None:
+            self._step = np.empty_like(params)
+        np.multiply(grads, self.learning_rate, out=self._step)
+        params -= self._step
 
 
 class Adam:
+    """Adam (Kingma & Ba 2015) over a flat parameter buffer, in place.
+
+    Moments and scratch are allocated on the first step; each step evaluates
+    b1*m + (1-b1)*g, b2*v + ((1-b2)*g)*g and lr*m_hat/(sqrt(v_hat)+eps) in
+    that order, so it matches the same update applied array by array.
+    """
+
     def __init__(self, learning_rate: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.learning_rate = learning_rate
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.m: np.ndarray | None = None
+        self.v: np.ndarray | None = None
+        self._a: np.ndarray | None = None  # scratch
+        self._b: np.ndarray | None = None  # scratch
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
+        if self.m is None:
+            self.m, self.v = np.zeros_like(params), np.zeros_like(params)
+            self._a, self._b = np.empty_like(params), np.empty_like(params)
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for name, g in grads.items():
-            if name not in self.m:
-                self.m[name] = np.zeros_like(g)
-                self.v[name] = np.zeros_like(g)
-            self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-            m_hat = self.m[name] / (1 - b1**self.t)
-            v_hat = self.v[name] / (1 - b2**self.t)
-            params[name] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v, a, b = self.m, self.v, self._a, self._b
+        m *= b1
+        np.multiply(grads, 1 - b1, out=a)
+        m += a
+        v *= b2
+        np.multiply(grads, 1 - b2, out=a)
+        a *= grads
+        v += a
+        np.divide(m, 1 - b1**self.t, out=a)  # m_hat
+        a *= self.learning_rate
+        np.divide(v, 1 - b2**self.t, out=b)  # v_hat
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        params -= a
 
 
 def make_optimizer(config: TrainConfig):
@@ -291,12 +321,20 @@ def semantic_targets_for(
     )
 
 
-def leaf_accuracy(model: MoEModel, records: list[ProductRecord], taxonomy: Taxonomy, tau_leaf: float = 0.5) -> float:
-    if not records:
+def leaf_accuracy(
+    model: MoEModel,
+    prepared: list[PreparedRecord],
+    leaves: list[str],
+    taxonomy: Taxonomy,
+    tau_leaf: float = DEFAULT_TAU_LEAF,
+) -> float:
+    """Share of prepared records whose selected leaf is the true one in `leaves`."""
+    if not prepared:
         return float("nan")
-    preds = predict_batch(model, records, taxonomy, tau_leaf=tau_leaf, use_repath=False)
-    hits = sum(1 for p, r in zip(preds, records) if p.selected_leaf == r.leaf())
-    return hits / len(records)
+    batch = assemble_batch(prepared, model.params, model.encoder_config)
+    preds = predict_encoded(model, batch, taxonomy, tau_leaf=tau_leaf, use_repath=False)
+    hits = sum(1 for p, leaf in zip(preds, leaves) if p.selected_leaf == leaf)
+    return hits / len(prepared)
 
 
 def fit(
@@ -307,12 +345,14 @@ def fit(
     judge,
     config: TrainConfig,
     target_overrides: dict[str, tuple[str, ...]] | None = None,
+    tau_leaf: float = DEFAULT_TAU_LEAF,
 ) -> tuple[MoEModel, list[dict]]:
     """Mini-batch training; returns the parameters of the best validation epoch.
 
     Consistency targets come from `judge` (None trains without the semantic
-    task, as in the preliminary stage). Shuffling draws from per-epoch named
-    streams of `config.seed`, so runs replay exactly.
+    task, as in the preliminary stage). Epochs are ranked by validation leaf
+    accuracy under `tau_leaf`. Shuffling draws from per-epoch named streams of
+    `config.seed`, so runs replay exactly.
     """
     if not train_records:
         raise TrainingError("empty training set")
@@ -321,10 +361,13 @@ def fit(
     targets = build_level_targets(train_records, model, target_overrides)
     sem_targets = semantic_targets_for(train_records, judge, taxonomy)
     ids = [r.id for r in train_records]
+    val_prepared = prepare_records(val_records, enc)
+    val_leaves = [r.leaf() for r in val_records]
 
     optimizer = make_optimizer(config)
+    grad_flat = np.zeros_like(model.flat)
     logs: list[dict] = []
-    best_params = model.clone_params()
+    best_flat = model.flat.copy()
     best_acc = -1.0
     for epoch in range(1, config.epochs + 1):
         t0 = time.monotonic()
@@ -343,14 +386,15 @@ def fit(
                 sem_targets[take],
                 config.loss_weights,
                 sample_ids=[ids[i] for i in take],
+                grad_flat=grad_flat,
             )
             if config.grad_clip is not None:
                 clip_gradients(grads, config.grad_clip)
-            optimizer.step(model.params, grads)
+            optimizer.step(model.flat, grad_flat)
             epoch_loss += loss * len(take)
         epoch_loss /= len(train_records)
 
-        val_acc = leaf_accuracy(model, val_records, taxonomy)
+        val_acc = leaf_accuracy(model, val_prepared, val_leaves, taxonomy, tau_leaf)
         logs.append(
             {
                 "epoch": epoch,
@@ -362,7 +406,7 @@ def fit(
         score = val_acc if not np.isnan(val_acc) else float(epoch)  # no val: keep last
         if score > best_acc:
             best_acc = score
-            best_params = model.clone_params()
+            best_flat[:] = model.flat
 
-    model.params = best_params
+    model.flat[:] = best_flat
     return model, logs

@@ -1,15 +1,20 @@
 import numpy as np
+import pytest
 
 from taxpath.dataset import ProductRecord
 from taxpath.encoder import (
+    EncodedBatch,
     EncoderConfig,
+    assemble_batch,
     build_field_vocabs,
     encode,
     encode_batch,
     encode_text,
     field_index,
+    prepare_records,
     title_buckets,
 )
+from taxpath.synth import SynthConfig, synth_corpus
 from taxpath.util import fnv1a_64
 
 
@@ -160,3 +165,106 @@ def test_hashing_is_stable():
         fnv1a_64(t) % 2048 for t in ["fully", "automatic", "washing", "machine"]
     ]
     assert buckets.tolist() == [639, 1924, 930, 1646]
+
+
+def loop_assemble_batch(prepared, tables, config):
+    """Reference: the per-sample assembly loop the vectorised one replaced."""
+    n = len(prepared)
+    text_table = tables["text_table"]
+    dense = np.zeros((n, config.dense_dim))
+    routing = np.zeros((n, config.routing_dim))
+    title_tok, title_sample, title_weight = [], [], []
+    cat_tok, cat_sample, cat_weight = [], [], []
+    field_idx = np.zeros((n, len(config.fields)), dtype=np.int64)
+    block_offsets = []
+    off = 0
+    for name in config.fields:
+        block_offsets.append(off)
+        off += len(config.vocab(name)) + 1
+    for i, prep in enumerate(prepared):
+        if prep.title_tok.size:
+            dense[i, : config.text_dim] = text_table[prep.title_tok].mean(axis=0)
+            title_tok.extend(prep.title_tok.tolist())
+            title_sample.extend([i] * prep.title_tok.size)
+            title_weight.extend([1.0 / prep.title_tok.size] * prep.title_tok.size)
+        if prep.cat_tok.size:
+            dense[i, config.text_dim : 2 * config.text_dim] = text_table[prep.cat_tok].mean(axis=0)
+            cat_tok.extend(prep.cat_tok.tolist())
+            cat_sample.extend([i] * prep.cat_tok.size)
+            cat_weight.extend([1.0 / prep.cat_tok.size] * prep.cat_tok.size)
+        dense_off = 2 * config.text_dim
+        for f_pos, name in enumerate(config.fields):
+            idx = int(prep.field_idx[f_pos])
+            field_idx[i, f_pos] = idx
+            dense[i, dense_off : dense_off + config.cat_dim] = tables[f"field/{name}/table"][idx]
+            routing[i, block_offsets[f_pos] + idx] = 1.0
+            dense_off += config.cat_dim
+    return EncodedBatch(
+        dense=dense,
+        routing=routing,
+        title_tok=np.array(title_tok, dtype=np.int64),
+        title_sample=np.array(title_sample, dtype=np.int64),
+        title_weight=np.array(title_weight),
+        cat_tok=np.array(cat_tok, dtype=np.int64),
+        cat_sample=np.array(cat_sample, dtype=np.int64),
+        cat_weight=np.array(cat_weight),
+        field_idx=field_idx,
+    )
+
+
+def assert_batches_identical(got, want):
+    for name in EncodedBatch.__dataclass_fields__:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert np.array_equal(a, b), name
+
+
+def oracle_records():
+    """Synthetic records plus the edge cases: no title or category tokens,
+    long titles, and field values outside the vocabulary (the UNK slot)."""
+    corpus = synth_corpus(SynthConfig(leaves=12, samples=990, leaf_depth_min=2, leaf_depth_max=4), seed=5)
+    records = list(corpus.records)
+    long_title = " ".join(f"word{k}" for k in range(23))
+    records += [
+        make_record(id="e0", title="!!", category_name=""),
+        make_record(id="e1", title="", category_name="only category"),
+        make_record(id="e2", title="only title", category_name="  "),
+        make_record(id="e3", title="!!", category_name="", cpvs=(("colour", "red"),)),
+        make_record(id="e4", title=long_title, category_name=long_title),
+        make_record(id="e5", bu_code="unseen-bu", ou_code="unseen-ou", system_code="unseen-sys"),
+    ]
+    records += [make_record(id=f"e{6 + k}", title=f"filler {k}") for k in range(4)]
+    return corpus.records, records
+
+
+@pytest.mark.parametrize("batch_size", [1, 64, 1000])
+def test_assemble_batch_matches_loop_oracle(batch_size):
+    vocab_source, records = oracle_records()
+    assert len(records) == 1000
+    cfg = vocab_config(vocab_source, hash_buckets=257, text_dim=7, cat_dim=3)
+    tables = make_tables(cfg, seed=11)
+    prepared = prepare_records(records, cfg)
+    # the edge cases sit at the end, so every batch size sees them
+    for start in range(len(prepared) - batch_size, -1, -batch_size)[:20]:
+        chunk = prepared[start : start + batch_size]
+        assert_batches_identical(assemble_batch(chunk, tables, cfg), loop_assemble_batch(chunk, tables, cfg))
+
+
+def test_assemble_batch_edge_cases_hit_oracle_paths():
+    _, records = oracle_records()
+    cfg = vocab_config(oracle_records()[0])
+    prepared = prepare_records(records[-10:], cfg)
+    assert prepared[0].title_tok.size == 0 and prepared[0].cat_tok.size == 0
+    assert prepared[1].title_tok.size == 0 and prepared[2].cat_tok.size == 0
+    assert prepared[3].title_tok.size == 1  # the CPV token alone
+    assert prepared[4].title_tok.size == 23
+    unk = [len(cfg.vocab(name)) for name in cfg.fields]
+    assert prepared[5].field_idx.tolist() == unk
+    batch = assemble_batch(prepared, make_tables(cfg), cfg)
+    assert np.array_equal(batch.dense[0, : 2 * cfg.text_dim], np.zeros(2 * cfg.text_dim))
+
+
+def test_assemble_batch_empty():
+    cfg = vocab_config([make_record()])
+    tables = make_tables(cfg)
+    assert_batches_identical(assemble_batch([], tables, cfg), loop_assemble_batch([], tables, cfg))

@@ -267,3 +267,27 @@ def test_render_table_layout(chain_taxonomy):
     assert "Path" in table and "Leaf" in table
     assert "Macro" in table and "Micro" in table
     assert "100.00" in table
+
+
+def brute_force_cdf(confidences):
+    """Reference: the O(N * distinct) cumulative-fraction loop."""
+    n = len(confidences)
+    return [(c, sum(1 for x in confidences if x <= c) / n) for c in sorted(set(confidences))]
+
+
+def test_confidence_cdf_matches_brute_force_with_ties():
+    taxonomy = synth_corpus(SynthConfig(leaves=8, samples=0, leaf_depth_min=2, leaf_depth_max=3), seed=4).taxonomy
+    leaves = sorted(c for c, n in taxonomy.nodes.items() if n.is_leaf)
+    rng = np.random.default_rng(4)
+    for n in (1, 7, 500):
+        paths = [ancestors(taxonomy, leaves[int(rng.integers(len(leaves)))]) for _ in range(n)]
+        # few distinct values, so most confidences tie with others
+        confidences = [float(x) for x in rng.choice([0.0, 0.1, 1 / 3, 0.5, 0.97, 1.0], size=n)]
+        confidences[: min(n, 3)] = [float(x) for x in rng.random(min(n, 3))]
+        records = make_records(taxonomy, paths)
+        report = evaluate(pred_rows_for(records, paths, confidences), records, taxonomy)
+        # evaluate visits records in id order; the CDF does not depend on order
+        expected = brute_force_cdf(confidences)
+        assert list(report.confidence_cdf) == expected
+        assert all(type(c) is float and type(f) is float for c, f in report.confidence_cdf)
+        assert report.confidence_cdf[-1][1] == 1.0

@@ -5,6 +5,7 @@ import pytest
 
 from taxpath.encoder import EncoderConfig, FeatureVector, build_field_vocabs, encode, encode_batch
 from taxpath.moe import (
+    CHECKPOINT_MAGIC,
     CheckpointError,
     MoEConfig,
     forward,
@@ -14,6 +15,7 @@ from taxpath.moe import (
     load_checkpoint,
     save_checkpoint,
     softmax,
+    write_container,
 )
 from taxpath.synth import SynthConfig, synth_corpus
 
@@ -224,3 +226,53 @@ def test_head_width_includes_null():
     for level in range(1, moe.levels + 1):
         width = model.params[f"level{level}/head/W"].shape[1]
         assert width == len(tax.per_level_labels[level]) == len(tax.per_level_labels[level][:-1]) + 1
+
+
+def test_params_are_views_into_one_flat_buffer():
+    corpus, enc, moe, model = small_setup(seed=14)
+    offset = 0
+    for name, view in model.params.items():
+        assert np.shares_memory(view, model.flat), name
+        assert np.array_equal(view.ravel(), model.flat[offset : offset + view.size]), name
+        offset += view.size
+    assert offset == model.flat.size
+    model.params["semantic/b"][0] = 42.0
+    assert model.flat[-moe.semantic_classes] == 42.0
+    with pytest.raises(AttributeError):
+        model.params = {}
+
+
+def test_checkpoint_payload_is_the_flat_buffer():
+    corpus, enc, moe, model = small_setup(seed=15)
+    buf = io.BytesIO()
+    save_checkpoint(model, buf)
+    blob = buf.getvalue()
+    assert blob.endswith(model.flat.astype("<f8").tobytes())
+    loaded = load_checkpoint(io.BytesIO(blob), corpus.taxonomy)
+    assert np.array_equal(loaded.flat, model.flat)
+    assert loaded.flat.flags.writeable and loaded.flat.flags.c_contiguous
+    assert all(np.shares_memory(v, loaded.flat) for v in loaded.params.values())
+
+
+def test_checkpoint_manifest_must_match_its_config():
+    corpus, enc, moe, model = small_setup(seed=16)
+    meta = {
+        "encoder_config": enc.to_dict(),
+        "moe_config": {**moe.to_dict(), "expert_hidden_dim": moe.expert_hidden_dim + 1},
+        "taxonomy_hash": model.taxonomy_hash,
+        "level_labels": [list(labels) for labels in model.level_labels],
+    }
+    blob = write_container(CHECKPOINT_MAGIC, meta, model.params)
+    with pytest.raises(CheckpointError, match="manifest"):
+        load_checkpoint(io.BytesIO(blob))
+
+
+def test_forward_without_backward_cache_gives_identical_outputs():
+    corpus, enc, moe, model = small_setup(seed=17, experts=3)
+    batch = encode_batch(corpus.records, model.params, enc)
+    full = forward_batch(model, batch)
+    lean = forward_batch(model, batch, for_backward=False)
+    assert lean.tanh_out == [[] for _ in range(moe.levels)] == lean.expert_out
+    for a, b in zip(full.probs + full.hidden + full.gates, lean.probs + lean.hidden + lean.gates):
+        assert np.array_equal(a, b)
+    assert np.array_equal(full.semantic_probs, lean.semantic_probs)

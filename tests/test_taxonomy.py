@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -11,6 +12,7 @@ from taxpath.taxonomy import (
     is_valid_path,
     load_taxonomy,
 )
+from taxpath.util import canonical_json
 
 
 def nodes_json(nodes):
@@ -188,3 +190,19 @@ def test_depth_cap_enforced():
         )
     with pytest.raises(TaxonomyError, match="cap"):
         build_taxonomy(nodes)
+
+
+def test_fingerprint_is_the_canonical_json_digest(chain_taxonomy):
+    fresh = hashlib.sha256(
+        canonical_json(
+            [
+                {"code": n.code, "name": n.name, "definition": n.definition,
+                 "parent": n.parent, "level": n.level}
+                for n in sorted(chain_taxonomy.nodes.values(), key=lambda n: n.code)
+            ]
+        ).encode("utf-8")
+    ).hexdigest()
+    assert chain_taxonomy.fingerprint() == fresh
+    renamed = json.loads(chain_taxonomy.to_json_bytes())
+    renamed["nodes"][0]["name"] = "renamed"
+    assert load_taxonomy(json.dumps(renamed)).fingerprint() != fresh

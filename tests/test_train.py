@@ -193,22 +193,119 @@ def test_optimizer_zero_learning_rate_is_identity():
     batch = encode_batch(records, model.params, enc)
     targets = build_level_targets(records, model)
     sem = np.zeros(len(records), dtype=np.int64)
-    _, grads = backward(model, batch, targets, sem, LossWeights(0.2, 0.5))
+    grad_flat = np.zeros_like(model.flat)
+    backward(model, batch, targets, sem, LossWeights(0.2, 0.5), grad_flat=grad_flat)
     for opt in (Adam(0.0), SGD(0.0)):
         before = {k: v.copy() for k, v in model.params.items()}
-        opt.step(model.params, grads)
+        opt.step(model.flat, grad_flat)
         for name in before:
             assert np.array_equal(model.params[name], before[name])
 
 
+class DictAdam:
+    """Reference: the per-array Adam the flat in-place one replaced."""
+
+    def __init__(self, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.learning_rate = learning_rate
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.t = 0
+        self.m, self.v = {}, {}
+
+    def step(self, params, grads):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        for name, g in grads.items():
+            if name not in self.m:
+                self.m[name] = np.zeros_like(g)
+                self.v[name] = np.zeros_like(g)
+            self.m[name] = b1 * self.m[name] + (1 - b1) * g
+            self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
+            m_hat = self.m[name] / (1 - b1**self.t)
+            v_hat = self.v[name] / (1 - b2**self.t)
+            params[name] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def dict_sgd_step(learning_rate, params, grads):
+    """Reference: the per-array SGD step."""
+    for name, g in grads.items():
+        params[name] -= learning_rate * g
+
+
+def optimizer_oracle_run(flat_optimizer, dict_step, steps):
+    """Train two copies of one model on the same batches: one with the flat
+    in-place optimizer, one with a per-array reference; require equal bits."""
+    corpus, enc, moe, model = tiny_setup(seed=12, samples=80)
+    ref_model = init_model(corpus.taxonomy, enc, moe, seed=12)
+    start = model.flat.copy()
+    grad_flat = np.zeros_like(model.flat)
+    weights = LossWeights(0.3, 0.6)
+    for t in range(steps):
+        records = corpus.records[8 * (t % 9) : 8 * (t % 9) + 8]
+        targets = build_level_targets(records, model)
+        sem = np.arange(len(records), dtype=np.int64) % 3 - 1
+        batch = encode_batch(records, model.params, enc)
+        backward(model, batch, targets, sem, weights, grad_flat=grad_flat)
+        flat_optimizer.step(model.flat, grad_flat)
+        ref_batch = encode_batch(records, ref_model.params, enc)
+        _, ref_grads = backward(ref_model, ref_batch, targets, sem, weights)
+        dict_step(ref_model.params, ref_grads)
+        assert np.array_equal(model.flat, ref_model.flat), t
+    assert not np.array_equal(model.flat, start)
+
+
+def test_flat_adam_matches_per_array_adam_for_20_steps():
+    optimizer_oracle_run(Adam(5e-3), DictAdam(5e-3).step, steps=20)
+
+
+def test_flat_sgd_matches_per_array_sgd():
+    optimizer_oracle_run(SGD(5e-2), lambda params, grads: dict_sgd_step(5e-2, params, grads), steps=5)
+
+
+def test_backward_reuses_and_zeroes_the_gradient_buffer():
+    corpus, enc, moe, model = tiny_setup(seed=13)
+    records = corpus.records[:6]
+    batch = encode_batch(records, model.params, enc)
+    targets = build_level_targets(records, model)
+    sem = np.zeros(len(records), dtype=np.int64)
+    _, fresh = backward(model, batch, targets, sem, LossWeights(0.2, 0.5))
+    grad_flat = np.full_like(model.flat, 7.0)  # stale contents must not leak in
+    _, grads = backward(model, batch, targets, sem, LossWeights(0.2, 0.5), grad_flat=grad_flat)
+    assert list(grads) == list(model.params)
+    for name, g in grads.items():
+        assert np.shares_memory(g, grad_flat), name
+        assert np.array_equal(g, fresh[name]), name
+
+
 def test_fit_zero_learning_rate_keeps_parameters():
     corpus, enc, moe, model = tiny_setup(seed=8)
-    before = model.clone_params()
+    before = {k: v.copy() for k, v in model.params.items()}
     cfg = TrainConfig(batch_size=16, epochs=1, learning_rate=0.0, seed=8)
     model, logs = fit(model, corpus.records[:30], corpus.records[30:40], corpus.taxonomy, None, cfg)
     assert len(logs) == 1
     for name in before:
         assert np.array_equal(model.params[name], before[name])
+
+
+def test_fit_selects_epochs_with_the_given_tau_leaf():
+    # tau_leaf above 1 admits no leaf-confident prediction, so validation
+    # scores the deepest-valid fallback; training itself is unchanged
+    from taxpath.infer import MODE_DEEPEST_VALID, predict_batch
+
+    corpus, enc, moe, _ = tiny_setup(seed=2, samples=200, hidden=8)
+    cfg = TrainConfig(batch_size=16, epochs=3, learning_rate=2e-2, seed=2,
+                      loss_weights=LossWeights(0.2, 1.0))
+    train, val = corpus.records[:150], corpus.records[150:]
+    runs = {}
+    for tau in (0.5, 1.5):
+        model = init_model(corpus.taxonomy, enc, moe, seed=2)
+        runs[tau] = fit(model, train, val, corpus.taxonomy, None, cfg, tau_leaf=tau)
+    (_, logs_default), (model, logs_strict) = runs[0.5], runs[1.5]
+    assert [r["train_loss"] for r in logs_default] == [r["train_loss"] for r in logs_strict]
+    assert [r["val_leaf_acc"] for r in logs_default] != [r["val_leaf_acc"] for r in logs_strict]
+    preds = predict_batch(model, val, corpus.taxonomy, tau_leaf=1.5)
+    assert {p.mode for p in preds} == {MODE_DEEPEST_VALID}
+    acc = sum(p.selected_leaf == r.leaf() for p, r in zip(preds, val)) / len(val)
+    assert acc == max(r["val_leaf_acc"] for r in logs_strict)
 
 
 def test_fit_deterministic_replay():
@@ -226,6 +323,7 @@ def test_fit_deterministic_replay():
     assert strip(logs_a) == strip(logs_b)
     for name in model_a.params:
         assert np.array_equal(model_a.params[name], model_b.params[name])
+        assert np.shares_memory(model_a.params[name], model_a.flat)  # restored in place
 
 
 def test_fit_empty_training_set():
