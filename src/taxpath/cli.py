@@ -27,13 +27,13 @@ from .dataset import (
     write_rejections,
 )
 from .encoder import EncoderConfig, build_field_vocabs
-from .infer import predict_batch, read_predictions, write_predictions
+from .infer import MODE_REPATHED, leaf_chain, predict_batch, read_predictions, write_predictions
 from .metrics import EvalReport, evaluate, render_table, write_cdf_csv, write_report
 from .moe import MoEConfig, init_model, load_checkpoint, save_checkpoint
 from .pipeline import PipelineConfig, run_pipeline
 from .semantic import annotate_corpus, distill_judge, load_judge, oracle_judge, save_judge
 from .synth import SynthConfig, synth_corpus
-from .taxonomy import ancestors, load_taxonomy_file
+from .taxonomy import load_taxonomy_file
 from .train import LossWeights, TrainConfig, fit
 from .util import atomic_write_bytes, atomic_write_text, write_jsonl
 
@@ -308,10 +308,9 @@ def cmd_repath(args: argparse.Namespace, argv: list[str]) -> int:
     rows = read_predictions(args.pred)
     out_rows = []
     for row in rows:
-        leaf = row["leaf"]
-        node = taxonomy.nodes.get(leaf)
-        if node is not None and node.is_leaf:
-            row = dict(row, path=ancestors(taxonomy, leaf), mode="repathed")
+        chain = leaf_chain(taxonomy, row["leaf"])
+        if chain is not None:
+            row = dict(row, path=list(chain), mode=MODE_REPATHED)
         out_rows.append(row)
     out = Path(args.out)
     write_jsonl(out, out_rows)

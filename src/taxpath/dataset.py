@@ -2,13 +2,12 @@
 from __future__ import annotations
 
 import math
-import unicodedata
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
 from .taxonomy import Taxonomy, build_taxonomy, is_valid_path
-from .util import read_jsonl, stream_rng, write_jsonl
+from .util import normalize_title, read_jsonl, stream_rng, write_jsonl
 
 REJECT_EMPTY_TITLE = "empty-title"
 REJECT_UNKNOWN_CODE = "unknown-code"
@@ -63,13 +62,6 @@ class ScoredRecord:
     def __post_init__(self):
         if not 0.0 <= self.confidence <= 1.0:
             raise DatasetError(f"confidence out of range: {self.confidence}")
-
-
-def normalize_title(title: str) -> str:
-    """NFKC-normalize, lowercase, squash punctuation runs to single spaces."""
-    text = unicodedata.normalize("NFKC", title).lower()
-    cleaned = [ch if ch.isalnum() else " " for ch in text]
-    return " ".join("".join(cleaned).split())
 
 
 def cleanse(

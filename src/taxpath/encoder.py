@@ -135,19 +135,56 @@ class EncodedBatch:
     field_idx: np.ndarray  # (B, n_fields) embedding-row per structured field
 
 
+def _read_only(values: list[int]) -> np.ndarray:
+    array = np.array(values, dtype=np.int64)
+    array.setflags(write=False)  # `flags.writeable = False` costs about 1 µs more per array
+    return array
+
+
 def prepare_records(records: list[ProductRecord], config: EncoderConfig) -> list[PreparedRecord]:
-    """Hash tokens and resolve vocab indices once; reused across training steps."""
+    """Hash tokens and resolve vocab indices once; reused across training steps.
+
+    Gives the same buckets and indices as `title_buckets`, `token_buckets`
+    and `field_index` per record, but hashes each distinct token, CPV pair
+    and category name, and resolves each distinct combination of field
+    values, only once. The memo is local to this call, so its memory ends
+    with the call. Records with the same category name share one read-only
+    `cat_tok` array, and records with the same field values one `field_idx`.
+    """
+    hash_buckets = config.hash_buckets
+    buckets: dict[str, int] = {}  # token (title, category or folded CPV) -> bucket
+    cpv_buckets: dict[tuple[str, str], int] = {}
+    cat_arrays: dict[str, np.ndarray] = {}
+    field_arrays: dict[tuple[str, ...], np.ndarray] = {}
+
+    def bucket(token: str) -> int:
+        b = buckets.get(token)
+        if b is None:
+            b = buckets[token] = fnv1a_64(token) % hash_buckets
+        return b
+
+    def cpv_bucket(pair: tuple[str, str]) -> int:
+        b = cpv_buckets.get(pair)
+        if b is None:
+            key, value = pair
+            b = cpv_buckets[pair] = bucket(f"{normalize_title(key)}={normalize_title(value)}".replace(" ", "_"))
+        return b
+
     prepared = []
     for rec in records:
+        cat_tok = cat_arrays.get(rec.category_name)
+        if cat_tok is None:
+            tokens = normalize_title(rec.category_name).split()
+            cat_tok = cat_arrays[rec.category_name] = _read_only([bucket(t) for t in tokens])
+        values = tuple(getattr(rec, name) for name in config.fields)
+        field_idx = field_arrays.get(values)
+        if field_idx is None:
+            indices = [field_index(config, name, v) for name, v in zip(config.fields, values)]
+            field_idx = field_arrays[values] = _read_only(indices)
+        title = [bucket(t) for t in normalize_title(rec.title).split()]
+        title += [cpv_bucket(tuple(pair)) for pair in rec.cpvs or ()]
         prepared.append(
-            PreparedRecord(
-                title_tok=title_buckets(rec, config.hash_buckets),
-                cat_tok=token_buckets(rec.category_name, config.hash_buckets),
-                field_idx=np.array(
-                    [field_index(config, name, getattr(rec, name)) for name in config.fields],
-                    dtype=np.int64,
-                ),
-            )
+            PreparedRecord(title_tok=np.array(title, dtype=np.int64), cat_tok=cat_tok, field_idx=field_idx)
         )
     return prepared
 

@@ -16,7 +16,7 @@ from pathlib import Path
 from .dataset import ProductRecord
 from .encoder import EncodedBatch, assemble_batch, prepare_records
 from .moe import CheckpointError, LevelDistribution, MoEModel, distributions_from_probs, forward_batch
-from .taxonomy import NULL_CODE, Taxonomy, ancestors, is_valid_path
+from .taxonomy import NULL_CODE, Taxonomy
 from .util import read_jsonl, write_jsonl
 
 MODE_LEAF_CONFIDENT = "leaf_confident"
@@ -98,20 +98,25 @@ def select_prediction(
     )
 
 
+def leaf_chain(taxonomy: Taxonomy, leaf: str) -> tuple[str, ...] | None:
+    """Ancestor chain RePath puts in place for `leaf`; None unless `leaf` is
+    a taxonomy leaf node (inner nodes and unknown codes are left alone)."""
+    node = taxonomy.nodes.get(leaf)
+    if node is None or not node.is_leaf:
+        return None
+    return taxonomy.chain(leaf)
+
+
 def repath(pred: PredictionPath, taxonomy: Taxonomy) -> PredictionPath:
     """Rebuild the path as the ancestor chain of the selected leaf.
 
     Applies only when the selected leaf is a taxonomy leaf node; leaf-level
     fields are never altered, so leaf metrics are invariant under repath.
     """
-    node = taxonomy.nodes.get(pred.selected_leaf)
-    if node is None or not node.is_leaf:
+    chain = leaf_chain(taxonomy, pred.selected_leaf)
+    if chain is None:
         return pred
-    return replace(
-        pred,
-        selected_path=tuple(ancestors(taxonomy, pred.selected_leaf)),
-        mode=MODE_REPATHED,
-    )
+    return replace(pred, selected_path=chain, mode=MODE_REPATHED)
 
 
 def predict_batch(
@@ -145,8 +150,7 @@ def predict_encoded(
         return []
     cache = forward_batch(model, batch, for_backward=False)
     out = []
-    for i in range(n):
-        dists = distributions_from_probs(model, [p[i] for p in cache.probs])
+    for dists in distributions_from_probs(model, cache.probs):
         pred = select_prediction(dists, taxonomy, tau_leaf)
         if use_repath:
             pred = repath(pred, taxonomy)

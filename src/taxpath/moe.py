@@ -252,26 +252,29 @@ def forward_batch(model: MoEModel, batch: EncodedBatch, for_backward: bool = Tru
     )
 
 
-def distributions_from_probs(model: MoEModel, probs_row_per_level: list[np.ndarray]) -> list[LevelDistribution]:
-    dists = []
-    for level, row in enumerate(probs_row_per_level, start=1):
-        idx = int(np.argmax(row))  # ties break toward the smallest label index
-        dists.append(
-            LevelDistribution(
-                level=level,
-                probs=row,
-                argmax_code=model.level_labels[level - 1][idx],
-                confidence=float(row[idx]),
-            )
-        )
-    return dists
+def distributions_from_probs(model: MoEModel, probs: list[np.ndarray]) -> list[list[LevelDistribution]]:
+    """Per-row level distributions from per-level (N, K) probability arrays.
+
+    One argmax per level over the whole batch; ties break toward the
+    smallest label index. Each distribution's `probs` is a view of its row.
+    """
+    n = probs[0].shape[0] if probs else 0
+    rows = np.arange(n)
+    levels = []
+    for level, (p, labels) in enumerate(zip(probs, model.level_labels), start=1):
+        idx = p.argmax(axis=1)
+        levels.append((level, p, [labels[i] for i in idx.tolist()], p[rows, idx].tolist()))
+    return [  # positional fields: a frozen dataclass builds faster that way
+        [LevelDistribution(level, p[i], codes[i], confidence[i]) for level, p, codes, confidence in levels]
+        for i in range(n)
+    ]
 
 
 def forward(model: MoEModel, fv: FeatureVector) -> tuple[list[LevelDistribution], np.ndarray]:
     """Single-sample forward pass: per-level distributions + semantic probs."""
     batch = _single_feature_batch(model, fv)
     cache = forward_batch(model, batch)
-    dists = distributions_from_probs(model, [p[0] for p in cache.probs])
+    (dists,) = distributions_from_probs(model, cache.probs)
     return dists, cache.semantic_probs[0]
 
 

@@ -24,7 +24,7 @@ from .dataset import (
     write_records,
 )
 from .encoder import EncoderConfig, build_field_vocabs
-from .infer import predict_batch, prediction_to_dict
+from .infer import predict_batch, prediction_to_dict, repath
 from .metrics import evaluate
 from .moe import MoEConfig, MoEModel, init_model, save_checkpoint
 from .semantic import distill_judge, oracle_judge, annotate_corpus, save_judge
@@ -165,7 +165,7 @@ def run_pipeline(
 
         preds = predict_batch(final, test_recs, taxonomy, config.tau_leaf, use_repath=False)
         base = evaluate([prediction_to_dict(r.id, p) for r, p in zip(test_recs, preds)], test_recs, taxonomy)
-        preds_rp = predict_batch(final, test_recs, taxonomy, config.tau_leaf, use_repath=True)
+        preds_rp = [repath(p, taxonomy) for p in preds]
         rp = evaluate([prediction_to_dict(r.id, p) for r, p in zip(test_recs, preds_rp)], test_recs, taxonomy)
         artifacts["metrics"] = out / "metrics.json"
         atomic_write_text(

@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import ProductRecord, normalize_title
-from .moe import JUDGE_MAGIC, param_views, read_container, write_container
-from .taxonomy import Taxonomy, ancestors
-from .util import atomic_write_bytes, stream_rng
+from .dataset import ProductRecord
+from .moe import JUDGE_MAGIC, CheckpointError, param_views, read_container, write_container
+from .taxonomy import Taxonomy
+from .util import atomic_write_bytes, normalize_title, stream_rng
 
 VERDICTS = ("Y", "N", "U")
 FEATURE_NAMES = ("leaf_overlap", "ancestor_overlap", "title_length", "popularity")
@@ -38,11 +38,6 @@ class ConsistencyLabel:
             raise ValueError(f"verdict must be one of {VERDICTS}: {self.verdict!r}")
 
 
-def _definition_tokens(code: str, taxonomy: Taxonomy) -> set[str]:
-    node = taxonomy.node(code)
-    return set(normalize_title(node.definition).split()) | set(normalize_title(node.name).split())
-
-
 def oracle_judge(
     title: str,
     code: str,
@@ -54,7 +49,7 @@ def oracle_judge(
     code's name + definition. Y above `y_threshold`, N at or below
     `n_threshold`, U between."""
     title_tokens = set(normalize_title(title).split())
-    def_tokens = _definition_tokens(code, taxonomy)
+    def_tokens = taxonomy.definition_tokens(code)
     matched = sorted(title_tokens & def_tokens)
     s = len(matched) / len(title_tokens) if title_tokens else 0.0
     if s >= y_threshold:
@@ -77,11 +72,8 @@ def judge_features(
     title_tokens = set(normalize_title(title).split())
     if not title_tokens:
         return np.array([0.0, 0.0, 0.0, popularity.get(code, 0.0)])
-    leaf_tokens = _definition_tokens(code, taxonomy)
-    chain = ancestors(taxonomy, code)[:-1]
-    anc_tokens: set[str] = set()
-    for anc in chain:
-        anc_tokens |= _definition_tokens(anc, taxonomy)
+    leaf_tokens = taxonomy.definition_tokens(code)
+    anc_tokens = frozenset().union(*map(taxonomy.definition_tokens, taxonomy.chain(code)[:-1]))
     return np.array(
         [
             len(title_tokens & leaf_tokens) / len(title_tokens),
@@ -278,6 +270,17 @@ def load_judge(source) -> JudgeModel:
         with open(source, "rb") as fh:
             blob = fh.read()
     meta, manifest, flat = read_container(blob, JUDGE_MAGIC)
+    for key in ("tau_hi", "tau_lo", "popularity", "holdout_agreement"):
+        if key not in meta:
+            raise CheckpointError(f"judge checkpoint meta has no {key!r}")
+    shapes = dict(manifest)
+    for name, expected in (("weights", (len(FEATURE_NAMES), len(VERDICTS))), ("bias", (len(VERDICTS),))):
+        if name not in shapes:
+            raise CheckpointError(f"judge checkpoint has no {name!r} array (found {sorted(shapes)})")
+        if shapes[name] != expected:
+            raise CheckpointError(
+                f"judge array {name!r} has shape {shapes[name]}, expected {expected}"
+            )
     params = param_views(flat, manifest)
     return JudgeModel(
         weights=params["weights"],

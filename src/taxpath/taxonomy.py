@@ -11,7 +11,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from .util import canonical_json
+from .util import canonical_json, normalize_title
 
 NULL_CODE = "∅"  # reserved per-level label: "path ends above this level"
 MAX_LEVELS = 10
@@ -34,7 +34,13 @@ class TaxNode:
 
 @dataclass(frozen=True)
 class Taxonomy:
-    """Immutable after load; safe to share across threads."""
+    """Immutable after load; safe to share across threads.
+
+    Construction precomputes, once per taxonomy, what the per-record paths
+    would otherwise recompute for every record: the fingerprint, and per
+    code its root-first ancestor chain (`chain`) and the set of normalised
+    name + definition tokens (`definition_tokens`).
+    """
 
     nodes: dict[str, TaxNode]
     max_depth: int
@@ -42,14 +48,39 @@ class Taxonomy:
     children: dict[str, tuple[str, ...]] = field(repr=False, default_factory=dict)
     _level_index: dict[int, dict[str, int]] = field(repr=False, default_factory=dict)
     _fingerprint: str = field(init=False, repr=False, compare=False)
+    _chains: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
+    _tokens: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Hashed once here: model/taxonomy pairing checks compare it on every call.
         object.__setattr__(self, "_fingerprint", _fingerprint(self.nodes))
+        chains: dict[str, tuple[str, ...]] = {}
+        for node in sorted(self.nodes.values(), key=lambda n: n.level):  # parents first
+            chains[node.code] = (chains[node.parent] if node.parent is not None else ()) + (node.code,)
+        object.__setattr__(self, "_chains", chains)
+        tokens = {
+            code: frozenset(normalize_title(n.definition).split()) | frozenset(normalize_title(n.name).split())
+            for code, n in self.nodes.items()
+        }
+        object.__setattr__(self, "_tokens", tokens)
 
     def node(self, code: str) -> TaxNode:
         try:
             return self.nodes[code]
+        except KeyError:
+            raise TaxonomyError(f"unknown code: {code!r}") from None
+
+    def chain(self, code: str) -> tuple[str, ...]:
+        """Root-first chain of codes ending at `code`; length equals its level."""
+        try:
+            return self._chains[code]
+        except KeyError:
+            raise TaxonomyError(f"unknown code: {code!r}") from None
+
+    def definition_tokens(self, code: str) -> frozenset[str]:
+        """Normalised tokens of the code's name and definition."""
+        try:
+            return self._tokens[code]
         except KeyError:
             raise TaxonomyError(f"unknown code: {code!r}") from None
 
@@ -199,13 +230,7 @@ def load_taxonomy_file(path) -> Taxonomy:
 
 def ancestors(taxonomy: Taxonomy, code: str) -> list[str]:
     """Root-first chain of codes ending at `code`; length equals its level."""
-    node = taxonomy.node(code)
-    chain = [code]
-    while node.parent is not None:
-        chain.append(node.parent)
-        node = taxonomy.nodes[node.parent]
-    chain.reverse()
-    return chain
+    return list(taxonomy.chain(code))
 
 
 def is_valid_path(taxonomy: Taxonomy, codes: list[str]) -> bool:

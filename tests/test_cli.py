@@ -1,7 +1,10 @@
 import json
 
+import numpy as np
+
 from taxpath.cli import dispatch
 from taxpath.dataset import read_records
+from taxpath.moe import JUDGE_MAGIC, write_container
 from taxpath.util import read_jsonl
 
 
@@ -191,3 +194,40 @@ def test_report_subcommand(tmp_path, capsys):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "confidence,cumulative_fraction"
     assert len(lines) >= 2
+
+
+def test_train_with_mis_shaped_judge_exits_1_naming_the_array(tmp_path, capsys):
+    cfg = gen_config(tmp_path)
+    data = tmp_path / "data"
+    assert run("gen", "--config", cfg, "--out", str(data)) == 0
+    judge = tmp_path / "judge.ckpt"
+    meta = {"tau_hi": 0.5, "tau_lo": -0.5, "popularity": {}, "holdout_agreement": 1.0}
+    judge.write_bytes(write_container(JUDGE_MAGIC, meta, {"weights": np.zeros((2, 3)), "bias": np.zeros(3)}))
+    capsys.readouterr()
+    code = run("train", "--config", cfg, "--train", str(data / "records.jsonl"),
+               "--taxonomy", str(data / "taxonomy.json"), "--judge", str(judge),
+               "--out", str(tmp_path / "model.ckpt"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "'weights' has shape (2, 3)" in err
+    assert not (tmp_path / "model.ckpt").exists()
+
+
+def test_repath_subcommand_rewrites_only_leaf_rows(tmp_path, chain_taxonomy):
+    tax = tmp_path / "taxonomy.json"
+    tax.write_bytes(chain_taxonomy.to_json_bytes())
+    rows = [
+        {"id": "a", "leaf": "A.1.1", "path": ["B", "A.1", "A.1.1"], "mode": "leaf_confident"},
+        {"id": "b", "leaf": "A.1", "path": ["A", "A.1"], "mode": "deepest_valid"},
+        {"id": "c", "leaf": "B.1", "path": ["A", "B.1"], "mode": "leaf_confident"},
+        {"id": "d", "leaf": "zzz", "path": ["zzz"], "mode": "deepest_valid"},
+    ]
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    out = tmp_path / "repathed.jsonl"
+    assert run("repath", "--pred", str(pred), "--taxonomy", str(tax), "--out", str(out)) == 0
+    got = list(read_jsonl(out))
+    assert got[0] == dict(rows[0], path=["A", "A.1", "A.1.1"], mode="repathed")
+    assert got[1] == rows[1]  # an inner node is not a leaf: left alone
+    assert got[2] == dict(rows[2], path=["B", "B.1"], mode="repathed")
+    assert got[3] == rows[3]  # an unknown code is left alone too

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taxpath.dataset import ProductRecord
 from taxpath.encoder import (
@@ -13,6 +15,7 @@ from taxpath.encoder import (
     field_index,
     prepare_records,
     title_buckets,
+    token_buckets,
 )
 from taxpath.synth import SynthConfig, synth_corpus
 from taxpath.util import fnv1a_64
@@ -268,3 +271,55 @@ def test_assemble_batch_empty():
     cfg = vocab_config([make_record()])
     tables = make_tables(cfg)
     assert_batches_identical(assemble_batch([], tables, cfg), loop_assemble_batch([], tables, cfg))
+
+
+# Shared pieces, so drawn records repeat tokens, CPV pairs and category names.
+SHARED_TOKENS = ["alpha", "Beta", "ＡＢＣ①", "x-y", "machine", "", "!!", "é"]
+texts = st.one_of(st.text(max_size=30), st.lists(st.sampled_from(SHARED_TOKENS), max_size=6).map(" ".join))
+cpv_lists = st.one_of(st.none(), st.lists(st.tuples(texts, texts), max_size=3).map(tuple))
+
+
+@st.composite
+def drawn_records(draw):
+    categories = draw(st.lists(texts, min_size=1, max_size=4))
+    n = draw(st.integers(0, 12))
+    return [
+        make_record(
+            id=f"r{i}",
+            title=draw(texts),
+            category_name=draw(st.sampled_from(categories)),
+            cpvs=draw(cpv_lists),
+            bu_code=draw(st.sampled_from(["bu01", "bu02", "unseen"])),
+        )
+        for i in range(n)
+    ]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(records=drawn_records(), hash_buckets=st.integers(1, 5000))
+def test_prepare_records_memo_matches_per_record_hashing(records, hash_buckets):
+    cfg = vocab_config([make_record(bu_code="bu01"), make_record(bu_code="bu02")], hash_buckets=hash_buckets)
+    prepared = prepare_records(records, cfg)
+    assert len(prepared) == len(records)
+    for rec, prep in zip(records, prepared):
+        for got, want in (
+            (prep.title_tok, title_buckets(rec, hash_buckets)),
+            (prep.cat_tok, token_buckets(rec.category_name, hash_buckets)),
+        ):
+            assert got.dtype == np.int64 and got.shape == want.shape
+            assert np.array_equal(got, want)
+        fields = [field_index(cfg, name, getattr(rec, name)) for name in cfg.fields]
+        assert prep.field_idx.tolist() == fields
+
+
+def test_prepare_records_shares_read_only_arrays_per_distinct_value():
+    records = [
+        make_record(id=f"r{i}", category_name=["cat a", "cat b"][i % 2], bu_code=["bu01", "bu02"][i % 2])
+        for i in range(4)
+    ]
+    prepared = prepare_records(records, vocab_config(records))
+    for name in ("cat_tok", "field_idx"):
+        first, second, third = (getattr(prepared[i], name) for i in range(3))
+        assert first is third and first is not second
+        assert not first.flags.writeable
+    assert prepared[0].title_tok is not prepared[2].title_tok

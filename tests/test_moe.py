@@ -1,13 +1,18 @@
 import io
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from taxpath.encoder import EncoderConfig, FeatureVector, build_field_vocabs, encode, encode_batch
 from taxpath.moe import (
     CHECKPOINT_MAGIC,
     CheckpointError,
     MoEConfig,
+    distributions_from_probs,
     forward,
     forward_batch,
     gate_forward,
@@ -276,3 +281,43 @@ def test_forward_without_backward_cache_gives_identical_outputs():
     for a, b in zip(full.probs + full.hidden + full.gates, lean.probs + lean.hidden + lean.gates):
         assert np.array_equal(a, b)
     assert np.array_equal(full.semantic_probs, lean.semantic_probs)
+
+
+def per_row_distributions(model, probs, i):
+    """The per-row, per-level argmax the batched version replaced."""
+    out = []
+    for level, p in enumerate(probs, start=1):
+        row = p[i]
+        idx = int(np.argmax(row))
+        out.append((level, model.level_labels[level - 1][idx], float(row[idx])))
+    return out
+
+
+@st.composite
+def level_probs(draw):
+    n = draw(st.integers(0, 20))
+    widths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    # a few coarse values, so rows often tie for their maximum
+    values = st.one_of(st.sampled_from([0.0, 0.25, 0.5]), st.floats(0.0, 1.0))
+    return [draw(hnp.arrays(np.float64, (n, k), elements=values)) for k in widths]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(probs=level_probs())
+def test_distributions_from_probs_matches_per_row_argmax(probs):
+    labels = tuple(tuple(f"L{level}c{j}" for j in range(p.shape[1])) for level, p in enumerate(probs))
+    model = SimpleNamespace(level_labels=labels)
+    rows = distributions_from_probs(model, probs)
+    assert len(rows) == probs[0].shape[0]
+    for i, dists in enumerate(rows):
+        got = [(d.level, d.argmax_code, d.confidence) for d in dists]
+        assert got == per_row_distributions(model, probs, i)
+        assert all(type(d.confidence) is float for d in dists)
+        for d, p in zip(dists, probs):
+            assert np.shares_memory(d.probs, p) and np.array_equal(d.probs, p[i])
+
+
+def test_distributions_from_probs_ties_go_to_the_lowest_label():
+    model = SimpleNamespace(level_labels=(("a", "b", "c"),))
+    (dists,) = distributions_from_probs(model, [np.array([[0.2, 0.4, 0.4]])])
+    assert (dists[0].argmax_code, dists[0].confidence) == ("b", 0.4)

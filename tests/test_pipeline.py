@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from taxpath.dataset import SplitSpec, cleanse, split, stratified_dev_sample, read_records
+from taxpath import pipeline
 from taxpath.encoder import EncoderConfig, build_field_vocabs
+from taxpath.infer import predict_batch, prediction_to_dict
+from taxpath.metrics import evaluate
 from taxpath.moe import MoEConfig, init_model, load_checkpoint
 from taxpath.pipeline import PipelineConfig, PipelineError, run_pipeline, score_records
 from taxpath.semantic import load_judge
@@ -132,3 +135,24 @@ def test_score_records_fields(corpus):
     for s in scored:
         assert 0.0 <= s.confidence <= 1.0
         assert s.correct == (s.predicted_leaf == s.record.leaf())
+
+
+def test_stage4_runs_one_test_forward_and_derives_repath(tmp_path, corpus, monkeypatch):
+    calls = []
+
+    def counting_predict_batch(model, records, *args, **kwargs):
+        calls.append(len(records))
+        return predict_batch(model, records, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "predict_batch", counting_predict_batch)
+    config = small_pipeline_config(epochs=2)
+    final, artifacts = run_pipeline(corpus.records, corpus.taxonomy, config, tmp_path / "run")
+    kept = read_records(artifacts["cleansed"])
+    _, _, test_recs = split(kept, replace(config.split, seed=config.seed))
+    assert calls == [len(kept), len(test_recs)]  # stage 2 scoring, stage 4 test set
+
+    # the derived RePath variant scores as a forward pass with RePath does
+    preds = predict_batch(final, test_recs, corpus.taxonomy, config.tau_leaf, use_repath=True)
+    rp = evaluate([prediction_to_dict(r.id, p) for r, p in zip(test_recs, preds)], test_recs, corpus.taxonomy)
+    metrics = json.loads(artifacts["metrics"].read_text())
+    assert metrics["test"]["repath"] == json.loads(json.dumps(rp.to_dict()))

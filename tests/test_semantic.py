@@ -5,9 +5,18 @@ import pytest
 
 from taxpath.dataset import stratified_dev_sample
 from taxpath.encoder import EncoderConfig, build_field_vocabs
-from taxpath.moe import MoEConfig, init_model
+from taxpath.moe import (
+    JUDGE_MAGIC,
+    CheckpointError,
+    MoEConfig,
+    init_model,
+    param_views,
+    read_container,
+    write_container,
+)
 from taxpath.pipeline import score_records
 from taxpath.semantic import (
+    FEATURE_NAMES,
     ConsistencyLabel,
     DegenerateLabelsError,
     annotate_corpus,
@@ -175,3 +184,53 @@ def test_high_confidence_stratum_has_higher_yes_rate():
         incorrect = [s for s in scored if not s.correct]
         assert len(high) > 10 and len(incorrect) > 10
         assert y_rate(high) > y_rate(incorrect)
+
+
+def judge_blob_with(arrays=None, drop_meta=None):
+    """A checksum-valid judge container: a real judge's meta and arrays, with
+    the arrays replaced by `arrays` or the meta key `drop_meta` removed."""
+    corpus, labeled = oracle_labeled_corpus(seed=39, samples=200)
+    buf = io.BytesIO()
+    save_judge(distill_judge(labeled, corpus.taxonomy, seed=5), buf)
+    meta, manifest, flat = read_container(buf.getvalue(), JUDGE_MAGIC)
+    meta.pop(drop_meta, None)
+    if arrays is None:
+        arrays = param_views(flat, manifest)
+    return write_container(JUDGE_MAGIC, meta, arrays)
+
+
+W_SHAPE = (len(FEATURE_NAMES), 3)
+
+
+@pytest.mark.parametrize(
+    "arrays, missing",
+    [
+        ({"w": np.zeros(W_SHAPE), "b": np.zeros(3)}, "weights"),
+        ({"weights": np.zeros(W_SHAPE), "b": np.zeros(3)}, "bias"),
+        ({}, "weights"),
+    ],
+)
+def test_load_judge_names_a_missing_array(arrays, missing):
+    with pytest.raises(CheckpointError, match=f"no '{missing}' array"):
+        load_judge(io.BytesIO(judge_blob_with(arrays)))
+
+
+@pytest.mark.parametrize(
+    "arrays, bad",
+    [
+        ({"weights": np.zeros((3, 3)), "bias": np.zeros(3)}, "weights"),
+        ({"weights": np.zeros((3, len(FEATURE_NAMES))), "bias": np.zeros(3)}, "weights"),
+        ({"weights": np.zeros(W_SHAPE), "bias": np.zeros(4)}, "bias"),
+        ({"weights": np.zeros(W_SHAPE), "bias": np.zeros((1, 3))}, "bias"),
+    ],
+)
+def test_load_judge_names_a_mis_shaped_array(arrays, bad):
+    with pytest.raises(CheckpointError, match=f"'{bad}' has shape"):
+        load_judge(io.BytesIO(judge_blob_with(arrays)))
+
+
+@pytest.mark.parametrize("key", ["tau_hi", "tau_lo", "popularity", "holdout_agreement"])
+def test_load_judge_names_a_missing_meta_key(key):
+    load_judge(io.BytesIO(judge_blob_with()))  # the rebuilt container alone loads
+    with pytest.raises(CheckpointError, match=f"meta has no '{key}'"):
+        load_judge(io.BytesIO(judge_blob_with(drop_meta=key)))

@@ -3,8 +3,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
-from taxpath.synth import SynthConfig, synth_corpus
+from taxpath.synth import SynthConfig, SynthConfigError, synth_corpus
 from taxpath.taxonomy import (
     TaxonomyError,
     ancestors,
@@ -12,7 +14,7 @@ from taxpath.taxonomy import (
     is_valid_path,
     load_taxonomy,
 )
-from taxpath.util import canonical_json
+from taxpath.util import canonical_json, normalize_title
 
 
 def nodes_json(nodes):
@@ -206,3 +208,44 @@ def test_fingerprint_is_the_canonical_json_digest(chain_taxonomy):
     renamed = json.loads(chain_taxonomy.to_json_bytes())
     renamed["nodes"][0]["name"] = "renamed"
     assert load_taxonomy(json.dumps(renamed)).fingerprint() != fresh
+
+
+def per_call_definition_tokens(tax, code):
+    node = tax.node(code)
+    return set(normalize_title(node.definition).split()) | set(normalize_title(node.name).split())
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), leaves=st.integers(6, 60), depth=st.integers(2, 6))
+def test_precomputed_chains_and_tokens_match_per_call_computation(seed, leaves, depth):
+    try:
+        tax = synth_corpus(SynthConfig(leaves=leaves, samples=0, leaf_depth_max=depth), seed=seed).taxonomy
+    except SynthConfigError:
+        reject()  # a shape the generator cannot build
+    for code in tax.nodes:
+        assert tax.chain(code) == tuple(brute_force_chain(tax, code))
+        assert ancestors(tax, code) == brute_force_chain(tax, code)
+        tokens = tax.definition_tokens(code)
+        assert isinstance(tokens, frozenset)
+        assert tokens == per_call_definition_tokens(tax, code)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(texts=st.lists(st.tuples(st.text(max_size=40), st.text(max_size=40)), min_size=1, max_size=4))
+def test_precomputed_tokens_on_arbitrary_unicode(texts):
+    nodes, parent = [], None
+    for level, (name, definition) in enumerate(texts, start=1):
+        code = f"C{level}"
+        nodes.append({"code": code, "name": name, "definition": definition, "level": level,
+                      **({"parent": parent} if parent else {})})
+        parent = code
+    tax = build_taxonomy(nodes)
+    for code in tax.nodes:
+        assert tax.definition_tokens(code) == per_call_definition_tokens(tax, code)
+        assert tax.chain(code) == tuple(brute_force_chain(tax, code))
+
+
+def test_precomputed_lookups_reject_unknown_codes(chain_taxonomy):
+    for lookup in (chain_taxonomy.chain, chain_taxonomy.definition_tokens):
+        with pytest.raises(TaxonomyError, match="unknown code"):
+            lookup("zzz")
