@@ -31,7 +31,7 @@ from .infer import MODE_REPATHED, leaf_chain, predict_batch, read_predictions, w
 from .metrics import EvalReport, evaluate, render_table, write_cdf_csv, write_report
 from .moe import MoEConfig, init_model, load_checkpoint, save_checkpoint
 from .pipeline import PipelineConfig, run_pipeline
-from .semantic import annotate_corpus, distill_judge, load_judge, oracle_judge, save_judge
+from .semantic import annotate_corpus, distill_judge, label_dev_set, load_judge, save_judge
 from .synth import SynthConfig, synth_corpus
 from .taxonomy import load_taxonomy_file
 from .train import LossWeights, TrainConfig, fit
@@ -98,7 +98,6 @@ def _bundle(resolved: dict):
         cat_dim=enc_doc["cat_dim"],
         fields=tuple(enc_doc["fields"]),
         field_vocabs={k: tuple(v) for k, v in enc_doc.get("field_vocabs", {}).items()},
-        seed=seed,
     )
     moe_doc = dict(resolved["moe"])
     moe = MoEConfig(
@@ -107,7 +106,6 @@ def _bundle(resolved: dict):
         expert_hidden_dim=moe_doc["expert_hidden_dim"],
         include_null_label=moe_doc.get("include_null_label", True),
         semantic_classes=moe_doc.get("semantic_classes", 3),
-        seed=seed,
     )
     tr_doc = dict(resolved["train"])
     train_cfg = TrainConfig(
@@ -262,12 +260,7 @@ def cmd_judge(args: argparse.Namespace, argv: list[str]) -> int:
     taxonomy = load_taxonomy_file(args.taxonomy)
     dev = read_records(args.dev)
     pl = resolved["pipeline"]
-    labeled = [
-        (r.title, r.leaf(),
-         oracle_judge(r.title, r.leaf(), taxonomy,
-                      pl["oracle_y_threshold"], pl["oracle_n_threshold"]))
-        for r in dev
-    ]
+    labeled = label_dev_set(dev, taxonomy, pl["oracle_y_threshold"], pl["oracle_n_threshold"])
     judge = distill_judge(labeled, taxonomy, int(resolved["seed"]))
     out = Path(args.out)
     save_judge(judge, out)

@@ -27,7 +27,6 @@ class EncoderConfig:
     cat_dim: int = 4
     fields: tuple[str, ...] = DEFAULT_FIELDS
     field_vocabs: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    seed: int = 0
 
     def __post_init__(self):
         if self.hash_buckets < 1:
@@ -53,7 +52,6 @@ class EncoderConfig:
             "cat_dim": self.cat_dim,
             "fields": list(self.fields),
             "field_vocabs": {k: list(v) for k, v in self.field_vocabs.items()},
-            "seed": self.seed,
         }
 
     @staticmethod
@@ -64,7 +62,6 @@ class EncoderConfig:
             cat_dim=doc["cat_dim"],
             fields=tuple(doc["fields"]),
             field_vocabs={k: tuple(v) for k, v in doc["field_vocabs"].items()},
-            seed=doc["seed"],
         )
 
 
@@ -110,13 +107,33 @@ def field_index(config: EncoderConfig, name: str, value: str) -> int:
         return len(vocab)  # UNK slot
 
 
-@dataclass(frozen=True)
-class PreparedRecord:
-    """Parameter-independent encoding state for one record."""
+@dataclass(eq=False)  # holds arrays: compare by identity
+class TokenLists:
+    """One token list per record, stored flat (CSR): record i's tokens are
+    `tokens[starts[i] : starts[i] + lengths[i]]`."""
 
-    title_tok: np.ndarray
-    cat_tok: np.ndarray
-    field_idx: np.ndarray  # (n_fields,)
+    tokens: np.ndarray  # every record's bucket ids, back to back
+    lengths: np.ndarray  # (N,) tokens per record
+
+    def __post_init__(self):
+        self.starts = np.cumsum(self.lengths) - self.lengths
+        for array in (self.tokens, self.lengths, self.starts):
+            array.setflags(write=False)
+
+
+@dataclass(eq=False)  # holds arrays: compare by identity
+class PreparedRecords:
+    """Parameter-independent encoding state for N records."""
+
+    title: TokenLists  # title buckets, CPV pairs folded in
+    cat: TokenLists  # category-name buckets
+    field_idx: np.ndarray  # (N, n_fields) vocab index per structured field
+
+    def __post_init__(self):
+        self.field_idx.setflags(write=False)
+
+    def __len__(self) -> int:
+        return self.field_idx.shape[0]
 
 
 @dataclass
@@ -135,27 +152,20 @@ class EncodedBatch:
     field_idx: np.ndarray  # (B, n_fields) embedding-row per structured field
 
 
-def _read_only(values: list[int]) -> np.ndarray:
-    array = np.array(values, dtype=np.int64)
-    array.setflags(write=False)  # `flags.writeable = False` costs about 1 µs more per array
-    return array
-
-
-def prepare_records(records: list[ProductRecord], config: EncoderConfig) -> list[PreparedRecord]:
+def prepare_records(records: list[ProductRecord], config: EncoderConfig) -> PreparedRecords:
     """Hash tokens and resolve vocab indices once; reused across training steps.
 
     Gives the same buckets and indices as `title_buckets`, `token_buckets`
     and `field_index` per record, but hashes each distinct token, CPV pair
     and category name, and resolves each distinct combination of field
     values, only once. The memo is local to this call, so its memory ends
-    with the call. Records with the same category name share one read-only
-    `cat_tok` array, and records with the same field values one `field_idx`.
+    with the call. The result's arrays are read-only.
     """
     hash_buckets = config.hash_buckets
     buckets: dict[str, int] = {}  # token (title, category or folded CPV) -> bucket
     cpv_buckets: dict[tuple[str, str], int] = {}
-    cat_arrays: dict[str, np.ndarray] = {}
-    field_arrays: dict[tuple[str, ...], np.ndarray] = {}
+    cat_lists: dict[str, list[int]] = {}
+    field_rows: dict[tuple[str, ...], tuple[int, ...]] = {}
 
     def bucket(token: str) -> int:
         b = buckets.get(token)
@@ -170,74 +180,86 @@ def prepare_records(records: list[ProductRecord], config: EncoderConfig) -> list
             b = cpv_buckets[pair] = bucket(f"{normalize_title(key)}={normalize_title(value)}".replace(" ", "_"))
         return b
 
-    prepared = []
+    title_tok: list[int] = []
+    title_len: list[int] = []
+    cat_tok: list[int] = []
+    cat_len: list[int] = []
+    field_idx: list[tuple[int, ...]] = []
     for rec in records:
-        cat_tok = cat_arrays.get(rec.category_name)
-        if cat_tok is None:
-            tokens = normalize_title(rec.category_name).split()
-            cat_tok = cat_arrays[rec.category_name] = _read_only([bucket(t) for t in tokens])
+        cat = cat_lists.get(rec.category_name)
+        if cat is None:
+            cat = cat_lists[rec.category_name] = [bucket(t) for t in normalize_title(rec.category_name).split()]
+        cat_tok += cat
+        cat_len.append(len(cat))
         values = tuple(getattr(rec, name) for name in config.fields)
-        field_idx = field_arrays.get(values)
-        if field_idx is None:
-            indices = [field_index(config, name, v) for name, v in zip(config.fields, values)]
-            field_idx = field_arrays[values] = _read_only(indices)
-        title = [bucket(t) for t in normalize_title(rec.title).split()]
-        title += [cpv_bucket(tuple(pair)) for pair in rec.cpvs or ()]
-        prepared.append(
-            PreparedRecord(title_tok=np.array(title, dtype=np.int64), cat_tok=cat_tok, field_idx=field_idx)
-        )
-    return prepared
+        row = field_rows.get(values)
+        if row is None:
+            row = field_rows[values] = tuple(field_index(config, name, v) for name, v in zip(config.fields, values))
+        field_idx.append(row)
+        start = len(title_tok)
+        title_tok += [bucket(t) for t in normalize_title(rec.title).split()]
+        title_tok += [cpv_bucket(tuple(pair)) for pair in rec.cpvs or ()]
+        title_len.append(len(title_tok) - start)
+    return PreparedRecords(
+        title=TokenLists(np.array(title_tok, dtype=np.int64), np.array(title_len, dtype=np.int64)),
+        cat=TokenLists(np.array(cat_tok, dtype=np.int64), np.array(cat_len, dtype=np.int64)),
+        field_idx=np.array(field_idx, dtype=np.int64).reshape(len(records), len(config.fields)),
+    )
 
 
-def _flatten_tokens(token_lists: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenated token ids and the token count of each sample."""
-    lengths = np.array([t.size for t in token_lists], dtype=np.int64)
-    flat = np.concatenate(token_lists) if token_lists else np.zeros(0, dtype=np.int64)
-    return flat, lengths
+# Rows whose embeddings `_token_means` gathers at once: bounds its
+# (rows, longest, dim) scratch however large the batch.
+GATHER_ROWS = 256
 
 
-def _token_means(table: np.ndarray, flat: np.ndarray, lengths: np.ndarray, out: np.ndarray) -> None:
-    """Write each sample's mean of the table rows of its tokens into `out`;
-    rows of samples without tokens are left untouched.
+def _token_means(table: np.ndarray, lists: TokenLists, rows: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Write the mean of the table rows of each listed record's tokens into
+    `out` (zeros for a record without tokens); return the records' tokens,
+    flat, and their lengths.
 
-    Summed one token position at a time, first position assigned and later
-    ones added, which is exactly the order `table[tokens].mean(axis=0)` adds
-    in (`np.add.reduceat` sums in another order and differs in the last bit).
-    Samples go longest first, so those with more than j tokens form a prefix
-    and each step works on slices of two preallocated buffers.
+    The records' tokens form one (B, longest) padded matrix. Its embedding
+    rows are gathered (GATHER_ROWS records at a time) and summed one
+    position at a time, first position assigned and later ones added, which
+    is exactly the order `table[tokens].mean(axis=0)` adds in
+    (`np.add.reduceat` sums in another order and differs in the last bit).
+    Pad slots hold exact zeros, and adding zero changes no sum.
     """
-    order = np.argsort(-lengths, kind="stable")
-    counts = lengths[order]
-    starts = (np.cumsum(lengths) - lengths)[order]
-    with_tokens = int(np.count_nonzero(counts))
-    sums = np.empty((with_tokens, table.shape[1]))
-    rows = np.empty_like(sums)
-    for j in range(int(counts[0]) if with_tokens else 0):
-        k = int(np.count_nonzero(counts > j))
-        np.take(table, flat[starts[:k] + j], axis=0, out=rows[:k])
-        if j == 0:
-            sums[:k] = rows[:k]
-        else:
-            sums[:k] += rows[:k]
-    sums /= counts[:with_tokens, None]
-    out[order[:with_tokens]] = sums
+    lengths = lists.lengths[rows]
+    longest = int(lengths.max()) if rows.size else 0
+    if not longest:
+        out[...] = 0.0
+        return np.zeros(0, dtype=np.int64), lengths
+    slots = np.arange(longest)
+    real = slots < lengths[:, None]  # (B, longest)
+    tokens = lists.tokens.take(lists.starts[rows][:, None] + slots, mode="clip")  # pads: zeroed below
+    for lo in range(0, len(rows), GATHER_ROWS):
+        block = slice(lo, lo + GATHER_ROWS)
+        gathered = table.take(tokens[block], axis=0)  # (rows, longest, dim)
+        gathered[~real[block]] = 0.0
+        sums = out[block]
+        sums[...] = gathered[:, 0]
+        for j in range(1, longest):
+            sums += gathered[:, j]
+    out /= np.maximum(lengths, 1)[:, None]
+    return tokens[real], lengths
 
 
-def assemble_batch(prepared: list[PreparedRecord], tables: dict, config: EncoderConfig) -> EncodedBatch:
-    n = len(prepared)
+def assemble_batch(
+    prepared: PreparedRecords, tables: dict, config: EncoderConfig, rows: np.ndarray | None = None
+) -> EncodedBatch:
+    """Features of the prepared records `rows` (all of them by default), in that order."""
+    if rows is None:
+        rows = np.arange(len(prepared))
+    n = len(rows)
     text_table = tables["text_table"]
     dt = config.text_dim
-    dense = np.zeros((n, config.dense_dim))
+    dense = np.empty((n, config.dense_dim))
     routing = np.zeros((n, config.routing_dim))
 
-    title_tok, title_len = _flatten_tokens([p.title_tok for p in prepared])
-    cat_tok, cat_len = _flatten_tokens([p.cat_tok for p in prepared])
-    _token_means(text_table, title_tok, title_len, dense[:, :dt])
-    _token_means(text_table, cat_tok, cat_len, dense[:, dt : 2 * dt])
+    title_tok, title_len = _token_means(text_table, prepared.title, rows, dense[:, :dt])
+    cat_tok, cat_len = _token_means(text_table, prepared.cat, rows, dense[:, dt : 2 * dt])
 
-    field_idx = np.zeros((n, len(config.fields)), dtype=np.int64)
-    if n:
-        field_idx[:] = np.stack([p.field_idx for p in prepared])
+    field_idx = prepared.field_idx[rows]
     samples = np.arange(n, dtype=np.int64)
     dense_off, block_off = 2 * dt, 0
     for f_pos, name in enumerate(config.fields):

@@ -5,6 +5,17 @@ vector and softmax-mixes E experts (affine -> tanh -> affine) applied to the
 full dense feature; a per-level head maps the mixed hidden state to that
 level's label space (codes + NULL). A semantic head classifies the mean of
 the per-level hidden states into consistency classes.
+
+Parameters live in one flat buffer laid out kind by kind (the manifest
+order): the text table, the field tables, every level's gate weights, every
+gate bias, then every expert's W1, b1, W2 and b2 (level-major,
+expert-minor), the heads and the semantic head. Each kind is therefore one
+contiguous block, and `StackedViews` reshapes the blocks without copying:
+gates as (L, routing_dim, E) and (L, E), experts as (L*E, dense_dim, H),
+(L*E, H), (L*E, H, H) and (L*E, H), with row l*E + e holding level l+1's
+expert e. The forward and backward passes run each kind as one batched
+matmul over its stack (the multi-gate MoE formulation); only the heads,
+whose label spaces differ per level, keep a loop.
 """
 from __future__ import annotations
 
@@ -21,7 +32,11 @@ from .taxonomy import NULL_CODE, Taxonomy
 
 CHECKPOINT_MAGIC = b"TAXN"
 JUDGE_MAGIC = b"TXNJ"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+
+# The forward-only pass runs at most this many rows at a time, so its expert
+# stacks stay small however large the batch (see `forward_batch`).
+FORWARD_CHUNK_ROWS = 2048
 
 
 class CheckpointError(RuntimeError):
@@ -35,7 +50,6 @@ class MoEConfig:
     expert_hidden_dim: int = 32
     include_null_label: bool = True
     semantic_classes: int = 3
-    seed: int = 0
 
     def __post_init__(self):
         if self.levels < 1 or self.experts_per_level < 1 or self.expert_hidden_dim < 1:
@@ -50,7 +64,6 @@ class MoEConfig:
             "expert_hidden_dim": self.expert_hidden_dim,
             "include_null_label": self.include_null_label,
             "semantic_classes": self.semantic_classes,
-            "seed": self.seed,
         }
 
     @staticmethod
@@ -66,12 +79,32 @@ class LevelDistribution:
     confidence: float
 
 
+@dataclass(frozen=True, eq=False)  # holds views: compare by identity
+class StackedViews:
+    """Copy-free views of one buffer laid out like `MoEModel.flat`, each kind
+    of parameter as one array (see the module docstring for the layout)."""
+
+    text_table: np.ndarray  # (hash_buckets, text_dim)
+    field_tables: tuple[np.ndarray, ...]  # per structured field: (vocab + 1, cat_dim)
+    gate_W: np.ndarray  # (L, routing_dim, E)
+    gate_b: np.ndarray  # (L, E)
+    W1: np.ndarray  # (L*E, dense_dim, H)
+    b1: np.ndarray  # (L*E, H)
+    W2: np.ndarray  # (L*E, H, H)
+    b2: np.ndarray  # (L*E, H)
+    head_W: tuple[np.ndarray, ...]  # per level: (H, K_level)
+    head_b: tuple[np.ndarray, ...]  # per level: (K_level,)
+    semantic_W: np.ndarray  # (H, semantic_classes)
+    semantic_b: np.ndarray  # (semantic_classes,)
+
+
 @dataclass(eq=False)  # holds a parameter buffer: compare by identity
 class MoEModel:
     """The model's parameters live in one contiguous float64 buffer, `flat`,
-    laid out in manifest order (`_param_specs`); `params` names views into it.
-    Update parameters in place (`flat[:] = ...`, `params[name][...] = ...`):
-    rebinding `flat` would leave the views on the old buffer.
+    laid out in manifest order (`param_manifest`); `params` names views into
+    it and `stacks` groups them by kind. Update parameters in place
+    (`flat[:] = ...`, `params[name][...] = ...`): rebinding `flat` would
+    leave the views on the old buffer.
     """
 
     encoder_config: EncoderConfig
@@ -81,8 +114,8 @@ class MoEModel:
     flat: np.ndarray | None = field(repr=False, default=None)  # None: all zeros
 
     def __post_init__(self):
-        manifest = param_manifest(self.encoder_config, self.moe_config, self.level_labels)
-        size = sum(math.prod(shape) for _, shape in manifest)
+        self._manifest = param_manifest(self.encoder_config, self.moe_config, self.level_labels)
+        size = sum(math.prod(shape) for _, shape in self._manifest)
         if self.flat is None:
             self.flat = np.zeros(size)
         if self.flat.dtype != np.float64 or self.flat.shape != (size,):
@@ -90,12 +123,62 @@ class MoEModel:
                 f"parameter buffer {self.flat.dtype}{self.flat.shape} does not match "
                 f"the model's float64({size},)"
             )
-        self._views = param_views(self.flat, manifest)
+        self._views = param_views(self.flat, self._manifest)
+        self._stacks = self._stack(self.flat, self._views)
+        self._other: tuple | None = None  # (buffer, named views, stacks) of the last other buffer
 
     @property
     def params(self) -> dict[str, np.ndarray]:
         """Named views into `flat`, in manifest order."""
         return self._views
+
+    @property
+    def stacks(self) -> StackedViews:
+        """`flat` grouped by kind."""
+        return self._stacks
+
+    def buffer_views(self, buffer: np.ndarray) -> tuple[dict[str, np.ndarray], StackedViews]:
+        """Named and stacked views of a buffer laid out like `flat`, such as a
+        gradient buffer. The views of the last buffer asked for are kept, so
+        a loop that reuses one buffer builds them once."""
+        if buffer is self.flat:
+            return self._views, self._stacks
+        if self._other is None or self._other[0] is not buffer:
+            if buffer.dtype != np.float64 or buffer.shape != self.flat.shape:
+                raise ValueError(
+                    f"buffer {buffer.dtype}{buffer.shape} is not laid out like the parameters "
+                    f"(float64{self.flat.shape})"
+                )
+            named = param_views(buffer, self._manifest)
+            self._other = (buffer, named, self._stack(buffer, named))
+        return self._other[1], self._other[2]
+
+    def _stack(self, buffer: np.ndarray, named: dict[str, np.ndarray]) -> StackedViews:
+        enc, cfg = self.encoder_config, self.moe_config
+        levels, experts, h = cfg.levels, cfg.experts_per_level, cfg.expert_hidden_dim
+        offset, starts = 0, {}
+        for name, shape in self._manifest:
+            starts[name] = offset
+            offset += math.prod(shape)
+
+        def block(first: str, shape: tuple[int, ...]) -> np.ndarray:
+            return buffer[starts[first] : starts[first] + math.prod(shape)].reshape(shape)
+
+        stacked = levels * experts
+        return StackedViews(
+            text_table=named["text_table"],
+            field_tables=tuple(named[f"field/{name}/table"] for name in enc.fields),
+            gate_W=block("level1/gate/W", (levels, enc.routing_dim, experts)),
+            gate_b=block("level1/gate/b", (levels, experts)),
+            W1=block("level1/expert0/W1", (stacked, enc.dense_dim, h)),
+            b1=block("level1/expert0/b1", (stacked, h)),
+            W2=block("level1/expert0/W2", (stacked, h, h)),
+            b2=block("level1/expert0/b2", (stacked, h)),
+            head_W=tuple(named[f"level{level}/head/W"] for level in range(1, levels + 1)),
+            head_b=tuple(named[f"level{level}/head/b"] for level in range(1, levels + 1)),
+            semantic_W=named["semantic/W"],
+            semantic_b=named["semantic/b"],
+        )
 
 
 def level_spaces(taxonomy: Taxonomy, moe_config: MoEConfig) -> tuple[tuple[str, ...], ...]:
@@ -119,38 +202,43 @@ def level_spaces(taxonomy: Taxonomy, moe_config: MoEConfig) -> tuple[tuple[str, 
     return tuple(spaces)
 
 
-def _param_specs(encoder_config: EncoderConfig, moe_config: MoEConfig, spaces) -> list[tuple[str, tuple[int, ...], int]]:
-    """(name, shape, fan_in) for every parameter, in canonical manifest order."""
+def _param_specs(
+    encoder_config: EncoderConfig, moe_config: MoEConfig, spaces
+) -> list[tuple[str, tuple[int, ...], int, int]]:
+    """(name, shape, fan_in, kind) for every parameter, in initialisation
+    order (level by level, expert by expert); `kind` ranks its manifest group."""
     dd = encoder_config.dense_dim
     rd = encoder_config.routing_dim
     h = moe_config.expert_hidden_dim
-    specs: list[tuple[str, tuple[int, ...], int]] = [
-        ("text_table", (encoder_config.hash_buckets, encoder_config.text_dim), encoder_config.text_dim)
+    specs: list[tuple[str, tuple[int, ...], int, int]] = [
+        ("text_table", (encoder_config.hash_buckets, encoder_config.text_dim), encoder_config.text_dim, 0)
     ]
     for name in encoder_config.fields:
         rows = len(encoder_config.vocab(name)) + 1
-        specs.append((f"field/{name}/table", (rows, encoder_config.cat_dim), encoder_config.cat_dim))
+        specs.append((f"field/{name}/table", (rows, encoder_config.cat_dim), encoder_config.cat_dim, 1))
     for level in range(1, moe_config.levels + 1):
         k = len(spaces[level - 1])
-        specs.append((f"level{level}/gate/W", (rd, moe_config.experts_per_level), rd))
-        specs.append((f"level{level}/gate/b", (moe_config.experts_per_level,), rd))
+        specs.append((f"level{level}/gate/W", (rd, moe_config.experts_per_level), rd, 2))
+        specs.append((f"level{level}/gate/b", (moe_config.experts_per_level,), rd, 3))
         for e in range(moe_config.experts_per_level):
-            specs.append((f"level{level}/expert{e}/W1", (dd, h), dd))
-            specs.append((f"level{level}/expert{e}/b1", (h,), dd))
-            specs.append((f"level{level}/expert{e}/W2", (h, h), h))
-            specs.append((f"level{level}/expert{e}/b2", (h,), h))
-        specs.append((f"level{level}/head/W", (h, k), h))
-        specs.append((f"level{level}/head/b", (k,), h))
-    specs.append(("semantic/W", (h, moe_config.semantic_classes), h))
-    specs.append(("semantic/b", (moe_config.semantic_classes,), h))
+            specs.append((f"level{level}/expert{e}/W1", (dd, h), dd, 4))
+            specs.append((f"level{level}/expert{e}/b1", (h,), dd, 5))
+            specs.append((f"level{level}/expert{e}/W2", (h, h), h, 6))
+            specs.append((f"level{level}/expert{e}/b2", (h,), h, 7))
+        specs.append((f"level{level}/head/W", (h, k), h, 8))
+        specs.append((f"level{level}/head/b", (k,), h, 8))
+    specs.append(("semantic/W", (h, moe_config.semantic_classes), h, 9))
+    specs.append(("semantic/b", (moe_config.semantic_classes,), h, 9))
     return specs
 
 
 def param_manifest(
     encoder_config: EncoderConfig, moe_config: MoEConfig, spaces
 ) -> list[tuple[str, tuple[int, ...]]]:
-    """(name, shape) of every parameter, in canonical manifest order."""
-    return [(name, shape) for name, shape, _ in _param_specs(encoder_config, moe_config, spaces)]
+    """(name, shape) of every parameter, in manifest order: grouped by kind,
+    level-major and expert-minor within a kind (a stable sort keeps that)."""
+    specs = sorted(_param_specs(encoder_config, moe_config, spaces), key=lambda spec: spec[3])
+    return [(name, shape) for name, shape, _, _ in specs]
 
 
 def param_views(flat: np.ndarray, manifest) -> dict[str, np.ndarray]:
@@ -170,7 +258,8 @@ def init_model(
     moe_config: MoEConfig,
     seed: int,
 ) -> MoEModel:
-    """Fresh model with uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) parameters."""
+    """Fresh model with uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) parameters,
+    drawn level by level and expert by expert whatever the buffer layout."""
     from .util import stream_rng
 
     spaces = level_spaces(taxonomy, moe_config)
@@ -181,7 +270,7 @@ def init_model(
         taxonomy_hash=taxonomy.fingerprint(),
         level_labels=spaces,
     )
-    for name, shape, fan_in in _param_specs(encoder_config, moe_config, spaces):
+    for name, shape, fan_in, _ in _param_specs(encoder_config, moe_config, spaces):
         scale = 1.0 / np.sqrt(fan_in)
         model.params[name][...] = rng.uniform(-scale, scale, size=shape)
     return model
@@ -205,51 +294,78 @@ class ForwardCache:
     """Batched activations retained for the backward pass."""
 
     batch: EncodedBatch
-    gates: list[np.ndarray]  # per level: (B, E)
-    tanh_out: list[list[np.ndarray]]  # per level, per expert: (B, H)
-    expert_out: list[list[np.ndarray]]  # per level, per expert: (B, H)
-    hidden: list[np.ndarray]  # per level: (B, H)
+    gates: np.ndarray  # (L, B, E)
+    tanh_out: np.ndarray | None  # (L*E, B, H); None from the forward-only pass
+    expert_out: np.ndarray | None  # (L*E, B, H); None from the forward-only pass
+    hidden: np.ndarray | None  # (L, B, H); None from the forward-only pass
     probs: list[np.ndarray]  # per level: (B, K_level)
     pool: np.ndarray  # (B, H)
     semantic_probs: np.ndarray  # (B, semantic_classes)
 
 
 def forward_batch(model: MoEModel, batch: EncodedBatch, for_backward: bool = True) -> ForwardCache:
-    """Forward pass over a batch. With `for_backward=False` each expert's
-    activations are dropped once mixed (`tanh_out`/`expert_out` stay empty),
-    which is all prediction needs and keeps a large batch's memory down."""
+    """Forward pass over a batch.
+
+    With `for_backward=False` only what prediction needs is kept: the
+    activations the backward pass reads (`tanh_out`, `expert_out`,
+    `hidden`) are None, and a batch of more than FORWARD_CHUNK_ROWS rows
+    runs in ceil(N / that) chunks of near-equal size, so the activations
+    held at once stay bounded however large N is. Equal chunks keep every
+    chunk large: a GEMM over a large chunk gives the same rows as one over
+    the whole batch, where a short tail of a few rows would not.
+    """
+    n = batch.dense.shape[0]
+    chunks = -(-n // FORWARD_CHUNK_ROWS)
+    if for_backward or chunks <= 1:
+        return _forward(model, batch, batch.dense, batch.routing, for_backward)
     cfg = model.moe_config
-    x, r = batch.dense, batch.routing
-    gates, tanh_out, expert_out, hidden, probs = [], [], [], [], []
-    for level in range(1, cfg.levels + 1):
-        g = softmax(r @ model.params[f"level{level}/gate/W"] + model.params[f"level{level}/gate/b"])
-        t_list, h_list = [], []
-        u = np.zeros((x.shape[0], cfg.expert_hidden_dim))
-        for e in range(cfg.experts_per_level):
-            t = np.tanh(x @ model.params[f"level{level}/expert{e}/W1"] + model.params[f"level{level}/expert{e}/b1"])
-            h = t @ model.params[f"level{level}/expert{e}/W2"] + model.params[f"level{level}/expert{e}/b2"]
-            if for_backward:
-                t_list.append(t)
-                h_list.append(h)
-            u += g[:, e : e + 1] * h
-        p = softmax(u @ model.params[f"level{level}/head/W"] + model.params[f"level{level}/head/b"])
-        gates.append(g)
-        tanh_out.append(t_list)
-        expert_out.append(h_list)
-        hidden.append(u)
-        probs.append(p)
+    gates = np.empty((cfg.levels, n, cfg.experts_per_level))
+    probs = [np.empty((n, len(labels))) for labels in model.level_labels]
+    pool = np.empty((n, cfg.expert_hidden_dim))
+    semantic_probs = np.empty((n, cfg.semantic_classes))
+    bounds = [n * i // chunks for i in range(chunks + 1)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        part = _forward(model, batch, batch.dense[lo:hi], batch.routing[lo:hi], False)
+        gates[:, lo:hi] = part.gates
+        for whole, rows in zip(probs, part.probs):
+            whole[lo:hi] = rows
+        pool[lo:hi] = part.pool
+        semantic_probs[lo:hi] = part.semantic_probs
+        del part  # before the next chunk's activations exist
+    return ForwardCache(batch, gates, None, None, None, probs, pool, semantic_probs)
+
+
+def _forward(
+    model: MoEModel, batch: EncodedBatch, dense: np.ndarray, routing: np.ndarray, for_backward: bool
+) -> ForwardCache:
+    """One pass over the rows `dense`/`routing` of `batch`."""
+    cfg = model.moe_config
+    levels, experts = cfg.levels, cfg.experts_per_level
+    s = model.stacks
+    n = dense.shape[0]
+    # (L, B, E): one (B, E) GEMM per level. A single (routing_dim, L*E) GEMM
+    # would pick another kernel and differ in the last bits.
+    logits = np.matmul(routing, s.gate_W)
+    logits += s.gate_b[:, None, :]
+    gates = softmax(logits)
+    tanh_out = np.matmul(dense, s.W1)  # (L*E, B, H)
+    tanh_out += s.b1[:, None, :]
+    np.tanh(tanh_out, out=tanh_out)
+    expert_out = np.matmul(tanh_out, s.W2)
+    if not for_backward:
+        tanh_out = None
+    expert_out += s.b2[:, None, :]
+    # one expert at a time into zeros: the summation order the outputs are defined by
+    per_level = expert_out.reshape(levels, experts, n, cfg.expert_hidden_dim)
+    hidden = np.zeros((levels, n, cfg.expert_hidden_dim))
+    for e in range(experts):
+        hidden += gates[:, :, e : e + 1] * per_level[:, e]
+    probs = [softmax(u @ w + b) for u, w, b in zip(hidden, s.head_W, s.head_b)]
     pool = np.mean(hidden, axis=0)
-    semantic_probs = softmax(pool @ model.params["semantic/W"] + model.params["semantic/b"])
-    return ForwardCache(
-        batch=batch,
-        gates=gates,
-        tanh_out=tanh_out,
-        expert_out=expert_out,
-        hidden=hidden,
-        probs=probs,
-        pool=pool,
-        semantic_probs=semantic_probs,
-    )
+    semantic_probs = softmax(pool @ s.semantic_W + s.semantic_b)
+    if not for_backward:
+        expert_out = hidden = None
+    return ForwardCache(batch, gates, tanh_out, expert_out, hidden, probs, pool, semantic_probs)
 
 
 def distributions_from_probs(model: MoEModel, probs: list[np.ndarray]) -> list[list[LevelDistribution]]:

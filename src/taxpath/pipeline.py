@@ -3,8 +3,9 @@ distillation, and consistency-assisted final training.
 
 Stage 1 cleanses the raw records. Stage 2 trains a preliminary model without
 the semantic task, scores the cleansed corpus, and builds the
-confidence-stratified dev set. Stage 3 oracle-labels the dev set and distills
-the lightweight judge. Stage 4 annotates the full corpus with the distilled
+confidence-stratified dev set. Stage 3 oracle-labels the dev set (adding
+mismatched title/leaf pairs when no pair is labelled N) and distills the
+lightweight judge. Stage 4 annotates the full corpus with the distilled
 judge and trains the final model with both objectives. Each stage writes its
 artifact into the output directory.
 """
@@ -27,7 +28,7 @@ from .encoder import EncoderConfig, build_field_vocabs
 from .infer import predict_batch, prediction_to_dict, repath
 from .metrics import evaluate
 from .moe import MoEConfig, MoEModel, init_model, save_checkpoint
-from .semantic import distill_judge, oracle_judge, annotate_corpus, save_judge
+from .semantic import annotate_corpus, distill_judge, label_dev_set, save_judge
 from .taxonomy import Taxonomy
 from .train import LossWeights, TrainConfig, fit
 from .util import atomic_write_text, write_jsonl
@@ -104,7 +105,6 @@ def run_pipeline(
         enc_cfg = replace(
             config.encoder,
             field_vocabs=build_field_vocabs(train_recs, config.encoder.fields),
-            seed=seed,
         )
         prelim_cfg = replace(
             config.train,
@@ -125,20 +125,7 @@ def run_pipeline(
 
     # Stage 3: oracle labels on the dev set, judge distillation
     def stage3():
-        labeled = [
-            (
-                r.title,
-                r.leaf(),
-                oracle_judge(
-                    r.title,
-                    r.leaf(),
-                    taxonomy,
-                    config.oracle_y_threshold,
-                    config.oracle_n_threshold,
-                ),
-            )
-            for r in dev
-        ]
+        labeled = label_dev_set(dev, taxonomy, config.oracle_y_threshold, config.oracle_n_threshold)
         judge = distill_judge(labeled, taxonomy, seed)
         artifacts["judge"] = out / "judge.ckpt"
         save_judge(judge, artifacts["judge"])

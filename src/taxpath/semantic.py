@@ -65,6 +65,45 @@ def oracle_judge(
     return ConsistencyLabel(verdict=verdict, rationale=rationale)
 
 
+def label_dev_set(
+    dev: list[ProductRecord],
+    taxonomy: Taxonomy,
+    y_threshold: float = DEFAULT_Y_THRESHOLD,
+    n_threshold: float = DEFAULT_N_THRESHOLD,
+) -> list[tuple[str, str, ConsistencyLabel]]:
+    """Oracle labels for each dev record's (title, leaf), the judge's training set.
+
+    A dev set of confidently predicted records can hold no pair the oracle
+    calls N, which leaves the judge without a negative class. Then each dev
+    title is also paired with the leaf of the next dev record (cyclically)
+    under a different level-1 node, standing in for a rejected invoice, and
+    the pairs the oracle labels N join the set. If none does, the set stays
+    without N and `distill_judge` refuses it.
+    """
+    labeled = [
+        (r.title, r.leaf(), oracle_judge(r.title, r.leaf(), taxonomy, y_threshold, n_threshold)) for r in dev
+    ]
+    if any(label.verdict == "N" for _, _, label in labeled):
+        return labeled
+    n = len(dev)
+    roots = [taxonomy.chain(r.leaf())[0] for r in dev]
+    partner: list[int | None] = [None] * n
+    later = None  # nearest later position, over the list taken twice, under another root
+    for k in range(2 * n - 2, -1, -1):
+        if roots[(k + 1) % n] != roots[k % n]:
+            later = k + 1
+        if k < n and later is not None and later - k < n:
+            partner[k] = later % n
+    for rec, j in zip(dev, partner):
+        if j is None:
+            continue
+        leaf = dev[j].leaf()
+        label = oracle_judge(rec.title, leaf, taxonomy, y_threshold, n_threshold)
+        if label.verdict == "N":
+            labeled.append((rec.title, leaf, label))
+    return labeled
+
+
 def judge_features(
     title: str, code: str, taxonomy: Taxonomy, popularity: dict[str, float]
 ) -> np.ndarray:

@@ -7,15 +7,17 @@ checked against central finite differences in the test suite.
 """
 from __future__ import annotations
 
+import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import ProductRecord
-from .encoder import EncodedBatch, PreparedRecord, assemble_batch, prepare_records
+from .encoder import EncodedBatch, PreparedRecords, assemble_batch, prepare_records
 from .infer import DEFAULT_TAU_LEAF, predict_batch, predict_encoded  # noqa: F401 (perfbench patches train.predict_batch)
-from .moe import ForwardCache, MoEModel, forward_batch, param_views
+from .moe import ForwardCache, MoEModel, forward_batch
 from .semantic import judge_verdict
 from .taxonomy import NULL_CODE, Taxonomy
 from .util import stream_rng
@@ -128,7 +130,7 @@ def backward(
     targets: LevelTargets,
     semantic_targets: np.ndarray,
     weights: LossWeights,
-    sample_ids: list[str] | None = None,
+    sample_ids: Sequence[str] | None = None,
     cache: ForwardCache | None = None,
     grad_flat: np.ndarray | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
@@ -137,23 +139,23 @@ def backward(
     `semantic_targets` holds class indices with -1 marking excluded samples.
     The gradient is exact for the clamped loss: levels whose target probability
     sits at the clamp floor contribute zero. Gradients are named views into one
-    buffer laid out like `model.flat`: `grad_flat` when given (it is zeroed
-    first), a fresh one otherwise.
+    buffer laid out like `model.flat`: `grad_flat` when given, a fresh one
+    otherwise. Every region of the buffer is assigned, never accumulated
+    into, so its previous contents do not matter.
     """
     cfg = model.moe_config
     enc = model.encoder_config
     if cache is None:
         cache = forward_batch(model, batch)
     n = batch.dense.shape[0]
+    levels, experts, hidden_dim = cfg.levels, cfg.experts_per_level, cfg.expert_hidden_dim
     ar = np.arange(n)
     omega_c, omega_s = weights.omega_c, weights.omega_s
 
     if grad_flat is None:
-        grad_flat = np.zeros_like(model.flat)
-    else:
-        grad_flat.fill(0.0)
-    grads = param_views(grad_flat, ((k, v.shape) for k, v in model.params.items()))
-    d_dense = np.zeros_like(batch.dense)
+        grad_flat = np.empty_like(model.flat)
+    grads, out = model.buffer_views(grad_flat)
+    params = model.stacks
 
     # Semantic branch
     sp = cache.semantic_probs
@@ -169,19 +171,19 @@ def backward(
         onehot = np.zeros_like(sp)
         onehot[ar[sem_mask], semantic_targets[sem_mask]] = 1.0
         d_sem = coef[:, None] * (sp - onehot)
-    grads["semantic/W"] += cache.pool.T @ d_sem
-    grads["semantic/b"] += d_sem.sum(axis=0)
-    d_pool = d_sem @ model.params["semantic/W"].T
+    np.matmul(cache.pool.T, d_sem, out=out.semantic_W)
+    d_sem.sum(axis=0, out=out.semantic_b)
+    d_pool = d_sem @ params.semantic_W.T
 
-    # Hierarchical branch
+    # Hierarchical branch: one head per level (label spaces differ)
     hier_losses = np.zeros(n)
-    d_hidden_levels = []
-    for level in range(1, cfg.levels + 1):
-        p = cache.probs[level - 1]
-        t_idx = targets.indices[:, level - 1]
+    d_u = np.empty((levels, n, hidden_dim))  # gradient of each level's mixed hidden state
+    for level in range(levels):
+        p = cache.probs[level]
+        t_idx = targets.indices[:, level]
         pt = p[ar, t_idx]
         losses_l = -np.log(np.maximum(pt, PROB_FLOOR))
-        is_leaf_level = targets.leaf_level == level
+        is_leaf_level = targets.leaf_level == level + 1
         level_w = np.where(is_leaf_level, 1.0 - omega_c, omega_c)
         hier_losses += level_w * losses_l
 
@@ -191,54 +193,62 @@ def backward(
         onehot[ar, t_idx] = 1.0
         d_logits = coef[:, None] * (p - onehot)
 
-        u = cache.hidden[level - 1]
-        grads[f"level{level}/head/W"] += u.T @ d_logits
-        grads[f"level{level}/head/b"] += d_logits.sum(axis=0)
-        d_hidden_levels.append(d_logits @ model.params[f"level{level}/head/W"].T)
+        np.matmul(cache.hidden[level].T, d_logits, out=out.head_W[level])
+        d_logits.sum(axis=0, out=out.head_b[level])
+        np.matmul(d_logits, params.head_W[level].T, out=d_u[level])
 
     per_sample = omega_s * hier_losses + (1.0 - omega_s) * sem_losses
     if not np.isfinite(per_sample).all():
         bad = int(np.argmax(~np.isfinite(per_sample)))
-        label = sample_ids[bad] if sample_ids else f"batch index {bad}"
+        label = sample_ids[bad] if sample_ids is not None and len(sample_ids) else f"batch index {bad}"
         raise TrainingError(f"non-finite loss for sample {label}")
 
-    # Mixture and expert backward, plus pooled semantic path
-    for level in range(1, cfg.levels + 1):
-        d_u = d_hidden_levels[level - 1] + d_pool / cfg.levels
-        g = cache.gates[level - 1]
-        d_gate = np.zeros_like(g)
-        for e in range(cfg.experts_per_level):
-            d_gate[:, e] = np.einsum("bh,bh->b", d_u, cache.expert_out[level - 1][e])
-        d_gate_logits = g * (d_gate - (g * d_gate).sum(axis=1, keepdims=True))
-        grads[f"level{level}/gate/W"] += batch.routing.T @ d_gate_logits
-        grads[f"level{level}/gate/b"] += d_gate_logits.sum(axis=0)
+    # Mixture and expert backward, plus pooled semantic path, over the stacks
+    d_u += d_pool / levels
+    g = cache.gates  # (L, B, E)
+    expert_out = cache.expert_out.reshape(levels, experts, n, hidden_dim)
+    d_gate = np.einsum("lbh,lebh->lbe", d_u, expert_out)
+    d_gate_logits = g * (d_gate - (g * d_gate).sum(axis=2, keepdims=True))
+    np.matmul(batch.routing.T, d_gate_logits, out=out.gate_W)
+    d_gate_logits.sum(axis=1, out=out.gate_b)
 
-        for e in range(cfg.experts_per_level):
-            t = cache.tanh_out[level - 1][e]
-            d_h = g[:, e : e + 1] * d_u
-            grads[f"level{level}/expert{e}/W2"] += t.T @ d_h
-            grads[f"level{level}/expert{e}/b2"] += d_h.sum(axis=0)
-            d_t = d_h @ model.params[f"level{level}/expert{e}/W2"].T
-            d_a = d_t * (1.0 - t * t)
-            grads[f"level{level}/expert{e}/W1"] += batch.dense.T @ d_a
-            grads[f"level{level}/expert{e}/b1"] += d_a.sum(axis=0)
-            d_dense += d_a @ model.params[f"level{level}/expert{e}/W1"].T
+    t = cache.tanh_out  # (L*E, B, H)
+    d_h = (g.transpose(0, 2, 1)[..., None] * d_u[:, None]).reshape(t.shape)
+    np.matmul(t.transpose(0, 2, 1), d_h, out=out.W2)
+    d_h.sum(axis=1, out=out.b2)
+    d_a = np.matmul(d_h, params.W2.transpose(0, 2, 1))
+    d_a *= 1.0 - t * t
+    np.matmul(batch.dense.T, d_a, out=out.W1)
+    d_a.sum(axis=1, out=out.b1)
+    # one product per expert, summed in (level, expert) order: a single GEMM
+    # over the (L*E*H)-long inner dimension would add in another order
+    d_dense = np.matmul(d_a, params.W1.transpose(0, 2, 1)).sum(axis=0)
 
     # Scatter dense-feature gradients back into the embedding tables
     dt = enc.text_dim
-    if batch.title_tok.size:
-        contrib = d_dense[batch.title_sample, :dt] * batch.title_weight[:, None]
-        np.add.at(grads["text_table"], batch.title_tok, contrib)
-    if batch.cat_tok.size:
-        contrib = d_dense[batch.cat_sample, dt : 2 * dt] * batch.cat_weight[:, None]
-        np.add.at(grads["text_table"], batch.cat_tok, contrib)
+    tokens = np.concatenate((batch.title_tok, batch.cat_tok))
+    contrib = np.concatenate(
+        (
+            d_dense[batch.title_sample, :dt] * batch.title_weight[:, None],
+            d_dense[batch.cat_sample, dt : 2 * dt] * batch.cat_weight[:, None],
+        )
+    )
+    out.text_table[...] = _row_sums(tokens, contrib, out.text_table.shape[0])
     off = 2 * dt
-    for f_pos, name in enumerate(enc.fields):
-        block = d_dense[:, off : off + enc.cat_dim]
-        np.add.at(grads[f"field/{name}/table"], batch.field_idx[:, f_pos], block)
+    for f_pos, table in enumerate(out.field_tables):
+        table[...] = _row_sums(batch.field_idx[:, f_pos], d_dense[:, off : off + enc.cat_dim], table.shape[0])
         off += enc.cat_dim
 
     return float(per_sample.mean()), grads
+
+
+def _row_sums(index: np.ndarray, values: np.ndarray, rows: int) -> np.ndarray:
+    """(rows, width) sums of the rows of `values` by `index`, as `np.add.at`
+    onto zeros gives them: one bincount over (row, column) cells, which adds
+    each cell's values in occurrence order starting from zero."""
+    width = values.shape[1]
+    cells = (index[:, None] * width + np.arange(width)).ravel()
+    return np.bincount(cells, weights=values.ravel(), minlength=rows * width).reshape(rows, width)
 
 
 class SGD:
@@ -301,12 +311,11 @@ def make_optimizer(config: TrainConfig):
     return Adam(config.learning_rate, config.beta1, config.beta2, config.eps)
 
 
-def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> None:
-    total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+def clip_gradients(grad_flat: np.ndarray, max_norm: float) -> None:
+    """Scale the flat gradient buffer in place so its L2 norm is at most `max_norm`."""
+    total = math.sqrt(grad_flat @ grad_flat)
     if total > max_norm:
-        scale = max_norm / total
-        for g in grads.values():
-            g *= scale
+        grad_flat *= max_norm / total
 
 
 def semantic_targets_for(
@@ -323,13 +332,13 @@ def semantic_targets_for(
 
 def leaf_accuracy(
     model: MoEModel,
-    prepared: list[PreparedRecord],
+    prepared: PreparedRecords,
     leaves: list[str],
     taxonomy: Taxonomy,
     tau_leaf: float = DEFAULT_TAU_LEAF,
 ) -> float:
     """Share of prepared records whose selected leaf is the true one in `leaves`."""
-    if not prepared:
+    if not len(prepared):
         return float("nan")
     batch = assemble_batch(prepared, model.params, model.encoder_config)
     preds = predict_encoded(model, batch, taxonomy, tau_leaf=tau_leaf, use_repath=False)
@@ -360,7 +369,7 @@ def fit(
     prepared = prepare_records(train_records, enc)
     targets = build_level_targets(train_records, model, target_overrides)
     sem_targets = semantic_targets_for(train_records, judge, taxonomy)
-    ids = [r.id for r in train_records]
+    ids = np.array([r.id for r in train_records], dtype=object)
     val_prepared = prepare_records(val_records, enc)
     val_leaves = [r.leaf() for r in val_records]
 
@@ -375,21 +384,21 @@ def fit(
         epoch_loss = 0.0
         for start in range(0, len(order), config.batch_size):
             take = order[start : start + config.batch_size]
-            batch = assemble_batch([prepared[i] for i in take], model.params, enc)
+            batch = assemble_batch(prepared, model.params, enc, rows=take)
             sub_targets = LevelTargets(
                 indices=targets.indices[take], leaf_level=targets.leaf_level[take]
             )
-            loss, grads = backward(
+            loss, _ = backward(
                 model,
                 batch,
                 sub_targets,
                 sem_targets[take],
                 config.loss_weights,
-                sample_ids=[ids[i] for i in take],
+                sample_ids=ids[take],
                 grad_flat=grad_flat,
             )
             if config.grad_clip is not None:
-                clip_gradients(grads, config.grad_clip)
+                clip_gradients(grad_flat, config.grad_clip)
             optimizer.step(model.flat, grad_flat)
             epoch_loss += loss * len(take)
         epoch_loss /= len(train_records)

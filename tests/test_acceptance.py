@@ -103,8 +103,8 @@ def test_gradient_oracle():
     assert len(corpus.taxonomy.nodes) == 20
     fields = ("bu_code", "ou_code", "system_code")
     enc = EncoderConfig(hash_buckets=32, text_dim=5, cat_dim=3, fields=fields,
-                        field_vocabs=build_field_vocabs(corpus.records, fields), seed=3)
-    moe = MoEConfig(levels=3, experts_per_level=2, expert_hidden_dim=4, seed=3)
+                        field_vocabs=build_field_vocabs(corpus.records, fields))
+    moe = MoEConfig(levels=3, experts_per_level=2, expert_hidden_dim=4)
     model = init_model(corpus.taxonomy, enc, moe, seed=3)
     records = corpus.records
     targets = build_level_targets(records, model)
@@ -216,9 +216,9 @@ def train_noisy_intermediate(seed):
     train_recs, val_recs, test_recs = split(corpus.records, SplitSpec(0.64, 0.16, 0.20, seed=seed))
     fields = ("bu_code", "ou_code", "system_code")
     enc = EncoderConfig(hash_buckets=1024, text_dim=16, cat_dim=4, fields=fields,
-                        field_vocabs=build_field_vocabs(train_recs, fields), seed=seed)
+                        field_vocabs=build_field_vocabs(train_recs, fields))
     moe = MoEConfig(levels=corpus.taxonomy.max_depth, experts_per_level=2,
-                    expert_hidden_dim=32, seed=seed)
+                    expert_hidden_dim=32)
     model = init_model(corpus.taxonomy, enc, moe, seed=seed)
     cfg = TrainConfig(batch_size=64, epochs=10, learning_rate=2e-3, seed=seed,
                       loss_weights=LossWeights(omega_c=0.2, omega_s=1.0))
@@ -454,9 +454,9 @@ def ablation_leaf_accuracy(experts, seed):
     train_recs, val_recs, test_recs = split(corpus.records, SplitSpec(0.64, 0.16, 0.20, seed=seed))
     fields = ("bu_code", "ou_code", "system_code")
     enc = EncoderConfig(hash_buckets=512, text_dim=12, cat_dim=2, fields=fields,
-                        field_vocabs=build_field_vocabs(train_recs, fields), seed=seed)
+                        field_vocabs=build_field_vocabs(train_recs, fields))
     moe = MoEConfig(levels=corpus.taxonomy.max_depth, experts_per_level=experts,
-                    expert_hidden_dim=6, seed=seed)
+                    expert_hidden_dim=6)
     model = init_model(corpus.taxonomy, enc, moe, seed=seed)
     cfg = TrainConfig(batch_size=64, epochs=14, learning_rate=3e-3, seed=seed,
                       loss_weights=LossWeights(omega_c=0.2, omega_s=1.0))

@@ -170,9 +170,14 @@ def test_hashing_is_stable():
     assert buckets.tolist() == [639, 1924, 930, 1646]
 
 
-def loop_assemble_batch(prepared, tables, config):
+def tokens_of(lists, i):
+    """Record i's tokens from a flat (CSR) `TokenLists`."""
+    return lists.tokens[lists.starts[i] : lists.starts[i] + lists.lengths[i]]
+
+
+def loop_assemble_batch(prepared, rows, tables, config):
     """Reference: the per-sample assembly loop the vectorised one replaced."""
-    n = len(prepared)
+    n = len(rows)
     text_table = tables["text_table"]
     dense = np.zeros((n, config.dense_dim))
     routing = np.zeros((n, config.routing_dim))
@@ -184,20 +189,21 @@ def loop_assemble_batch(prepared, tables, config):
     for name in config.fields:
         block_offsets.append(off)
         off += len(config.vocab(name)) + 1
-    for i, prep in enumerate(prepared):
-        if prep.title_tok.size:
-            dense[i, : config.text_dim] = text_table[prep.title_tok].mean(axis=0)
-            title_tok.extend(prep.title_tok.tolist())
-            title_sample.extend([i] * prep.title_tok.size)
-            title_weight.extend([1.0 / prep.title_tok.size] * prep.title_tok.size)
-        if prep.cat_tok.size:
-            dense[i, config.text_dim : 2 * config.text_dim] = text_table[prep.cat_tok].mean(axis=0)
-            cat_tok.extend(prep.cat_tok.tolist())
-            cat_sample.extend([i] * prep.cat_tok.size)
-            cat_weight.extend([1.0 / prep.cat_tok.size] * prep.cat_tok.size)
+    for i, row in enumerate(rows):
+        prep_title, prep_cat = tokens_of(prepared.title, row), tokens_of(prepared.cat, row)
+        if prep_title.size:
+            dense[i, : config.text_dim] = text_table[prep_title].mean(axis=0)
+            title_tok.extend(prep_title.tolist())
+            title_sample.extend([i] * prep_title.size)
+            title_weight.extend([1.0 / prep_title.size] * prep_title.size)
+        if prep_cat.size:
+            dense[i, config.text_dim : 2 * config.text_dim] = text_table[prep_cat].mean(axis=0)
+            cat_tok.extend(prep_cat.tolist())
+            cat_sample.extend([i] * prep_cat.size)
+            cat_weight.extend([1.0 / prep_cat.size] * prep_cat.size)
         dense_off = 2 * config.text_dim
         for f_pos, name in enumerate(config.fields):
-            idx = int(prep.field_idx[f_pos])
+            idx = int(prepared.field_idx[row, f_pos])
             field_idx[i, f_pos] = idx
             dense[i, dense_off : dense_off + config.cat_dim] = tables[f"field/{name}/table"][idx]
             routing[i, block_offsets[f_pos] + idx] = 1.0
@@ -249,20 +255,34 @@ def test_assemble_batch_matches_loop_oracle(batch_size):
     prepared = prepare_records(records, cfg)
     # the edge cases sit at the end, so every batch size sees them
     for start in range(len(prepared) - batch_size, -1, -batch_size)[:20]:
-        chunk = prepared[start : start + batch_size]
-        assert_batches_identical(assemble_batch(chunk, tables, cfg), loop_assemble_batch(chunk, tables, cfg))
+        chunk = np.arange(start, start + batch_size)
+        assert_batches_identical(
+            assemble_batch(prepared, tables, cfg, rows=chunk), loop_assemble_batch(prepared, chunk, tables, cfg)
+        )
+    # shuffled rows, as training draws them, with the edge cases in the first batch
+    order = np.random.default_rng(batch_size).permutation(len(prepared) - 10)
+    order = np.concatenate((np.arange(len(prepared) - 10, len(prepared)), order))
+    for start in range(0, len(order), batch_size)[:20]:
+        take = order[start : start + batch_size]
+        assert_batches_identical(
+            assemble_batch(prepared, tables, cfg, rows=take), loop_assemble_batch(prepared, take, tables, cfg)
+        )
+    everything = np.arange(len(prepared))
+    assert_batches_identical(
+        assemble_batch(prepared, tables, cfg), loop_assemble_batch(prepared, everything, tables, cfg)
+    )
 
 
 def test_assemble_batch_edge_cases_hit_oracle_paths():
     _, records = oracle_records()
     cfg = vocab_config(oracle_records()[0])
     prepared = prepare_records(records[-10:], cfg)
-    assert prepared[0].title_tok.size == 0 and prepared[0].cat_tok.size == 0
-    assert prepared[1].title_tok.size == 0 and prepared[2].cat_tok.size == 0
-    assert prepared[3].title_tok.size == 1  # the CPV token alone
-    assert prepared[4].title_tok.size == 23
+    assert tokens_of(prepared.title, 0).size == 0 and tokens_of(prepared.cat, 0).size == 0
+    assert tokens_of(prepared.title, 1).size == 0 and tokens_of(prepared.cat, 2).size == 0
+    assert tokens_of(prepared.title, 3).size == 1  # the CPV token alone
+    assert tokens_of(prepared.title, 4).size == 23
     unk = [len(cfg.vocab(name)) for name in cfg.fields]
-    assert prepared[5].field_idx.tolist() == unk
+    assert prepared.field_idx[5].tolist() == unk
     batch = assemble_batch(prepared, make_tables(cfg), cfg)
     assert np.array_equal(batch.dense[0, : 2 * cfg.text_dim], np.zeros(2 * cfg.text_dim))
 
@@ -270,7 +290,9 @@ def test_assemble_batch_edge_cases_hit_oracle_paths():
 def test_assemble_batch_empty():
     cfg = vocab_config([make_record()])
     tables = make_tables(cfg)
-    assert_batches_identical(assemble_batch([], tables, cfg), loop_assemble_batch([], tables, cfg))
+    prepared = prepare_records([], cfg)
+    none = np.zeros(0, dtype=np.int64)
+    assert_batches_identical(assemble_batch(prepared, tables, cfg), loop_assemble_batch(prepared, none, tables, cfg))
 
 
 # Shared pieces, so drawn records repeat tokens, CPV pairs and category names.
@@ -301,25 +323,31 @@ def test_prepare_records_memo_matches_per_record_hashing(records, hash_buckets):
     cfg = vocab_config([make_record(bu_code="bu01"), make_record(bu_code="bu02")], hash_buckets=hash_buckets)
     prepared = prepare_records(records, cfg)
     assert len(prepared) == len(records)
-    for rec, prep in zip(records, prepared):
+    for i, rec in enumerate(records):
         for got, want in (
-            (prep.title_tok, title_buckets(rec, hash_buckets)),
-            (prep.cat_tok, token_buckets(rec.category_name, hash_buckets)),
+            (tokens_of(prepared.title, i), title_buckets(rec, hash_buckets)),
+            (tokens_of(prepared.cat, i), token_buckets(rec.category_name, hash_buckets)),
         ):
             assert got.dtype == np.int64 and got.shape == want.shape
             assert np.array_equal(got, want)
         fields = [field_index(cfg, name, getattr(rec, name)) for name in cfg.fields]
-        assert prep.field_idx.tolist() == fields
+        assert prepared.field_idx[i].tolist() == fields
 
 
-def test_prepare_records_shares_read_only_arrays_per_distinct_value():
+def test_prepare_records_lays_tokens_out_flat_and_read_only():
     records = [
-        make_record(id=f"r{i}", category_name=["cat a", "cat b"][i % 2], bu_code=["bu01", "bu02"][i % 2])
-        for i in range(4)
+        make_record(id="r0", title="alpha beta", category_name="cat a"),
+        make_record(id="r1", title="", category_name="cat b two"),
+        make_record(id="r2", title="gamma", category_name="cat a", bu_code="bu02"),
     ]
-    prepared = prepare_records(records, vocab_config(records))
-    for name in ("cat_tok", "field_idx"):
-        first, second, third = (getattr(prepared[i], name) for i in range(3))
-        assert first is third and first is not second
-        assert not first.flags.writeable
-    assert prepared[0].title_tok is not prepared[2].title_tok
+    cfg = vocab_config(records)
+    prepared = prepare_records(records, cfg)
+    assert prepared.title.lengths.tolist() == [2, 0, 1]
+    assert prepared.title.starts.tolist() == [0, 2, 2]
+    assert prepared.cat.lengths.tolist() == [2, 3, 2]
+    assert prepared.cat.starts.tolist() == [0, 2, 5]
+    assert np.array_equal(prepared.cat.tokens[5:], prepared.cat.tokens[:2])  # same category, same buckets
+    assert prepared.field_idx.shape == (3, len(cfg.fields))
+    for array in (prepared.title.tokens, prepared.title.lengths, prepared.title.starts,
+                  prepared.cat.tokens, prepared.field_idx):
+        assert array.dtype == np.int64 and not array.flags.writeable

@@ -191,9 +191,9 @@ def untrained_model(seed=17):
     )
     fields = ("bu_code", "ou_code", "system_code")
     enc = EncoderConfig(hash_buckets=128, text_dim=6, cat_dim=2, fields=fields,
-                        field_vocabs=build_field_vocabs(corpus.records, fields), seed=seed)
+                        field_vocabs=build_field_vocabs(corpus.records, fields))
     moe = MoEConfig(levels=corpus.taxonomy.max_depth, experts_per_level=2,
-                    expert_hidden_dim=8, seed=seed)
+                    expert_hidden_dim=8)
     model = init_model(corpus.taxonomy, enc, moe, seed=seed)
     return corpus, model
 

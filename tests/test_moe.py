@@ -34,9 +34,8 @@ def small_setup(seed=0, experts=2, hidden=4, text_dim=4, cat_dim=2, buckets=32):
         cat_dim=cat_dim,
         fields=fields,
         field_vocabs=build_field_vocabs(corpus.records, fields),
-        seed=seed,
     )
-    moe = MoEConfig(levels=corpus.taxonomy.max_depth, experts_per_level=experts, expert_hidden_dim=hidden, seed=seed)
+    moe = MoEConfig(levels=corpus.taxonomy.max_depth, experts_per_level=experts, expert_hidden_dim=hidden)
     model = init_model(corpus.taxonomy, enc, moe, seed=seed)
     return corpus, enc, moe, model
 
@@ -58,7 +57,6 @@ def test_init_fan_in_scaling():
         cat_dim=2,
         fields=enc.fields,
         field_vocabs=enc.field_vocabs,
-        seed=0,
     )
     model = init_model(corpus.taxonomy, big_enc, moe, seed=3)
     table = model.params["text_table"]  # 100,000 parameters, fan_in = 40
@@ -225,6 +223,25 @@ def test_checkpoint_version_mismatch():
         load_checkpoint(io.BytesIO(bytes(blob)))
 
 
+def test_checkpoint_is_version_2_and_its_meta_has_no_seed():
+    import json
+    import struct
+
+    corpus, enc, moe, model = small_setup(seed=13)
+    buf = io.BytesIO()
+    save_checkpoint(model, buf)
+    blob = buf.getvalue()
+    assert struct.unpack("<I", blob[4:8]) == (2,)
+    (header_len,) = struct.unpack("<Q", blob[8:16])
+    meta = json.loads(blob[16 : 16 + header_len])["meta"]
+    assert "seed" not in meta["encoder_config"] and "seed" not in meta["moe_config"]
+    assert not hasattr(enc, "seed") and not hasattr(moe, "seed")
+    v1 = bytearray(blob)
+    v1[4:8] = struct.pack("<I", 1)  # the level-major layout has no reader
+    with pytest.raises(CheckpointError, match="version mismatch: 1 != 2"):
+        load_checkpoint(io.BytesIO(bytes(v1)))
+
+
 def test_head_width_includes_null():
     corpus, enc, moe, model = small_setup()
     tax = corpus.taxonomy
@@ -277,8 +294,8 @@ def test_forward_without_backward_cache_gives_identical_outputs():
     batch = encode_batch(corpus.records, model.params, enc)
     full = forward_batch(model, batch)
     lean = forward_batch(model, batch, for_backward=False)
-    assert lean.tanh_out == [[] for _ in range(moe.levels)] == lean.expert_out
-    for a, b in zip(full.probs + full.hidden + full.gates, lean.probs + lean.hidden + lean.gates):
+    assert lean.tanh_out is None and lean.expert_out is None and lean.hidden is None
+    for a, b in zip([*full.probs, full.pool, *full.gates], [*lean.probs, lean.pool, *lean.gates]):
         assert np.array_equal(a, b)
     assert np.array_equal(full.semantic_probs, lean.semantic_probs)
 

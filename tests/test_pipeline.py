@@ -78,8 +78,7 @@ def test_pipeline_dev_composition_matches_construction_rule(tmp_path, corpus):
     # reproduce stage 2 scoring independently and recount the strata
     spec = replace(config.split, seed=config.seed)
     train_recs, val_recs, _ = split(kept, spec)
-    enc = replace(config.encoder, field_vocabs=build_field_vocabs(train_recs, config.encoder.fields),
-                  seed=config.seed)
+    enc = replace(config.encoder, field_vocabs=build_field_vocabs(train_recs, config.encoder.fields))
     prelim_cfg = replace(config.train, seed=config.seed,
                          loss_weights=replace(config.train.loss_weights, omega_s=1.0))
     prelim = init_model(corpus.taxonomy, enc, config.moe, config.seed)
@@ -104,8 +103,7 @@ def test_pipeline_pure_hierarchical_equals_stage2(tmp_path, corpus):
     kept, _ = cleanse(corpus.records, corpus.taxonomy)
     spec = replace(config.split, seed=config.seed)
     train_recs, val_recs, _ = split(kept, spec)
-    enc = replace(config.encoder, field_vocabs=build_field_vocabs(train_recs, config.encoder.fields),
-                  seed=config.seed)
+    enc = replace(config.encoder, field_vocabs=build_field_vocabs(train_recs, config.encoder.fields))
     prelim_cfg = replace(config.train, seed=config.seed,
                          loss_weights=replace(config.train.loss_weights, omega_s=1.0))
     prelim = init_model(corpus.taxonomy, enc, config.moe, config.seed)

@@ -21,6 +21,7 @@ from taxpath.semantic import (
     DegenerateLabelsError,
     annotate_corpus,
     distill_judge,
+    label_dev_set,
     load_judge,
     oracle_judge,
     save_judge,
@@ -107,6 +108,54 @@ def test_distill_degenerate_labels(chain_taxonomy):
         distill_judge(labeled, chain_taxonomy, seed=0)
 
 
+def test_label_dev_set_keeps_a_dev_set_with_y_and_n_as_the_oracle_labels_it():
+    corpus, labeled = oracle_labeled_corpus(seed=31, samples=300)
+    assert {label.verdict for _, _, label in labeled} >= {"Y", "N"}
+    got = label_dev_set(corpus.records, corpus.taxonomy)
+    assert got == labeled
+    buffers = []
+    for rows in (labeled, got):
+        buf = io.BytesIO()
+        save_judge(distill_judge(rows, corpus.taxonomy, seed=1), buf)
+        buffers.append(buf.getvalue())
+    assert buffers[0] == buffers[1]
+
+
+def test_label_dev_set_adds_mismatched_pairs_when_no_pair_is_n():
+    corpus, labeled = oracle_labeled_corpus(seed=31, samples=300)
+    dev = [r for r, (_, _, label) in zip(corpus.records, labeled) if label.verdict != "N"]
+    with pytest.raises(DegenerateLabelsError):  # the dev set alone has no N
+        distill_judge([row for row in labeled if row[2].verdict != "N"], corpus.taxonomy, seed=1)
+    got = label_dev_set(dev, corpus.taxonomy)
+    tax = corpus.taxonomy
+    assert got[: len(dev)] == [(r.title, r.leaf(), oracle_judge(r.title, r.leaf(), tax)) for r in dev]
+    extra = got[len(dev) :]
+    assert extra and all(label.verdict == "N" for _, _, label in extra)
+    roots = [tax.chain(r.leaf())[0] for r in dev]
+    partners = {}
+    for i, rec in enumerate(dev):  # the next dev record, cyclically, under another level-1 node
+        j = next((i + k) % len(dev) for k in range(1, len(dev)) if roots[(i + k) % len(dev)] != roots[i])
+        partners[rec.title] = partners.get(rec.title, set()) | {dev[j].leaf()}
+    for title, leaf, _ in extra:
+        assert leaf in partners[title]
+    judge = distill_judge(got, tax, seed=1)
+    assert judge.tau_hi > judge.tau_lo
+
+
+def test_label_dev_set_without_a_second_level1_node_stays_degenerate(chain_taxonomy):
+    from taxpath.dataset import ProductRecord
+
+    dev = [
+        ProductRecord(id=f"r{i}", title=title, category_name="c", bu_code="b", ou_code="o", system_code="s",
+                      label_path=("A", "A.1", "A.1.1"), source="goods_registry")
+        for i, title in enumerate(["alpha one one things", "alpha one things box"])
+    ]
+    labeled = label_dev_set(dev, chain_taxonomy)
+    assert len(labeled) == 2 and "N" not in {label.verdict for _, _, label in labeled}
+    with pytest.raises(DegenerateLabelsError):
+        distill_judge(labeled, chain_taxonomy, seed=0)
+
+
 def test_distill_deterministic():
     corpus, labeled = oracle_labeled_corpus(seed=33, samples=300)
     a = distill_judge(labeled, corpus.taxonomy, seed=4)
@@ -164,9 +213,9 @@ def test_high_confidence_stratum_has_higher_yes_rate():
         )
         fields = ("bu_code", "ou_code", "system_code")
         enc = EncoderConfig(hash_buckets=512, text_dim=12, cat_dim=2, fields=fields,
-                            field_vocabs=build_field_vocabs(corpus.records, fields), seed=seed)
+                            field_vocabs=build_field_vocabs(corpus.records, fields))
         moe = MoEConfig(levels=corpus.taxonomy.max_depth, experts_per_level=2,
-                        expert_hidden_dim=24, seed=seed)
+                        expert_hidden_dim=24)
         model = init_model(corpus.taxonomy, enc, moe, seed=seed)
         cfg = TrainConfig(batch_size=32, epochs=6, learning_rate=5e-3, seed=seed,
                           loss_weights=LossWeights(0.2, 1.0))

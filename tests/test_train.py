@@ -14,6 +14,7 @@ from taxpath.train import (
     TrainingError,
     backward,
     build_level_targets,
+    clip_gradients,
     fit,
     hierarchical_loss,
     level_loss,
@@ -79,13 +80,11 @@ def tiny_setup(seed=0, experts=2, hidden=4, levels=None, samples=40):
         cat_dim=2,
         fields=fields,
         field_vocabs=build_field_vocabs(corpus.records, fields),
-        seed=seed,
     )
     moe = MoEConfig(
         levels=levels or corpus.taxonomy.max_depth,
         experts_per_level=experts,
         expert_hidden_dim=hidden,
-        seed=seed,
     )
     model = init_model(corpus.taxonomy, enc, moe, seed=seed)
     return corpus, enc, moe, model
@@ -276,6 +275,24 @@ def test_backward_reuses_and_zeroes_the_gradient_buffer():
         assert np.array_equal(g, fresh[name]), name
 
 
+def test_clip_gradients_scales_the_flat_buffer_to_the_norm():
+    rng = np.random.default_rng(3)
+    grad = rng.normal(size=10_000)
+    direction = grad / np.linalg.norm(grad)
+    clip_gradients(grad, 0.5)
+    assert abs(np.linalg.norm(grad) - 0.5) / 0.5 <= 1e-12
+    assert np.allclose(grad / np.linalg.norm(grad), direction, rtol=0, atol=1e-15)
+
+
+def test_clip_gradients_leaves_a_small_gradient_alone():
+    grad = np.array([0.3, -0.4, 0.0])  # norm 0.5
+    before = grad.copy()
+    clip_gradients(grad, 0.5)
+    assert np.array_equal(grad, before)
+    clip_gradients(grad, 10.0)
+    assert np.array_equal(grad, before)
+
+
 def test_fit_zero_learning_rate_keeps_parameters():
     corpus, enc, moe, model = tiny_setup(seed=8)
     before = {k: v.copy() for k, v in model.params.items()}
@@ -342,9 +359,9 @@ def test_loss_decreases_over_first_epochs():
         )
         fields = ("bu_code", "ou_code", "system_code")
         enc = EncoderConfig(hash_buckets=256, text_dim=8, cat_dim=2, fields=fields,
-                            field_vocabs=build_field_vocabs(corpus.records, fields), seed=seed)
+                            field_vocabs=build_field_vocabs(corpus.records, fields))
         moe = MoEConfig(levels=corpus.taxonomy.max_depth, experts_per_level=2,
-                        expert_hidden_dim=16, seed=seed)
+                        expert_hidden_dim=16)
         model = init_model(corpus.taxonomy, enc, moe, seed=seed)
         cfg = TrainConfig(batch_size=32, epochs=5, learning_rate=5e-3, seed=seed,
                           loss_weights=LossWeights(omega_c=0.2, omega_s=1.0))
@@ -389,9 +406,9 @@ def test_fixed_depth_corpus_without_null_label(tmp_path):
     train_recs, val_recs, test_recs = split(records, SplitSpec(0.64, 0.16, 0.20, seed=3))
     fields = ("bu_code", "ou_code", "system_code")
     enc = EncoderConfig(hash_buckets=256, text_dim=8, cat_dim=2, fields=fields,
-                        field_vocabs=build_field_vocabs(train_recs, fields), seed=3)
+                        field_vocabs=build_field_vocabs(train_recs, fields))
     moe = MoEConfig(levels=2, experts_per_level=2, expert_hidden_dim=16,
-                    include_null_label=False, seed=3)
+                    include_null_label=False)
     model = init_model(taxonomy, enc, moe, seed=3)
     assert [w.shape[1] for w in (model.params["level1/head/W"], model.params["level2/head/W"])] == [3, 6]
     cfg = TrainConfig(batch_size=32, epochs=6, learning_rate=5e-3, seed=3,
