@@ -7,10 +7,10 @@ most confident leaf and can reconstruct the full path from it.
 """
 
 from .dataset import ProductRecord, ScoredRecord, SplitSpec, cleanse, normalize_title, split
-from .encoder import EncoderConfig, FeatureVector, encode, encode_text
+from .encoder import EncoderConfig
 from .infer import PredictionPath, predict_batch, repath, select_prediction
 from .metrics import EvalPair, EvalReport, evaluate, macro_f1, micro_f1
-from .moe import MoEConfig, MoEModel, forward, gate_forward, init_model, load_checkpoint, save_checkpoint
+from .moe import MoEConfig, MoEModel, init_model, load_checkpoint, save_checkpoint
 from .pipeline import PipelineConfig, run_pipeline
 from .semantic import ConsistencyLabel, JudgeModel, annotate_corpus, distill_judge, oracle_judge
 from .synth import SynthConfig, synth_corpus
@@ -21,10 +21,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ProductRecord", "ScoredRecord", "SplitSpec", "cleanse", "normalize_title", "split",
-    "EncoderConfig", "FeatureVector", "encode", "encode_text",
+    "EncoderConfig",
     "PredictionPath", "predict_batch", "repath", "select_prediction",
     "EvalPair", "EvalReport", "evaluate", "macro_f1", "micro_f1",
-    "MoEConfig", "MoEModel", "forward", "gate_forward", "init_model",
+    "MoEConfig", "MoEModel", "init_model",
     "load_checkpoint", "save_checkpoint",
     "PipelineConfig", "run_pipeline",
     "ConsistencyLabel", "JudgeModel", "annotate_corpus", "distill_judge", "oracle_judge",

@@ -2,8 +2,9 @@
 
 Subcommands: gen, cleanse, split, pipeline, train, judge, predict, repath,
 eval, report. Every value can come from a JSON config file; command-line
-flags override file values, which override built-in defaults. Each run writes
-a manifest with the resolved configuration and seed next to its outputs.
+flags override file values, which override the config dataclasses' defaults.
+A key no dataclass has is an error. Each run writes a manifest with the
+resolved configuration and seed next to its outputs.
 
 Exit codes: 0 success, 1 validation error, 2 I/O error.
 """
@@ -15,7 +16,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from .dataset import (
@@ -35,153 +36,119 @@ from .semantic import annotate_corpus, distill_judge, label_dev_set, load_judge,
 from .synth import SynthConfig, synth_corpus
 from .taxonomy import load_taxonomy_file
 from .train import LossWeights, TrainConfig, fit
-from .util import atomic_write_bytes, atomic_write_text, write_jsonl
+from .util import ConfigError, atomic_write_bytes, atomic_write_text, config_from_dict, config_object, write_jsonl
 
 log = logging.getLogger("taxpath")
 
-DEFAULTS: dict = {
-    "seed": 0,
-    "encoder": {"hash_buckets": 2048, "text_dim": 32, "cat_dim": 4,
-                "fields": ["bu_code", "ou_code", "system_code"]},
-    "moe": {"levels": 10, "experts_per_level": 2, "expert_hidden_dim": 32,
-            "include_null_label": True, "semantic_classes": 3},
-    "train": {"batch_size": 64, "epochs": 10, "learning_rate": 1e-3, "optimizer": "adam",
-              "beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "omega_c": 0.2, "omega_s": 0.2,
-              "grad_clip": None},
-    "split": {"train_fraction": 0.64, "val_fraction": 0.16, "test_fraction": 0.20},
-    "pipeline": {"confidence_threshold": 0.9, "high_conf_fraction": 0.05, "tau_leaf": 0.5,
-                 "oracle_y_threshold": 0.5, "oracle_n_threshold": 0.1},
-    "synth": {},
+# Flags that set one config key: flag -> (section.key, type).
+CONFIG_FLAGS = {
+    "--epochs": ("train.epochs", int),
+    "--batch-size": ("train.batch_size", int),
+    "--learning-rate": ("train.learning_rate", float),
+    "--omega-c": ("train.omega_c", float),
+    "--omega-s": ("train.omega_s", float),
+    "--experts": ("moe.experts_per_level", int),
+    "--levels": ("moe.levels", int),
+    "--hidden-dim": ("moe.expert_hidden_dim", int),
+    "--tau-leaf": ("pipeline.tau_leaf", float),
+    "--confidence-threshold": ("pipeline.confidence_threshold", float),
+    "--high-conf-fraction": ("pipeline.high_conf_fraction", float),
 }
+SECTIONS = ("encoder", "moe", "train", "split", "pipeline", "synth")
 
 
-def _deep_merge(base: dict, extra: dict) -> dict:
-    out = dict(base)
-    for key, value in extra.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], value)
-        else:
-            out[key] = value
-    return out
-
-
-def resolve_config(config_path: str | None, overrides: dict) -> dict:
-    resolved = dict(DEFAULTS)
-    if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
+def read_config(args: argparse.Namespace) -> dict:
+    """The config document: the --config file (if any), then the flags the user passed."""
+    doc: dict = {}
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as fh:
             try:
-                resolved = _deep_merge(resolved, json.load(fh))
+                doc = config_object(json.load(fh), "config")
             except json.JSONDecodeError as exc:
-                raise ValueError(f"bad config file {config_path}: {exc}") from exc
-    return _deep_merge(resolved, overrides)
+                raise ValueError(f"bad config file {args.config}: {exc}") from exc
+    if args.seed is not None:
+        doc["seed"] = args.seed
+    for dest, value in vars(args).items():
+        section, dot, key = dest.partition(".")
+        if dot and value is not None:
+            doc[section] = {**config_object(doc.get(section, {}), section), key: value}
+    if getattr(args, "fractions", None):
+        parts = [float(x) for x in args.fractions.split(",")]
+        if len(parts) != 3:
+            raise ValueError("--fractions needs three comma-separated values")
+        # the fractions are SplitSpec's first three fields
+        doc["split"] = dict(zip((f.name for f in fields(SplitSpec)), parts))
+    return doc
 
 
-def _write_manifest(out_dir: Path, subcommand: str, resolved: dict, argv: list[str]) -> None:
+def load_config(doc: dict) -> tuple[int, PipelineConfig, SynthConfig]:
+    """(seed, pipeline config, synth config) from a config document.
+
+    The document holds the top-level `seed` and one object per section; the
+    `train` section also holds the loss weights. Keys left out take the
+    dataclass defaults, and an unknown key raises a ConfigError naming it.
+    """
+    doc = config_object(doc, "config")
+    for key in doc:
+        if key != "seed" and key not in SECTIONS:
+            raise ConfigError(f"unknown config key {key}")
+    sections = {name: config_object(doc.get(name, {}), name) for name in SECTIONS}
+    seed = doc.get("seed", PipelineConfig.seed)
+    if type(seed) is not int:
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    train = dict(sections["train"])
+    weights = {f.name: train.pop(f.name) for f in fields(LossWeights) if f.name in train}
+    config = config_from_dict(
+        PipelineConfig, sections["pipeline"], "pipeline",
+        encoder=config_from_dict(EncoderConfig, sections["encoder"], "encoder"),
+        moe=config_from_dict(MoEConfig, sections["moe"], "moe"),
+        train=config_from_dict(
+            TrainConfig, train, "train", seed=seed, loss_weights=config_from_dict(LossWeights, weights, "train")
+        ),
+        split=config_from_dict(SplitSpec, sections["split"], "split", seed=seed),
+        seed=seed,
+    )
+    return seed, config, config_from_dict(SynthConfig, sections["synth"], "synth")
+
+
+def config_document(config: PipelineConfig, synth: SynthConfig) -> dict:
+    """The config document `load_config` reads back into these configs, every value spelled out."""
+    doc = asdict(config)
+    train, split_doc = doc.pop("train"), doc.pop("split")
+    del train["seed"], split_doc["seed"]
+    train.update(train.pop("loss_weights"))
+    return {"seed": doc.pop("seed"), "encoder": doc.pop("encoder"), "moe": doc.pop("moe"),
+            "train": train, "split": split_doc, "pipeline": doc, "synth": asdict(synth)}
+
+
+def _write_manifest(
+    out_dir: Path, subcommand: str, config: PipelineConfig, synth: SynthConfig, argv: list[str]
+) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "subcommand": subcommand,
         "argv": argv,
-        "seed": resolved.get("seed"),
-        "config": resolved,
+        "seed": config.seed,
+        "config": config_document(config, synth),  # every value the run used, defaults included
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
     atomic_write_text(out_dir / "run_manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _bundle(resolved: dict):
-    """Instantiate the config dataclasses from a resolved config document."""
-    seed = int(resolved["seed"])
-    enc_doc = dict(resolved["encoder"])
-    enc = EncoderConfig(
-        hash_buckets=enc_doc["hash_buckets"],
-        text_dim=enc_doc["text_dim"],
-        cat_dim=enc_doc["cat_dim"],
-        fields=tuple(enc_doc["fields"]),
-        field_vocabs={k: tuple(v) for k, v in enc_doc.get("field_vocabs", {}).items()},
-    )
-    moe_doc = dict(resolved["moe"])
-    moe = MoEConfig(
-        levels=moe_doc["levels"],
-        experts_per_level=moe_doc["experts_per_level"],
-        expert_hidden_dim=moe_doc["expert_hidden_dim"],
-        include_null_label=moe_doc.get("include_null_label", True),
-        semantic_classes=moe_doc.get("semantic_classes", 3),
-    )
-    tr_doc = dict(resolved["train"])
-    train_cfg = TrainConfig(
-        batch_size=tr_doc["batch_size"],
-        epochs=tr_doc["epochs"],
-        learning_rate=tr_doc["learning_rate"],
-        optimizer=tr_doc["optimizer"],
-        beta1=tr_doc["beta1"],
-        beta2=tr_doc["beta2"],
-        eps=tr_doc["eps"],
-        loss_weights=LossWeights(omega_c=tr_doc["omega_c"], omega_s=tr_doc["omega_s"]),
-        grad_clip=tr_doc.get("grad_clip"),
-        seed=seed,
-    )
-    sp_doc = resolved["split"]
-    split_spec = SplitSpec(
-        train_fraction=sp_doc["train_fraction"],
-        val_fraction=sp_doc["val_fraction"],
-        test_fraction=sp_doc["test_fraction"],
-        seed=seed,
-    )
-    return seed, enc, moe, train_cfg, split_spec
-
-
-def _overrides_from_args(args: argparse.Namespace) -> dict:
-    """Only flags the user actually passed become overrides."""
-    out: dict = {}
-    mapping = {
-        "seed": ("seed",),
-        "epochs": ("train", "epochs"),
-        "batch_size": ("train", "batch_size"),
-        "learning_rate": ("train", "learning_rate"),
-        "omega_c": ("train", "omega_c"),
-        "omega_s": ("train", "omega_s"),
-        "experts": ("moe", "experts_per_level"),
-        "levels": ("moe", "levels"),
-        "hidden_dim": ("moe", "expert_hidden_dim"),
-        "tau_leaf": ("pipeline", "tau_leaf"),
-        "confidence_threshold": ("pipeline", "confidence_threshold"),
-        "high_conf_fraction": ("pipeline", "high_conf_fraction"),
-    }
-    for attr, path in mapping.items():
-        value = getattr(args, attr, None)
-        if value is None:
-            continue
-        node = out
-        for key in path[:-1]:
-            node = node.setdefault(key, {})
-        node[path[-1]] = value
-    if getattr(args, "fractions", None):
-        parts = [float(x) for x in args.fractions.split(",")]
-        if len(parts) != 3:
-            raise ValueError("--fractions needs three comma-separated values")
-        out["split"] = {
-            "train_fraction": parts[0],
-            "val_fraction": parts[1],
-            "test_fraction": parts[2],
-        }
-    return out
-
-
 def cmd_gen(args: argparse.Namespace, argv: list[str]) -> int:
-    resolved = resolve_config(args.config, _overrides_from_args(args))
+    seed, config, synth = load_config(read_config(args))
     out_dir = Path(args.out)
-    synth_cfg = SynthConfig.from_dict(resolved["synth"])
-    corpus = synth_corpus(synth_cfg, int(resolved["seed"]))
+    corpus = synth_corpus(synth, seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     atomic_write_bytes(out_dir / "taxonomy.json", corpus.taxonomy.to_json_bytes())
     write_records(out_dir / "records.jsonl", corpus.records)
-    _write_manifest(out_dir, "gen", resolved, argv)
+    _write_manifest(out_dir, "gen", config, synth, argv)
     log.info("generated %d nodes, %d records", len(corpus.taxonomy.nodes), len(corpus.records))
     return 0
 
 
 def cmd_cleanse(args: argparse.Namespace, argv: list[str]) -> int:
-    resolved = resolve_config(args.config, _overrides_from_args(args))
+    _, config, synth = load_config(read_config(args))
     taxonomy = load_taxonomy_file(args.taxonomy)
     records = read_records(args.records)
     kept, rejected = cleanse(records, taxonomy)
@@ -189,79 +156,63 @@ def cmd_cleanse(args: argparse.Namespace, argv: list[str]) -> int:
     write_records(out, kept)
     rejected_path = Path(args.rejected) if args.rejected else out.parent / "rejected.jsonl"
     write_rejections(rejected_path, rejected)
-    _write_manifest(out.parent, "cleanse", resolved, argv)
+    _write_manifest(out.parent, "cleanse", config, synth, argv)
     log.info("kept %d records, rejected %d", len(kept), len(rejected))
     return 0
 
 
 def cmd_split(args: argparse.Namespace, argv: list[str]) -> int:
-    resolved = resolve_config(args.config, _overrides_from_args(args))
-    seed, _, _, _, spec = _bundle(resolved)
+    _, config, synth = load_config(read_config(args))
     records = read_records(args.records)
-    train_recs, val_recs, test_recs = split(records, spec)
+    train_recs, val_recs, test_recs = split(records, config.split)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_records(out_dir / "train.jsonl", train_recs)
     write_records(out_dir / "val.jsonl", val_recs)
     write_records(out_dir / "test.jsonl", test_recs)
-    _write_manifest(out_dir, "split", resolved, argv)
+    _write_manifest(out_dir, "split", config, synth, argv)
     log.info("split %d -> %d/%d/%d", len(records), len(train_recs), len(val_recs), len(test_recs))
     return 0
 
 
 def cmd_pipeline(args: argparse.Namespace, argv: list[str]) -> int:
-    resolved = resolve_config(args.config, _overrides_from_args(args))
+    _, config, synth = load_config(read_config(args))
     taxonomy = load_taxonomy_file(args.taxonomy)
     records = read_records(args.records)
-    seed, enc, moe, train_cfg, split_spec = _bundle(resolved)
-    pl = resolved["pipeline"]
-    config = PipelineConfig(
-        encoder=enc,
-        moe=moe,
-        train=train_cfg,
-        split=split_spec,
-        confidence_threshold=pl["confidence_threshold"],
-        high_conf_fraction=pl["high_conf_fraction"],
-        tau_leaf=pl["tau_leaf"],
-        oracle_y_threshold=pl["oracle_y_threshold"],
-        oracle_n_threshold=pl["oracle_n_threshold"],
-        seed=seed,
-    )
     _, artifacts = run_pipeline(records, taxonomy, config, args.out)
-    _write_manifest(Path(args.out), "pipeline", resolved, argv)
+    _write_manifest(Path(args.out), "pipeline", config, synth, argv)
     for name, path in artifacts.items():
         log.info("artifact %s: %s", name, path)
     return 0
 
 
 def cmd_train(args: argparse.Namespace, argv: list[str]) -> int:
-    resolved = resolve_config(args.config, _overrides_from_args(args))
+    seed, config, synth = load_config(read_config(args))
     taxonomy = load_taxonomy_file(args.taxonomy)
     train_recs = read_records(args.train)
     val_recs = read_records(args.val) if args.val else []
-    seed, enc, moe, train_cfg, _ = _bundle(resolved)
+    enc = config.encoder
     if not enc.field_vocabs:
         enc = replace(enc, field_vocabs=build_field_vocabs(train_recs, enc.fields))
     judge = load_judge(args.judge) if args.judge else None
-    model = init_model(taxonomy, enc, moe, seed)
-    model, logs = fit(model, train_recs, val_recs, taxonomy, judge, train_cfg)
+    model = init_model(taxonomy, enc, config.moe, seed)
+    model, logs = fit(model, train_recs, val_recs, taxonomy, judge, config.train, tau_leaf=config.tau_leaf)
     out = Path(args.out)
     save_checkpoint(model, out)
     if args.log:
         write_jsonl(args.log, logs)
-    _write_manifest(out.parent, "train", resolved, argv)
+    _write_manifest(out.parent, "train", config, synth, argv)
     if logs:
         log.info("final epoch: %s", logs[-1])
     return 0
 
 
 def cmd_judge(args: argparse.Namespace, argv: list[str]) -> int:
-    resolved = resolve_config(args.config, _overrides_from_args(args))
+    seed, config, synth = load_config(read_config(args))
     taxonomy = load_taxonomy_file(args.taxonomy)
     dev = read_records(args.dev)
-    pl = resolved["pipeline"]
-    labeled = label_dev_set(dev, taxonomy, pl["oracle_y_threshold"], pl["oracle_n_threshold"])
-    judge = distill_judge(labeled, taxonomy, int(resolved["seed"]))
+    labeled = label_dev_set(dev, taxonomy, config.oracle_y_threshold, config.oracle_n_threshold)
+    judge = distill_judge(labeled, taxonomy, seed)
     out = Path(args.out)
     save_judge(judge, out)
     print(f"judge holdout agreement: {judge.holdout_agreement:.4f}")
@@ -274,29 +225,25 @@ def cmd_judge(args: argparse.Namespace, argv: list[str]) -> int:
             ({"id": rid, "verdict": lab.verdict, "rationale": lab.rationale}
              for rid, lab in annotations.items()),
         )
-    _write_manifest(out.parent, "judge", resolved, argv)
+    _write_manifest(out.parent, "judge", config, synth, argv)
     return 0
 
 
 def cmd_predict(args: argparse.Namespace, argv: list[str]) -> int:
-    resolved = resolve_config(args.config, _overrides_from_args(args))
+    _, config, synth = load_config(read_config(args))
     taxonomy = load_taxonomy_file(args.taxonomy)
     records = read_records(args.records)
     model = load_checkpoint(args.model, taxonomy)
-    preds = predict_batch(
-        model, records, taxonomy,
-        tau_leaf=resolved["pipeline"]["tau_leaf"],
-        use_repath=args.repath,
-    )
+    preds = predict_batch(model, records, taxonomy, tau_leaf=config.tau_leaf, use_repath=args.repath)
     out = Path(args.out)
     write_predictions(out, [r.id for r in records], preds)
-    _write_manifest(out.parent, "predict", resolved, argv)
+    _write_manifest(out.parent, "predict", config, synth, argv)
     log.info("predicted %d records", len(records))
     return 0
 
 
 def cmd_repath(args: argparse.Namespace, argv: list[str]) -> int:
-    resolved = resolve_config(args.config, _overrides_from_args(args))
+    _, config, synth = load_config(read_config(args))
     taxonomy = load_taxonomy_file(args.taxonomy)
     rows = read_predictions(args.pred)
     out_rows = []
@@ -307,12 +254,12 @@ def cmd_repath(args: argparse.Namespace, argv: list[str]) -> int:
         out_rows.append(row)
     out = Path(args.out)
     write_jsonl(out, out_rows)
-    _write_manifest(out.parent, "repath", resolved, argv)
+    _write_manifest(out.parent, "repath", config, synth, argv)
     return 0
 
 
 def cmd_eval(args: argparse.Namespace, argv: list[str]) -> int:
-    resolved = resolve_config(args.config, _overrides_from_args(args))
+    _, config, synth = load_config(read_config(args))
     taxonomy = load_taxonomy_file(args.taxonomy)
     pred_rows = read_predictions(args.pred)
     truth = read_records(args.truth)
@@ -320,7 +267,7 @@ def cmd_eval(args: argparse.Namespace, argv: list[str]) -> int:
     out = Path(args.out)
     write_report(out, report)
     print(render_table(report))
-    _write_manifest(out.parent, "eval", resolved, argv)
+    _write_manifest(out.parent, "eval", config, synth, argv)
     return 0
 
 
@@ -353,10 +300,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", help="JSON config file (flags override file values)")
+    def common(p, *config_flags):
+        p.add_argument("--config", help="JSON config file (flags override file values)")
         p.add_argument("--seed", type=int, default=None)
+        for flag in config_flags:
+            dest, kind = CONFIG_FLAGS[flag]
+            p.add_argument(flag, dest=dest, type=kind, default=None)
 
     p = sub.add_parser("gen", help="generate a synthetic taxonomy + corpus")
     common(p)
@@ -376,28 +325,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fractions", help="comma-separated train,val,test fractions")
 
     p = sub.add_parser("pipeline", help="run the four-stage training pipeline")
-    common(p)
+    common(p, *CONFIG_FLAGS)
     p.add_argument("--records", required=True)
     p.add_argument("--taxonomy", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    for flag in ("--epochs", "--batch-size", "--experts", "--levels", "--hidden-dim"):
-        p.add_argument(flag, type=int, default=None)
-    for flag in ("--learning-rate", "--omega-c", "--omega-s", "--tau-leaf",
-                 "--confidence-threshold", "--high-conf-fraction"):
-        p.add_argument(flag, type=float, default=None)
 
     p = sub.add_parser("train", help="train a model on prepared splits")
-    common(p)
+    common(p, *(flag for flag, (dest, _) in CONFIG_FLAGS.items() if not dest.startswith("pipeline.")))
     p.add_argument("--train", required=True)
     p.add_argument("--val")
     p.add_argument("--taxonomy", required=True)
     p.add_argument("--out", required=True, help="model checkpoint path")
     p.add_argument("--log", help="per-epoch log (jsonl)")
     p.add_argument("--judge", help="distilled judge checkpoint for the semantic task")
-    for flag in ("--epochs", "--batch-size", "--experts", "--levels", "--hidden-dim"):
-        p.add_argument(flag, type=int, default=None)
-    for flag in ("--learning-rate", "--omega-c", "--omega-s"):
-        p.add_argument(flag, type=float, default=None)
 
     p = sub.add_parser("judge", help="distill the consistency judge from a dev set")
     common(p)
@@ -408,12 +348,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--annotations", help="annotation output path")
 
     p = sub.add_parser("predict", help="predict paths for records")
-    common(p)
+    common(p, "--tau-leaf")
     p.add_argument("--model", required=True)
     p.add_argument("--records", required=True)
     p.add_argument("--taxonomy", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--tau-leaf", type=float, default=None)
     p.add_argument("--repath", action="store_true")
 
     p = sub.add_parser("repath", help="reconstruct paths from predicted leaves")

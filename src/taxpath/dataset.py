@@ -39,9 +39,9 @@ class ProductRecord:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    train_fraction: float
-    val_fraction: float
-    test_fraction: float
+    train_fraction: float = 0.64
+    val_fraction: float = 0.16
+    test_fraction: float = 0.20
     seed: int = 0
 
     def __post_init__(self):

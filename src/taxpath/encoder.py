@@ -45,31 +45,6 @@ class EncoderConfig:
     def routing_dim(self) -> int:
         return sum(len(self.vocab(f)) + 1 for f in self.fields)
 
-    def to_dict(self) -> dict:
-        return {
-            "hash_buckets": self.hash_buckets,
-            "text_dim": self.text_dim,
-            "cat_dim": self.cat_dim,
-            "fields": list(self.fields),
-            "field_vocabs": {k: list(v) for k, v in self.field_vocabs.items()},
-        }
-
-    @staticmethod
-    def from_dict(doc: dict) -> "EncoderConfig":
-        return EncoderConfig(
-            hash_buckets=doc["hash_buckets"],
-            text_dim=doc["text_dim"],
-            cat_dim=doc["cat_dim"],
-            fields=tuple(doc["fields"]),
-            field_vocabs={k: tuple(v) for k, v in doc["field_vocabs"].items()},
-        )
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    dense: np.ndarray
-    routing: np.ndarray
-
 
 def build_field_vocabs(records: list[ProductRecord], fields: tuple[str, ...]) -> dict:
     """Sorted distinct values per structured field, for one-hot layouts."""
@@ -88,14 +63,6 @@ def title_buckets(record: ProductRecord, hash_buckets: int) -> np.ndarray:
         token = f"{normalize_title(key)}={normalize_title(value)}".replace(" ", "_")
         buckets.append(fnv1a_64(token) % hash_buckets)
     return np.array(buckets, dtype=np.int64)
-
-
-def encode_text(text: str, embedding_table: np.ndarray, config: EncoderConfig) -> np.ndarray:
-    """Mean of the hashed tokens' embedding rows; zeros for empty text."""
-    buckets = token_buckets(text, config.hash_buckets)
-    if buckets.size == 0:
-        return np.zeros(embedding_table.shape[1])
-    return embedding_table[buckets].mean(axis=0)
 
 
 def field_index(config: EncoderConfig, name: str, value: str) -> int:
@@ -285,8 +252,3 @@ def assemble_batch(
 def encode_batch(records: list[ProductRecord], tables: dict, config: EncoderConfig) -> EncodedBatch:
     return assemble_batch(prepare_records(records, config), tables, config)
 
-
-def encode(record: ProductRecord, tables: dict, config: EncoderConfig) -> FeatureVector:
-    """Encode one record into its dense + routing feature vector."""
-    batch = encode_batch([record], tables, config)
-    return FeatureVector(dense=batch.dense[0], routing=batch.routing[0])

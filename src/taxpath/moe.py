@@ -23,12 +23,13 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .encoder import EncodedBatch, EncoderConfig, FeatureVector
+from .encoder import EncodedBatch, EncoderConfig
 from .taxonomy import NULL_CODE, Taxonomy
+from .util import ConfigError, atomic_write_bytes, config_from_dict, stream_rng
 
 CHECKPOINT_MAGIC = b"TAXN"
 JUDGE_MAGIC = b"TXNJ"
@@ -56,19 +57,6 @@ class MoEConfig:
             raise ValueError("levels, experts_per_level, expert_hidden_dim must be >= 1")
         if self.semantic_classes < 2:
             raise ValueError("semantic_classes must be >= 2")
-
-    def to_dict(self) -> dict:
-        return {
-            "levels": self.levels,
-            "experts_per_level": self.experts_per_level,
-            "expert_hidden_dim": self.expert_hidden_dim,
-            "include_null_label": self.include_null_label,
-            "semantic_classes": self.semantic_classes,
-        }
-
-    @staticmethod
-    def from_dict(doc: dict) -> "MoEConfig":
-        return MoEConfig(**doc)
 
 
 @dataclass(frozen=True, eq=False)  # ndarray field: compare by identity
@@ -260,8 +248,6 @@ def init_model(
 ) -> MoEModel:
     """Fresh model with uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) parameters,
     drawn level by level and expert by expert whatever the buffer layout."""
-    from .util import stream_rng
-
     spaces = level_spaces(taxonomy, moe_config)
     rng = stream_rng(seed, "init")
     model = MoEModel(
@@ -280,13 +266,6 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = logits - logits.max(axis=axis, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=axis, keepdims=True)
-
-
-def gate_forward(model: MoEModel, routing: np.ndarray, level: int) -> np.ndarray:
-    """Expert mixing weights for one routing vector at one level (1-based)."""
-    w = model.params[f"level{level}/gate/W"]
-    b = model.params[f"level{level}/gate/b"]
-    return softmax(routing @ w + b)
 
 
 @dataclass
@@ -386,35 +365,6 @@ def distributions_from_probs(model: MoEModel, probs: list[np.ndarray]) -> list[l
     ]
 
 
-def forward(model: MoEModel, fv: FeatureVector) -> tuple[list[LevelDistribution], np.ndarray]:
-    """Single-sample forward pass: per-level distributions + semantic probs."""
-    batch = _single_feature_batch(model, fv)
-    cache = forward_batch(model, batch)
-    (dists,) = distributions_from_probs(model, cache.probs)
-    return dists, cache.semantic_probs[0]
-
-
-def _single_feature_batch(model: MoEModel, fv: FeatureVector) -> EncodedBatch:
-    cfg = model.encoder_config
-    if fv.dense.shape != (cfg.dense_dim,) or fv.routing.shape != (cfg.routing_dim,):
-        raise ValueError(
-            f"feature dims {fv.dense.shape}/{fv.routing.shape} do not match "
-            f"model dims ({cfg.dense_dim},)/({cfg.routing_dim},)"
-        )
-    empty = np.array([], dtype=np.int64)
-    return EncodedBatch(
-        dense=fv.dense[None, :],
-        routing=fv.routing[None, :],
-        title_tok=empty,
-        title_sample=empty,
-        title_weight=np.array([]),
-        cat_tok=empty,
-        cat_sample=empty,
-        cat_weight=np.array([]),
-        field_idx=np.zeros((1, len(cfg.fields)), dtype=np.int64),
-    )
-
-
 # --- checkpoint container (shared by model and judge checkpoints) ---
 
 
@@ -465,8 +415,8 @@ def read_container(blob: bytes, magic: bytes) -> tuple[dict, list[tuple[str, tup
 def save_checkpoint(model: MoEModel, sink) -> None:
     """Serialize to a binary sink (file-like or path)."""
     meta = {
-        "encoder_config": model.encoder_config.to_dict(),
-        "moe_config": model.moe_config.to_dict(),
+        "encoder_config": asdict(model.encoder_config),
+        "moe_config": asdict(model.moe_config),
         "taxonomy_hash": model.taxonomy_hash,
         "level_labels": [list(labels) for labels in model.level_labels],
     }
@@ -474,8 +424,6 @@ def save_checkpoint(model: MoEModel, sink) -> None:
     if hasattr(sink, "write"):
         sink.write(blob)
     else:
-        from .util import atomic_write_bytes
-
         atomic_write_bytes(sink, blob)
 
 
@@ -487,8 +435,11 @@ def load_checkpoint(source, taxonomy: Taxonomy | None = None) -> MoEModel:
         with open(source, "rb") as fh:
             blob = fh.read()
     meta, manifest, flat = read_container(blob, CHECKPOINT_MAGIC)
-    encoder_config = EncoderConfig.from_dict(meta["encoder_config"])
-    moe_config = MoEConfig.from_dict(meta["moe_config"])
+    try:
+        encoder_config = config_from_dict(EncoderConfig, meta.get("encoder_config"), "encoder_config")
+        moe_config = config_from_dict(MoEConfig, meta.get("moe_config"), "moe_config")
+    except ConfigError as exc:
+        raise CheckpointError(f"bad checkpoint header: {exc}") from exc
     level_labels = tuple(tuple(labels) for labels in meta["level_labels"])
     if manifest != param_manifest(encoder_config, moe_config, level_labels):
         raise CheckpointError("parameter manifest does not match the checkpoint's model configuration")

@@ -25,10 +25,17 @@ from .dataset import (
     write_records,
 )
 from .encoder import EncoderConfig, build_field_vocabs
-from .infer import predict_batch, prediction_to_dict, repath
+from .infer import DEFAULT_TAU_LEAF, predict_batch, prediction_to_dict, repath
 from .metrics import evaluate
 from .moe import MoEConfig, MoEModel, init_model, save_checkpoint
-from .semantic import annotate_corpus, distill_judge, label_dev_set, save_judge
+from .semantic import (
+    DEFAULT_N_THRESHOLD,
+    DEFAULT_Y_THRESHOLD,
+    annotate_corpus,
+    distill_judge,
+    label_dev_set,
+    save_judge,
+)
 from .taxonomy import Taxonomy
 from .train import LossWeights, TrainConfig, fit
 from .util import atomic_write_text, write_jsonl
@@ -43,12 +50,12 @@ class PipelineConfig:
     encoder: EncoderConfig = EncoderConfig()
     moe: MoEConfig = MoEConfig()
     train: TrainConfig = TrainConfig()
-    split: SplitSpec = SplitSpec(0.64, 0.16, 0.20)
+    split: SplitSpec = SplitSpec()
     confidence_threshold: float = 0.9
     high_conf_fraction: float = 0.05
-    tau_leaf: float = 0.5
-    oracle_y_threshold: float = 0.5
-    oracle_n_threshold: float = 0.1
+    tau_leaf: float = DEFAULT_TAU_LEAF
+    oracle_y_threshold: float = DEFAULT_Y_THRESHOLD
+    oracle_n_threshold: float = DEFAULT_N_THRESHOLD
     seed: int = 0
 
 
@@ -56,7 +63,7 @@ def score_records(
     model: MoEModel,
     records: list[ProductRecord],
     taxonomy: Taxonomy,
-    tau_leaf: float = 0.5,
+    tau_leaf: float = DEFAULT_TAU_LEAF,
 ) -> list[ScoredRecord]:
     """Prediction confidence and correctness for every record."""
     preds = predict_batch(model, records, taxonomy, tau_leaf=tau_leaf, use_repath=False)

@@ -151,6 +151,10 @@ class JudgeModel:
         probs /= probs.sum()
         return float(probs[0] - probs[1])
 
+    def __call__(self, title: str, code: str, taxonomy: Taxonomy) -> ConsistencyLabel:
+        """The judge protocol, shared with `oracle_judge`: `judge(title, code, taxonomy)`."""
+        return self.judge(title, code, taxonomy)
+
     def judge(self, title: str, code: str, taxonomy: Taxonomy) -> ConsistencyLabel:
         s = self.score(title, code, taxonomy)
         if s >= self.tau_hi:
@@ -163,13 +167,6 @@ class JudgeModel:
             verdict=verdict,
             rationale=f"judge score {s:.3f} (tau_hi {self.tau_hi:.3f}, tau_lo {self.tau_lo:.3f})",
         )
-
-
-def judge_verdict(judge, title: str, code: str, taxonomy: Taxonomy) -> str:
-    """Uniform access for either a JudgeModel or an oracle-style callable."""
-    if isinstance(judge, JudgeModel):
-        return judge.judge(title, code, taxonomy).verdict
-    return judge(title, code, taxonomy).verdict
 
 
 def _code_popularity(codes: list[str]) -> dict[str, float]:
@@ -274,17 +271,11 @@ def distill_judge(
 def annotate_corpus(
     records: list[ProductRecord], judge, taxonomy: Taxonomy
 ) -> dict[str, ConsistencyLabel]:
-    """One consistency label per record, judged on (title, effective leaf).
+    """One consistency label per record, `judge(title, effective leaf, taxonomy)`.
 
     Output ordering is stable: keys ascend by record id.
     """
-    out: dict[str, ConsistencyLabel] = {}
-    for rec in sorted(records, key=lambda r: r.id):
-        if isinstance(judge, JudgeModel):
-            out[rec.id] = judge.judge(rec.title, rec.leaf(), taxonomy)
-        else:
-            out[rec.id] = judge(rec.title, rec.leaf(), taxonomy)
-    return out
+    return {rec.id: judge(rec.title, rec.leaf(), taxonomy) for rec in sorted(records, key=lambda r: r.id)}
 
 
 def save_judge(judge: JudgeModel, sink) -> None:

@@ -77,12 +77,6 @@ class SynthConfig:
             if not 0.0 <= value <= 1.0:
                 raise SynthConfigError(f"{name} must be in [0,1]: {value}")
 
-    @staticmethod
-    def from_dict(doc: dict) -> "SynthConfig":
-        if "depth_weights" in doc and doc["depth_weights"] is not None:
-            doc = dict(doc, depth_weights=tuple(doc["depth_weights"]))
-        return SynthConfig(**doc)
-
 
 class SynthCorpus(NamedTuple):
     taxonomy: Taxonomy

@@ -18,7 +18,6 @@ from .dataset import ProductRecord
 from .encoder import EncodedBatch, PreparedRecords, assemble_batch, prepare_records
 from .infer import DEFAULT_TAU_LEAF, predict_batch, predict_encoded  # noqa: F401 (perfbench patches train.predict_batch)
 from .moe import ForwardCache, MoEModel, forward_batch
-from .semantic import judge_verdict
 from .taxonomy import NULL_CODE, Taxonomy
 from .util import stream_rng
 
@@ -321,11 +320,11 @@ def clip_gradients(grad_flat: np.ndarray, max_norm: float) -> None:
 def semantic_targets_for(
     records: list[ProductRecord], judge, taxonomy: Taxonomy
 ) -> np.ndarray:
-    """Class index per record from the judge's verdict on (title, leaf); -1 if no judge."""
+    """Class index per record from the verdict `judge(title, leaf, taxonomy)`; -1 if no judge."""
     if judge is None:
         return np.full(len(records), -1, dtype=np.int64)
     return np.array(
-        [SEMANTIC_CLASS_INDEX[judge_verdict(judge, r.title, r.leaf(), taxonomy)] for r in records],
+        [SEMANTIC_CLASS_INDEX[judge(r.title, r.leaf(), taxonomy).verdict] for r in records],
         dtype=np.int64,
     )
 

@@ -1,10 +1,13 @@
 """Shared plumbing: text normalisation, stable hashing, named RNG streams,
-atomic file I/O."""
+atomic file I/O, the strict config loader."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import tempfile
+import types
+import typing
 import unicodedata
 from pathlib import Path
 from typing import Any, Iterable, Iterator
@@ -82,3 +85,55 @@ def read_jsonl(path: str | Path) -> Iterator[dict]:
                 yield json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}: bad JSON on line {lineno}: {exc}") from exc
+
+
+class ConfigError(ValueError):
+    """A config document that does not fit its dataclass."""
+
+
+def config_object(value: Any, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {value!r}")
+    return value
+
+
+def config_from_dict(cls, doc: Any, section: str, **given):
+    """An instance of the config dataclass `cls` from the JSON object `doc`.
+
+    Every key must name a field of `cls` other than those in `given`, which
+    the caller supplies; missing keys take the field defaults. Values are
+    checked against the field types, JSON lists become tuples and nested
+    objects become nested dataclasses. Errors name `section.key`.
+    """
+    doc = config_object(doc, section)
+    settable = [f.name for f in dataclasses.fields(cls) if f.name not in given]
+    for key in doc:
+        if key not in settable:
+            raise ConfigError(f"unknown config key {section}.{key}")
+    hints = typing.get_type_hints(cls)
+    values = {key: _typed(hints[key], value, f"{section}.{key}") for key, value in doc.items()}
+    try:
+        return cls(**values, **given)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
+
+
+def _typed(hint, value: Any, where: str):
+    """`value` checked against the type hint `hint`, lists turned into tuples."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):  # only `X | None` occurs
+        if value is None:
+            return None
+        (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if dataclasses.is_dataclass(hint):
+        return config_from_dict(hint, value, where)
+    if origin is tuple and isinstance(value, (list, tuple)):
+        return tuple(_typed(args[0], item, f"{where}[{i}]") for i, item in enumerate(value))
+    if origin is dict and isinstance(value, dict):
+        return {key: _typed(args[1], item, f"{where}.{key}") for key, item in value.items()}
+    accepted = {int: (int,), float: (int, float), str: (str,), bool: (bool,)}.get(hint, ())
+    # `true` is an int to Python, but no count or number in a config
+    if isinstance(value, accepted) and (hint is bool) == isinstance(value, bool):
+        return value
+    kind = {tuple: "a list", dict: "an object", int: "an integer", float: "a number", str: "a string", bool: "true or false"}
+    raise ConfigError(f"{where} must be {kind.get(origin or hint, hint)}, got {value!r}")

@@ -9,9 +9,7 @@ from taxpath.encoder import (
     EncoderConfig,
     assemble_batch,
     build_field_vocabs,
-    encode,
     encode_batch,
-    encode_text,
     field_index,
     prepare_records,
     title_buckets,
@@ -43,28 +41,40 @@ def test_fnv1a_golden_vectors():
     assert fnv1a_64("foobar") == 0x85944171F73967E8
 
 
-def test_encode_text_empty_is_zero():
+def title_embedding(text, table, cfg):
+    """The title block of a one-record batch whose text table is `table`."""
+    tables = {**make_tables(cfg), "text_table": table}
+    return encode_batch([make_record(title=text)], tables, cfg).dense[0, : cfg.text_dim]
+
+
+def encode_one(record, tables, cfg):
+    """Dense and routing rows of a one-record batch."""
+    batch = encode_batch([record], tables, cfg)
+    return batch.dense[0], batch.routing[0]
+
+
+def test_title_embedding_empty_is_zero():
     cfg = EncoderConfig(hash_buckets=8, text_dim=4, cat_dim=2)
     table = np.arange(32, dtype=float).reshape(8, 4)
-    assert np.array_equal(encode_text("", table, cfg), np.zeros(4))
-    assert np.array_equal(encode_text("  !! ", table, cfg), np.zeros(4))
+    assert np.array_equal(title_embedding("", table, cfg), np.zeros(4))
+    assert np.array_equal(title_embedding("  !! ", table, cfg), np.zeros(4))
 
 
-def test_encode_text_single_token_is_its_row():
+def test_title_embedding_single_token_is_its_row():
     cfg = EncoderConfig(hash_buckets=8, text_dim=4, cat_dim=2)
     table = np.arange(32, dtype=float).reshape(8, 4)
     bucket = fnv1a_64("alpha") % 8
-    assert np.array_equal(encode_text("Alpha", table, cfg), table[bucket])
+    assert np.array_equal(title_embedding("Alpha", table, cfg), table[bucket])
 
 
-def test_encode_text_three_token_mean_by_hand():
+def test_title_embedding_three_token_mean_by_hand():
     cfg = EncoderConfig(hash_buckets=8, text_dim=4, cat_dim=2)
     rng = np.random.default_rng(0)
     table = rng.normal(size=(8, 4))
     text = "red blue green"
     rows = [table[fnv1a_64(tok) % 8] for tok in ["red", "blue", "green"]]
     expected = (rows[0] + rows[1] + rows[2]) / 3.0
-    assert np.allclose(encode_text(text, table, cfg), expected, atol=1e-15)
+    assert np.allclose(title_embedding(text, table, cfg), expected, atol=1e-15)
 
 
 def vocab_config(records, **kw):
@@ -91,8 +101,8 @@ def test_unseen_value_maps_to_unk_slot():
     known = [make_record(bu_code="bu01"), make_record(id="r1", bu_code="bu02")]
     cfg = vocab_config(known)
     tables = make_tables(cfg)
-    fv = encode(make_record(bu_code="mystery"), tables, cfg)
-    block = fv.routing[: len(cfg.vocab("bu_code")) + 1]
+    _, routing = encode_one(make_record(bu_code="mystery"), tables, cfg)
+    block = routing[: len(cfg.vocab("bu_code")) + 1]
     assert block[-1] == 1.0 and block.sum() == 1.0
 
 
@@ -101,11 +111,11 @@ def test_routing_blocks_one_hot():
     cfg = vocab_config(records)
     tables = make_tables(cfg)
     for r in records:
-        fv = encode(r, tables, cfg)
+        _, routing = encode_one(r, tables, cfg)
         off = 0
         for name in cfg.fields:
             width = len(cfg.vocab(name)) + 1
-            assert fv.routing[off : off + width].sum() == 1.0
+            assert routing[off : off + width].sum() == 1.0
             off += width
 
 
@@ -113,11 +123,11 @@ def test_title_change_touches_only_title_block():
     records = [make_record()]
     cfg = vocab_config(records)
     tables = make_tables(cfg)
-    a = encode(make_record(title="one thing"), tables, cfg)
-    b = encode(make_record(title="another thing entirely"), tables, cfg)
-    assert np.array_equal(a.routing, b.routing)
-    assert not np.array_equal(a.dense[: cfg.text_dim], b.dense[: cfg.text_dim])
-    assert np.array_equal(a.dense[cfg.text_dim :], b.dense[cfg.text_dim :])
+    a_dense, a_routing = encode_one(make_record(title="one thing"), tables, cfg)
+    b_dense, b_routing = encode_one(make_record(title="another thing entirely"), tables, cfg)
+    assert np.array_equal(a_routing, b_routing)
+    assert not np.array_equal(a_dense[: cfg.text_dim], b_dense[: cfg.text_dim])
+    assert np.array_equal(a_dense[cfg.text_dim :], b_dense[cfg.text_dim :])
 
 
 def test_encode_compositional_oracle():
@@ -126,18 +136,18 @@ def test_encode_compositional_oracle():
     cfg = vocab_config(records, fields=fields)
     tables = make_tables(cfg, seed=3)
     r = records[0]
-    fv = encode(r, tables, cfg)
+    dense, _ = encode_one(r, tables, cfg)
     expected = np.concatenate(
         [
-            encode_text(r.title, tables["text_table"], cfg),
-            encode_text(r.category_name, tables["text_table"], cfg),
+            tables["text_table"][token_buckets(r.title, cfg.hash_buckets)].mean(axis=0),
+            tables["text_table"][token_buckets(r.category_name, cfg.hash_buckets)].mean(axis=0),
             tables["field/bu_code/table"][field_index(cfg, "bu_code", r.bu_code)],
             tables["field/ou_code/table"][field_index(cfg, "ou_code", r.ou_code)],
         ]
     )
-    assert np.allclose(fv.dense, expected, atol=1e-15)
-    assert fv.dense.shape == (cfg.dense_dim,)
-    assert np.isfinite(fv.dense).all()
+    assert np.allclose(dense, expected, atol=1e-15)
+    assert dense.shape == (cfg.dense_dim,)
+    assert np.isfinite(dense).all()
 
 
 def test_cpvs_fold_into_title_stream():
@@ -156,9 +166,9 @@ def test_encode_batch_matches_single():
     tables = make_tables(cfg, seed=9)
     batch = encode_batch(records, tables, cfg)
     for i, r in enumerate(records):
-        fv = encode(r, tables, cfg)
-        assert np.array_equal(batch.dense[i], fv.dense)
-        assert np.array_equal(batch.routing[i], fv.routing)
+        dense, routing = encode_one(r, tables, cfg)
+        assert np.array_equal(batch.dense[i], dense)
+        assert np.array_equal(batch.routing[i], routing)
 
 
 def test_hashing_is_stable():

@@ -1,4 +1,5 @@
 import io
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,15 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from taxpath.encoder import EncoderConfig, FeatureVector, build_field_vocabs, encode, encode_batch
+from taxpath.encoder import EncodedBatch, EncoderConfig, build_field_vocabs, encode_batch
 from taxpath.moe import (
     CHECKPOINT_MAGIC,
     CheckpointError,
     MoEConfig,
     distributions_from_probs,
-    forward,
     forward_batch,
-    gate_forward,
     init_model,
     load_checkpoint,
     save_checkpoint,
@@ -38,6 +37,35 @@ def small_setup(seed=0, experts=2, hidden=4, text_dim=4, cat_dim=2, buckets=32):
     moe = MoEConfig(levels=corpus.taxonomy.max_depth, experts_per_level=experts, expert_hidden_dim=hidden)
     model = init_model(corpus.taxonomy, enc, moe, seed=seed)
     return corpus, enc, moe, model
+
+
+def one_row_batch(model, dense, routing):
+    """A one-row batch of raw dense and routing vectors, without token bookkeeping."""
+    empty = np.array([], dtype=np.int64)
+    return EncodedBatch(
+        dense=dense[None, :],
+        routing=routing[None, :],
+        title_tok=empty,
+        title_sample=empty,
+        title_weight=np.array([]),
+        cat_tok=empty,
+        cat_sample=empty,
+        cat_weight=np.array([]),
+        field_idx=np.zeros((1, len(model.encoder_config.fields)), dtype=np.int64),
+    )
+
+
+def gate_weights(model, routing, level):
+    """Expert mixing weights of one routing vector at one level (1-based)."""
+    dense = np.zeros(model.encoder_config.dense_dim)
+    return forward_batch(model, one_row_batch(model, dense, routing)).gates[level - 1][0]
+
+
+def forward_one(model, batch):
+    """Per-level distributions and semantic probs of a one-row batch."""
+    cache = forward_batch(model, batch)
+    (dists,) = distributions_from_probs(model, cache.probs)
+    return dists, cache.semantic_probs[0]
 
 
 def test_init_deterministic_and_seed_sensitive():
@@ -70,7 +98,7 @@ def test_gate_singleton_expert():
     corpus, enc, moe, model = small_setup(experts=1)
     routing = np.zeros(enc.routing_dim)
     routing[0] = 1.0
-    assert np.array_equal(gate_forward(model, routing, 1), np.array([1.0]))
+    assert np.array_equal(gate_weights(model, routing, 1), np.array([1.0]))
 
 
 def test_gate_zero_params_uniform():
@@ -79,7 +107,7 @@ def test_gate_zero_params_uniform():
     model.params["level1/gate/b"][:] = 0.0
     routing = np.zeros(enc.routing_dim)
     routing[1] = 1.0
-    assert np.allclose(gate_forward(model, routing, 1), 0.25, atol=1e-15)
+    assert np.allclose(gate_weights(model, routing, 1), 0.25, atol=1e-15)
 
 
 def test_gate_hand_softmax():
@@ -94,7 +122,7 @@ def test_gate_hand_softmax():
     routing[2] = 1.0
     logits = np.array([0.3 + 1.5, -0.2 + 0.5])
     expected = np.exp(logits) / np.exp(logits).sum()
-    assert np.allclose(gate_forward(model, routing, 2), expected, atol=1e-12)
+    assert np.allclose(gate_weights(model, routing, 2), expected, atol=1e-12)
 
 
 def test_forward_zero_heads_uniform():
@@ -102,8 +130,8 @@ def test_forward_zero_heads_uniform():
     for level in range(1, moe.levels + 1):
         model.params[f"level{level}/head/W"][:] = 0.0
         model.params[f"level{level}/head/b"][:] = 0.0
-    fv = encode(corpus.records[0], model.params, enc)
-    dists, _ = forward(model, fv)
+    batch = encode_batch(corpus.records[:1], model.params, enc)
+    dists, _ = forward_one(model, batch)
     for level, dist in enumerate(dists, start=1):
         k = len(model.level_labels[level - 1])
         assert np.allclose(dist.probs, 1.0 / k, atol=1e-12)
@@ -112,12 +140,12 @@ def test_forward_zero_heads_uniform():
 def test_forward_single_expert_matches_reference():
     corpus, enc, moe, model = small_setup(experts=1, seed=5)
     record = corpus.records[3]
-    fv = encode(record, model.params, enc)
-    dists, sem = forward(model, fv)
+    batch = encode_batch([record], model.params, enc)
+    dists, sem = forward_one(model, batch)
     # reference: plain two-layer forward with the gate pinned at 1
     hiddens = []
     for level in range(1, moe.levels + 1):
-        t = np.tanh(fv.dense @ model.params[f"level{level}/expert0/W1"] + model.params[f"level{level}/expert0/b1"])
+        t = np.tanh(batch.dense[0] @ model.params[f"level{level}/expert0/W1"] + model.params[f"level{level}/expert0/b1"])
         u = t @ model.params[f"level{level}/expert0/W2"] + model.params[f"level{level}/expert0/b2"]
         hiddens.append(u)
         logits = u @ model.params[f"level{level}/head/W"] + model.params[f"level{level}/head/b"]
@@ -129,11 +157,11 @@ def test_forward_single_expert_matches_reference():
 
 def test_forward_single_expert_ignores_gate_params():
     corpus, enc, moe, model = small_setup(experts=1, seed=5)
-    fv = encode(corpus.records[0], model.params, enc)
-    before, _ = forward(model, fv)
+    batch = encode_batch(corpus.records[:1], model.params, enc)
+    before, _ = forward_one(model, batch)
     model.params["level1/gate/W"][:] = 7.5
     model.params["level1/gate/b"][:] = -3.0
-    after, _ = forward(model, fv)
+    after, _ = forward_one(model, batch)
     for a, b in zip(before, after):
         assert np.array_equal(a.probs, b.probs)
 
@@ -149,7 +177,7 @@ def test_probs_normalized_on_random_inputs():
             width = len(enc.vocab(name)) + 1
             routing[off + rng.integers(width)] = 1.0
             off += width
-        dists, sem = forward(model, FeatureVector(dense=dense, routing=routing))
+        dists, sem = forward_one(model, one_row_batch(model, dense, routing))
         for dist in dists:
             assert abs(dist.probs.sum() - 1.0) <= 1e-9
             assert dist.confidence == dist.probs.max()
@@ -184,9 +212,9 @@ def test_checkpoint_round_trip():
     assert loaded.level_labels == model.level_labels
     for name in model.params:
         assert np.array_equal(loaded.params[name], model.params[name])
-    fv = encode(corpus.records[0], model.params, enc)
-    a, sa = forward(model, fv)
-    b, sb = forward(loaded, fv)
+    batch = encode_batch(corpus.records[:1], model.params, enc)
+    a, sa = forward_one(model, batch)
+    b, sb = forward_one(loaded, batch)
     assert np.array_equal(sa, sb)
     for da, db in zip(a, b):
         assert np.array_equal(da.probs, db.probs)
@@ -279,8 +307,8 @@ def test_checkpoint_payload_is_the_flat_buffer():
 def test_checkpoint_manifest_must_match_its_config():
     corpus, enc, moe, model = small_setup(seed=16)
     meta = {
-        "encoder_config": enc.to_dict(),
-        "moe_config": {**moe.to_dict(), "expert_hidden_dim": moe.expert_hidden_dim + 1},
+        "encoder_config": asdict(enc),
+        "moe_config": {**asdict(moe), "expert_hidden_dim": moe.expert_hidden_dim + 1},
         "taxonomy_hash": model.taxonomy_hash,
         "level_labels": [list(labels) for labels in model.level_labels],
     }

@@ -19,6 +19,7 @@ from taxpath.semantic import (
     FEATURE_NAMES,
     ConsistencyLabel,
     DegenerateLabelsError,
+    JudgeModel,
     annotate_corpus,
     distill_judge,
     label_dev_set,
@@ -27,7 +28,7 @@ from taxpath.semantic import (
     save_judge,
 )
 from taxpath.synth import SynthConfig, synth_corpus
-from taxpath.train import LossWeights, TrainConfig, fit
+from taxpath.train import SEMANTIC_CLASS_INDEX, LossWeights, TrainConfig, fit, semantic_targets_for
 
 
 def test_oracle_full_overlap_is_yes(chain_taxonomy):
@@ -184,6 +185,25 @@ def test_annotate_oracle_vs_distilled_agreement():
         1 for rid in by_oracle if by_oracle[rid].verdict == by_judge[rid].verdict
     )
     assert agree / len(by_oracle) >= 0.95
+
+
+def test_every_judge_is_called_as_judge_title_code_taxonomy(monkeypatch):
+    corpus, labeled = oracle_labeled_corpus(seed=41, samples=120)
+    judge = distill_judge(labeled, corpus.taxonomy, seed=5)
+    records = corpus.records[:40]
+    for rec in records:
+        assert judge(rec.title, rec.leaf(), corpus.taxonomy) == judge.judge(rec.title, rec.leaf(), corpus.taxonomy)
+    for any_judge in (judge, oracle_judge):
+        verdicts = [any_judge(r.title, r.leaf(), corpus.taxonomy).verdict for r in records]
+        expected = np.array([SEMANTIC_CLASS_INDEX[v] for v in verdicts])
+        assert np.array_equal(semantic_targets_for(records, any_judge, corpus.taxonomy), expected)
+    # a call goes through the class attribute `JudgeModel.judge`, so wrapping it sees every one
+    calls = []
+    original = JudgeModel.judge
+    monkeypatch.setattr(JudgeModel, "judge", lambda self, *args: calls.append(args) or original(self, *args))
+    annotate_corpus(records, judge, corpus.taxonomy)
+    semantic_targets_for(records, judge, corpus.taxonomy)
+    assert len(calls) == 2 * len(records)
 
 
 def test_judge_checkpoint_round_trip(chain_taxonomy):
