@@ -53,21 +53,21 @@ def encode_one(record, tables, cfg):
     return batch.dense[0], batch.routing[0]
 
 
-def test_title_embedding_empty_is_zero():
+def test_encode_text_empty_is_zero():
     cfg = EncoderConfig(hash_buckets=8, text_dim=4, cat_dim=2)
     table = np.arange(32, dtype=float).reshape(8, 4)
     assert np.array_equal(title_embedding("", table, cfg), np.zeros(4))
     assert np.array_equal(title_embedding("  !! ", table, cfg), np.zeros(4))
 
 
-def test_title_embedding_single_token_is_its_row():
+def test_encode_text_single_token_is_its_row():
     cfg = EncoderConfig(hash_buckets=8, text_dim=4, cat_dim=2)
     table = np.arange(32, dtype=float).reshape(8, 4)
     bucket = fnv1a_64("alpha") % 8
     assert np.array_equal(title_embedding("Alpha", table, cfg), table[bucket])
 
 
-def test_title_embedding_three_token_mean_by_hand():
+def test_encode_text_three_token_mean_by_hand():
     cfg = EncoderConfig(hash_buckets=8, text_dim=4, cat_dim=2)
     rng = np.random.default_rng(0)
     table = rng.normal(size=(8, 4))
