@@ -8,7 +8,7 @@ most confident leaf and can reconstruct the full path from it.
 
 from .dataset import ProductRecord, ScoredRecord, SplitSpec, cleanse, normalize_title, split
 from .encoder import EncoderConfig
-from .infer import PredictionPath, predict_batch, repath, select_prediction
+from .infer import PredictionPath, Predictions, predict_batch, repath, select_prediction
 from .metrics import EvalPair, EvalReport, evaluate, macro_f1, micro_f1
 from .moe import MoEConfig, MoEModel, init_model, load_checkpoint, save_checkpoint
 from .pipeline import PipelineConfig, run_pipeline
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ProductRecord", "ScoredRecord", "SplitSpec", "cleanse", "normalize_title", "split",
     "EncoderConfig",
-    "PredictionPath", "predict_batch", "repath", "select_prediction",
+    "PredictionPath", "Predictions", "predict_batch", "repath", "select_prediction",
     "EvalPair", "EvalReport", "evaluate", "macro_f1", "micro_f1",
     "MoEConfig", "MoEModel", "init_model",
     "load_checkpoint", "save_checkpoint",

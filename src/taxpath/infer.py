@@ -1,4 +1,4 @@
-"""Final prediction assembly and leaf-to-path reconstruction.
+"""Final prediction assembly and leaf-to-path reconstruction, over columns.
 
 A prediction prefers the most confident leaf-level argmax: the path is the
 per-level argmax prefix down to that leaf, kept even when an intermediate
@@ -7,15 +7,29 @@ correct leaf can sit under a wrong intermediate node). Without a confident
 leaf, the fallback keeps the longest valid prefix of argmax codes. RePath
 replaces the selected path with the ancestor chain of the selected leaf,
 repairing structural inconsistencies without touching the leaf decision.
+
+Selection is columnar: one `select_prediction` call turns a batch's per-level
+`(N, K_l)` probabilities into a `Predictions` of label arrays (`LabelTables`
+numbers the model's labels level by level), and RePath marks the rows whose
+path becomes their leaf's entry in a chain table. Rows are built only where
+they are read one by one. The rules hold exactly as per row: ties in a
+level's argmax go to the lowest label; between equally confident leaves the
+shallowest level wins; a NULL argmax at or above the chosen leaf forfeits the
+leaf-first branch; the fallback's first level is the argmax over non-NULL
+labels only; and a fallback of length 1 reports that label's probability,
+not the level-1 argmax confidence.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .dataset import ProductRecord
 from .encoder import EncodedBatch, assemble_batch, prepare_records
-from .moe import CheckpointError, LevelDistribution, MoEModel, distributions_from_probs, forward_batch
+from .moe import CheckpointError, MoEModel, forward_batch
 from .taxonomy import NULL_CODE, Taxonomy
 from .util import read_jsonl, write_jsonl
 
@@ -26,76 +40,123 @@ MODE_REPATHED = "repathed"
 DEFAULT_TAU_LEAF = 0.5
 
 
-@dataclass(frozen=True, eq=False)  # holds distributions: compare fields, not objects
-class PredictionPath:
-    per_level: tuple[LevelDistribution, ...]
-    selected_path: tuple[str, ...]
-    selected_leaf: str
-    mode: str
-    leaf_confidence: float
+# One row of a `Predictions`, as a prediction dump holds it.
+PredictionPath = namedtuple("PredictionPath", "selected_path selected_leaf mode leaf_confidence per_level_argmax")
 
 
-def _code_probability(dist: LevelDistribution, taxonomy: Taxonomy, code: str) -> float:
-    return float(dist.probs[taxonomy.label_index(dist.level, code)])
+@dataclass(frozen=True, eq=False)  # holds arrays: compare by identity
+class LabelTables:
+    """Lookups over a model's label spaces concatenated level by level."""
+
+    fingerprint: str  # of the taxonomy the tables were built from
+    codes: np.ndarray  # (G,) object: the code of each label, NULL included
+    label: dict[str, int]  # code -> label; NULL has none
+    is_leaf: np.ndarray  # (G,) taxonomy leaf nodes
+    is_null: np.ndarray  # (G,)
+    parent: np.ndarray  # (G,) label of the node's parent; -1 at level 1, for NULL and unknown codes
+    chains: tuple  # (G,) a leaf's root-first chain of codes, RePath's path; None for other labels
+    roots: int  # non-NULL level-1 labels, labels 0 .. roots-1
+    gather: np.ndarray  # (L, Kmax) each level's labels, padded with its first label
+    next_column: np.ndarray  # (L,) 1, 2, ..., L-1, 0
+
+    def labels_of(self, codes: list[str]) -> np.ndarray:
+        """Label of each code; -1 for NULL and codes outside the label spaces."""
+        return np.array([self.label.get(code, -1) for code in codes], dtype=np.intp)
+
+
+_TABLES: dict[tuple[str, tuple], LabelTables] = {}  # the last few built, by content
+
+
+def label_tables(taxonomy: Taxonomy, level_labels: tuple[tuple[str, ...], ...]) -> LabelTables:
+    """The tables of label spaces `level_labels` over `taxonomy`, built once per
+    content (taxonomy fingerprint, label spaces) however often either is loaded."""
+    key = (taxonomy.fingerprint(), level_labels)
+    tables = _TABLES.get(key)
+    if tables is not None:
+        return tables
+    if len(_TABLES) >= 16:
+        _TABLES.clear()
+    codes = [code for labels in level_labels for code in labels]
+    sizes = np.array([len(labels) for labels in level_labels])
+    label = {code: g for g, code in enumerate(codes) if code != NULL_CODE}
+    chains = tuple(leaf_chain(taxonomy, code) for code in codes)
+    width = np.arange(sizes.max())
+    tables = _TABLES[key] = LabelTables(
+        fingerprint=key[0],
+        codes=np.array(codes, dtype=object),
+        label=label,
+        is_leaf=np.array([links is not None for links in chains]),
+        is_null=np.array([code == NULL_CODE for code in codes]),
+        parent=np.array([label.get(getattr(taxonomy.nodes.get(code), "parent", None), -1) for code in codes]),
+        chains=chains,
+        roots=sum(code != NULL_CODE for code in level_labels[0]),
+        gather=(np.cumsum(sizes) - sizes)[:, None] + np.where(width < sizes[:, None], width, 0),
+        next_column=np.roll(np.arange(len(sizes)), -1),
+    )
+    return tables
+
+
+@dataclass(eq=False, slots=True)  # holds arrays: compare by identity; not frozen, which costs µs per batch
+class Predictions:
+    """Selections for N rows as columns of labels (see `LabelTables`); iterating yields rows."""
+
+    tables: LabelTables
+    argmax: np.ndarray  # (N, L) per-level argmax label
+    confidence: np.ndarray  # (N, L) its probability
+    path: np.ndarray  # (N, L) the selected path before RePath in columns 0 .. last; the rest mean nothing
+    last: np.ndarray  # (N,) the column of `path` that holds the leaf, the leaf's level - 1
+    leaf: np.ndarray  # (N,) selected leaf label: path[i, last[i]]
+    confident: np.ndarray  # (N,) bool: chosen leaf-first (MODE_LEAF_CONFIDENT), else MODE_DEEPEST_VALID
+    repathed: np.ndarray  # (N,) bool: the selected path is the leaf's chain, not `path` (MODE_REPATHED)
+    leaf_confidence: np.ndarray  # (N,) the leaf's probability at its level
+
+    def __len__(self) -> int:
+        return len(self.leaf)
+
+    def __iter__(self):
+        return iter(self.rows())
+
+    @property
+    def selected_path(self) -> tuple[tuple[str, ...], ...]:
+        """Each row's selected path as codes."""
+        chains, paths = self.tables.chains, self.tables.codes[self.path].tolist()
+        return tuple(chains[g] if r else tuple(p[: n + 1])
+                     for p, n, g, r in zip(paths, self.last.tolist(), self.leaf.tolist(), self.repathed.tolist()))
+
+    def rows(self) -> list[PredictionPath]:
+        columns = zip(self.selected_path, self.confident.tolist(), self.repathed.tolist(),
+                      self.leaf_confidence.tolist(), self.tables.codes[self.argmax].tolist())
+        return [PredictionPath(p, p[-1], MODE_REPATHED if r else MODE_LEAF_CONFIDENT if c else MODE_DEEPEST_VALID,
+                               conf, tuple(a)) for p, c, r, conf, a in columns]
 
 
 def select_prediction(
-    dists: list[LevelDistribution], taxonomy: Taxonomy, tau_leaf: float = DEFAULT_TAU_LEAF
-) -> PredictionPath:
-    """Pick the final path from per-level distributions.
+    probs: list[np.ndarray], tables: LabelTables, tau_leaf: float = DEFAULT_TAU_LEAF
+) -> Predictions:
+    """Pick the final path of every row from per-level `(N, K_l)` probabilities
+    by the rules in the module docstring; `tau_leaf` is the least confidence
+    of a leaf-first selection."""
+    flat = np.concatenate(probs, axis=1)  # (N, G)
+    levels = tables.gather.shape[0]
+    if len(probs) != levels or flat.shape[1] != len(tables.codes):
+        raise ValueError(f"missing level distribution: need {levels} levels of {len(tables.codes)} labels in all")
+    rows = np.arange(flat.shape[0])
+    # padding repeats a level's first label, so a tie never goes to it
+    argmax = flat[:, tables.gather].argmax(axis=2) + tables.gather[:, 0]  # (N, L)
+    confidence = flat[rows[:, None], argmax]
 
-    Leaf-first: among levels whose argmax is a taxonomy leaf with confidence
-    at least `tau_leaf`, take the most confident one; its argmax prefix
-    becomes the path as-is, even when an intermediate argmax breaks the
-    parent chain (RePath exists to repair exactly that inconsistency). A NULL
-    argmax above the chosen leaf forfeits the branch. Otherwise fall back to
-    the longest valid prefix of argmax codes, which always contains the
-    level-1 argmax over non-NULL labels.
-    """
-    for i, dist in enumerate(dists, start=1):
-        if dist.level != i:
-            raise ValueError(f"missing level distribution: expected level {i}, got {dist.level}")
+    eligible = tables.is_leaf[argmax] & (confidence >= tau_leaf)
+    best = np.where(eligible, confidence, -np.inf).argmax(axis=1)  # first maximum: shallowest
+    confident = (eligible & ~np.logical_or.accumulate(tables.is_null[argmax], axis=1))[rows, best]
 
-    argmaxes = [d.argmax_code for d in dists]
-    best: tuple[float, int] | None = None  # (confidence, level)
-    for dist in dists:
-        code = dist.argmax_code
-        if code == NULL_CODE or code not in taxonomy.nodes:
-            continue
-        if taxonomy.nodes[code].is_leaf and dist.confidence >= tau_leaf:
-            if best is None or dist.confidence > best[0]:
-                best = (dist.confidence, dist.level)
-    if best is not None:
-        conf, level = best
-        prefix = argmaxes[:level]
-        if NULL_CODE not in prefix:
-            return PredictionPath(
-                per_level=tuple(dists),
-                selected_path=tuple(prefix),
-                selected_leaf=prefix[-1],
-                mode=MODE_LEAF_CONFIDENT,
-                leaf_confidence=conf,
-            )
-
-    # Fallback: longest valid prefix; level 1 restricted to real codes.
-    level1_codes = taxonomy.per_level_labels[1][:-1]
-    level1_probs = dists[0].probs[: len(level1_codes)]
-    first = level1_codes[int(level1_probs.argmax())]
-    path = [first]
-    for dist in dists[1:]:
-        code = dist.argmax_code
-        node = taxonomy.nodes.get(code)
-        if code == NULL_CODE or node is None or node.parent != path[-1]:
-            break
-        path.append(code)
-    leaf_conf = _code_probability(dists[len(path) - 1], taxonomy, path[-1])
-    return PredictionPath(
-        per_level=tuple(dists),
-        selected_path=tuple(path),
-        selected_leaf=path[-1],
-        mode=MODE_DEEPEST_VALID,
-        leaf_confidence=leaf_conf,
-    )
+    path = argmax.copy()
+    path[:, 0] = flat[:, : tables.roots].argmax(axis=1)  # equals argmax[:, 0] unless that is NULL
+    # the first column whose next label is no child of it; the wrap-around to column 0 never is one
+    fallback = (tables.parent[path[:, tables.next_column]] == path).argmin(axis=1)
+    last = np.where(confident, best, fallback)
+    leaf = path[rows, last]
+    repathed = np.zeros(len(rows), dtype=bool)
+    return Predictions(tables, argmax, confidence, path, last, leaf, confident, repathed, flat[rows, leaf])
 
 
 def leaf_chain(taxonomy: Taxonomy, leaf: str) -> tuple[str, ...] | None:
@@ -107,25 +168,25 @@ def leaf_chain(taxonomy: Taxonomy, leaf: str) -> tuple[str, ...] | None:
     return taxonomy.chain(leaf)
 
 
-def repath(pred: PredictionPath, taxonomy: Taxonomy) -> PredictionPath:
-    """Rebuild the path as the ancestor chain of the selected leaf.
+def repath(preds: Predictions, taxonomy: Taxonomy) -> Predictions:
+    """Rebuild each path as the ancestor chain of its selected leaf.
 
-    Applies only when the selected leaf is a taxonomy leaf node; leaf-level
-    fields are never altered, so leaf metrics are invariant under repath.
+    Applies to the rows whose selected leaf is a taxonomy leaf node, which it
+    marks `repathed`: their selected path becomes the leaf's entry in the
+    chain table. Leaf-level fields are never altered, so leaf metrics are
+    invariant under repath.
     """
-    chain = leaf_chain(taxonomy, pred.selected_leaf)
-    if chain is None:
-        return pred
-    return replace(pred, selected_path=chain, mode=MODE_REPATHED)
+    tables = preds.tables
+    if tables.fingerprint != taxonomy.fingerprint():
+        raise ValueError("predictions were made over another taxonomy")
+    return Predictions(tables, preds.argmax, preds.confidence, preds.path, preds.last, preds.leaf, preds.confident,
+                       tables.is_leaf[preds.leaf], preds.leaf_confidence)
 
 
 def predict_batch(
-    model: MoEModel,
-    records: list[ProductRecord],
-    taxonomy: Taxonomy,
-    tau_leaf: float = DEFAULT_TAU_LEAF,
-    use_repath: bool = False,
-) -> list[PredictionPath]:
+    model: MoEModel, records: list[ProductRecord], taxonomy: Taxonomy,
+    tau_leaf: float = DEFAULT_TAU_LEAF, use_repath: bool = False,
+) -> Predictions:
     """Order-preserving batch prediction; verifies the model/taxonomy pairing."""
     enc = model.encoder_config
     batch = assemble_batch(prepare_records(records, enc), model.params, enc)
@@ -133,43 +194,25 @@ def predict_batch(
 
 
 def predict_encoded(
-    model: MoEModel,
-    batch: EncodedBatch,
-    taxonomy: Taxonomy,
-    tau_leaf: float = DEFAULT_TAU_LEAF,
-    use_repath: bool = False,
-) -> list[PredictionPath]:
+    model: MoEModel, batch: EncodedBatch, taxonomy: Taxonomy,
+    tau_leaf: float = DEFAULT_TAU_LEAF, use_repath: bool = False,
+) -> Predictions:
     """`predict_batch` over a batch already encoded with the model's parameters."""
-    if model.taxonomy_hash != taxonomy.fingerprint():
-        raise CheckpointError(
-            f"taxonomy hash mismatch: model {model.taxonomy_hash[:12]}..., "
-            f"supplied {taxonomy.fingerprint()[:12]}..."
-        )
-    n = batch.dense.shape[0]
-    if not n:
-        return []
+    tables = label_tables(taxonomy, model.level_labels)
+    if model.taxonomy_hash != tables.fingerprint:
+        raise CheckpointError(f"taxonomy hash mismatch: model {model.taxonomy_hash[:12]}..., "
+                              f"supplied {tables.fingerprint[:12]}...")
     cache = forward_batch(model, batch, for_backward=False)
-    out = []
-    for dists in distributions_from_probs(model, cache.probs):
-        pred = select_prediction(dists, taxonomy, tau_leaf)
-        if use_repath:
-            pred = repath(pred, taxonomy)
-        out.append(pred)
-    return out
+    preds = select_prediction(cache.probs, tables, tau_leaf)
+    return repath(preds, taxonomy) if use_repath else preds
 
 
 def prediction_to_dict(record_id: str, pred: PredictionPath) -> dict:
-    return {
-        "id": record_id,
-        "path": list(pred.selected_path),
-        "leaf": pred.selected_leaf,
-        "mode": pred.mode,
-        "leaf_confidence": pred.leaf_confidence,
-        "per_level_argmax": [d.argmax_code for d in pred.per_level],
-    }
+    return {"id": record_id, "path": list(pred.selected_path), "leaf": pred.selected_leaf, "mode": pred.mode,
+            "leaf_confidence": pred.leaf_confidence, "per_level_argmax": list(pred.per_level_argmax)}
 
 
-def write_predictions(path: str | Path, ids: list[str], preds: list[PredictionPath]) -> None:
+def write_predictions(path: str | Path, ids: list[str], preds: Predictions | list[PredictionPath]) -> None:
     write_jsonl(path, (prediction_to_dict(i, p) for i, p in zip(ids, preds)))
 
 

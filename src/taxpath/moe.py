@@ -29,7 +29,7 @@ import numpy as np
 
 from .encoder import EncodedBatch, EncoderConfig
 from .taxonomy import NULL_CODE, Taxonomy
-from .util import ConfigError, atomic_write_bytes, config_from_dict, stream_rng
+from .util import ConfigError, atomic_write_bytes, config_from_dict, config_object, config_value, stream_rng
 
 CHECKPOINT_MAGIC = b"TAXN"
 JUDGE_MAGIC = b"TXNJ"
@@ -57,14 +57,6 @@ class MoEConfig:
             raise ValueError("levels, experts_per_level, expert_hidden_dim must be >= 1")
         if self.semantic_classes < 2:
             raise ValueError("semantic_classes must be >= 2")
-
-
-@dataclass(frozen=True, eq=False)  # ndarray field: compare by identity
-class LevelDistribution:
-    level: int
-    probs: np.ndarray
-    argmax_code: str
-    confidence: float
 
 
 @dataclass(frozen=True, eq=False)  # holds views: compare by identity
@@ -347,24 +339,6 @@ def _forward(
     return ForwardCache(batch, gates, tanh_out, expert_out, hidden, probs, pool, semantic_probs)
 
 
-def distributions_from_probs(model: MoEModel, probs: list[np.ndarray]) -> list[list[LevelDistribution]]:
-    """Per-row level distributions from per-level (N, K) probability arrays.
-
-    One argmax per level over the whole batch; ties break toward the
-    smallest label index. Each distribution's `probs` is a view of its row.
-    """
-    n = probs[0].shape[0] if probs else 0
-    rows = np.arange(n)
-    levels = []
-    for level, (p, labels) in enumerate(zip(probs, model.level_labels), start=1):
-        idx = p.argmax(axis=1)
-        levels.append((level, p, [labels[i] for i in idx.tolist()], p[rows, idx].tolist()))
-    return [  # positional fields: a frozen dataclass builds faster that way
-        [LevelDistribution(level, p[i], codes[i], confidence[i]) for level, p, codes, confidence in levels]
-        for i in range(n)
-    ]
-
-
 # --- checkpoint container (shared by model and judge checkpoints) ---
 
 
@@ -395,21 +369,24 @@ def read_container(blob: bytes, magic: bytes) -> tuple[dict, list[tuple[str, tup
     (header_len,) = struct.unpack("<Q", blob[8:16])
     if len(blob) < 16 + header_len:
         raise CheckpointError("truncated checkpoint: header incomplete")
-    try:
+    try:  # ValueError covers undecodable bytes and bad JSON
         header = json.loads(blob[16 : 16 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"corrupt checkpoint header: {exc}") from exc
+        meta, checksum = config_object(header["meta"], "meta"), header["payload_sha256"]
+        manifest = [(item["name"], tuple(item["shape"])) for item in header["manifest"]]
+        if not all(isinstance(name, str) and all(type(d) is int and d >= 0 for d in shape) for name, shape in manifest):
+            raise ValueError("every array needs a name and a shape of non-negative integers")
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CheckpointError(f"corrupt checkpoint header: {exc!r}") from exc
     payload = memoryview(blob)[16 + header_len :]
-    expected = sum(int(np.prod(item["shape"])) for item in header["manifest"]) * 8
+    expected = sum(math.prod(shape) for _, shape in manifest) * 8
     if len(payload) != expected:
         raise CheckpointError(
             f"truncated checkpoint: payload has {len(payload)} bytes, expected {expected}"
         )
-    if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
+    if hashlib.sha256(payload).hexdigest() != checksum:
         raise CheckpointError("truncated or corrupt checkpoint: payload checksum mismatch")
-    manifest = [(item["name"], tuple(item["shape"])) for item in header["manifest"]]
     flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)  # the one copy
-    return header["meta"], manifest, flat
+    return meta, manifest, flat
 
 
 def save_checkpoint(model: MoEModel, sink) -> None:
@@ -438,15 +415,19 @@ def load_checkpoint(source, taxonomy: Taxonomy | None = None) -> MoEModel:
     try:
         encoder_config = config_from_dict(EncoderConfig, meta.get("encoder_config"), "encoder_config")
         moe_config = config_from_dict(MoEConfig, meta.get("moe_config"), "moe_config")
+        taxonomy_hash = config_value(str, meta.get("taxonomy_hash"), "taxonomy_hash")
+        level_labels = config_value(tuple[tuple[str, ...], ...], meta.get("level_labels"), "level_labels")
     except ConfigError as exc:
         raise CheckpointError(f"bad checkpoint header: {exc}") from exc
-    level_labels = tuple(tuple(labels) for labels in meta["level_labels"])
-    if manifest != param_manifest(encoder_config, moe_config, level_labels):
-        raise CheckpointError("parameter manifest does not match the checkpoint's model configuration")
+    # the count first, so a header naming huge configs is refused without building their manifest
+    count = 3 + len(encoder_config.fields) + moe_config.levels * (4 + 4 * moe_config.experts_per_level)
+    if (len(level_labels) != moe_config.levels or not all(level_labels) or len(manifest) != count
+            or manifest != param_manifest(encoder_config, moe_config, level_labels)):
+        raise CheckpointError("label spaces or parameter manifest do not match the checkpoint's model configuration")
     model = MoEModel(
         encoder_config=encoder_config,
         moe_config=moe_config,
-        taxonomy_hash=meta["taxonomy_hash"],
+        taxonomy_hash=taxonomy_hash,
         level_labels=level_labels,
         flat=flat,
     )

@@ -60,22 +60,14 @@ class PipelineConfig:
 
 
 def score_records(
-    model: MoEModel,
-    records: list[ProductRecord],
-    taxonomy: Taxonomy,
-    tau_leaf: float = DEFAULT_TAU_LEAF,
+    model: MoEModel, records: list[ProductRecord], taxonomy: Taxonomy, tau_leaf: float = DEFAULT_TAU_LEAF
 ) -> list[ScoredRecord]:
     """Prediction confidence and correctness for every record."""
     preds = predict_batch(model, records, taxonomy, tau_leaf=tau_leaf, use_repath=False)
-    return [
-        ScoredRecord(
-            record=rec,
-            predicted_leaf=pred.selected_leaf,
-            confidence=min(1.0, max(0.0, pred.leaf_confidence)),
-            correct=pred.selected_leaf == rec.leaf(),
-        )
-        for rec, pred in zip(records, preds)
-    ]
+    leaves = preds.tables.codes[preds.leaf].tolist()
+    confidence = preds.leaf_confidence.clip(0.0, 1.0).tolist()
+    correct = (preds.leaf == preds.tables.labels_of([rec.leaf() for rec in records])).tolist()
+    return list(map(ScoredRecord, records, leaves, confidence, correct))
 
 
 def run_pipeline(
@@ -159,7 +151,7 @@ def run_pipeline(
 
         preds = predict_batch(final, test_recs, taxonomy, config.tau_leaf, use_repath=False)
         base = evaluate([prediction_to_dict(r.id, p) for r, p in zip(test_recs, preds)], test_recs, taxonomy)
-        preds_rp = [repath(p, taxonomy) for p in preds]
+        preds_rp = repath(preds, taxonomy)
         rp = evaluate([prediction_to_dict(r.id, p) for r, p in zip(test_recs, preds_rp)], test_recs, taxonomy)
         artifacts["metrics"] = out / "metrics.json"
         atomic_write_text(

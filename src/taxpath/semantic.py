@@ -15,7 +15,7 @@ import numpy as np
 from .dataset import ProductRecord
 from .moe import JUDGE_MAGIC, CheckpointError, param_views, read_container, write_container
 from .taxonomy import Taxonomy
-from .util import atomic_write_bytes, normalize_title, stream_rng
+from .util import ConfigError, atomic_write_bytes, config_from_dict, normalize_title, stream_rng
 
 VERDICTS = ("Y", "N", "U")
 FEATURE_NAMES = ("leaf_overlap", "ancestor_overlap", "title_length", "popularity")
@@ -312,11 +312,8 @@ def load_judge(source) -> JudgeModel:
                 f"judge array {name!r} has shape {shapes[name]}, expected {expected}"
             )
     params = param_views(flat, manifest)
-    return JudgeModel(
-        weights=params["weights"],
-        bias=params["bias"],
-        tau_hi=meta["tau_hi"],
-        tau_lo=meta["tau_lo"],
-        popularity=dict(meta["popularity"]),
-        holdout_agreement=meta["holdout_agreement"],
-    )
+    try:  # the meta's types are checked like a config's
+        fields = {key: value for key, value in meta.items() if key != "feature_names"}
+        return config_from_dict(JudgeModel, fields, "judge meta", weights=params["weights"], bias=params["bias"])
+    except ConfigError as exc:
+        raise CheckpointError(f"bad judge checkpoint meta: {exc}") from exc

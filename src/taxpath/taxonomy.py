@@ -46,7 +46,6 @@ class Taxonomy:
     max_depth: int
     per_level_labels: dict[int, tuple[str, ...]]  # sorted codes + NULL, per level
     children: dict[str, tuple[str, ...]] = field(repr=False, default_factory=dict)
-    _level_index: dict[int, dict[str, int]] = field(repr=False, default_factory=dict)
     _fingerprint: str = field(init=False, repr=False, compare=False)
     _chains: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
     _tokens: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
@@ -83,13 +82,6 @@ class Taxonomy:
             return self._tokens[code]
         except KeyError:
             raise TaxonomyError(f"unknown code: {code!r}") from None
-
-    def roots(self) -> tuple[str, ...]:
-        return self.per_level_labels[1][:-1]
-
-    def label_index(self, level: int, code: str) -> int:
-        """Position of `code` in the level's label space (NULL is last)."""
-        return self._level_index[level][code]
 
     def fingerprint(self) -> str:
         """sha256 of the canonical JSON of every node (code order)."""
@@ -185,19 +177,15 @@ def build_taxonomy(raw_nodes: list[dict]) -> Taxonomy:
         for code, raw in staged.items()
     }
     max_depth = max(n.level for n in nodes.values())
-    per_level: dict[int, tuple[str, ...]] = {}
-    level_index: dict[int, dict[str, int]] = {}
-    for level in range(1, max_depth + 1):
-        codes = sorted(c for c, n in nodes.items() if n.level == level)
-        labels = tuple(codes) + (NULL_CODE,)
-        per_level[level] = labels
-        level_index[level] = {code: i for i, code in enumerate(labels)}
+    per_level = {
+        level: tuple(sorted(c for c, n in nodes.items() if n.level == level)) + (NULL_CODE,)
+        for level in range(1, max_depth + 1)
+    }
     return Taxonomy(
         nodes=nodes,
         max_depth=max_depth,
         per_level_labels=per_level,
         children={c: tuple(sorted(kids)) for c, kids in children.items()},
-        _level_index=level_index,
     )
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dataset import ProductRecord
 from .encoder import EncodedBatch, PreparedRecords, assemble_batch, prepare_records
-from .infer import DEFAULT_TAU_LEAF, predict_batch, predict_encoded  # noqa: F401 (perfbench patches train.predict_batch)
+from .infer import DEFAULT_TAU_LEAF, label_tables, predict_batch, predict_encoded  # noqa: F401 (perfbench patches train.predict_batch)
 from .moe import ForwardCache, MoEModel, forward_batch
 from .taxonomy import NULL_CODE, Taxonomy
 from .util import stream_rng
@@ -330,19 +330,15 @@ def semantic_targets_for(
 
 
 def leaf_accuracy(
-    model: MoEModel,
-    prepared: PreparedRecords,
-    leaves: list[str],
-    taxonomy: Taxonomy,
+    model: MoEModel, prepared: PreparedRecords, truth: np.ndarray, taxonomy: Taxonomy,
     tau_leaf: float = DEFAULT_TAU_LEAF,
 ) -> float:
-    """Share of prepared records whose selected leaf is the true one in `leaves`."""
+    """Share of prepared records whose selected leaf is the true one, given as labels in `truth`."""
     if not len(prepared):
         return float("nan")
     batch = assemble_batch(prepared, model.params, model.encoder_config)
     preds = predict_encoded(model, batch, taxonomy, tau_leaf=tau_leaf, use_repath=False)
-    hits = sum(1 for p, leaf in zip(preds, leaves) if p.selected_leaf == leaf)
-    return hits / len(prepared)
+    return int(np.count_nonzero(preds.leaf == truth)) / len(prepared)
 
 
 def fit(
@@ -370,7 +366,7 @@ def fit(
     sem_targets = semantic_targets_for(train_records, judge, taxonomy)
     ids = np.array([r.id for r in train_records], dtype=object)
     val_prepared = prepare_records(val_records, enc)
-    val_leaves = [r.leaf() for r in val_records]
+    val_truth = label_tables(taxonomy, model.level_labels).labels_of([r.leaf() for r in val_records])
 
     optimizer = make_optimizer(config)
     grad_flat = np.zeros_like(model.flat)
@@ -402,7 +398,7 @@ def fit(
             epoch_loss += loss * len(take)
         epoch_loss /= len(train_records)
 
-        val_acc = leaf_accuracy(model, val_prepared, val_leaves, taxonomy, tau_leaf)
+        val_acc = leaf_accuracy(model, val_prepared, val_truth, taxonomy, tau_leaf)
         logs.append(
             {
                 "epoch": epoch,

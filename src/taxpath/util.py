@@ -17,6 +17,7 @@ import numpy as np
 FNV_OFFSET_64 = 0xCBF29CE484222325
 FNV_PRIME_64 = 0x100000001B3
 _MASK_64 = 0xFFFFFFFFFFFFFFFF
+_CANONICAL = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))  # built once, not per call
 
 
 def normalize_title(title: str) -> str:
@@ -48,7 +49,7 @@ def stream_rng(seed: int, *names: str) -> np.random.Generator:
 
 def canonical_json(obj: Any) -> str:
     """Deterministic JSON encoding (sorted keys, fixed separators)."""
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+    return _CANONICAL.encode(obj)
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
@@ -111,14 +112,14 @@ def config_from_dict(cls, doc: Any, section: str, **given):
         if key not in settable:
             raise ConfigError(f"unknown config key {section}.{key}")
     hints = typing.get_type_hints(cls)
-    values = {key: _typed(hints[key], value, f"{section}.{key}") for key, value in doc.items()}
+    values = {key: config_value(hints[key], value, f"{section}.{key}") for key, value in doc.items()}
     try:
         return cls(**values, **given)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{section}: {exc}") from exc
 
 
-def _typed(hint, value: Any, where: str):
+def config_value(hint, value: Any, where: str):
     """`value` checked against the type hint `hint`, lists turned into tuples."""
     if typing.get_origin(hint) in (typing.Union, types.UnionType):  # only `X | None` occurs
         if value is None:
@@ -128,9 +129,9 @@ def _typed(hint, value: Any, where: str):
     if dataclasses.is_dataclass(hint):
         return config_from_dict(hint, value, where)
     if origin is tuple and isinstance(value, (list, tuple)):
-        return tuple(_typed(args[0], item, f"{where}[{i}]") for i, item in enumerate(value))
+        return tuple(config_value(args[0], item, f"{where}[{i}]") for i, item in enumerate(value))
     if origin is dict and isinstance(value, dict):
-        return {key: _typed(args[1], item, f"{where}.{key}") for key, item in value.items()}
+        return {key: config_value(args[1], item, f"{where}.{key}") for key, item in value.items()}
     accepted = {int: (int,), float: (int, float), str: (str,), bool: (bool,)}.get(hint, ())
     # `true` is an int to Python, but no count or number in a config
     if isinstance(value, accepted) and (hint is bool) == isinstance(value, bool):

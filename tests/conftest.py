@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 from taxpath.taxonomy import build_taxonomy
+
+# Property tests replay the same examples on every run unless a test says otherwise.
+settings.register_profile("taxpath", derandomize=True, deadline=None)
+settings.load_profile("taxpath")
 
 
 @pytest.fixture

@@ -245,9 +245,8 @@ def test_repath_invariants():
     )
     all_valid = all(is_valid_path(taxonomy, list(p.selected_path)) for p in fixed)
     idempotent = all(
-        repath(p, taxonomy).selected_path == p.selected_path
-        and repath(p, taxonomy).mode == p.mode
-        for p in fixed
+        again.selected_path == p.selected_path and again.mode == p.mode
+        for again, p in zip(repath(fixed, taxonomy), fixed)
     )
     verdict(
         "repath-invariants",

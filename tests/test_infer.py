@@ -1,23 +1,154 @@
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from taxpath.encoder import EncoderConfig, build_field_vocabs
+from taxpath.dataset import ProductRecord
+from taxpath.encoder import EncoderConfig, build_field_vocabs, prepare_records
 from taxpath.infer import (
     MODE_DEEPEST_VALID,
     MODE_LEAF_CONFIDENT,
     MODE_REPATHED,
+    PredictionPath,
+    label_tables,
     predict_batch,
     repath,
     select_prediction,
 )
-from taxpath.moe import CheckpointError, LevelDistribution, MoEConfig, init_model
-from taxpath.synth import SynthConfig, synth_corpus
+from taxpath.moe import CheckpointError, MoEConfig, init_model, level_spaces
+from taxpath.synth import SynthConfig, SynthConfigError, synth_corpus
 from taxpath.taxonomy import NULL_CODE, ancestors, build_taxonomy, is_valid_path
+from taxpath.train import leaf_accuracy
 
 
-def dist_for(taxonomy, level, weights):
-    """LevelDistribution with given label probabilities; the rest of the mass
-    spreads uniformly over the unspecified labels."""
+# --- the per-row selector the columnar one replaced, kept as its oracle ------
+
+
+def scalar_select(probs, spaces, taxonomy, tau_leaf):
+    """Rows selected one at a time from per-level (N, K) probabilities over
+    the label spaces `spaces`, as the per-row code did."""
+    rows = []
+    for i in range(probs[0].shape[0]):
+        dists = []  # (level, probability row, argmax code, confidence)
+        for level, (p, labels) in enumerate(zip(probs, spaces), start=1):
+            idx = int(np.argmax(p[i]))
+            dists.append((level, p[i], labels[idx], float(p[i][idx])))
+        rows.append(scalar_select_row(dists, taxonomy, tau_leaf))
+    return rows
+
+
+def scalar_select_row(dists, taxonomy, tau_leaf):
+    argmaxes = tuple(code for _, _, code, _ in dists)
+    best = None  # (confidence, level)
+    for level, _, code, confidence in dists:
+        if code == NULL_CODE or code not in taxonomy.nodes:
+            continue
+        if taxonomy.nodes[code].is_leaf and confidence >= tau_leaf:
+            if best is None or confidence > best[0]:
+                best = (confidence, level)
+    if best is not None:
+        confidence, level = best
+        prefix = argmaxes[:level]
+        if NULL_CODE not in prefix:
+            return PredictionPath(prefix, prefix[-1], MODE_LEAF_CONFIDENT, confidence, argmaxes)
+    # fallback: longest valid prefix; level 1 restricted to real codes
+    level1_codes = taxonomy.per_level_labels[1][:-1]
+    first = level1_codes[int(dists[0][1][: len(level1_codes)].argmax())]
+    path = [first]
+    for _, _, code, _ in dists[1:]:
+        node = taxonomy.nodes.get(code)
+        if code == NULL_CODE or node is None or node.parent != path[-1]:
+            break
+        path.append(code)
+    leaf_conf = float(dists[len(path) - 1][1][taxonomy.per_level_labels[len(path)].index(path[-1])])
+    return PredictionPath(tuple(path), path[-1], MODE_DEEPEST_VALID, leaf_conf, argmaxes)
+
+
+def scalar_repath(row, taxonomy):
+    node = taxonomy.nodes.get(row.selected_leaf)
+    if node is None or not node.is_leaf:
+        return row
+    return row._replace(selected_path=taxonomy.chain(row.selected_leaf), mode=MODE_REPATHED)
+
+
+@st.composite
+def selection_cases(draw):
+    """A random taxonomy, a model's label spaces over it (with or without
+    NULL, possibly deeper than the taxonomy) and per-level probabilities."""
+    counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))  # codes per level
+    nodes, above = [], []
+    for level, count in enumerate(counts, start=1):
+        codes = [f"{chr(ord('a') + draw(st.integers(0, 25)))}{level}{j}" for j in range(count)]
+        for code in codes:
+            parent = draw(st.sampled_from(above)) if above else None
+            nodes.append({"code": code, "name": code, "definition": code, "level": level,
+                          **({"parent": parent} if parent else {})})
+        above = codes
+    taxonomy = build_taxonomy(nodes)
+    null = draw(st.booleans())
+    levels = len(counts) + (draw(st.integers(0, 2)) if null else 0)
+    spaces = level_spaces(taxonomy, MoEConfig(levels=levels, include_null_label=null))
+    n = draw(st.integers(0, 12))
+    # a few coarse values, so rows often tie for their maximum
+    values = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+    probs = [draw(hnp.arrays(np.float64, (n, len(labels)), elements=values)) for labels in spaces]
+    tau = draw(st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0)))
+    return taxonomy, spaces, probs, tau
+
+
+@settings(max_examples=400)
+@given(case=selection_cases())
+def test_columnar_selection_and_repath_match_the_scalar_oracle(case):
+    taxonomy, spaces, probs, tau = case
+    preds = select_prediction(probs, label_tables(taxonomy, spaces), tau)
+    expected = scalar_select(probs, spaces, taxonomy, tau)
+    assert len(preds) == len(expected)
+    for got, want in zip(preds, expected):
+        for field in PredictionPath._fields:
+            assert getattr(got, field) == getattr(want, field), field
+        assert type(got.leaf_confidence) is float
+    for got, want in zip(repath(preds, taxonomy), expected):
+        assert got == scalar_repath(want, taxonomy)
+
+
+@settings(max_examples=200)
+@given(case=selection_cases())
+def test_select_prediction_argmax_matches_per_row_argmax(case):
+    taxonomy, spaces, probs, _ = case
+    preds = select_prediction(probs, label_tables(taxonomy, spaces))
+    assert len(preds) == probs[0].shape[0]
+    codes = label_tables(taxonomy, spaces).codes
+    for i in range(len(preds)):
+        got = [(level, codes[g], c) for level, (g, c) in
+               enumerate(zip(preds.argmax[i].tolist(), preds.confidence[i].tolist()), start=1)]
+        assert got == per_row_argmax(spaces, probs, i)
+
+
+def per_row_argmax(spaces, probs, i):
+    """The per-row, per-level argmax the batched version replaced."""
+    out = []
+    for level, p in enumerate(probs, start=1):
+        row = p[i]
+        idx = int(np.argmax(row))
+        out.append((level, spaces[level - 1][idx], float(row[idx])))
+    return out
+
+
+def test_select_prediction_argmax_ties_go_to_the_lowest_label():
+    taxonomy = build_taxonomy([{"code": c, "name": c, "definition": c, "level": 1} for c in ("a", "b")])
+    spaces = (("a", "b", NULL_CODE),)
+    preds = select_prediction([np.array([[0.2, 0.4, 0.4]])], label_tables(taxonomy, spaces))
+    (pred,) = preds
+    assert (pred.per_level_argmax[0], float(preds.confidence[0, 0])) == ("b", 0.4)
+
+
+# --- the selection rules on hand-built distributions -------------------------
+
+
+def probs_for(taxonomy, level, weights):
+    """A one-row distribution with the given label probabilities; the rest of
+    the mass spreads uniformly over the unspecified labels."""
     labels = taxonomy.per_level_labels[level]
     probs = np.zeros(len(labels))
     for code, w in weights.items():
@@ -25,8 +156,14 @@ def dist_for(taxonomy, level, weights):
     rest = [i for i, code in enumerate(labels) if code not in weights]
     if rest:
         probs[rest] = (1.0 - sum(weights.values())) / len(rest)
-    idx = int(probs.argmax())
-    return LevelDistribution(level=level, probs=probs, argmax_code=labels[idx], confidence=float(probs[idx]))
+    return probs[None, :]
+
+
+def select(taxonomy, per_level, tau_leaf=0.5):
+    """Predictions of one row whose level l has the weights per_level[l - 1]."""
+    probs = [probs_for(taxonomy, level, w) for level, w in enumerate(per_level, start=1)]
+    tables = label_tables(taxonomy, tuple(taxonomy.per_level_labels[l] for l in range(1, taxonomy.max_depth + 1)))
+    return select_prediction(probs, tables, tau_leaf)
 
 
 def same_selection(a, b):
@@ -54,12 +191,7 @@ def skip_taxonomy():
 
 
 def test_select_confident_leaf(skip_taxonomy):
-    dists = [
-        dist_for(skip_taxonomy, 1, {"A": 0.9}),
-        dist_for(skip_taxonomy, 2, {"A.1": 0.8}),
-        dist_for(skip_taxonomy, 3, {"A.1.1": 0.99}),
-    ]
-    pred = select_prediction(dists, skip_taxonomy, tau_leaf=0.5)
+    (pred,) = select(skip_taxonomy, [{"A": 0.9}, {"A.1": 0.8}, {"A.1.1": 0.99}], tau_leaf=0.5)
     assert pred.selected_path == ("A", "A.1", "A.1.1")
     assert pred.mode == MODE_LEAF_CONFIDENT
     assert pred.selected_leaf == "A.1.1"
@@ -74,22 +206,13 @@ def test_select_two_level_leaf_with_null_below():
             {"code": "B", "name": "b", "definition": "d", "level": 1},
         ]
     )
-    dists = [
-        dist_for(two_level, 1, {"A": 0.9}),
-        dist_for(two_level, 2, {"A.1": 0.99}),
-    ]
-    pred = select_prediction(dists, two_level, tau_leaf=0.5)
+    (pred,) = select(two_level, [{"A": 0.9}, {"A.1": 0.99}], tau_leaf=0.5)
     assert pred.selected_path == ("A", "A.1")
     assert pred.mode == MODE_LEAF_CONFIDENT
 
 
 def test_select_broken_chain_falls_back(skip_taxonomy):
-    dists = [
-        dist_for(skip_taxonomy, 1, {"A": 0.9}),
-        dist_for(skip_taxonomy, 2, {"B.1": 0.85}),
-        dist_for(skip_taxonomy, 3, {NULL_CODE: 0.9}),
-    ]
-    pred = select_prediction(dists, skip_taxonomy, tau_leaf=0.5)
+    (pred,) = select(skip_taxonomy, [{"A": 0.9}, {"B.1": 0.85}, {NULL_CODE: 0.9}], tau_leaf=0.5)
     assert pred.selected_path == ("A",)
     assert pred.mode == MODE_DEEPEST_VALID
 
@@ -105,44 +228,35 @@ def test_select_uniform_ties_break_lexicographic():
             {"code": "k2", "name": "k2", "definition": "d", "parent": "A", "level": 2},
         ]
     )
-    dists = [dist_for(taxonomy, 1, {}), dist_for(taxonomy, 2, {})]
-    pred = select_prediction(dists, taxonomy, tau_leaf=0.5)
+    (pred,) = select(taxonomy, [{}, {}], tau_leaf=0.5)
     assert pred.selected_path == ("A",)
     assert pred.mode == MODE_DEEPEST_VALID
 
 
 def test_select_low_confidence_leaf_uses_fallback_chain(skip_taxonomy):
-    dists = [
-        dist_for(skip_taxonomy, 1, {"B": 0.6}),
-        dist_for(skip_taxonomy, 2, {"B.1": 0.45}),
-        dist_for(skip_taxonomy, 3, {NULL_CODE: 0.8}),
-    ]
-    pred = select_prediction(dists, skip_taxonomy, tau_leaf=0.5)
+    (pred,) = select(skip_taxonomy, [{"B": 0.6}, {"B.1": 0.45}, {NULL_CODE: 0.8}], tau_leaf=0.5)
     assert pred.selected_path == ("B", "B.1")
     assert pred.mode == MODE_DEEPEST_VALID
     assert pred.leaf_confidence == pytest.approx(0.45)
 
 
 def test_select_missing_level_errors(skip_taxonomy):
-    dists = [dist_for(skip_taxonomy, 1, {"A": 0.9}), dist_for(skip_taxonomy, 3, {"A.1.1": 0.9})]
+    tables = label_tables(skip_taxonomy, tuple(skip_taxonomy.per_level_labels[l] for l in (1, 2, 3)))
+    probs = [probs_for(skip_taxonomy, 1, {"A": 0.9}), probs_for(skip_taxonomy, 3, {"A.1.1": 0.9})]
     with pytest.raises(ValueError, match="missing level"):
-        select_prediction(dists, skip_taxonomy)
+        select_prediction(probs, tables)
 
 
 def test_confident_leaf_keeps_off_chain_prefix(skip_taxonomy):
     # per-level heads decide independently: the level-2 argmax strays to the
     # other subtree while the leaf head is confident and right
-    dists = [
-        dist_for(skip_taxonomy, 1, {"A": 0.9}),
-        dist_for(skip_taxonomy, 2, {"B.1": 0.8}),
-        dist_for(skip_taxonomy, 3, {"A.1.1": 0.95}),
-    ]
-    pred = select_prediction(dists, skip_taxonomy, tau_leaf=0.5)
+    preds = select(skip_taxonomy, [{"A": 0.9}, {"B.1": 0.8}, {"A.1.1": 0.95}], tau_leaf=0.5)
+    (pred,) = preds
     assert pred.mode == MODE_LEAF_CONFIDENT
     assert pred.selected_path == ("A", "B.1", "A.1.1")
     assert pred.selected_leaf == "A.1.1"
 
-    fixed = repath(pred, skip_taxonomy)
+    (fixed,) = repath(preds, skip_taxonomy)
     assert fixed.selected_path == ("A", "A.1", "A.1.1")
     assert fixed.mode == MODE_REPATHED
     assert fixed.selected_leaf == "A.1.1"
@@ -151,38 +265,77 @@ def test_confident_leaf_keeps_off_chain_prefix(skip_taxonomy):
 
 
 def test_confident_leaf_with_null_above_falls_back(skip_taxonomy):
-    dists = [
-        dist_for(skip_taxonomy, 1, {"A": 0.9}),
-        dist_for(skip_taxonomy, 2, {NULL_CODE: 0.8}),
-        dist_for(skip_taxonomy, 3, {"A.1.1": 0.95}),
-    ]
-    pred = select_prediction(dists, skip_taxonomy, tau_leaf=0.5)
+    (pred,) = select(skip_taxonomy, [{"A": 0.9}, {NULL_CODE: 0.8}, {"A.1.1": 0.95}], tau_leaf=0.5)
     assert pred.mode == MODE_DEEPEST_VALID
     assert pred.selected_path == ("A",)
 
 
 def test_repath_fixed_point_and_idempotent(skip_taxonomy):
-    dists = [
-        dist_for(skip_taxonomy, 1, {"A": 0.9}),
-        dist_for(skip_taxonomy, 2, {"A.1": 0.9}),
-        dist_for(skip_taxonomy, 3, {"A.1.1": 0.95}),
-    ]
-    pred = select_prediction(dists, skip_taxonomy, tau_leaf=0.5)
-    once = repath(pred, skip_taxonomy)
-    assert once.selected_path == pred.selected_path
+    preds = select(skip_taxonomy, [{"A": 0.9}, {"A.1": 0.9}, {"A.1.1": 0.95}], tau_leaf=0.5)
+    once = repath(preds, skip_taxonomy)
+    assert once.selected_path == preds.selected_path
     twice = repath(once, skip_taxonomy)
-    assert same_selection(twice, once)
+    assert all(same_selection(a, b) for a, b in zip(twice, once))
 
 
 def test_repath_internal_leaf_untouched(skip_taxonomy):
-    dists = [
-        dist_for(skip_taxonomy, 1, {"A": 0.9}),
-        dist_for(skip_taxonomy, 2, {NULL_CODE: 0.5, "A.1": 0.4}),
-        dist_for(skip_taxonomy, 3, {NULL_CODE: 0.9}),
-    ]
-    pred = select_prediction(dists, skip_taxonomy, tau_leaf=0.95)
+    preds = select(skip_taxonomy, [{"A": 0.9}, {NULL_CODE: 0.5, "A.1": 0.4}, {NULL_CODE: 0.9}], tau_leaf=0.95)
+    (pred,) = preds
     assert pred.selected_leaf == "A"
-    assert repath(pred, skip_taxonomy) is pred
+    assert repath(preds, skip_taxonomy).rows() == [pred]
+
+
+def test_repath_refuses_another_taxonomy(skip_taxonomy, chain_taxonomy):
+    preds = select(skip_taxonomy, [{"A": 0.9}, {"A.1": 0.9}, {"A.1.1": 0.95}])
+    with pytest.raises(ValueError, match="another taxonomy"):
+        repath(preds, chain_taxonomy)
+
+
+def test_label_tables_are_kept_by_content(skip_taxonomy):
+    spaces = tuple(skip_taxonomy.per_level_labels[l] for l in (1, 2, 3))
+    reloaded = build_taxonomy([
+        {"code": n.code, "name": n.name, "definition": n.definition, "level": n.level,
+         **({"parent": n.parent} if n.parent else {})}
+        for n in skip_taxonomy.nodes.values()
+    ])
+    assert label_tables(reloaded, tuple(map(tuple, map(list, spaces)))) is label_tables(skip_taxonomy, spaces)
+
+
+# --- RePath and leaf accuracy properties on synth taxonomies -----------------
+
+
+@st.composite
+def synth_selections(draw):
+    """Predictions from random probabilities over a synth taxonomy."""
+    seed = draw(st.integers(0, 2**16))
+    config = SynthConfig(leaves=draw(st.integers(2, 20)), samples=0,
+                         leaf_depth_min=1, leaf_depth_max=draw(st.integers(1, 5)))
+    try:
+        taxonomy = synth_corpus(config, seed=seed).taxonomy
+    except SynthConfigError:
+        reject()  # a shape the generator cannot build
+    spaces = level_spaces(taxonomy, MoEConfig(levels=taxonomy.max_depth + draw(st.integers(0, 2))))
+    rng = np.random.default_rng(seed)
+    n = draw(st.integers(1, 30))
+    probs = [rng.dirichlet(np.full(len(labels), 0.3), size=n) for labels in spaces]
+    tau = draw(st.sampled_from([0.0, 0.3, 0.5, 0.9, 1.0]))
+    return taxonomy, select_prediction(probs, label_tables(taxonomy, spaces), tau)
+
+
+@settings(max_examples=100)
+@given(case=synth_selections())
+def test_repath_keeps_the_leaf_is_idempotent_and_yields_chains(case):
+    taxonomy, preds = case
+    once = repath(preds, taxonomy)
+    twice = repath(once, taxonomy)
+    for before, after, again in zip(preds, once, twice):
+        assert (after.selected_leaf, after.leaf_confidence) == (before.selected_leaf, before.leaf_confidence)
+        assert again == after
+        if taxonomy.nodes[before.selected_leaf].is_leaf:
+            assert after.selected_path == tuple(ancestors(taxonomy, before.selected_leaf))
+            assert is_valid_path(taxonomy, list(after.selected_path))
+        else:
+            assert after == before
 
 
 def untrained_model(seed=17):
@@ -198,9 +351,28 @@ def untrained_model(seed=17):
     return corpus, model
 
 
+@settings(max_examples=20)
+@given(seed=st.integers(0, 2**16), tau=st.sampled_from([0.0, 0.1, 0.3, 0.5, 1.0]), inner=st.integers(0, 10))
+def test_leaf_accuracy_equals_a_brute_force_count(seed, tau, inner):
+    corpus, model = untrained_model(seed)
+    records = corpus.records
+    # some truths end at inner nodes, which only a fallback path selects
+    records = [ProductRecord(**{**r.__dict__, "label_path": r.label_path[:1]}) if i < inner else r
+               for i, r in enumerate(records)]
+    leaves = [r.leaf() for r in records]
+    truth = label_tables(corpus.taxonomy, model.level_labels).labels_of(leaves)
+    prepared = prepare_records(records, model.encoder_config)
+    rows = predict_batch(model, records, corpus.taxonomy, tau_leaf=tau)
+    hits = sum(1 for row, leaf in zip(rows, leaves) if row.selected_leaf == leaf)
+    assert leaf_accuracy(model, prepared, truth, corpus.taxonomy, tau) == hits / len(records)
+
+
+# --- batch prediction -------------------------------------------------------
+
+
 def test_predict_batch_basics():
     corpus, model = untrained_model()
-    assert predict_batch(model, [], corpus.taxonomy) == []
+    assert list(predict_batch(model, [], corpus.taxonomy)) == []
     preds = predict_batch(model, corpus.records, corpus.taxonomy, tau_leaf=0.5)
     assert len(preds) == len(corpus.records)
     for pred in preds:
@@ -214,7 +386,7 @@ def test_predict_batch_basics():
 def test_predict_batch_repath_composition():
     corpus, model = untrained_model(seed=19)
     base = predict_batch(model, corpus.records, corpus.taxonomy, use_repath=False)
-    external = [repath(p, corpus.taxonomy) for p in base]
+    external = repath(base, corpus.taxonomy)
     internal = predict_batch(model, corpus.records, corpus.taxonomy, use_repath=True)
     assert all(same_selection(a, b) for a, b in zip(external, internal))
 

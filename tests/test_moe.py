@@ -1,19 +1,19 @@
 import io
+import json
+import struct
 from dataclasses import asdict
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from taxpath.encoder import EncodedBatch, EncoderConfig, build_field_vocabs, encode_batch
+from taxpath.infer import label_tables, select_prediction
 from taxpath.moe import (
     CHECKPOINT_MAGIC,
     CheckpointError,
     MoEConfig,
-    distributions_from_probs,
     forward_batch,
     init_model,
     load_checkpoint,
@@ -21,6 +21,7 @@ from taxpath.moe import (
     softmax,
     write_container,
 )
+from taxpath.semantic import JudgeModel, load_judge, save_judge
 from taxpath.synth import SynthConfig, synth_corpus
 
 
@@ -62,10 +63,9 @@ def gate_weights(model, routing, level):
 
 
 def forward_one(model, batch):
-    """Per-level distributions and semantic probs of a one-row batch."""
+    """Per-level probability rows and semantic probs of a one-row batch."""
     cache = forward_batch(model, batch)
-    (dists,) = distributions_from_probs(model, cache.probs)
-    return dists, cache.semantic_probs[0]
+    return [p[0] for p in cache.probs], cache.semantic_probs[0]
 
 
 def test_init_deterministic_and_seed_sensitive():
@@ -131,17 +131,17 @@ def test_forward_zero_heads_uniform():
         model.params[f"level{level}/head/W"][:] = 0.0
         model.params[f"level{level}/head/b"][:] = 0.0
     batch = encode_batch(corpus.records[:1], model.params, enc)
-    dists, _ = forward_one(model, batch)
-    for level, dist in enumerate(dists, start=1):
+    probs, _ = forward_one(model, batch)
+    for level, p in enumerate(probs, start=1):
         k = len(model.level_labels[level - 1])
-        assert np.allclose(dist.probs, 1.0 / k, atol=1e-12)
+        assert np.allclose(p, 1.0 / k, atol=1e-12)
 
 
 def test_forward_single_expert_matches_reference():
     corpus, enc, moe, model = small_setup(experts=1, seed=5)
     record = corpus.records[3]
     batch = encode_batch([record], model.params, enc)
-    dists, sem = forward_one(model, batch)
+    probs, sem = forward_one(model, batch)
     # reference: plain two-layer forward with the gate pinned at 1
     hiddens = []
     for level in range(1, moe.levels + 1):
@@ -149,7 +149,7 @@ def test_forward_single_expert_matches_reference():
         u = t @ model.params[f"level{level}/expert0/W2"] + model.params[f"level{level}/expert0/b2"]
         hiddens.append(u)
         logits = u @ model.params[f"level{level}/head/W"] + model.params[f"level{level}/head/b"]
-        assert np.allclose(dists[level - 1].probs, softmax(logits), atol=1e-12)
+        assert np.allclose(probs[level - 1], softmax(logits), atol=1e-12)
     pool = np.mean(hiddens, axis=0)
     sem_ref = softmax(pool @ model.params["semantic/W"] + model.params["semantic/b"])
     assert np.allclose(sem, sem_ref, atol=1e-12)
@@ -163,11 +163,12 @@ def test_forward_single_expert_ignores_gate_params():
     model.params["level1/gate/b"][:] = -3.0
     after, _ = forward_one(model, batch)
     for a, b in zip(before, after):
-        assert np.array_equal(a.probs, b.probs)
+        assert np.array_equal(a, b)
 
 
 def test_probs_normalized_on_random_inputs():
     corpus, enc, moe, model = small_setup(seed=7)
+    tables = label_tables(corpus.taxonomy, model.level_labels)
     rng = np.random.default_rng(7)
     for _ in range(1000):
         dense = rng.normal(size=enc.dense_dim)
@@ -177,10 +178,11 @@ def test_probs_normalized_on_random_inputs():
             width = len(enc.vocab(name)) + 1
             routing[off + rng.integers(width)] = 1.0
             off += width
-        dists, sem = forward_one(model, one_row_batch(model, dense, routing))
-        for dist in dists:
-            assert abs(dist.probs.sum() - 1.0) <= 1e-9
-            assert dist.confidence == dist.probs.max()
+        probs, sem = forward_one(model, one_row_batch(model, dense, routing))
+        (confidence,) = select_prediction([p[None] for p in probs], tables).confidence
+        for p, c in zip(probs, confidence):
+            assert abs(p.sum() - 1.0) <= 1e-9
+            assert c == p.max()
         assert abs(sem.sum() - 1.0) <= 1e-9
 
 
@@ -217,7 +219,7 @@ def test_checkpoint_round_trip():
     b, sb = forward_one(loaded, batch)
     assert np.array_equal(sa, sb)
     for da, db in zip(a, b):
-        assert np.array_equal(da.probs, db.probs)
+        assert np.array_equal(da, db)
 
 
 def test_checkpoint_taxonomy_mismatch():
@@ -328,41 +330,108 @@ def test_forward_without_backward_cache_gives_identical_outputs():
     assert np.array_equal(full.semantic_probs, lean.semantic_probs)
 
 
-def per_row_distributions(model, probs, i):
-    """The per-row, per-level argmax the batched version replaced."""
-    out = []
-    for level, p in enumerate(probs, start=1):
-        row = p[i]
-        idx = int(np.argmax(row))
-        out.append((level, model.level_labels[level - 1][idx], float(row[idx])))
-    return out
+
+# --- container fuzzing: only CheckpointError escapes the loaders -------------
+
+
+def json_values():
+    scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    return st.recursive(
+        scalars, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=6,
+    )
 
 
 @st.composite
-def level_probs(draw):
-    n = draw(st.integers(0, 20))
-    widths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
-    # a few coarse values, so rows often tie for their maximum
-    values = st.one_of(st.sampled_from([0.0, 0.25, 0.5]), st.floats(0.0, 1.0))
-    return [draw(hnp.arrays(np.float64, (n, k), elements=values)) for k in widths]
+def header_paths(draw, header):
+    """A key or index path into a decoded header: a random walk from the top
+    that may stop at any level, so shallow keys are drawn as often as deep ones."""
+    path, node = [], header
+    while isinstance(node, (dict, list)) and node and (not path or draw(st.booleans())):
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        path.append(key)
+        node = node[key]
+    return path
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(probs=level_probs())
-def test_distributions_from_probs_matches_per_row_argmax(probs):
-    labels = tuple(tuple(f"L{level}c{j}" for j in range(p.shape[1])) for level, p in enumerate(probs))
-    model = SimpleNamespace(level_labels=labels)
-    rows = distributions_from_probs(model, probs)
-    assert len(rows) == probs[0].shape[0]
-    for i, dists in enumerate(rows):
-        got = [(d.level, d.argmax_code, d.confidence) for d in dists]
-        assert got == per_row_distributions(model, probs, i)
-        assert all(type(d.confidence) is float for d in dists)
-        for d, p in zip(dists, probs):
-            assert np.shares_memory(d.probs, p) and np.array_equal(d.probs, p[i])
+def with_header(blob, header):
+    """`blob` with its header replaced by `header`; the payload and its checksum are kept."""
+    (header_len,) = struct.unpack("<Q", blob[8:16])
+    raw = json.dumps(header).encode("utf-8")
+    return blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + header_len :]
 
 
-def test_distributions_from_probs_ties_go_to_the_lowest_label():
-    model = SimpleNamespace(level_labels=(("a", "b", "c"),))
-    (dists,) = distributions_from_probs(model, [np.array([[0.2, 0.4, 0.4]])])
-    assert (dists[0].argmax_code, dists[0].confidence) == ("b", 0.4)
+@st.composite
+def mutated_containers(draw, blob):
+    kind = draw(st.sampled_from(["flip", "truncate", "delete", "retype"]))
+    if kind == "flip":
+        out = bytearray(blob)
+        for at in draw(st.lists(st.integers(0, len(blob) - 1), min_size=1, max_size=3)):
+            out[at] ^= draw(st.integers(1, 255))
+        return bytes(out)
+    if kind == "truncate":
+        return blob[: draw(st.integers(0, len(blob) - 1))]
+    (header_len,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16 : 16 + header_len])
+    path = draw(header_paths(header))
+    holder = header
+    for key in path[:-1]:
+        holder = holder[key]
+    if kind == "delete":
+        del holder[path[-1]]
+    else:
+        holder[path[-1]] = draw(json_values())
+    return with_header(blob, header)
+
+
+def judge_container():
+    judge = JudgeModel(weights=np.zeros((4, 3)), bias=np.zeros(3), tau_hi=0.1, tau_lo=-0.1,
+                       popularity={"A": 0.5}, holdout_agreement=0.9)
+    buf = io.BytesIO()
+    save_judge(judge, buf)
+    return buf.getvalue()
+
+
+FUZZ_SETUP = small_setup(seed=21)
+FUZZ_MODEL = io.BytesIO()
+save_checkpoint(FUZZ_SETUP[3], FUZZ_MODEL)
+
+
+@settings(max_examples=300)
+@given(blob=mutated_containers(FUZZ_MODEL.getvalue()), with_taxonomy=st.booleans())
+def test_only_checkpoint_error_escapes_a_mutated_model_container(blob, with_taxonomy):
+    try:
+        load_checkpoint(io.BytesIO(blob), FUZZ_SETUP[0].taxonomy if with_taxonomy else None)
+    except CheckpointError:
+        pass
+
+
+@settings(max_examples=300)
+@given(blob=mutated_containers(judge_container()))
+def test_only_checkpoint_error_escapes_a_mutated_judge_container(blob):
+    try:
+        load_judge(io.BytesIO(blob))
+    except CheckpointError:
+        pass
+
+
+@pytest.mark.parametrize("key", ["level_labels", "taxonomy_hash"])
+def test_checkpoint_header_without_a_key_raises_checkpoint_error(key):
+    blob = FUZZ_MODEL.getvalue()
+    (header_len,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16 : 16 + header_len])
+    del header["meta"][key]
+    with pytest.raises(CheckpointError, match=key):
+        load_checkpoint(io.BytesIO(with_header(blob, header)))
+    header = json.loads(blob[16 : 16 + header_len])
+    del header["manifest"]
+    with pytest.raises(CheckpointError, match="manifest"):
+        load_checkpoint(io.BytesIO(with_header(blob, header)))
+    header["manifest"], header["meta"] = json.loads(blob[16 : 16 + header_len])["manifest"], [1]
+    with pytest.raises(CheckpointError, match="meta must be a JSON object"):
+        load_checkpoint(io.BytesIO(with_header(blob, header)))
+    header = json.loads(blob[16 : 16 + header_len])
+    rows, cols = header["manifest"][0]["shape"]
+    header["manifest"][0]["shape"] = [-rows, -cols]  # the same element count
+    with pytest.raises(CheckpointError, match="non-negative"):
+        load_checkpoint(io.BytesIO(with_header(blob, header)))
