@@ -111,11 +111,11 @@ class EncodedBatch:
     dense: np.ndarray  # (B, dense_dim)
     routing: np.ndarray  # (B, routing_dim)
     title_tok: np.ndarray  # flat bucket ids over the whole batch
-    title_sample: np.ndarray  # sample index per title token
-    title_weight: np.ndarray  # 1/token-count of the owning sample
+    title_sample: np.ndarray | None  # sample index per title token; None in a forward-only batch
+    title_weight: np.ndarray | None  # 1/token-count of the owning sample; None in a forward-only batch
     cat_tok: np.ndarray
-    cat_sample: np.ndarray
-    cat_weight: np.ndarray
+    cat_sample: np.ndarray | None  # None in a forward-only batch
+    cat_weight: np.ndarray | None  # None in a forward-only batch
     field_idx: np.ndarray  # (B, n_fields) embedding-row per structured field
 
 
@@ -212,9 +212,13 @@ def _token_means(table: np.ndarray, lists: TokenLists, rows: np.ndarray, out: np
 
 
 def assemble_batch(
-    prepared: PreparedRecords, tables: dict, config: EncoderConfig, rows: np.ndarray | None = None
+    prepared: PreparedRecords, tables: dict, config: EncoderConfig, rows: np.ndarray | None = None,
+    for_backward: bool = True,
 ) -> EncodedBatch:
-    """Features of the prepared records `rows` (all of them by default), in that order."""
+    """Features of the prepared records `rows` (all of them by default), in that order.
+
+    A batch only predicted from (`for_backward=False`) skips the per-token
+    bookkeeping that only the backward pass reads; those fields are None."""
     if rows is None:
         rows = np.arange(len(prepared))
     n = len(rows)
@@ -236,17 +240,12 @@ def assemble_batch(
         dense_off += config.cat_dim
         block_off += len(config.vocab(name)) + 1
 
-    return EncodedBatch(
-        dense=dense,
-        routing=routing,
-        title_tok=title_tok,
-        title_sample=np.repeat(samples, title_len),
-        title_weight=np.repeat(1.0 / np.maximum(title_len, 1), title_len),
-        cat_tok=cat_tok,
-        cat_sample=np.repeat(samples, cat_len),
-        cat_weight=np.repeat(1.0 / np.maximum(cat_len, 1), cat_len),
-        field_idx=field_idx,
-    )
+    batch = EncodedBatch(dense, routing, title_tok, None, None, cat_tok, None, None, field_idx)
+    if for_backward:
+        batch.title_sample, batch.cat_sample = np.repeat(samples, title_len), np.repeat(samples, cat_len)
+        batch.title_weight = np.repeat(1.0 / np.maximum(title_len, 1), title_len)
+        batch.cat_weight = np.repeat(1.0 / np.maximum(cat_len, 1), cat_len)
+    return batch
 
 
 def encode_batch(records: list[ProductRecord], tables: dict, config: EncoderConfig) -> EncodedBatch:

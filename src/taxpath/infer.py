@@ -189,7 +189,7 @@ def predict_batch(
 ) -> Predictions:
     """Order-preserving batch prediction; verifies the model/taxonomy pairing."""
     enc = model.encoder_config
-    batch = assemble_batch(prepare_records(records, enc), model.params, enc)
+    batch = assemble_batch(prepare_records(records, enc), model.params, enc, for_backward=False)
     return predict_encoded(model, batch, taxonomy, tau_leaf, use_repath)
 
 

@@ -336,7 +336,7 @@ def leaf_accuracy(
     """Share of prepared records whose selected leaf is the true one, given as labels in `truth`."""
     if not len(prepared):
         return float("nan")
-    batch = assemble_batch(prepared, model.params, model.encoder_config)
+    batch = assemble_batch(prepared, model.params, model.encoder_config, for_backward=False)
     preds = predict_encoded(model, batch, taxonomy, tau_leaf=tau_leaf, use_repath=False)
     return int(np.count_nonzero(preds.leaf == truth)) / len(prepared)
 

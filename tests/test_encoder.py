@@ -283,6 +283,20 @@ def test_assemble_batch_matches_loop_oracle(batch_size):
     )
 
 
+def test_forward_only_batch_skips_only_the_backward_bookkeeping():
+    vocab_source, records = oracle_records()
+    cfg = vocab_config(vocab_source, hash_buckets=257, text_dim=7, cat_dim=3)
+    tables = make_tables(cfg, seed=11)
+    prepared = prepare_records(records, cfg)
+    for rows in (np.arange(len(prepared) - 10, len(prepared)), np.array([len(prepared) - 1]), None):
+        full = assemble_batch(prepared, tables, cfg, rows=rows)
+        lean = assemble_batch(prepared, tables, cfg, rows=rows, for_backward=False)
+        for name in ("title_sample", "title_weight", "cat_sample", "cat_weight"):
+            assert getattr(lean, name) is None and getattr(full, name) is not None
+        for name in ("dense", "routing", "title_tok", "cat_tok", "field_idx"):
+            assert np.array_equal(getattr(lean, name), getattr(full, name)), name
+
+
 def test_assemble_batch_edge_cases_hit_oracle_paths():
     _, records = oracle_records()
     cfg = vocab_config(oracle_records()[0])
