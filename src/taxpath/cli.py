@@ -194,9 +194,9 @@ def cmd_train(args: argparse.Namespace, argv: list[str]) -> int:
     enc = config.encoder
     if not enc.field_vocabs:
         enc = replace(enc, field_vocabs=build_field_vocabs(train_recs, enc.fields))
-    judge = load_judge(args.judge) if args.judge else None
+    annotations = annotate_corpus(train_recs, load_judge(args.judge), taxonomy) if args.judge else None
     model = init_model(taxonomy, enc, config.moe, seed)
-    model, logs = fit(model, train_recs, val_recs, taxonomy, judge, config.train, tau_leaf=config.tau_leaf)
+    model, logs = fit(model, train_recs, val_recs, taxonomy, annotations, config.train, tau_leaf=config.tau_leaf)
     out = Path(args.out)
     save_checkpoint(model, out)
     if args.log:
@@ -274,17 +274,9 @@ def cmd_eval(args: argparse.Namespace, argv: list[str]) -> int:
 def cmd_report(args: argparse.Namespace, argv: list[str]) -> int:
     with open(args.report, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    report = EvalReport(
-        path_macro_f1=doc["path_macro_f1"],
-        path_micro_f1=doc["path_micro_f1"],
-        leaf_macro_f1=doc["leaf_macro_f1"],
-        leaf_micro_f1=doc["leaf_micro_f1"],
-        per_depth={int(k): v for k, v in doc["per_depth"].items()},
-        confidence_cdf=tuple((c, f) for c, f in doc["confidence_cdf"]),
-        sample_count=doc["sample_count"],
-    )
+    report = EvalReport.from_dict(doc)
     print(render_table(report))
-    if doc["per_depth"]:
+    if report.per_depth:
         print("\nper-depth (path micro F1 %):")
         for depth, stats in sorted(report.per_depth.items()):
             print(f"  depth {depth}: {100 * stats['path_micro_f1']:.2f}  (n={stats['count']})")
@@ -407,7 +399,7 @@ def dispatch(argv: list[str]) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return HANDLERS[args.command](args, argv)
-    except (ValueError, RuntimeError, KeyError) as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

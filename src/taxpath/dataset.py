@@ -14,6 +14,7 @@ REJECT_UNKNOWN_CODE = "unknown-code"
 REJECT_INVALID_PATH = "invalid-path"
 REJECT_CONFLICT = "conflicting-label"
 REJECT_DUPLICATE = "duplicate"
+REJECT_DUPLICATE_ID = "duplicate-id"
 
 
 class DatasetError(ValueError):
@@ -69,15 +70,19 @@ def cleanse(
 ) -> tuple[list[ProductRecord], list[tuple[ProductRecord, str]]]:
     """Stage-1 cleansing: validity filtering, conflict resolution, de-duplication.
 
-    Records sharing a normalized title must agree on the leaf code; the
-    majority leaf wins (ties reject the whole group) and surviving records
-    collapse to one per (normalized title, leaf).
+    A record whose id an earlier input record carries is rejected. Records
+    sharing a normalized title must agree on the leaf code; the majority leaf
+    wins (ties reject the whole group) and surviving records collapse to one
+    per (normalized title, leaf).
     """
     reasons: dict[int, str] = {}  # input index -> rejection reason
     by_title: dict[str, list[tuple[int, ProductRecord]]] = defaultdict(list)
+    ids: set[str] = set()
     for i, rec in enumerate(records):
         norm = normalize_title(rec.title)
-        if not norm:
+        if rec.id in ids:
+            reasons[i] = REJECT_DUPLICATE_ID
+        elif not norm:
             reasons[i] = REJECT_EMPTY_TITLE
         elif any(code not in taxonomy.nodes for code in rec.label_path):
             reasons[i] = REJECT_UNKNOWN_CODE
@@ -85,6 +90,7 @@ def cleanse(
             reasons[i] = REJECT_INVALID_PATH
         else:
             by_title[norm].append((i, rec))
+        ids.add(rec.id)
 
     for group in by_title.values():
         counts: dict[str, int] = defaultdict(int)

@@ -217,4 +217,5 @@ def write_predictions(path: str | Path, ids: list[str], preds: Predictions | lis
 
 
 def read_predictions(path: str | Path) -> list[dict]:
-    return list(read_jsonl(path))
+    """Prediction rows, each an object with at least `id`, `path` and `leaf`."""
+    return list(read_jsonl(path, required=("id", "path", "leaf")))

@@ -8,7 +8,7 @@ samples; macro averages per-category scores.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +49,20 @@ class EvalReport:
             "confidence_cdf": [[c, f] for c, f in self.confidence_cdf],
             "sample_count": self.sample_count,
         }
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> EvalReport:
+        """The report `to_dict` wrote; a missing key raises EvaluationError naming it."""
+        if not isinstance(doc, dict):
+            raise EvaluationError("an evaluation report must be a JSON object")
+        values = {}
+        for f in fields(cls):
+            if f.name not in doc:
+                raise EvaluationError(f"evaluation report has no {f.name!r} key")
+            values[f.name] = doc[f.name]
+        values["per_depth"] = {int(k): v for k, v in values["per_depth"].items()}
+        values["confidence_cdf"] = tuple((c, f) for c, f in values["confidence_cdf"])
+        return cls(**values)
 
 
 def effective_leaf(path: list[str] | tuple[str, ...]) -> str:

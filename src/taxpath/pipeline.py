@@ -6,8 +6,8 @@ the semantic task, scores the cleansed corpus, and builds the
 confidence-stratified dev set. Stage 3 oracle-labels the dev set (adding
 mismatched title/leaf pairs when no pair is labelled N) and distills the
 lightweight judge. Stage 4 annotates the full corpus with the distilled
-judge and trains the final model with both objectives. Each stage writes its
-artifact into the output directory.
+judge and trains the final model with both objectives on those verdicts.
+Each stage writes its artifact into the output directory.
 """
 from __future__ import annotations
 
@@ -145,7 +145,7 @@ def run_pipeline(
         )
         final_cfg = replace(config.train, seed=seed)
         final = init_model(taxonomy, enc_cfg, config.moe, seed)
-        final, _ = fit(final, train_recs, val_recs, taxonomy, judge, final_cfg, tau_leaf=config.tau_leaf)
+        final, _ = fit(final, train_recs, val_recs, taxonomy, annotations, final_cfg, tau_leaf=config.tau_leaf)
         artifacts["final"] = out / "final.ckpt"
         save_checkpoint(final, artifacts["final"])
 

@@ -8,6 +8,7 @@ corpora for consistency-assisted training.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -273,9 +274,14 @@ def annotate_corpus(
 ) -> dict[str, ConsistencyLabel]:
     """One consistency label per record, `judge(title, effective leaf, taxonomy)`.
 
-    Output ordering is stable: keys ascend by record id.
+    Output ordering is stable: keys ascend by record id. Records must not
+    share an id, since a label is looked up by it.
     """
-    return {rec.id: judge(rec.title, rec.leaf(), taxonomy) for rec in sorted(records, key=lambda r: r.id)}
+    table = {rec.id: judge(rec.title, rec.leaf(), taxonomy) for rec in sorted(records, key=lambda r: r.id)}
+    if len(table) < len(records):
+        repeated = next(rec_id for rec_id, n in Counter(rec.id for rec in records).items() if n > 1)
+        raise ValueError(f"record id {repeated!r} is not unique")
+    return table
 
 
 def save_judge(judge: JudgeModel, sink) -> None:
@@ -311,6 +317,12 @@ def load_judge(source) -> JudgeModel:
             raise CheckpointError(
                 f"judge array {name!r} has shape {shapes[name]}, expected {expected}"
             )
+    if "feature_names" not in meta:
+        raise CheckpointError("judge checkpoint meta has no 'feature_names'")
+    if meta["feature_names"] != list(FEATURE_NAMES):
+        raise CheckpointError(
+            f"judge checkpoint feature_names {meta['feature_names']} differ from {list(FEATURE_NAMES)}"
+        )
     params = param_views(flat, manifest)
     try:  # the meta's types are checked like a config's
         fields = {key: value for key, value in meta.items() if key != "feature_names"}

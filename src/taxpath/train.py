@@ -18,6 +18,7 @@ from .dataset import ProductRecord
 from .encoder import EncodedBatch, PreparedRecords, assemble_batch, prepare_records
 from .infer import DEFAULT_TAU_LEAF, label_tables, predict_batch, predict_encoded  # noqa: F401 (perfbench patches train.predict_batch)
 from .moe import ForwardCache, MoEModel, forward_batch
+from .semantic import ConsistencyLabel
 from .taxonomy import NULL_CODE, Taxonomy
 from .util import stream_rng
 
@@ -81,6 +82,10 @@ def build_level_targets(
     indices = np.zeros((len(records), levels), dtype=np.int64)
     leaf_level = np.zeros(len(records), dtype=np.int64)
     for i, rec in enumerate(records):
+        if not 1 <= len(rec.label_path) <= levels:
+            raise TrainingError(
+                f"record {rec.id!r}: label path of {len(rec.label_path)} codes, model has {levels} levels"
+            )
         codes = list(rec.label_path)
         if target_overrides is not None and rec.id in target_overrides:
             codes = list(target_overrides[rec.id])
@@ -96,30 +101,38 @@ def build_level_targets(
     return LevelTargets(indices=indices, leaf_level=leaf_level)
 
 
-def level_loss(probs: np.ndarray, target_index: int) -> float:
-    """Cross-entropy of one level distribution against its target index."""
-    if not 0 <= target_index < probs.shape[-1]:
-        raise IndexError(f"target index {target_index} out of range for {probs.shape[-1]} labels")
-    return float(-np.log(max(float(probs[target_index]), PROB_FLOOR)))
+def level_loss(probs: np.ndarray, target_index) -> np.ndarray:
+    """Cross-entropy of (K,) probabilities and an int target, or of (N, K) rows and (N,) targets."""
+    target = np.asarray(target_index)
+    if target.size and target.min() < 0:  # an index >= K fails the gather
+        raise IndexError(f"negative target index in {target_index}")
+    pt = probs[target] if probs.ndim == 1 else probs[np.arange(len(target)), target]
+    return -np.log(np.maximum(pt, PROB_FLOOR))
 
 
-def hierarchical_loss(level_losses: list[float], leaf_level: int, omega_c: float) -> float:
-    """Blend of the summed non-leaf losses and the leaf-level loss."""
-    if not 1 <= leaf_level <= len(level_losses):
-        raise IndexError(f"leaf level {leaf_level} out of range 1..{len(level_losses)}")
-    rest = sum(x for i, x in enumerate(level_losses, start=1) if i != leaf_level)
-    return omega_c * rest + (1.0 - omega_c) * level_losses[leaf_level - 1]
+def hierarchical_loss(level_losses, leaf_level, omega_c: float) -> np.ndarray:
+    """omega_c * non-leaf losses + (1 - omega_c) * leaf loss, added level by level from zero,
+    over (L,) losses and an int leaf level or (L, N) losses and (N,) leaf levels."""
+    losses, leaf = np.asarray(level_losses, dtype=np.float64), np.asarray(leaf_level)
+    if leaf.size and not (1 <= leaf.min() and leaf.max() <= len(losses)):
+        raise IndexError(f"leaf level {leaf_level} out of range 1..{len(losses)}")
+    is_leaf = leaf == np.arange(1, len(losses) + 1).reshape((-1,) + (1,) * leaf.ndim)
+    total = 0.0
+    for weighted in np.where(is_leaf, 1.0 - omega_c, omega_c) * losses:
+        total = total + weighted
+    return total
 
 
-def semantic_loss(semantic_probs: np.ndarray, target: str) -> float:
-    """Cross-entropy against the consistency class; uncertain samples cost 0."""
-    idx = SEMANTIC_CLASS_INDEX[target]
-    if idx < 0:
-        return 0.0
-    return float(-np.log(max(float(semantic_probs[idx]), PROB_FLOOR)))
+def semantic_loss(semantic_probs: np.ndarray, target_index) -> np.ndarray:
+    """Cross-entropy against the consistency class index (SEMANTIC_CLASS_INDEX),
+    one (C,) row and an int or (N, C) rows and (N,) indices; -1 costs 0."""
+    target = np.asarray(target_index)
+    if target.size and target.min() < -1:
+        raise IndexError(f"semantic class index in {target_index} below -1")
+    return np.where(target >= 0, level_loss(semantic_probs, np.maximum(target, 0)), 0.0)[()]
 
 
-def total_loss(l_c: float, l_s: float, omega_s: float) -> float:
+def total_loss(l_c, l_s, omega_s: float):
     return omega_s * l_c + (1.0 - omega_s) * l_s
 
 
@@ -159,11 +172,10 @@ def backward(
     # Semantic branch
     sp = cache.semantic_probs
     sem_mask = semantic_targets >= 0
-    sem_losses = np.zeros(n)
+    sem_losses = semantic_loss(sp, semantic_targets)
     d_sem = np.zeros_like(sp)
     if sem_mask.any():
         pt = sp[ar[sem_mask], semantic_targets[sem_mask]]
-        sem_losses[sem_mask] = -np.log(np.maximum(pt, PROB_FLOOR))
         live = np.zeros(n, dtype=bool)
         live[sem_mask] = pt > PROB_FLOOR
         coef = np.where(live, (1.0 - omega_s) / n, 0.0)
@@ -175,17 +187,14 @@ def backward(
     d_pool = d_sem @ params.semantic_W.T
 
     # Hierarchical branch: one head per level (label spaces differ)
-    hier_losses = np.zeros(n)
+    level_losses = np.empty((levels, n))
     d_u = np.empty((levels, n, hidden_dim))  # gradient of each level's mixed hidden state
     for level in range(levels):
         p = cache.probs[level]
         t_idx = targets.indices[:, level]
+        level_losses[level] = level_loss(p, t_idx)
         pt = p[ar, t_idx]
-        losses_l = -np.log(np.maximum(pt, PROB_FLOOR))
-        is_leaf_level = targets.leaf_level == level + 1
-        level_w = np.where(is_leaf_level, 1.0 - omega_c, omega_c)
-        hier_losses += level_w * losses_l
-
+        level_w = np.where(targets.leaf_level == level + 1, 1.0 - omega_c, omega_c)
         coef = omega_s * level_w / n
         coef = np.where(pt > PROB_FLOOR, coef, 0.0)
         onehot = np.zeros_like(p)
@@ -196,7 +205,7 @@ def backward(
         d_logits.sum(axis=0, out=out.head_b[level])
         np.matmul(d_logits, params.head_W[level].T, out=d_u[level])
 
-    per_sample = omega_s * hier_losses + (1.0 - omega_s) * sem_losses
+    per_sample = total_loss(hierarchical_loss(level_losses, targets.leaf_level, omega_c), sem_losses, omega_s)
     if not np.isfinite(per_sample).all():
         bad = int(np.argmax(~np.isfinite(per_sample)))
         label = sample_ids[bad] if sample_ids is not None and len(sample_ids) else f"batch index {bad}"
@@ -318,15 +327,16 @@ def clip_gradients(grad_flat: np.ndarray, max_norm: float) -> None:
 
 
 def semantic_targets_for(
-    records: list[ProductRecord], judge, taxonomy: Taxonomy
+    records: list[ProductRecord], annotations: dict[str, ConsistencyLabel] | None
 ) -> np.ndarray:
-    """Class index per record from the verdict `judge(title, leaf, taxonomy)`; -1 if no judge."""
-    if judge is None:
+    """Class index per record from its verdict in `annotations` (record id ->
+    label, as `annotate_corpus` returns it); all -1 when there are none."""
+    if annotations is None:
         return np.full(len(records), -1, dtype=np.int64)
-    return np.array(
-        [SEMANTIC_CLASS_INDEX[judge(r.title, r.leaf(), taxonomy).verdict] for r in records],
-        dtype=np.int64,
-    )
+    try:
+        return np.array([SEMANTIC_CLASS_INDEX[annotations[r.id].verdict] for r in records], dtype=np.int64)
+    except KeyError as exc:
+        raise TrainingError(f"training record {exc.args[0]!r} has no annotation") from None
 
 
 def leaf_accuracy(
@@ -346,24 +356,24 @@ def fit(
     train_records: list[ProductRecord],
     val_records: list[ProductRecord],
     taxonomy: Taxonomy,
-    judge,
+    annotations: dict[str, ConsistencyLabel] | None,
     config: TrainConfig,
     target_overrides: dict[str, tuple[str, ...]] | None = None,
     tau_leaf: float = DEFAULT_TAU_LEAF,
 ) -> tuple[MoEModel, list[dict]]:
     """Mini-batch training; returns the parameters of the best validation epoch.
 
-    Consistency targets come from `judge` (None trains without the semantic
-    task, as in the preliminary stage). Epochs are ranked by validation leaf
-    accuracy under `tau_leaf`. Shuffling draws from per-epoch named streams of
-    `config.seed`, so runs replay exactly.
+    Consistency targets are the verdicts in `annotations`, keyed by record
+    id (None trains without the semantic task, as in the preliminary stage).
+    Epochs are ranked by validation leaf accuracy under `tau_leaf`. Shuffling
+    draws from per-epoch named streams of `config.seed`, so runs replay exactly.
     """
     if not train_records:
         raise TrainingError("empty training set")
     enc = model.encoder_config
     prepared = prepare_records(train_records, enc)
     targets = build_level_targets(train_records, model, target_overrides)
-    sem_targets = semantic_targets_for(train_records, judge, taxonomy)
+    sem_targets = semantic_targets_for(train_records, annotations)
     ids = np.array([r.id for r in train_records], dtype=object)
     val_prepared = prepare_records(val_records, enc)
     val_truth = label_tables(taxonomy, model.level_labels).labels_of([r.leaf() for r in val_records])

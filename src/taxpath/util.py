@@ -76,16 +76,24 @@ def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
     atomic_write_text(path, "".join(line + "\n" for line in lines))
 
 
-def read_jsonl(path: str | Path) -> Iterator[dict]:
+def read_jsonl(path: str | Path, required: tuple[str, ...] = ()) -> Iterator[dict]:
+    """The rows of a JSON Lines file, blank lines skipped. With `required`,
+    every row must be an object holding those keys."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                yield json.loads(line)
+                row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}: bad JSON on line {lineno}: {exc}") from exc
+            if required and not isinstance(row, dict):
+                raise ValueError(f"{path}: line {lineno} is not a JSON object")
+            for key in required:
+                if key not in row:
+                    raise ValueError(f"{path}: the row on line {lineno} has no {key!r} key")
+            yield row
 
 
 class ConfigError(ValueError):

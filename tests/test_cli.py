@@ -5,6 +5,7 @@ import numpy as np
 from taxpath.cli import dispatch
 from taxpath.dataset import read_records
 from taxpath.moe import JUDGE_MAGIC, write_container
+from taxpath.semantic import JudgeModel
 from taxpath.util import read_jsonl
 
 
@@ -231,3 +232,64 @@ def test_repath_subcommand_rewrites_only_leaf_rows(tmp_path, chain_taxonomy):
     assert got[1] == rows[1]  # an inner node is not a leaf: left alone
     assert got[2] == dict(rows[2], path=["B", "B.1"], mode="repathed")
     assert got[3] == rows[3]  # an unknown code is left alone too
+
+
+def test_repath_row_without_leaf_exits_1_naming_the_key(tmp_path, chain_taxonomy, capsys):
+    tax = tmp_path / "taxonomy.json"
+    tax.write_bytes(chain_taxonomy.to_json_bytes())
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text(json.dumps({"id": "a", "leaf": "A.1.1", "path": ["A"]}) + "\n\n"
+                    + json.dumps({"id": "b", "path": ["A"]}) + "\n", encoding="utf-8")
+    assert run("repath", "--pred", str(pred), "--taxonomy", str(tax), "--out", str(tmp_path / "out.jsonl")) == 1
+    assert f"error: {pred}: the row on line 3 has no 'leaf' key" in capsys.readouterr().err
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+def test_eval_row_without_path_exits_1_naming_the_key(tmp_path, capsys):
+    cfg = gen_config(tmp_path)
+    data = tmp_path / "data"
+    assert run("gen", "--config", cfg, "--out", str(data)) == 0
+    records = read_records(data / "records.jsonl")
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text("".join(json.dumps({"id": r.id, "leaf": r.leaf()}) + "\n" for r in records), encoding="utf-8")
+    capsys.readouterr()
+    assert run("eval", "--pred", str(pred), "--truth", str(data / "records.jsonl"),
+               "--taxonomy", str(data / "taxonomy.json"), "--out", str(tmp_path / "report.json")) == 1
+    assert f"error: {pred}: the row on line 1 has no 'path' key" in capsys.readouterr().err
+
+
+def test_eval_row_that_is_not_an_object_exits_1(tmp_path, chain_taxonomy, capsys):
+    tax = tmp_path / "taxonomy.json"
+    tax.write_bytes(chain_taxonomy.to_json_bytes())
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text('["a", ["A"], "A"]\n', encoding="utf-8")
+    assert run("eval", "--pred", str(pred), "--truth", str(pred), "--taxonomy", str(tax),
+               "--out", str(tmp_path / "report.json")) == 1
+    assert f"error: {pred}: line 1 is not a JSON object" in capsys.readouterr().err
+
+
+def test_report_without_sample_count_exits_1_naming_the_key(tmp_path, capsys):
+    cfg, data, kept, splits, model, preds, report = full_workflow(tmp_path)
+    doc = json.loads(report.read_text())
+    del doc["sample_count"]
+    report.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert run("report", "--report", str(report)) == 1
+    assert "error: evaluation report has no 'sample_count' key" in capsys.readouterr().err
+
+
+def test_train_with_judge_annotates_each_training_record_once(tmp_path, monkeypatch):
+    cfg = gen_config(tmp_path, label_noise_rate=0.2)
+    data = tmp_path / "data"
+    assert run("gen", "--config", cfg, "--out", str(data)) == 0
+    judge = tmp_path / "judge.ckpt"
+    assert run("judge", "--config", cfg, "--dev", str(data / "records.jsonl"),
+               "--taxonomy", str(data / "taxonomy.json"), "--out", str(judge)) == 0
+    calls = []
+    original = JudgeModel.judge
+    monkeypatch.setattr(JudgeModel, "judge", lambda self, *args: calls.append(args) or original(self, *args))
+    assert run("train", "--config", cfg, "--train", str(data / "records.jsonl"),
+               "--taxonomy", str(data / "taxonomy.json"), "--judge", str(judge),
+               "--out", str(tmp_path / "model.ckpt")) == 0
+    records = read_records(data / "records.jsonl")
+    assert sorted(args[:2] for args in calls) == sorted((r.title, r.leaf()) for r in records)

@@ -100,6 +100,22 @@ def test_cleanse_rejects_bad_records(chain_taxonomy):
     }
 
 
+def test_cleanse_rejects_a_repeated_id(chain_taxonomy):
+    records = [
+        rec(0, "empty !!", ["A", "zz"]),
+        rec(1, "first item", ["A", "A.1"]),
+        rec(2, "second item", ["B", "B.1"], id="r001"),
+        rec(3, "third item", ["A", "A.1"], id="r000"),
+    ]
+    kept, rejected = cleanse(records, chain_taxonomy)
+    assert [(r.id, r.title) for r in kept] == [("r001", "first item")]
+    assert [(r.title, reason) for r, reason in rejected] == [
+        ("empty !!", "unknown-code"),
+        ("second item", "duplicate-id"),
+        ("third item", "duplicate-id"),  # the id's first carrier was itself rejected
+    ]
+
+
 def test_cleanse_idempotent():
     corpus = synth_corpus(SynthConfig(leaves=30, samples=400, label_noise_rate=0.1), seed=21)
     kept, _ = cleanse(corpus.records, corpus.taxonomy)

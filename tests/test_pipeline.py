@@ -10,7 +10,7 @@ from taxpath.infer import predict_batch, prediction_to_dict
 from taxpath.metrics import evaluate
 from taxpath.moe import MoEConfig, init_model, load_checkpoint
 from taxpath.pipeline import PipelineConfig, PipelineError, run_pipeline, score_records
-from taxpath.semantic import load_judge
+from taxpath.semantic import JudgeModel, load_judge, save_judge
 from taxpath.synth import SynthConfig, synth_corpus
 from taxpath.train import LossWeights, TrainConfig, fit
 from taxpath.util import read_jsonl
@@ -133,6 +133,29 @@ def test_score_records_fields(corpus):
     for s in scored:
         assert 0.0 <= s.confidence <= 1.0
         assert s.correct == (s.predicted_leaf == s.record.leaf())
+
+
+def test_pipeline_judges_each_kept_record_once_after_distillation(tmp_path, corpus, monkeypatch):
+    # a call goes through the class attribute `JudgeModel.judge`, so wrapping it sees every one;
+    # stage 3's holdout check, which ends before the judge is saved, is not counted
+    calls, at_save = [], []
+    original = JudgeModel.judge
+    monkeypatch.setattr(JudgeModel, "judge", lambda self, *args: calls.append(args) or original(self, *args))
+    monkeypatch.setattr(pipeline, "save_judge", lambda *args: at_save.append(len(calls)) or save_judge(*args))
+    _, artifacts = run_pipeline(corpus.records, corpus.taxonomy, small_pipeline_config(epochs=2), tmp_path / "run")
+    kept = read_records(artifacts["cleansed"])
+    assert len(calls) - at_save[0] == len(kept)
+    assert sorted(args[:2] for args in calls[at_save[0]:]) == sorted((r.title, r.leaf()) for r in kept)
+
+
+def test_final_training_reads_the_written_annotations(tmp_path, corpus, monkeypatch):
+    seen = []
+    monkeypatch.setattr(pipeline, "fit", lambda *args, **kw: seen.append(args[4]) or fit(*args, **kw))
+    _, artifacts = run_pipeline(corpus.records, corpus.taxonomy, small_pipeline_config(epochs=2), tmp_path / "run")
+    prelim_annotations, final_annotations = seen
+    assert prelim_annotations is None
+    written = {row["id"]: (row["verdict"], row["rationale"]) for row in read_jsonl(artifacts["annotated"])}
+    assert {i: (lab.verdict, lab.rationale) for i, lab in final_annotations.items()} == written
 
 
 def test_stage4_runs_one_test_forward_and_derives_repath(tmp_path, corpus, monkeypatch):

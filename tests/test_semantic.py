@@ -1,4 +1,5 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -196,14 +197,26 @@ def test_every_judge_is_called_as_judge_title_code_taxonomy(monkeypatch):
     for any_judge in (judge, oracle_judge):
         verdicts = [any_judge(r.title, r.leaf(), corpus.taxonomy).verdict for r in records]
         expected = np.array([SEMANTIC_CLASS_INDEX[v] for v in verdicts])
-        assert np.array_equal(semantic_targets_for(records, any_judge, corpus.taxonomy), expected)
+        annotations = annotate_corpus(records, any_judge, corpus.taxonomy)
+        assert np.array_equal(semantic_targets_for(records, annotations), expected)
     # a call goes through the class attribute `JudgeModel.judge`, so wrapping it sees every one
     calls = []
     original = JudgeModel.judge
     monkeypatch.setattr(JudgeModel, "judge", lambda self, *args: calls.append(args) or original(self, *args))
-    annotate_corpus(records, judge, corpus.taxonomy)
-    semantic_targets_for(records, judge, corpus.taxonomy)
-    assert len(calls) == 2 * len(records)
+    semantic_targets_for(records, annotate_corpus(records, judge, corpus.taxonomy))
+    assert len(calls) == len(records)
+
+
+def test_semantic_targets_for_without_annotations_is_all_excluded():
+    corpus, _ = oracle_labeled_corpus(seed=41, samples=30)
+    assert semantic_targets_for(corpus.records, None).tolist() == [-1] * len(corpus.records)
+
+
+def test_annotate_corpus_rejects_a_repeated_record_id():
+    corpus, _ = oracle_labeled_corpus(seed=41, samples=30)
+    records = corpus.records[:5] + [replace(corpus.records[6], id=corpus.records[2].id)]
+    with pytest.raises(ValueError, match=f"{corpus.records[2].id!r} is not unique"):
+        annotate_corpus(records, oracle_judge, corpus.taxonomy)
 
 
 def test_judge_checkpoint_round_trip(chain_taxonomy):
@@ -255,14 +268,16 @@ def test_high_confidence_stratum_has_higher_yes_rate():
         assert y_rate(high) > y_rate(incorrect)
 
 
-def judge_blob_with(arrays=None, drop_meta=None):
+def judge_blob_with(arrays=None, drop_meta=None, set_meta=None):
     """A checksum-valid judge container: a real judge's meta and arrays, with
-    the arrays replaced by `arrays` or the meta key `drop_meta` removed."""
+    the arrays replaced by `arrays`, the meta key `drop_meta` removed or the
+    meta keys in `set_meta` overwritten."""
     corpus, labeled = oracle_labeled_corpus(seed=39, samples=200)
     buf = io.BytesIO()
     save_judge(distill_judge(labeled, corpus.taxonomy, seed=5), buf)
     meta, manifest, flat = read_container(buf.getvalue(), JUDGE_MAGIC)
     meta.pop(drop_meta, None)
+    meta.update(set_meta or {})
     if arrays is None:
         arrays = param_views(flat, manifest)
     return write_container(JUDGE_MAGIC, meta, arrays)
@@ -298,8 +313,14 @@ def test_load_judge_names_a_mis_shaped_array(arrays, bad):
         load_judge(io.BytesIO(judge_blob_with(arrays)))
 
 
-@pytest.mark.parametrize("key", ["tau_hi", "tau_lo", "popularity", "holdout_agreement"])
+@pytest.mark.parametrize("key", ["tau_hi", "tau_lo", "popularity", "holdout_agreement", "feature_names"])
 def test_load_judge_names_a_missing_meta_key(key):
     load_judge(io.BytesIO(judge_blob_with()))  # the rebuilt container alone loads
     with pytest.raises(CheckpointError, match=f"meta has no '{key}'"):
         load_judge(io.BytesIO(judge_blob_with(drop_meta=key)))
+
+
+def test_load_judge_rejects_features_in_another_order():
+    blob = judge_blob_with(set_meta={"feature_names": list(reversed(FEATURE_NAMES))})
+    with pytest.raises(CheckpointError, match="feature_names.*popularity.*leaf_overlap.*leaf_overlap.*popularity"):
+        load_judge(io.BytesIO(blob))

@@ -1,16 +1,19 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from taxpath.encoder import EncoderConfig, build_field_vocabs, encode_batch
 from taxpath.moe import MoEConfig, forward_batch, init_model
+from taxpath.semantic import ConsistencyLabel
 from taxpath.synth import SynthConfig, synth_corpus
 from taxpath.train import (
     Adam,
     LossWeights,
     SGD,
     TrainConfig,
+    SEMANTIC_CLASS_INDEX,
     TrainingError,
     backward,
     build_level_targets,
@@ -49,11 +52,47 @@ def test_hierarchical_loss_collapses_exactly():
 
 
 def test_semantic_loss_values():
-    assert semantic_loss(np.array([0.3, 0.3, 0.4]), "U") == 0.0
+    assert semantic_loss(np.array([0.3, 0.3, 0.4]), SEMANTIC_CLASS_INDEX["U"]) == 0.0
     uniform = np.full(3, 1.0 / 3.0)
-    assert semantic_loss(uniform, "Y") == pytest.approx(math.log(3), abs=1e-12)
+    assert semantic_loss(uniform, SEMANTIC_CLASS_INDEX["Y"]) == pytest.approx(math.log(3), abs=1e-12)
     probs = np.array([0.1, 0.8, 0.1])
-    assert semantic_loss(probs, "N") == pytest.approx(-math.log(0.8), abs=1e-12)
+    assert semantic_loss(probs, SEMANTIC_CLASS_INDEX["N"]) == pytest.approx(-math.log(0.8), abs=1e-12)
+
+
+def test_loss_helpers_on_arrays_match_them_row_by_row():
+    rng = np.random.default_rng(0)
+    probs = rng.dirichlet(np.ones(5), size=7)
+    probs[2, 4] = 0.0  # clamped
+    targets = np.array([0, 4, 4, 1, 2, 3, 0])
+    losses = level_loss(probs, targets)
+    assert losses.tolist() == [level_loss(p, t) for p, t in zip(probs, targets)]
+    level_losses = rng.uniform(0.0, 3.0, size=(3, 7))
+    leaf = np.array([1, 2, 3, 3, 2, 1, 3])
+    hier = hierarchical_loss(level_losses, leaf, 0.3)
+    assert hier.tolist() == [hierarchical_loss(list(col), d, 0.3) for col, d in zip(level_losses.T, leaf)]
+    sem_probs = rng.dirichlet(np.ones(3), size=7)
+    sem = np.array([0, 1, -1, 0, -1, 1, 0])
+    sem_losses = semantic_loss(sem_probs, sem)
+    assert sem_losses.tolist() == [semantic_loss(p, t) for p, t in zip(sem_probs, sem)]
+    assert sem_losses[sem < 0].tolist() == [0.0, 0.0]
+    assert total_loss(hier, sem_losses, 0.2).tolist() == [
+        total_loss(h, s, 0.2) for h, s in zip(hier, sem_losses)
+    ]
+
+
+def test_loss_helpers_reject_out_of_range_indices():
+    probs = np.full((2, 3), 1.0 / 3.0)
+    for bad in ([0, -1], [0, 3]):
+        with pytest.raises(IndexError):
+            level_loss(probs, np.array(bad))
+    with pytest.raises(IndexError):
+        level_loss(probs[0], -1)
+    with pytest.raises(IndexError):
+        semantic_loss(probs, np.array([-2, 0]))
+    with pytest.raises(IndexError):
+        hierarchical_loss(np.zeros((2, 2)), np.array([1, 0]), 0.2)
+    with pytest.raises(IndexError):
+        hierarchical_loss(np.zeros((2, 2)), np.array([1, 3]), 0.2)
 
 
 def test_total_loss_weighting():
@@ -184,6 +223,33 @@ def test_backward_reports_offending_sample():
     sem = np.full(3, -1, dtype=np.int64)
     with pytest.raises(TrainingError, match=records[0].id):
         backward(model, batch, targets, sem, LossWeights(0.2, 1.0), sample_ids=[r.id for r in records])
+
+
+@pytest.mark.parametrize("sem", [[-1, -1, -1, -1, -1, -1], [0, 1, -1, 0, 1, 0]])
+def test_backward_loss_is_the_mean_of_the_scalar_helper_losses(sem):
+    corpus, enc, moe, model = tiny_setup(seed=4)
+    records = corpus.records[:6]
+    batch = encode_batch(records, model.params, enc)
+    targets = build_level_targets(records, model)
+    sem = np.array(sem, dtype=np.int64)
+    weights = LossWeights(omega_c=0.3, omega_s=0.6)
+    loss, _ = backward(model, batch, targets, sem, weights)
+    cache = forward_batch(model, batch)
+    per_sample = []
+    for i in range(len(records)):
+        level_losses = [level_loss(cache.probs[lv][i], targets.indices[i, lv]) for lv in range(moe.levels)]
+        l_c = hierarchical_loss(level_losses, targets.leaf_level[i], weights.omega_c)
+        l_s = semantic_loss(cache.semantic_probs[i], sem[i])
+        per_sample.append(total_loss(l_c, l_s, weights.omega_s))
+    assert loss == np.mean(per_sample)
+
+
+def test_build_level_targets_rejects_a_path_the_model_cannot_hold():
+    corpus, enc, moe, model = tiny_setup(seed=3)
+    rec = corpus.records[0]
+    for path in ((), rec.label_path + ("X",) * moe.levels):
+        with pytest.raises(TrainingError, match=f"{rec.id}.*{len(path)} codes"):
+            build_level_targets([replace(rec, label_path=path)], model)
 
 
 def test_optimizer_zero_learning_rate_is_identity():
@@ -341,6 +407,14 @@ def test_fit_deterministic_replay():
     for name in model_a.params:
         assert np.array_equal(model_a.params[name], model_b.params[name])
         assert np.shares_memory(model_a.params[name], model_a.flat)  # restored in place
+
+
+def test_fit_names_a_training_record_without_annotation():
+    corpus, enc, moe, model = tiny_setup(seed=10)
+    train = corpus.records[:8]
+    annotations = {r.id: ConsistencyLabel("Y", "") for r in train if r.id != train[5].id}
+    with pytest.raises(TrainingError, match=f"'{train[5].id}' has no annotation"):
+        fit(model, train, [], corpus.taxonomy, annotations, TrainConfig(epochs=1, seed=0))
 
 
 def test_fit_empty_training_set():
