@@ -32,7 +32,7 @@ from .infer import MODE_REPATHED, leaf_chain, predict_batch, read_predictions, w
 from .metrics import EvalReport, evaluate, render_table, write_cdf_csv, write_report
 from .moe import MoEConfig, init_model, load_checkpoint, save_checkpoint
 from .pipeline import PipelineConfig, run_pipeline
-from .semantic import annotate_corpus, distill_judge, label_dev_set, load_judge, save_judge
+from .semantic import annotate_corpus, distill_judge, label_dev_set, load_judge, save_judge, write_annotations
 from .synth import SynthConfig, synth_corpus
 from .taxonomy import load_taxonomy_file
 from .train import LossWeights, TrainConfig, fit
@@ -220,11 +220,7 @@ def cmd_judge(args: argparse.Namespace, argv: list[str]) -> int:
         records = read_records(args.annotate)
         annotations = annotate_corpus(records, judge, taxonomy)
         target = args.annotations or str(out.parent / "annotations.jsonl")
-        write_jsonl(
-            target,
-            ({"id": rid, "verdict": lab.verdict, "rationale": lab.rationale}
-             for rid, lab in annotations.items()),
-        )
+        write_annotations(target, annotations)
     _write_manifest(out.parent, "judge", config, synth, argv)
     return 0
 

@@ -254,26 +254,28 @@ def record_to_dict(record: ProductRecord) -> dict:
     return doc
 
 
+RECORD_KEYS = ("id", "title", "category_name", "bu_code", "ou_code", "system_code", "label_path", "source")
+
+
 def record_from_dict(doc: dict) -> ProductRecord:
-    try:
-        cpvs = doc.get("cpvs")
-        return ProductRecord(
-            id=str(doc["id"]),
-            title=doc["title"],
-            category_name=doc["category_name"],
-            bu_code=doc["bu_code"],
-            ou_code=doc["ou_code"],
-            system_code=doc["system_code"],
-            label_path=tuple(doc["label_path"]),
-            source=doc["source"],
-            cpvs=tuple((k, v) for k, v in cpvs) if cpvs is not None else None,
-        )
-    except KeyError as exc:
-        raise DatasetError(f"record {doc.get('id', '?')!r} missing field {exc}") from exc
+    cpvs = doc.get("cpvs")
+    return ProductRecord(
+        id=str(doc["id"]),
+        title=doc["title"],
+        category_name=doc["category_name"],
+        bu_code=doc["bu_code"],
+        ou_code=doc["ou_code"],
+        system_code=doc["system_code"],
+        label_path=tuple(doc["label_path"]),
+        source=doc["source"],
+        cpvs=tuple((k, v) for k, v in cpvs) if cpvs is not None else None,
+    )
 
 
 def read_records(path: str | Path) -> list[ProductRecord]:
-    return [record_from_dict(doc) for doc in read_jsonl(path)]
+    """Records from JSON Lines; a row that is not an object, or lacks one of
+    `RECORD_KEYS`, raises ValueError naming the file, the line and the key."""
+    return [record_from_dict(doc) for doc in read_jsonl(path, required=RECORD_KEYS)]
 
 
 def write_records(path: str | Path, records: list[ProductRecord]) -> None:

@@ -2,8 +2,9 @@
 
 Path mode scores the overlap between predicted and true path node sets, each
 node judged independently of position. Leaf mode compares effective leaves
-(the deepest node of a possibly partial path). Micro pools counts over all
-samples; macro averages per-category scores.
+(the deepest node of a possibly partial path). Both count through one table
+of per-category [tp, fp, fn] (`category_counts`): micro pools its columns,
+macro averages its per-category scores.
 """
 from __future__ import annotations
 
@@ -79,33 +80,58 @@ def _f1(tp: int, pred: int, true: int) -> tuple[float, float, float]:
     return precision, recall, f1
 
 
-def path_counts(pair: EvalPair) -> tuple[int, int, int]:
-    """(overlap, predicted size, true size) over the paths as node sets."""
-    pred = set(pair.predicted_path)
-    true = set(pair.true_path)
-    return len(pred & true), len(pred), len(true)
+MODES = ("path", "leaf")
+
+
+def category_counts(pairs: list[EvalPair], mode: str = "path") -> dict[str, list[int]]:
+    """Per-category [tp, fp, fn] over the pairs.
+
+    Path mode compares the paths as node sets; leaf mode compares their
+    effective leaves. Micro and macro scores both read this table.
+    """
+    if mode not in MODES:
+        raise EvaluationError(f"unknown mode: {mode!r}")
+    nodes = set if mode == "path" else lambda path: {effective_leaf(path)}
+    tallies: dict[str, list[int]] = {}
+    for pair in pairs:
+        pred = nodes(pair.predicted_path)
+        true = nodes(pair.true_path)
+        for slot, codes in enumerate((pred & true, pred - true, true - pred)):
+            for code in codes:
+                tallies.setdefault(code, [0, 0, 0])[slot] += 1
+    return tallies
+
+
+def _micro(tallies: dict[str, list[int]]) -> tuple[float, float, float]:
+    tp = fp = fn = 0
+    for t, p, n in tallies.values():
+        tp, fp, fn = tp + t, fp + p, fn + n
+    return _f1(tp, tp + fp, tp + fn)
+
+
+def _macro(
+    tallies: dict[str, list[int]], taxonomy: Taxonomy, include_absent: bool
+) -> tuple[float, float, float]:
+    categories = sorted(taxonomy.nodes) if include_absent else sorted(tallies)
+    if not categories:
+        return 0.0, 0.0, 0.0
+    scores = []
+    for code in categories:
+        tp, fp, fn = tallies.get(code, (0, 0, 0))
+        scores.append(_f1(tp, tp + fp, tp + fn))
+    return tuple(sum(column) / len(categories) for column in zip(*scores))  # type: ignore[return-value]
 
 
 def micro_f1(pairs: list[EvalPair], mode: str = "path") -> tuple[float, float, float]:
-    """Pooled-count precision/recall/F1 over all samples.
+    """Pooled-count precision/recall/F1 over all samples: `_f1` of the column
+    sums of `category_counts`.
 
     Leaf mode treats each sample as a single-label prediction, so micro
     precision, recall, and F1 all equal leaf accuracy.
     """
     if not pairs:
         raise EvaluationError("micro_f1 needs at least one pair")
-    if mode == "path":
-        tp = pred = true = 0
-        for pair in pairs:
-            t, p, y = path_counts(pair)
-            tp, pred, true = tp + t, pred + p, true + y
-        return _f1(tp, pred, true)
-    if mode == "leaf":
-        hits = sum(
-            1 for pair in pairs if effective_leaf(pair.predicted_path) == effective_leaf(pair.true_path)
-        )
-        return _f1(hits, len(pairs), len(pairs))
-    raise EvaluationError(f"unknown mode: {mode!r}")
+    return _micro(category_counts(pairs, mode))
 
 
 def macro_f1(
@@ -122,47 +148,7 @@ def macro_f1(
     """
     if not pairs:
         raise EvaluationError("macro_f1 needs at least one pair")
-    tallies: dict[str, list[int]] = {}  # code -> [tp, fp, fn]
-
-    def bump(code: str, slot: int) -> None:
-        tallies.setdefault(code, [0, 0, 0])[slot] += 1
-
-    if mode == "path":
-        for pair in pairs:
-            pred = set(pair.predicted_path)
-            true = set(pair.true_path)
-            for code in pred & true:
-                bump(code, 0)
-            for code in pred - true:
-                bump(code, 1)
-            for code in true - pred:
-                bump(code, 2)
-    elif mode == "leaf":
-        for pair in pairs:
-            pred = effective_leaf(pair.predicted_path)
-            true = effective_leaf(pair.true_path)
-            if pred == true:
-                bump(pred, 0)
-            else:
-                bump(pred, 1)
-                bump(true, 2)
-    else:
-        raise EvaluationError(f"unknown mode: {mode!r}")
-
-    if include_absent:
-        categories = sorted(taxonomy.nodes)
-    else:
-        categories = sorted(tallies)
-    if not categories:
-        return 0.0, 0.0, 0.0
-    sums = [0.0, 0.0, 0.0]
-    for code in categories:
-        tp, fp, fn = tallies.get(code, (0, 0, 0))
-        p, r, f1 = _f1(tp, tp + fp, tp + fn)
-        sums[0] += p
-        sums[1] += r
-        sums[2] += f1
-    return tuple(s / len(categories) for s in sums)  # type: ignore[return-value]
+    return _macro(category_counts(pairs, mode), taxonomy, include_absent)
 
 
 def evaluate(
@@ -185,7 +171,9 @@ def evaluate(
     if not pred_rows:
         raise EvaluationError("nothing to evaluate")
 
-    pairs = []
+    # Each pair lands in one depth bucket, so the overall tables are the sums
+    # of the bucket tables: every pair is counted once per mode.
+    buckets: dict[int, list[EvalPair]] = {}
     confidences = []
     for rec_id in sorted(truth_by_id):
         row = pred_by_id[rec_id]
@@ -195,7 +183,7 @@ def evaluate(
         # truth, however, must be a real chain.
         if not is_valid_path(taxonomy, list(rec.label_path)):
             raise EvaluationError(f"truth record {rec_id!r} carries an invalid path")
-        pairs.append(
+        buckets.setdefault(len(rec.label_path), []).append(
             EvalPair(
                 predicted_path=tuple(row["path"]),
                 true_path=tuple(rec.label_path),
@@ -204,16 +192,18 @@ def evaluate(
         )
         confidences.append(float(row.get("leaf_confidence", 0.0)))
 
+    totals: dict[str, dict[str, list[int]]] = {mode: {} for mode in MODES}
     per_depth: dict[int, dict] = {}
-    for depth in sorted({p.true_depth for p in pairs}):
-        bucket = [p for p in pairs if p.true_depth == depth]
-        per_depth[depth] = {
-            "count": len(bucket),
-            "path_macro_f1": macro_f1(bucket, taxonomy, "path", include_absent)[2],
-            "path_micro_f1": micro_f1(bucket, "path")[2],
-            "leaf_macro_f1": macro_f1(bucket, taxonomy, "leaf", include_absent)[2],
-            "leaf_micro_f1": micro_f1(bucket, "leaf")[2],
-        }
+    for depth in sorted(buckets):
+        stats: dict = {"count": len(buckets[depth])}
+        for mode in MODES:
+            tallies = category_counts(buckets[depth], mode)
+            total = totals[mode]
+            for code, counts in tallies.items():
+                total[code] = [a + b for a, b in zip(total.get(code, (0, 0, 0)), counts)]
+            stats[f"{mode}_macro_f1"] = _macro(tallies, taxonomy, include_absent)[2]
+            stats[f"{mode}_micro_f1"] = _micro(tallies)[2]
+        per_depth[depth] = stats
 
     n = len(confidences)
     distinct = sorted(set(confidences))
@@ -221,13 +211,13 @@ def evaluate(
     cdf = [(c, int(k) / n) for c, k in zip(distinct, covered)]
 
     return EvalReport(
-        path_macro_f1=macro_f1(pairs, taxonomy, "path", include_absent)[2],
-        path_micro_f1=micro_f1(pairs, "path")[2],
-        leaf_macro_f1=macro_f1(pairs, taxonomy, "leaf", include_absent)[2],
-        leaf_micro_f1=micro_f1(pairs, "leaf")[2],
+        path_macro_f1=_macro(totals["path"], taxonomy, include_absent)[2],
+        path_micro_f1=_micro(totals["path"])[2],
+        leaf_macro_f1=_macro(totals["leaf"], taxonomy, include_absent)[2],
+        leaf_micro_f1=_micro(totals["leaf"])[2],
         per_depth=per_depth,
         confidence_cdf=tuple(cdf),
-        sample_count=len(pairs),
+        sample_count=n,
     )
 
 

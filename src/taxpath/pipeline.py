@@ -35,10 +35,11 @@ from .semantic import (
     distill_judge,
     label_dev_set,
     save_judge,
+    write_annotations,
 )
 from .taxonomy import Taxonomy
 from .train import LossWeights, TrainConfig, fit
-from .util import atomic_write_text, write_jsonl
+from .util import atomic_write_text
 
 
 class PipelineError(RuntimeError):
@@ -136,13 +137,7 @@ def run_pipeline(
     def stage4():
         annotations = annotate_corpus(kept, judge, taxonomy)
         artifacts["annotated"] = out / "annotated.jsonl"
-        write_jsonl(
-            artifacts["annotated"],
-            (
-                {"id": rec_id, "verdict": lab.verdict, "rationale": lab.rationale}
-                for rec_id, lab in annotations.items()
-            ),
-        )
+        write_annotations(artifacts["annotated"], annotations)
         final_cfg = replace(config.train, seed=seed)
         final = init_model(taxonomy, enc_cfg, config.moe, seed)
         final, _ = fit(final, train_recs, val_recs, taxonomy, annotations, final_cfg, tau_leaf=config.tau_leaf)

@@ -16,7 +16,7 @@ import numpy as np
 from .dataset import ProductRecord
 from .moe import JUDGE_MAGIC, CheckpointError, param_views, read_container, write_container
 from .taxonomy import Taxonomy
-from .util import ConfigError, atomic_write_bytes, config_from_dict, normalize_title, stream_rng
+from .util import ConfigError, atomic_write_bytes, config_from_dict, normalize_title, stream_rng, write_jsonl
 
 VERDICTS = ("Y", "N", "U")
 FEATURE_NAMES = ("leaf_overlap", "ancestor_overlap", "title_length", "popularity")
@@ -282,6 +282,11 @@ def annotate_corpus(
         repeated = next(rec_id for rec_id, n in Counter(rec.id for rec in records).items() if n > 1)
         raise ValueError(f"record id {repeated!r} is not unique")
     return table
+
+
+def write_annotations(path, annotations: dict[str, ConsistencyLabel]) -> None:
+    """One `{"id", "verdict", "rationale"}` JSON line per annotation, in mapping order."""
+    write_jsonl(path, ({"id": i, "verdict": lab.verdict, "rationale": lab.rationale} for i, lab in annotations.items()))
 
 
 def save_judge(judge: JudgeModel, sink) -> None:

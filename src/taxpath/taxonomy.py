@@ -45,7 +45,6 @@ class Taxonomy:
     nodes: dict[str, TaxNode]
     max_depth: int
     per_level_labels: dict[int, tuple[str, ...]]  # sorted codes + NULL, per level
-    children: dict[str, tuple[str, ...]] = field(repr=False, default_factory=dict)
     _fingerprint: str = field(init=False, repr=False, compare=False)
     _chains: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
     _tokens: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
@@ -181,12 +180,7 @@ def build_taxonomy(raw_nodes: list[dict]) -> Taxonomy:
         level: tuple(sorted(c for c, n in nodes.items() if n.level == level)) + (NULL_CODE,)
         for level in range(1, max_depth + 1)
     }
-    return Taxonomy(
-        nodes=nodes,
-        max_depth=max_depth,
-        per_level_labels=per_level,
-        children={c: tuple(sorted(kids)) for c, kids in children.items()},
-    )
+    return Taxonomy(nodes=nodes, max_depth=max_depth, per_level_labels=per_level)
 
 
 def load_taxonomy(source) -> Taxonomy:
@@ -223,13 +217,4 @@ def ancestors(taxonomy: Taxonomy, code: str) -> list[str]:
 
 def is_valid_path(taxonomy: Taxonomy, codes: list[str]) -> bool:
     """True iff `codes` is a nonempty root-to-node chain of parent/child links."""
-    if not codes:
-        return False
-    first = taxonomy.nodes.get(codes[0])
-    if first is None or first.level != 1:
-        return False
-    for parent_code, child_code in zip(codes, codes[1:]):
-        child = taxonomy.nodes.get(child_code)
-        if child is None or child.parent != parent_code:
-            return False
-    return True
+    return bool(codes) and codes[-1] in taxonomy.nodes and taxonomy.chain(codes[-1]) == tuple(codes)

@@ -268,6 +268,28 @@ def test_eval_row_that_is_not_an_object_exits_1(tmp_path, chain_taxonomy, capsys
     assert f"error: {pred}: line 1 is not a JSON object" in capsys.readouterr().err
 
 
+def test_split_records_row_that_is_not_an_object_exits_1(tmp_path, capsys):
+    records = tmp_path / "records.jsonl"
+    records.write_text("[1, 2]\n", encoding="utf-8")
+    assert run("split", "--records", str(records), "--out", str(tmp_path / "splits")) == 1
+    assert f"error: {records}: line 1 is not a JSON object" in capsys.readouterr().err
+
+
+def test_split_records_row_without_title_exits_1_naming_the_key(tmp_path, capsys):
+    cfg = gen_config(tmp_path)
+    data = tmp_path / "data"
+    assert run("gen", "--config", cfg, "--out", str(data)) == 0
+    lines = (data / "records.jsonl").read_text(encoding="utf-8").splitlines()
+    doc = json.loads(lines[1])
+    del doc["title"]
+    lines[1] = json.dumps(doc)
+    records = tmp_path / "records.jsonl"
+    records.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run("split", "--config", cfg, "--records", str(records), "--out", str(tmp_path / "splits")) == 1
+    assert f"error: {records}: the row on line 2 has no 'title' key" in capsys.readouterr().err
+
+
 def test_report_without_sample_count_exits_1_naming_the_key(tmp_path, capsys):
     cfg, data, kept, splits, model, preds, report = full_workflow(tmp_path)
     doc = json.loads(report.read_text())

@@ -11,9 +11,9 @@ from taxpath.metrics import (
     evaluate,
     macro_f1,
     micro_f1,
-    path_counts,
     render_table,
 )
+from taxpath import metrics
 from taxpath.synth import SynthConfig, synth_corpus
 from taxpath.taxonomy import ancestors
 
@@ -23,15 +23,16 @@ def pair(pred, true):
 
 
 def test_path_counts_examples():
-    assert path_counts(pair(["A", "A.1", "A.1.1"], ["A", "A.1", "A.1.2"])) == (2, 3, 3)
-    assert path_counts(pair(["A", "A.1"], ["A", "A.1"])) == (2, 2, 2)
-    assert path_counts(pair(["A"], ["B", "B.1"])) == (0, 1, 2)
+    # one pair: precision = overlap / predicted size, recall = overlap / true size
+    assert micro_f1([pair(["A", "A.1", "A.1.1"], ["A", "A.1", "A.1.2"])], "path")[:2] == (2 / 3, 2 / 3)
+    assert micro_f1([pair(["A", "A.1"], ["A", "A.1"])], "path")[:2] == (2 / 2, 2 / 2)
+    assert micro_f1([pair(["A"], ["B", "B.1"])], "path")[:2] == (0 / 1, 0 / 2)
 
 
 def test_per_sample_f1_from_counts():
-    tp, p, t = path_counts(pair(["A", "A.1", "A.1.1"], ["A", "A.1", "A.1.2"]))
-    precision, recall = tp / p, tp / t
-    f1 = 2 * precision * recall / (precision + recall)
+    precision, recall, f1 = micro_f1([pair(["A", "A.1", "A.1.1"], ["A", "A.1", "A.1.2"])], "path")
+    assert (precision, recall) == (2 / 3, 2 / 3)
+    assert f1 == pytest.approx(2 * precision * recall / (precision + recall))
     assert f1 == pytest.approx(2 / 3)
 
 
@@ -62,6 +63,14 @@ def test_micro_f1_all_correct_and_leaf_mode():
 def test_micro_f1_empty_errors():
     with pytest.raises(EvaluationError):
         micro_f1([], "path")
+
+
+def test_unknown_mode_errors(chain_taxonomy):
+    pairs = [pair(["A"], ["A"])]
+    with pytest.raises(EvaluationError, match="unknown mode"):
+        micro_f1(pairs, "node")
+    with pytest.raises(EvaluationError, match="unknown mode"):
+        macro_f1(pairs, chain_taxonomy, "node")
 
 
 def test_macro_f1_hand_example(chain_taxonomy):
@@ -291,3 +300,51 @@ def test_confidence_cdf_matches_brute_force_with_ties():
         assert list(report.confidence_cdf) == expected
         assert all(type(c) is float and type(f) is float for c, f in report.confidence_cdf)
         assert report.confidence_cdf[-1][1] == 1.0
+
+
+@pytest.mark.parametrize("include_absent", [False, True])
+def test_evaluate_merged_bucket_tables_match_per_pair_scores(include_absent):
+    # evaluate counts each depth bucket once and adds the bucket tables for
+    # the overall scores; both must equal scoring the pairs directly
+    rng = np.random.default_rng(8)
+    taxonomy = synth_corpus(SynthConfig(leaves=12, samples=0, leaf_depth_min=2, leaf_depth_max=5), seed=9).taxonomy
+    for trial in range(60):
+        pairs = random_pairs(taxonomy, rng, int(rng.integers(1, 30)))
+        records = make_records(taxonomy, [p.true_path for p in pairs])
+        report = evaluate(pred_rows_for(records, [p.predicted_path for p in pairs]), records, taxonomy, include_absent)
+        # evaluate visits records in id order, which make_records keeps
+        groups = {"all": pairs}
+        for depth in sorted({p.true_depth for p in pairs}):
+            groups[depth] = [p for p in pairs if p.true_depth == depth]
+        for key, group in groups.items():
+            stats = report.to_dict() if key == "all" else report.per_depth[key]
+            for mode in ("path", "leaf"):
+                micro = micro_f1(group, mode)
+                macro = macro_f1(group, taxonomy, mode, include_absent)
+                assert stats[f"{mode}_micro_f1"] == micro[2]
+                assert stats[f"{mode}_macro_f1"] == macro[2]
+                micro_ref, macro_ref = brute_force_scores(group, mode)
+                if include_absent:  # untouched categories add zeros to the mean
+                    paths = [path for p in group for path in (p.predicted_path, p.true_path)]
+                    touched = {c for path in paths for c in (path if mode == "path" else path[-1:])}
+                    macro_ref = tuple(x * len(touched) / len(taxonomy.nodes) for x in macro_ref)
+                assert micro == pytest.approx(micro_ref, abs=1e-12)
+                assert macro == pytest.approx(macro_ref, abs=1e-12)
+
+
+def test_evaluate_counts_each_pair_once_per_mode(monkeypatch):
+    counted = []
+    original = metrics.category_counts
+
+    def counting(pairs, mode="path"):
+        counted.append(len(pairs))
+        return original(pairs, mode)
+
+    monkeypatch.setattr(metrics, "category_counts", counting)
+    rng = np.random.default_rng(5)
+    taxonomy = synth_corpus(SynthConfig(leaves=12, samples=0, leaf_depth_min=2, leaf_depth_max=5), seed=9).taxonomy
+    pairs = random_pairs(taxonomy, rng, 200)
+    records = make_records(taxonomy, [p.true_path for p in pairs])
+    report = evaluate(pred_rows_for(records, [p.predicted_path for p in pairs]), records, taxonomy)
+    assert len(report.per_depth) > 1
+    assert sum(counted) == 2 * report.sample_count
