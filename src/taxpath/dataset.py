@@ -255,10 +255,24 @@ def record_to_dict(record: ProductRecord) -> dict:
 
 
 RECORD_KEYS = ("id", "title", "category_name", "bu_code", "ou_code", "system_code", "label_path", "source")
+STRING_KEYS = ("title", "category_name", "bu_code", "ou_code", "system_code", "source")
+
+
+def _strings(values) -> bool:
+    """Whether a JSON value is a list of strings."""
+    return isinstance(values, list) and all(isinstance(v, str) for v in values)
 
 
 def record_from_dict(doc: dict) -> ProductRecord:
-    cpvs = doc.get("cpvs")
+    """The record a row holds; a ValueError names the first key whose value has the wrong type."""
+    for key in STRING_KEYS:
+        if not isinstance(doc[key], str):
+            raise ValueError(f"has a non-string {key!r}: {doc[key]!r}")
+    label_path, cpvs = doc["label_path"], doc.get("cpvs")
+    if not _strings(label_path):
+        raise ValueError(f"has a 'label_path' that is not a list of strings: {label_path!r}")
+    if cpvs is not None and not (isinstance(cpvs, list) and all(_strings(p) and len(p) == 2 for p in cpvs)):
+        raise ValueError(f"has a 'cpvs' that is not a list of string pairs: {cpvs!r}")
     return ProductRecord(
         id=str(doc["id"]),
         title=doc["title"],
@@ -266,16 +280,17 @@ def record_from_dict(doc: dict) -> ProductRecord:
         bu_code=doc["bu_code"],
         ou_code=doc["ou_code"],
         system_code=doc["system_code"],
-        label_path=tuple(doc["label_path"]),
+        label_path=tuple(label_path),
         source=doc["source"],
         cpvs=tuple((k, v) for k, v in cpvs) if cpvs is not None else None,
     )
 
 
 def read_records(path: str | Path) -> list[ProductRecord]:
-    """Records from JSON Lines; a row that is not an object, or lacks one of
-    `RECORD_KEYS`, raises ValueError naming the file, the line and the key."""
-    return [record_from_dict(doc) for doc in read_jsonl(path, required=RECORD_KEYS)]
+    """Records from JSON Lines; a row that is not an object, lacks one of
+    `RECORD_KEYS` or holds a value of the wrong type raises ValueError naming
+    the file, the line and the key."""
+    return list(read_jsonl(path, required=RECORD_KEYS, convert=record_from_dict))
 
 
 def write_records(path: str | Path, records: list[ProductRecord]) -> None:

@@ -8,6 +8,7 @@ corpora for consistency-assisted training.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -105,23 +106,25 @@ def label_dev_set(
     return labeled
 
 
-def judge_features(
-    title: str, code: str, taxonomy: Taxonomy, popularity: dict[str, float]
+def judge_feature_matrix(
+    titles: list[str], codes: list[str], taxonomy: Taxonomy, popularity: dict[str, float]
 ) -> np.ndarray:
-    """Overlap statistics the distilled judge scores (see FEATURE_NAMES)."""
-    title_tokens = set(normalize_title(title).split())
-    if not title_tokens:
-        return np.array([0.0, 0.0, 0.0, popularity.get(code, 0.0)])
-    leaf_tokens = taxonomy.definition_tokens(code)
-    anc_tokens = frozenset().union(*map(taxonomy.definition_tokens, taxonomy.chain(code)[:-1]))
-    return np.array(
-        [
-            len(title_tokens & leaf_tokens) / len(title_tokens),
-            len(title_tokens & anc_tokens) / len(title_tokens) if anc_tokens else 0.0,
-            min(1.0, len(title_tokens) / 16.0),
-            popularity.get(code, 0.0),
-        ]
-    )
+    """(N, 4) overlap statistics the distilled judge scores (see FEATURE_NAMES), one
+    row per (title, code) pair; each distinct code's token sets are built once."""
+    code_stats: dict[str, tuple[frozenset[str], frozenset[str], float]] = {}
+    features = array("d")  # packed doubles: no float object outlives its row
+    for title, code in zip(titles, codes):
+        if code not in code_stats:  # an unknown code raises TaxonomyError
+            ancestors = map(taxonomy.definition_tokens, taxonomy.chain(code)[:-1])
+            code_stats[code] = (taxonomy.definition_tokens(code), frozenset().union(*ancestors), popularity.get(code, 0.0))
+        leaf_tokens, anc_tokens, pop = code_stats[code]
+        tokens = set(normalize_title(title).split())
+        n = len(tokens)
+        features.extend(
+            (len(tokens & leaf_tokens) / n, len(tokens & anc_tokens) / n if anc_tokens else 0.0, min(1.0, n / 16.0), pop)
+            if n else (0.0, 0.0, 0.0, pop)
+        )
+    return np.array(features, dtype=np.float64).reshape(-1, len(FEATURE_NAMES))
 
 
 @dataclass
@@ -145,29 +148,31 @@ class JudgeModel:
         if not (np.isfinite(self.weights).all() and np.isfinite(self.bias).all()):
             raise ValueError("judge weights must be finite")
 
-    def score(self, title: str, code: str, taxonomy: Taxonomy) -> float:
-        phi = judge_features(title, code, taxonomy, self.popularity)
-        logits = phi @ self.weights + self.bias
-        probs = np.exp(logits - logits.max())
-        probs /= probs.sum()
-        return float(probs[0] - probs[1])
+    def scores(self, titles: list[str], codes: list[str], taxonomy: Taxonomy) -> np.ndarray:
+        """(N,) P(Y) - P(N) for each (title, code) pair. The stacked `phi[:, None, :] @ W`
+        makes one vector-matrix product per row, which rounds as one pair's `phi @ W`
+        does; an (N, 4) @ (4, 3) product would add the terms in another order."""
+        phi = judge_feature_matrix(titles, codes, taxonomy, self.popularity)
+        logits = (phi[:, None, :] @ self.weights)[:, 0] + self.bias
+        probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        return probs[:, 0] - probs[:, 1]
 
-    def __call__(self, title: str, code: str, taxonomy: Taxonomy) -> ConsistencyLabel:
-        """The judge protocol, shared with `oracle_judge`: `judge(title, code, taxonomy)`."""
-        return self.judge(title, code, taxonomy)
+    def judge_batch(self, titles: list[str], codes: list[str], taxonomy: Taxonomy) -> list[ConsistencyLabel]:
+        """One label per (title, code) pair: Y at or above tau_hi, N at or below tau_lo."""
+        tau_hi, tau_lo = self.tau_hi, self.tau_lo
+        thresholds = f"(tau_hi {tau_hi:.3f}, tau_lo {tau_lo:.3f})"
+        return [
+            ConsistencyLabel(
+                verdict="Y" if s >= tau_hi else "N" if s <= tau_lo else "U",
+                rationale=f"judge score {s:.3f} {thresholds}",
+            )
+            for s in self.scores(titles, codes, taxonomy).tolist()
+        ]
 
     def judge(self, title: str, code: str, taxonomy: Taxonomy) -> ConsistencyLabel:
-        s = self.score(title, code, taxonomy)
-        if s >= self.tau_hi:
-            verdict = "Y"
-        elif s <= self.tau_lo:
-            verdict = "N"
-        else:
-            verdict = "U"
-        return ConsistencyLabel(
-            verdict=verdict,
-            rationale=f"judge score {s:.3f} (tau_hi {self.tau_hi:.3f}, tau_lo {self.tau_lo:.3f})",
-        )
+        """The batch of one."""
+        return self.judge_batch([title], [code], taxonomy)[0]
 
 
 def _code_popularity(codes: list[str]) -> dict[str, float]:
@@ -234,7 +239,7 @@ def distill_judge(
         fit_rows = list(labeled)
 
     popularity = _code_popularity([code for _, code, _ in fit_rows])
-    phi = np.stack([judge_features(t, c, taxonomy, popularity) for t, c, _ in fit_rows])
+    phi = judge_feature_matrix([t for t, _, _ in fit_rows], [c for _, c, _ in fit_rows], taxonomy, popularity)
     target = np.array([VERDICTS.index(l.verdict) for _, _, l in fit_rows])
 
     w = np.zeros((phi.shape[1], 3))
@@ -262,22 +267,24 @@ def distill_judge(
 
     model = JudgeModel(weights=w, bias=b, tau_hi=tau_hi, tau_lo=tau_lo, popularity=popularity)
     check_rows = holdout_rows if holdout_rows else fit_rows
-    hits = sum(
-        1 for t, c, l in check_rows if model.judge(t, c, taxonomy).verdict == l.verdict
-    )
+    judged = model.judge_batch([t for t, _, _ in check_rows], [c for _, c, _ in check_rows], taxonomy)
+    hits = sum(1 for (_, _, l), got in zip(check_rows, judged) if got.verdict == l.verdict)
     model.holdout_agreement = hits / len(check_rows)
     return model
 
 
 def annotate_corpus(
-    records: list[ProductRecord], judge, taxonomy: Taxonomy
+    records: list[ProductRecord], judge: JudgeModel, taxonomy: Taxonomy
 ) -> dict[str, ConsistencyLabel]:
-    """One consistency label per record, `judge(title, effective leaf, taxonomy)`.
+    """One consistency label per record for its (title, effective leaf), all
+    judged in one `judge_batch`.
 
     Output ordering is stable: keys ascend by record id. Records must not
     share an id, since a label is looked up by it.
     """
-    table = {rec.id: judge(rec.title, rec.leaf(), taxonomy) for rec in sorted(records, key=lambda r: r.id)}
+    ordered = sorted(records, key=lambda r: r.id)
+    labels = judge.judge_batch([r.title for r in ordered], [r.leaf() for r in ordered], taxonomy)
+    table = dict(zip((r.id for r in ordered), labels))
     if len(table) < len(records):
         repeated = next(rec_id for rec_id, n in Counter(rec.id for rec in records).items() if n > 1)
         raise ValueError(f"record id {repeated!r} is not unique")

@@ -110,15 +110,22 @@ def level_loss(probs: np.ndarray, target_index) -> np.ndarray:
     return -np.log(np.maximum(pt, PROB_FLOOR))
 
 
+def level_weights(leaf_level, levels: int, omega_c: float) -> np.ndarray:
+    """(L,) weights for an int leaf level or (L, N) for (N,) leaf levels:
+    1 - omega_c at the leaf level, omega_c at every other level."""
+    leaf = np.asarray(leaf_level)
+    if leaf.size and not (1 <= leaf.min() and leaf.max() <= levels):
+        raise IndexError(f"leaf level {leaf_level} out of range 1..{levels}")
+    is_leaf = leaf == np.arange(1, levels + 1).reshape((-1,) + (1,) * leaf.ndim)
+    return np.where(is_leaf, 1.0 - omega_c, omega_c)
+
+
 def hierarchical_loss(level_losses, leaf_level, omega_c: float) -> np.ndarray:
     """omega_c * non-leaf losses + (1 - omega_c) * leaf loss, added level by level from zero,
     over (L,) losses and an int leaf level or (L, N) losses and (N,) leaf levels."""
-    losses, leaf = np.asarray(level_losses, dtype=np.float64), np.asarray(leaf_level)
-    if leaf.size and not (1 <= leaf.min() and leaf.max() <= len(losses)):
-        raise IndexError(f"leaf level {leaf_level} out of range 1..{len(losses)}")
-    is_leaf = leaf == np.arange(1, len(losses) + 1).reshape((-1,) + (1,) * leaf.ndim)
+    losses = np.asarray(level_losses, dtype=np.float64)
     total = 0.0
-    for weighted in np.where(is_leaf, 1.0 - omega_c, omega_c) * losses:
+    for weighted in level_weights(leaf_level, len(losses), omega_c) * losses:
         total = total + weighted
     return total
 
@@ -187,6 +194,7 @@ def backward(
     d_pool = d_sem @ params.semantic_W.T
 
     # Hierarchical branch: one head per level (label spaces differ)
+    level_w = level_weights(targets.leaf_level, levels, omega_c)
     level_losses = np.empty((levels, n))
     d_u = np.empty((levels, n, hidden_dim))  # gradient of each level's mixed hidden state
     for level in range(levels):
@@ -194,8 +202,7 @@ def backward(
         t_idx = targets.indices[:, level]
         level_losses[level] = level_loss(p, t_idx)
         pt = p[ar, t_idx]
-        level_w = np.where(targets.leaf_level == level + 1, 1.0 - omega_c, omega_c)
-        coef = omega_s * level_w / n
+        coef = omega_s * level_w[level] / n
         coef = np.where(pt > PROB_FLOOR, coef, 0.0)
         onehot = np.zeros_like(p)
         onehot[ar, t_idx] = 1.0

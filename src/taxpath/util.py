@@ -5,12 +5,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import re
 import tempfile
 import types
 import typing
 import unicodedata
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -18,13 +19,13 @@ FNV_OFFSET_64 = 0xCBF29CE484222325
 FNV_PRIME_64 = 0x100000001B3
 _MASK_64 = 0xFFFFFFFFFFFFFFFF
 _CANONICAL = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))  # built once, not per call
+# `\w` is str.isalnum() or "_", so this matches the runs of characters where isalnum() holds
+_ALNUM_RUNS = re.compile(r"[^\W_]+")
 
 
 def normalize_title(title: str) -> str:
     """NFKC-normalize, lowercase, squash punctuation runs to single spaces."""
-    text = unicodedata.normalize("NFKC", title).lower()
-    cleaned = [ch if ch.isalnum() else " " for ch in text]
-    return " ".join("".join(cleaned).split())
+    return " ".join(_ALNUM_RUNS.findall(unicodedata.normalize("NFKC", title).lower()))
 
 
 def fnv1a_64(data: str | bytes) -> int:
@@ -76,9 +77,11 @@ def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
     atomic_write_text(path, "".join(line + "\n" for line in lines))
 
 
-def read_jsonl(path: str | Path, required: tuple[str, ...] = ()) -> Iterator[dict]:
+def read_jsonl(path: str | Path, required: tuple[str, ...] = (), convert: Callable[[dict], Any] | None = None) -> Iterator:
     """The rows of a JSON Lines file, blank lines skipped. With `required`,
-    every row must be an object holding those keys."""
+    every row must be an object holding those keys. With `convert`, each row
+    is yielded as `convert(row)`; a ValueError it raises is re-raised naming
+    the file and the line."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -93,6 +96,11 @@ def read_jsonl(path: str | Path, required: tuple[str, ...] = ()) -> Iterator[dic
             for key in required:
                 if key not in row:
                     raise ValueError(f"{path}: the row on line {lineno} has no {key!r} key")
+            if convert is not None:
+                try:
+                    row = convert(row)
+                except ValueError as exc:
+                    raise ValueError(f"{path}: the row on line {lineno} {exc}") from None
             yield row
 
 

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from taxpath.cli import dispatch
 from taxpath.dataset import read_records
@@ -290,6 +291,32 @@ def test_split_records_row_without_title_exits_1_naming_the_key(tmp_path, capsys
     assert f"error: {records}: the row on line 2 has no 'title' key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, key, value, message",
+    [
+        ("cleanse", "title", 3, "has a non-string 'title': 3"),
+        ("split", "cpvs", [1], "has a 'cpvs' that is not a list of string pairs: [1]"),
+    ],
+)
+def test_records_row_with_a_value_of_the_wrong_type_exits_1_naming_the_key(tmp_path, capsys, command, key, value, message):
+    cfg = gen_config(tmp_path)
+    data = tmp_path / "data"
+    assert run("gen", "--config", cfg, "--out", str(data)) == 0
+    lines = (data / "records.jsonl").read_text(encoding="utf-8").splitlines()
+    doc = json.loads(lines[1])
+    doc[key] = value
+    lines[1] = json.dumps(doc)
+    records = tmp_path / "records.jsonl"
+    records.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    args = {"cleanse": ("--taxonomy", str(data / "taxonomy.json"), "--out", str(tmp_path / "kept.jsonl")),
+            "split": ("--out", str(tmp_path / "splits"))}[command]
+    capsys.readouterr()
+    assert run(command, "--config", cfg, "--records", str(records), *args) == 1
+    err = capsys.readouterr().err
+    assert f"error: {records}: the row on line 2 {message}" in err
+    assert "Traceback" not in err
+
+
 def test_report_without_sample_count_exits_1_naming_the_key(tmp_path, capsys):
     cfg, data, kept, splits, model, preds, report = full_workflow(tmp_path)
     doc = json.loads(report.read_text())
@@ -308,10 +335,13 @@ def test_train_with_judge_annotates_each_training_record_once(tmp_path, monkeypa
     assert run("judge", "--config", cfg, "--dev", str(data / "records.jsonl"),
                "--taxonomy", str(data / "taxonomy.json"), "--out", str(judge)) == 0
     calls = []
-    original = JudgeModel.judge
-    monkeypatch.setattr(JudgeModel, "judge", lambda self, *args: calls.append(args) or original(self, *args))
+    original = JudgeModel.judge_batch
+    monkeypatch.setattr(
+        JudgeModel, "judge_batch",
+        lambda self, titles, codes, taxonomy: calls.append(list(zip(titles, codes))) or original(self, titles, codes, taxonomy),
+    )
     assert run("train", "--config", cfg, "--train", str(data / "records.jsonl"),
                "--taxonomy", str(data / "taxonomy.json"), "--judge", str(judge),
                "--out", str(tmp_path / "model.ckpt")) == 0
     records = read_records(data / "records.jsonl")
-    assert sorted(args[:2] for args in calls) == sorted((r.title, r.leaf()) for r in records)
+    assert sorted(pair for batch in calls for pair in batch) == sorted((r.title, r.leaf()) for r in records)

@@ -1,9 +1,12 @@
+import json
+import re
 import string
 
 import numpy as np
 import pytest
 
 from taxpath.dataset import (
+    STRING_KEYS,
     DatasetError,
     ProductRecord,
     ScoredRecord,
@@ -260,6 +263,31 @@ def test_record_jsonl_round_trip(tmp_path):
     path = tmp_path / "records.jsonl"
     write_records(path, corpus.records)
     assert read_records(path) == corpus.records
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [(key, 3, f"has a non-string {key!r}: 3") for key in STRING_KEYS]
+    + [
+        ("title", None, "has a non-string 'title': None"),
+        ("label_path", "A", "has a 'label_path' that is not a list of strings: 'A'"),
+        ("label_path", ["A", 1], "has a 'label_path' that is not a list of strings: ['A', 1]"),
+        ("cpvs", [1], "has a 'cpvs' that is not a list of string pairs: [1]"),
+        ("cpvs", "ab", "has a 'cpvs' that is not a list of string pairs: 'ab'"),
+        ("cpvs", [["k"]], "has a 'cpvs' that is not a list of string pairs: [['k']]"),
+        ("cpvs", [["k", "v", "w"]], "has a 'cpvs' that is not a list of string pairs: [['k', 'v', 'w']]"),
+        ("cpvs", [["k", 2]], "has a 'cpvs' that is not a list of string pairs: [['k', 2]]"),
+        ("cpvs", ["kv"], "has a 'cpvs' that is not a list of string pairs: ['kv']"),
+    ],
+)
+def test_read_records_names_the_line_and_key_of_a_value_of_the_wrong_type(tmp_path, key, value, message):
+    path = tmp_path / "records.jsonl"
+    write_records(path, [rec(0, "a thing", ["A"]), rec(1, "b thing", ["A", "A.1"], cpvs=(("k", "v"),))])
+    rows = list(read_jsonl(path))
+    rows[1][key] = value
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: the row on line 2 {message}")):
+        read_records(path)
 
 
 def test_rejection_report(tmp_path, chain_taxonomy):

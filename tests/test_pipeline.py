@@ -136,16 +136,20 @@ def test_score_records_fields(corpus):
 
 
 def test_pipeline_judges_each_kept_record_once_after_distillation(tmp_path, corpus, monkeypatch):
-    # a call goes through the class attribute `JudgeModel.judge`, so wrapping it sees every one;
+    # a batch goes through the class attribute `JudgeModel.judge_batch`, so wrapping it sees every one;
     # stage 3's holdout check, which ends before the judge is saved, is not counted
     calls, at_save = [], []
-    original = JudgeModel.judge
-    monkeypatch.setattr(JudgeModel, "judge", lambda self, *args: calls.append(args) or original(self, *args))
+    original = JudgeModel.judge_batch
+    monkeypatch.setattr(
+        JudgeModel, "judge_batch",
+        lambda self, titles, codes, taxonomy: calls.append(list(zip(titles, codes))) or original(self, titles, codes, taxonomy),
+    )
     monkeypatch.setattr(pipeline, "save_judge", lambda *args: at_save.append(len(calls)) or save_judge(*args))
     _, artifacts = run_pipeline(corpus.records, corpus.taxonomy, small_pipeline_config(epochs=2), tmp_path / "run")
     kept = read_records(artifacts["cleansed"])
-    assert len(calls) - at_save[0] == len(kept)
-    assert sorted(args[:2] for args in calls[at_save[0]:]) == sorted((r.title, r.leaf()) for r in kept)
+    judged = [pair for batch in calls[at_save[0]:] for pair in batch]
+    assert len(judged) == len(kept)
+    assert sorted(judged) == sorted((r.title, r.leaf()) for r in kept)
 
 
 def test_final_training_reads_the_written_annotations(tmp_path, corpus, monkeypatch):

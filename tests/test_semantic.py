@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from taxpath.dataset import stratified_dev_sample
 from taxpath.encoder import EncoderConfig, build_field_vocabs
@@ -23,13 +25,53 @@ from taxpath.semantic import (
     JudgeModel,
     annotate_corpus,
     distill_judge,
+    judge_feature_matrix,
     label_dev_set,
     load_judge,
     oracle_judge,
     save_judge,
+    write_annotations,
 )
 from taxpath.synth import SynthConfig, synth_corpus
+from taxpath.taxonomy import TaxonomyError
 from taxpath.train import SEMANTIC_CLASS_INDEX, LossWeights, TrainConfig, fit, semantic_targets_for
+from taxpath.util import normalize_title
+
+
+def scalar_features(title, code, taxonomy, popularity):
+    """The per-pair feature rule, kept as the oracle for `judge_feature_matrix`."""
+    title_tokens = set(normalize_title(title).split())
+    if not title_tokens:
+        return np.array([0.0, 0.0, 0.0, popularity.get(code, 0.0)])
+    leaf_tokens = taxonomy.definition_tokens(code)
+    anc_tokens = frozenset().union(*map(taxonomy.definition_tokens, taxonomy.chain(code)[:-1]))
+    return np.array(
+        [
+            len(title_tokens & leaf_tokens) / len(title_tokens),
+            len(title_tokens & anc_tokens) / len(title_tokens) if anc_tokens else 0.0,
+            min(1.0, len(title_tokens) / 16.0),
+            popularity.get(code, 0.0),
+        ]
+    )
+
+
+def scalar_score(judge, title, code, taxonomy):
+    """The per-pair scorer, kept as the oracle for `JudgeModel.scores`."""
+    phi = scalar_features(title, code, taxonomy, judge.popularity)
+    logits = phi @ judge.weights + judge.bias
+    probs = np.exp(logits - logits.max())
+    probs /= probs.sum()
+    return float(probs[0] - probs[1])
+
+
+def scalar_judge(judge, title, code, taxonomy):
+    """The per-pair labeller, kept as the oracle for `JudgeModel.judge_batch`."""
+    s = scalar_score(judge, title, code, taxonomy)
+    verdict = "Y" if s >= judge.tau_hi else "N" if s <= judge.tau_lo else "U"
+    return ConsistencyLabel(
+        verdict=verdict,
+        rationale=f"judge score {s:.3f} (tau_hi {judge.tau_hi:.3f}, tau_lo {judge.tau_lo:.3f})",
+    )
 
 
 def test_oracle_full_overlap_is_yes(chain_taxonomy):
@@ -180,7 +222,7 @@ def test_annotate_corpus_bijective_and_sorted():
 def test_annotate_oracle_vs_distilled_agreement():
     corpus, labeled = oracle_labeled_corpus(seed=37, samples=1000)
     judge = distill_judge(labeled, corpus.taxonomy, seed=3)
-    by_oracle = annotate_corpus(corpus.records, oracle_judge, corpus.taxonomy)
+    by_oracle = {r.id: oracle_judge(r.title, r.leaf(), corpus.taxonomy) for r in corpus.records}
     by_judge = annotate_corpus(corpus.records, judge, corpus.taxonomy)
     agree = sum(
         1 for rid in by_oracle if by_oracle[rid].verdict == by_judge[rid].verdict
@@ -192,19 +234,23 @@ def test_every_judge_is_called_as_judge_title_code_taxonomy(monkeypatch):
     corpus, labeled = oracle_labeled_corpus(seed=41, samples=120)
     judge = distill_judge(labeled, corpus.taxonomy, seed=5)
     records = corpus.records[:40]
-    for rec in records:
-        assert judge(rec.title, rec.leaf(), corpus.taxonomy) == judge.judge(rec.title, rec.leaf(), corpus.taxonomy)
-    for any_judge in (judge, oracle_judge):
-        verdicts = [any_judge(r.title, r.leaf(), corpus.taxonomy).verdict for r in records]
-        expected = np.array([SEMANTIC_CLASS_INDEX[v] for v in verdicts])
-        annotations = annotate_corpus(records, any_judge, corpus.taxonomy)
-        assert np.array_equal(semantic_targets_for(records, annotations), expected)
-    # a call goes through the class attribute `JudgeModel.judge`, so wrapping it sees every one
+    titles, codes = [r.title for r in records], [r.leaf() for r in records]
+    assert judge.judge_batch(titles, codes, corpus.taxonomy) == [
+        judge.judge(t, c, corpus.taxonomy) for t, c in zip(titles, codes)
+    ]
+    verdicts = [judge.judge(r.title, r.leaf(), corpus.taxonomy).verdict for r in records]
+    expected = np.array([SEMANTIC_CLASS_INDEX[v] for v in verdicts])
+    assert np.array_equal(semantic_targets_for(records, annotate_corpus(records, judge, corpus.taxonomy)), expected)
+    # a batch goes through the class attribute `JudgeModel.judge_batch`, so wrapping it sees every one
     calls = []
-    original = JudgeModel.judge
-    monkeypatch.setattr(JudgeModel, "judge", lambda self, *args: calls.append(args) or original(self, *args))
+    original = JudgeModel.judge_batch
+    monkeypatch.setattr(
+        JudgeModel, "judge_batch",
+        lambda self, titles, codes, taxonomy: calls.append(list(zip(titles, codes))) or original(self, titles, codes, taxonomy),
+    )
     semantic_targets_for(records, annotate_corpus(records, judge, corpus.taxonomy))
-    assert len(calls) == len(records)
+    assert len(calls) == 1
+    assert sorted(pair for batch in calls for pair in batch) == sorted(zip(titles, codes))
 
 
 def test_semantic_targets_for_without_annotations_is_all_excluded():
@@ -213,10 +259,67 @@ def test_semantic_targets_for_without_annotations_is_all_excluded():
 
 
 def test_annotate_corpus_rejects_a_repeated_record_id():
-    corpus, _ = oracle_labeled_corpus(seed=41, samples=30)
+    corpus, labeled = oracle_labeled_corpus(seed=41, samples=30)
+    judge = distill_judge(labeled, corpus.taxonomy, seed=5)
     records = corpus.records[:5] + [replace(corpus.records[6], id=corpus.records[2].id)]
     with pytest.raises(ValueError, match=f"{corpus.records[2].id!r} is not unique"):
-        annotate_corpus(records, oracle_judge, corpus.taxonomy)
+        annotate_corpus(records, judge, corpus.taxonomy)
+
+
+ORACLE_TITLES = ["", "!!!", " -- ", "alpha", "Alpha One", "alpha one one things", "beta, one!",
+                 "beta things and more things", "quantum flux", "ALPHA alpha ÄLPHA", "one one one one"]
+
+
+@settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])  # the taxonomy is immutable
+@given(
+    pairs=st.lists(st.tuples(st.sampled_from(ORACLE_TITLES), st.sampled_from(["A", "A.1", "A.1.1", "B", "B.1"])),
+                   max_size=12),
+    weights=st.lists(st.floats(-8.0, 8.0), min_size=15, max_size=15),
+    popularity=st.dictionaries(st.sampled_from(["A", "A.1.1", "B.1"]), st.floats(0.0, 1.0)),
+    tau_lo=st.floats(-1.0, 0.9),
+    gap=st.floats(1e-6, 1.0),
+)
+def test_judge_batch_matches_the_scalar_judge(chain_taxonomy, pairs, weights, popularity, tau_lo, gap):
+    judge = JudgeModel(weights=np.array(weights[:12]).reshape(4, 3), bias=np.array(weights[12:]),
+                       tau_hi=tau_lo + gap, tau_lo=tau_lo, popularity=popularity)
+    titles, codes = [t for t, _ in pairs], [c for _, c in pairs]
+    phi = judge_feature_matrix(titles, codes, chain_taxonomy, popularity)
+    assert phi.shape == (len(pairs), len(FEATURE_NAMES))
+    expected_phi = [scalar_features(t, c, chain_taxonomy, popularity) for t, c in pairs]
+    assert np.array_equal(phi, np.array(expected_phi).reshape(phi.shape))
+    expected = np.array([scalar_score(judge, t, c, chain_taxonomy) for t, c in pairs])
+    assert np.array_equal(judge.scores(titles, codes, chain_taxonomy), expected)
+    assert judge.judge_batch(titles, codes, chain_taxonomy) == [
+        scalar_judge(judge, t, c, chain_taxonomy) for t, c in pairs
+    ]
+
+
+def test_judge_batch_of_a_distilled_judge_matches_the_scalar_judge():
+    corpus, labeled = oracle_labeled_corpus(seed=43, samples=600)
+    judge = distill_judge(labeled, corpus.taxonomy, seed=7)
+    titles, codes = [r.title for r in corpus.records], [r.leaf() for r in corpus.records]
+    expected = np.array([scalar_score(judge, t, c, corpus.taxonomy) for t, c in zip(titles, codes)])
+    assert np.array_equal(judge.scores(titles, codes, corpus.taxonomy), expected)
+    assert judge.judge_batch([], [], corpus.taxonomy) == []
+
+
+def test_judge_batch_rejects_an_unknown_code(chain_taxonomy):
+    judge = JudgeModel(weights=np.ones((4, 3)), bias=np.zeros(3), tau_hi=0.1, tau_lo=-0.1)
+    for title in ("alpha thing", ""):
+        with pytest.raises(TaxonomyError):
+            judge.judge_batch(["alpha", title], ["A", "Z.9"], chain_taxonomy)
+        with pytest.raises(TaxonomyError):
+            judge.judge(title, "Z.9", chain_taxonomy)
+
+
+def test_annotations_file_equals_the_per_record_judge(tmp_path):
+    corpus, labeled = oracle_labeled_corpus(seed=45, samples=400)
+    judge = distill_judge(labeled, corpus.taxonomy, seed=9)
+    write_annotations(tmp_path / "batch.jsonl", annotate_corpus(corpus.records, judge, corpus.taxonomy))
+    per_row = {r.id: scalar_judge(judge, r.title, r.leaf(), corpus.taxonomy)
+               for r in sorted(corpus.records, key=lambda r: r.id)}
+    write_annotations(tmp_path / "per_row.jsonl", per_row)
+    assert (tmp_path / "batch.jsonl").read_bytes() == (tmp_path / "per_row.jsonl").read_bytes()
 
 
 def test_judge_checkpoint_round_trip(chain_taxonomy):
