@@ -21,7 +21,7 @@ class DatasetError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass  # not frozen: a frozen __init__ sets each field through object.__setattr__, µs per record
 class ProductRecord:
     id: str
     title: str

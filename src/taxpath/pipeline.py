@@ -102,6 +102,9 @@ def run_pipeline(
     def stage2():
         spec = replace(config.split, seed=seed)
         train_recs, val_recs, test_recs = split(kept, spec)
+        for name, part in (("train", train_recs), ("val", val_recs), ("test", test_recs)):
+            if not part:
+                raise ValueError(f"the {name} split is empty: {len(kept)} cleansed records are too few to split")
         enc_cfg = replace(
             config.encoder,
             field_vocabs=build_field_vocabs(train_recs, config.encoder.fields),

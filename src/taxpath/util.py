@@ -18,7 +18,9 @@ import numpy as np
 FNV_OFFSET_64 = 0xCBF29CE484222325
 FNV_PRIME_64 = 0x100000001B3
 _MASK_64 = 0xFFFFFFFFFFFFFFFF
-_CANONICAL = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))  # built once, not per call
+# built once, not per call; its callers encode trees built for the call, which hold no cycle
+_CANONICAL = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"), check_circular=False)
+_DECODER = json.JSONDecoder()
 # `\w` is str.isalnum() or "_", so this matches the runs of characters where isalnum() holds
 _ALNUM_RUNS = re.compile(r"[^\W_]+")
 
@@ -87,9 +89,13 @@ def read_jsonl(path: str | Path, required: tuple[str, ...] = (), convert: Callab
             line = line.strip()
             if not line:
                 continue
-            try:
-                row = json.loads(line)
+            try:  # one C scan per line; the errors read as json.loads words them
+                row, end = _DECODER.raw_decode(line)
+                if end != len(line):  # the line is stripped, so this is trailing data
+                    raise json.JSONDecodeError("Extra data", line, len(line) - len(line[end:].lstrip(" \t\n\r")))
             except json.JSONDecodeError as exc:
+                if line.startswith("\ufeff"):
+                    exc = json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
                 raise ValueError(f"{path}: bad JSON on line {lineno}: {exc}") from exc
             if required and not isinstance(row, dict):
                 raise ValueError(f"{path}: line {lineno} is not a JSON object")

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from taxpath.cli import dispatch
-from taxpath.dataset import read_records
+from taxpath.dataset import cleanse, read_records, write_records
 from taxpath.moe import JUDGE_MAGIC, write_container
 from taxpath.semantic import JudgeModel
+from taxpath.taxonomy import load_taxonomy_file
 from taxpath.util import read_jsonl
 
 
@@ -171,6 +172,21 @@ def test_pipeline_subcommand(tmp_path):
     names = {p.name for p in out.iterdir()}
     assert names == {"cleansed.jsonl", "dev.jsonl", "judge.ckpt", "annotated.jsonl",
                      "final.ckpt", "metrics.json", "run_manifest.json"}
+
+
+@pytest.mark.parametrize("n", [3, 1])
+def test_pipeline_on_too_few_records_exits_1_naming_the_empty_split(tmp_path, capsys, n):
+    cfg = gen_config(tmp_path)
+    data = tmp_path / "data"
+    assert run("gen", "--config", cfg, "--out", str(data)) == 0
+    kept, _ = cleanse(read_records(data / "records.jsonl"), load_taxonomy_file(data / "taxonomy.json"))
+    records = tmp_path / "records.jsonl"
+    write_records(records, kept[:n])
+    capsys.readouterr()
+    assert run("pipeline", "--config", cfg, "--records", str(records), "--taxonomy", str(data / "taxonomy.json"),
+               "--out", str(tmp_path / "pipe")) == 1
+    assert "error: stage 2: the val split is empty" in capsys.readouterr().err
+    assert not (tmp_path / "pipe" / "final.ckpt").exists()
 
 
 def test_flag_overrides_config_file(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import string
@@ -263,6 +264,19 @@ def test_record_jsonl_round_trip(tmp_path):
     path = tmp_path / "records.jsonl"
     write_records(path, corpus.records)
     assert read_records(path) == corpus.records
+
+
+def test_product_record_compares_by_value_and_replaces(tmp_path):
+    base = rec(0, "a thing", ["A", "A.1"])
+    assert base == rec(0, "a thing", ["A", "A.1"])
+    assert base != rec(0, "a thing", ["A"])
+    changed = dataclasses.replace(base, title="b thing", cpvs=(("k", "v"),))
+    assert (changed.title, changed.cpvs, changed.label_path) == ("b thing", (("k", "v"),), ("A", "A.1"))
+    assert base.title == "a thing" and base.cpvs is None
+    for records in ([base], [changed], [base, changed], []):
+        path = tmp_path / "records.jsonl"
+        write_records(path, records)
+        assert read_records(path) == records
 
 
 @pytest.mark.parametrize(

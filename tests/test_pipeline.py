@@ -116,11 +116,24 @@ def test_pipeline_pure_hierarchical_equals_stage2(tmp_path, corpus):
 
 def test_pipeline_errors_tagged_with_stage(corpus, tmp_path):
     bad = replace(small_pipeline_config(), split=SplitSpec(0.98, 0.01, 0.01))
-    # with 600 records the dev set stays labelable, so force a stage-3 failure
-    # by cutting the corpus so small that distillation lacks both classes
+    # cut the corpus so small that the val and test splits come out empty
     tiny = corpus.records[:3]
     with pytest.raises(PipelineError, match="stage"):
         run_pipeline(tiny, corpus.taxonomy, bad, tmp_path / "bad")
+
+
+@pytest.mark.parametrize("n, sizes", [(3, [2, 0, 1]), (1, [1, 0, 0])])
+def test_pipeline_names_an_empty_split_before_training(corpus, tmp_path, monkeypatch, n, sizes):
+    kept, _ = cleanse(corpus.records, corpus.taxonomy)
+    config = small_pipeline_config()
+    assert [len(part) for part in split(kept[:n], config.split)] == sizes
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("fit ran")
+
+    monkeypatch.setattr(pipeline, "fit", no_training)
+    with pytest.raises(PipelineError, match=f"^stage 2: the val split is empty: {n} cleansed records are too few"):
+        run_pipeline(kept[:n], corpus.taxonomy, config, tmp_path / "out")
 
 
 def test_score_records_fields(corpus):

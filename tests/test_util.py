@@ -2,10 +2,11 @@ import json
 import sys
 import unicodedata
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from taxpath.util import _ALNUM_RUNS, canonical_json, normalize_title
+from taxpath.util import _ALNUM_RUNS, canonical_json, normalize_title, read_jsonl, write_jsonl
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
@@ -38,3 +39,92 @@ def test_alnum_runs_match_exactly_the_isalnum_code_points():
 @given(title=st.text() | st.text(alphabet="aZ9_-. \t\u00a0\u00c4\u00df\u2460\uff21\u6f22"))
 def test_normalize_title_equals_the_per_character_rule(title):
     assert normalize_title(title) == per_character_normalize_title(title)
+
+
+def json_loads_reader(path):
+    """`read_jsonl` as it read with `json.loads`, kept as the oracle for its one-call decode."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                yield json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: bad JSON on line {lineno}: {exc}") from exc
+
+
+def read_outcome(reader, path):
+    """The rows a reader yields (repr, so NaN and -0.0 compare), or the message it raises."""
+    try:
+        return repr(list(reader(path)))
+    except ValueError as exc:
+        return f"error: {exc}"
+
+
+# unicode whitespace that str.strip() removes and JSON does not accept, beside JSON's own
+odd_space = st.sampled_from([" ", "\t", "  \t ", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028", "\u3000"])
+junk = st.text(alphabet='{}[]",:0123456789.-+eEtrufalsnNI x\\', min_size=1, max_size=6)
+encoded = st.builds(lambda value, ascii: json.dumps(value, ensure_ascii=ascii), json_values, st.booleans())
+json_lines = st.one_of(
+    encoded,
+    st.builds(json.dumps, st.dictionaries(st.text(max_size=4), json_values, max_size=4)),
+    st.builds(lambda text, space, tail: text + space + tail, encoded, odd_space, junk),  # trailing data
+    st.builds(lambda text, cut: text[: max(1, int(len(text) * cut))], encoded, st.floats(0, 1)),  # truncated
+    st.builds(lambda text: "\ufeff" + text, encoded),  # a leading BOM
+    st.builds(lambda space, text: space + text + space, odd_space, encoded),
+    st.sampled_from([
+        "NaN", "-Infinity", '{"a": NaN, "b": Infinity}', '{"a": 1, "a": 2}', '"\\ud800"', '["\\udc00x"]',
+        '{"a": "\\ud83d\\ude00"}', '{"a": 1} {"b": 2}', "[1,]", '{"a" 1}', "tru", "'a'", "01", "-", "", "\ufeff",
+    ]),
+)
+
+
+@settings(max_examples=400, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(json_lines, min_size=1, max_size=4), newline=st.sampled_from(["\n", "\r\n"]))
+def test_read_jsonl_reads_each_line_as_json_loads_does(tmp_path, lines, newline):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(newline.join(lines).encode("utf-8") + newline.encode())
+    assert read_outcome(read_jsonl, path) == read_outcome(json_loads_reader, path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"a": 1}  \t x', "Extra data: line 1 column 13 (char 12)"),
+    ('\ufeff{"a": 1}', "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+])
+def test_read_jsonl_names_the_file_line_and_json_message(tmp_path, text, message):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"ok": true}\n\n' + text + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        list(read_jsonl(path))
+    assert str(info.value) == f"{path}: bad JSON on line 3: {message}"
+
+
+json_objects = st.dictionaries(
+    st.text(max_size=6),
+    st.recursive(
+        st.none() | st.booleans() | st.floats(allow_nan=False) | st.text()
+        | st.integers() | st.integers(min_value=2**53 - 2, max_value=2**70) | st.sampled_from([-0.0, 1e-7, -1e-300]),
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+        max_leaves=20,
+    ),
+    max_size=5,
+)
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.lists(json_objects, max_size=4) | st.lists(st.just({"t": "\u00e9\u6f22\U0001f600", "x": [-0.0, 1e-7, 2**64]}), min_size=1, max_size=2))
+def test_write_jsonl_writes_canonical_lines_that_read_back_equal(tmp_path, rows):
+    path = tmp_path / "rows.jsonl"
+    write_jsonl(path, iter(rows))
+    assert path.read_bytes() == "".join(canonical_json(row) + "\n" for row in rows).encode("utf-8")
+    back = list(read_jsonl(path))
+    assert back == rows
+    assert [canonical_json(row) for row in back] == [canonical_json(row) for row in rows]  # keeps -0.0 and big ints exact
+
+
+def test_write_jsonl_of_no_rows_writes_an_empty_file(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    write_jsonl(path, iter([]))
+    assert path.read_bytes() == b""
+    assert list(read_jsonl(path)) == []
