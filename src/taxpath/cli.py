@@ -121,10 +121,7 @@ def config_document(config: PipelineConfig, synth: SynthConfig) -> dict:
             "train": train, "split": split_doc, "pipeline": doc, "synth": asdict(synth)}
 
 
-def _write_manifest(
-    out_dir: Path, subcommand: str, config: PipelineConfig, synth: SynthConfig, argv: list[str]
-) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _write_manifest(out_dir: Path, subcommand: str, config: PipelineConfig, synth: SynthConfig, argv: list[str]) -> None:
     manifest = {
         "subcommand": subcommand,
         "argv": argv,
@@ -135,59 +132,47 @@ def _write_manifest(
     atomic_write_text(out_dir / "run_manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def cmd_gen(args: argparse.Namespace, argv: list[str]) -> int:
-    seed, config, synth = load_config(read_config(args))
+def cmd_gen(args: argparse.Namespace, config: PipelineConfig, synth: SynthConfig) -> Path:
     out_dir = Path(args.out)
-    corpus = synth_corpus(synth, seed)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    corpus = synth_corpus(synth, config.seed)
     atomic_write_bytes(out_dir / "taxonomy.json", corpus.taxonomy.to_json_bytes())
     write_records(out_dir / "records.jsonl", corpus.records)
-    _write_manifest(out_dir, "gen", config, synth, argv)
     log.info("generated %d nodes, %d records", len(corpus.taxonomy.nodes), len(corpus.records))
-    return 0
+    return out_dir
 
 
-def cmd_cleanse(args: argparse.Namespace, argv: list[str]) -> int:
-    _, config, synth = load_config(read_config(args))
+def cmd_cleanse(args: argparse.Namespace, config: PipelineConfig, synth: SynthConfig) -> Path:
     taxonomy = load_taxonomy_file(args.taxonomy)
     records = read_records(args.records)
     kept, rejected = cleanse(records, taxonomy)
     out = Path(args.out)
     write_records(out, kept)
-    rejected_path = Path(args.rejected) if args.rejected else out.parent / "rejected.jsonl"
-    write_rejections(rejected_path, rejected)
-    _write_manifest(out.parent, "cleanse", config, synth, argv)
+    write_rejections(args.rejected or out.parent / "rejected.jsonl", rejected)
     log.info("kept %d records, rejected %d", len(kept), len(rejected))
-    return 0
+    return out.parent
 
 
-def cmd_split(args: argparse.Namespace, argv: list[str]) -> int:
-    _, config, synth = load_config(read_config(args))
+def cmd_split(args: argparse.Namespace, config: PipelineConfig, synth: SynthConfig) -> Path:
     records = read_records(args.records)
     train_recs, val_recs, test_recs = split(records, config.split)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_records(out_dir / "train.jsonl", train_recs)
     write_records(out_dir / "val.jsonl", val_recs)
     write_records(out_dir / "test.jsonl", test_recs)
-    _write_manifest(out_dir, "split", config, synth, argv)
     log.info("split %d -> %d/%d/%d", len(records), len(train_recs), len(val_recs), len(test_recs))
-    return 0
+    return out_dir
 
 
-def cmd_pipeline(args: argparse.Namespace, argv: list[str]) -> int:
-    _, config, synth = load_config(read_config(args))
+def cmd_pipeline(args: argparse.Namespace, config: PipelineConfig, synth: SynthConfig) -> Path:
     taxonomy = load_taxonomy_file(args.taxonomy)
     records = read_records(args.records)
     _, artifacts = run_pipeline(records, taxonomy, config, args.out)
-    _write_manifest(Path(args.out), "pipeline", config, synth, argv)
     for name, path in artifacts.items():
         log.info("artifact %s: %s", name, path)
-    return 0
+    return Path(args.out)
 
 
-def cmd_train(args: argparse.Namespace, argv: list[str]) -> int:
-    seed, config, synth = load_config(read_config(args))
+def cmd_train(args: argparse.Namespace, config: PipelineConfig, synth: SynthConfig) -> Path:
     taxonomy = load_taxonomy_file(args.taxonomy)
     train_recs = read_records(args.train)
     val_recs = read_records(args.val) if args.val else []
@@ -195,67 +180,56 @@ def cmd_train(args: argparse.Namespace, argv: list[str]) -> int:
     if not enc.field_vocabs:
         enc = replace(enc, field_vocabs=build_field_vocabs(train_recs, enc.fields))
     annotations = annotate_corpus(train_recs, load_judge(args.judge), taxonomy) if args.judge else None
-    model = init_model(taxonomy, enc, config.moe, seed)
+    model = init_model(taxonomy, enc, config.moe, config.seed)
     model, logs = fit(model, train_recs, val_recs, taxonomy, annotations, config.train, tau_leaf=config.tau_leaf)
     out = Path(args.out)
     save_checkpoint(model, out)
     if args.log:
         write_jsonl(args.log, logs)
-    _write_manifest(out.parent, "train", config, synth, argv)
     if logs:
         log.info("final epoch: %s", logs[-1])
-    return 0
+    return out.parent
 
 
-def cmd_judge(args: argparse.Namespace, argv: list[str]) -> int:
-    seed, config, synth = load_config(read_config(args))
+def cmd_judge(args: argparse.Namespace, config: PipelineConfig, synth: SynthConfig) -> Path:
     taxonomy = load_taxonomy_file(args.taxonomy)
     dev = read_records(args.dev)
     labeled = label_dev_set(dev, taxonomy, config.oracle_y_threshold, config.oracle_n_threshold)
-    judge = distill_judge(labeled, taxonomy, seed)
+    judge = distill_judge(labeled, taxonomy, config.seed)
     out = Path(args.out)
     save_judge(judge, out)
     print(f"judge holdout agreement: {judge.holdout_agreement:.4f}")
     if args.annotate:
-        records = read_records(args.annotate)
-        annotations = annotate_corpus(records, judge, taxonomy)
-        target = args.annotations or str(out.parent / "annotations.jsonl")
-        write_annotations(target, annotations)
-    _write_manifest(out.parent, "judge", config, synth, argv)
-    return 0
+        annotations = annotate_corpus(read_records(args.annotate), judge, taxonomy)
+        write_annotations(args.annotations or out.parent / "annotations.jsonl", annotations)
+    return out.parent
 
 
-def cmd_predict(args: argparse.Namespace, argv: list[str]) -> int:
-    _, config, synth = load_config(read_config(args))
+def cmd_predict(args: argparse.Namespace, config: PipelineConfig, synth: SynthConfig) -> Path:
     taxonomy = load_taxonomy_file(args.taxonomy)
     records = read_records(args.records)
     model = load_checkpoint(args.model, taxonomy)
     preds = predict_batch(model, records, taxonomy, tau_leaf=config.tau_leaf, use_repath=args.repath)
     out = Path(args.out)
     write_predictions(out, [r.id for r in records], preds)
-    _write_manifest(out.parent, "predict", config, synth, argv)
     log.info("predicted %d records", len(records))
-    return 0
+    return out.parent
 
 
-def cmd_repath(args: argparse.Namespace, argv: list[str]) -> int:
-    _, config, synth = load_config(read_config(args))
+def cmd_repath(args: argparse.Namespace, config: PipelineConfig, synth: SynthConfig) -> Path:
     taxonomy = load_taxonomy_file(args.taxonomy)
-    rows = read_predictions(args.pred)
     out_rows = []
-    for row in rows:
+    for row in read_predictions(args.pred):
         chain = leaf_chain(taxonomy, row["leaf"])
         if chain is not None:
             row = dict(row, path=list(chain), mode=MODE_REPATHED)
         out_rows.append(row)
     out = Path(args.out)
     write_jsonl(out, out_rows)
-    _write_manifest(out.parent, "repath", config, synth, argv)
-    return 0
+    return out.parent
 
 
-def cmd_eval(args: argparse.Namespace, argv: list[str]) -> int:
-    _, config, synth = load_config(read_config(args))
+def cmd_eval(args: argparse.Namespace, config: PipelineConfig, synth: SynthConfig) -> Path:
     taxonomy = load_taxonomy_file(args.taxonomy)
     pred_rows = read_predictions(args.pred)
     truth = read_records(args.truth)
@@ -263,14 +237,11 @@ def cmd_eval(args: argparse.Namespace, argv: list[str]) -> int:
     out = Path(args.out)
     write_report(out, report)
     print(render_table(report))
-    _write_manifest(out.parent, "eval", config, synth, argv)
-    return 0
+    return out.parent
 
 
-def cmd_report(args: argparse.Namespace, argv: list[str]) -> int:
-    with open(args.report, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    report = EvalReport.from_dict(doc)
+def cmd_report(args: argparse.Namespace) -> None:
+    report = EvalReport.from_dict(json.loads(Path(args.report).read_text(encoding="utf-8")))
     print(render_table(report))
     if report.per_depth:
         print("\nper-depth (path micro F1 %):")
@@ -278,7 +249,6 @@ def cmd_report(args: argparse.Namespace, argv: list[str]) -> int:
             print(f"  depth {depth}: {100 * stats['path_micro_f1']:.2f}  (n={stats['count']})")
     if args.cdf_csv:
         write_cdf_csv(args.cdf_csv, report)
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -365,6 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Subcommands that run under a config; each returns the directory its run manifest goes in.
 HANDLERS = {
     "gen": cmd_gen,
     "cleanse": cmd_cleanse,
@@ -375,7 +346,6 @@ HANDLERS = {
     "predict": cmd_predict,
     "repath": cmd_repath,
     "eval": cmd_eval,
-    "report": cmd_report,
 }
 
 
@@ -394,7 +364,13 @@ def dispatch(argv: list[str]) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return HANDLERS[args.command](args, argv)
+        if args.command == "report":
+            cmd_report(args)
+        else:
+            _, config, synth = load_config(read_config(args))
+            out_dir = HANDLERS[args.command](args, config, synth)
+            _write_manifest(out_dir, args.command, config, synth, argv)
+        return 0
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .taxonomy import Taxonomy, build_taxonomy, is_valid_path
-from .util import normalize_title, read_jsonl, stream_rng, write_jsonl
+from .util import normalize_title, read_jsonl, stream_rng, tokenize, write_jsonl
 
 REJECT_EMPTY_TITLE = "empty-title"
 REJECT_UNKNOWN_CODE = "unknown-code"
@@ -258,7 +258,7 @@ RECORD_KEYS = ("id", "title", "category_name", "bu_code", "ou_code", "system_cod
 STRING_KEYS = ("title", "category_name", "bu_code", "ou_code", "system_code", "source")
 
 
-def _strings(values) -> bool:
+def is_string_list(values) -> bool:
     """Whether a JSON value is a list of strings."""
     return isinstance(values, list) and all(isinstance(v, str) for v in values)
 
@@ -269,9 +269,9 @@ def record_from_dict(doc: dict) -> ProductRecord:
         if not isinstance(doc[key], str):
             raise ValueError(f"has a non-string {key!r}: {doc[key]!r}")
     label_path, cpvs = doc["label_path"], doc.get("cpvs")
-    if not _strings(label_path):
+    if not is_string_list(label_path):
         raise ValueError(f"has a 'label_path' that is not a list of strings: {label_path!r}")
-    if cpvs is not None and not (isinstance(cpvs, list) and all(_strings(p) and len(p) == 2 for p in cpvs)):
+    if cpvs is not None and not (isinstance(cpvs, list) and all(is_string_list(p) and len(p) == 2 for p in cpvs)):
         raise ValueError(f"has a 'cpvs' that is not a list of string pairs: {cpvs!r}")
     return ProductRecord(
         id=str(doc["id"]),
@@ -302,7 +302,7 @@ def write_rejections(path: str | Path, rejected: list[tuple[ProductRecord, str]]
 
 
 def _slug(label: str) -> str:
-    return "-".join(normalize_title(label).split()) or "blank"
+    return "-".join(tokenize(label)) or "blank"
 
 
 def load_wos(path: str | Path) -> tuple[Taxonomy, list[ProductRecord]]:

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import ProductRecord, normalize_title
-from .util import fnv1a_64
+from .dataset import ProductRecord
+from .util import fnv1a_64, tokenize
 
 UNK = "<unk>"
 
@@ -52,16 +52,19 @@ def build_field_vocabs(records: list[ProductRecord], fields: tuple[str, ...]) ->
 
 
 def token_buckets(text: str, hash_buckets: int) -> np.ndarray:
-    tokens = normalize_title(text).split()
-    return np.array([fnv1a_64(tok) % hash_buckets for tok in tokens], dtype=np.int64)
+    return np.array([fnv1a_64(tok) % hash_buckets for tok in tokenize(text)], dtype=np.int64)
+
+
+def cpv_token(key: str, value: str) -> str:
+    """A CPV pair as one title token: `key=value`, each side's tokens joined by `_`."""
+    return "_".join(tokenize(key)) + "=" + "_".join(tokenize(value))
 
 
 def title_buckets(record: ProductRecord, hash_buckets: int) -> np.ndarray:
     """Title token buckets, with CPV pairs folded in as key=value tokens."""
     buckets = list(token_buckets(record.title, hash_buckets))
     for key, value in record.cpvs or ():
-        token = f"{normalize_title(key)}={normalize_title(value)}".replace(" ", "_")
-        buckets.append(fnv1a_64(token) % hash_buckets)
+        buckets.append(fnv1a_64(cpv_token(key, value)) % hash_buckets)
     return np.array(buckets, dtype=np.int64)
 
 
@@ -143,8 +146,7 @@ def prepare_records(records: list[ProductRecord], config: EncoderConfig) -> Prep
     def cpv_bucket(pair: tuple[str, str]) -> int:
         b = cpv_buckets.get(pair)
         if b is None:
-            key, value = pair
-            b = cpv_buckets[pair] = bucket(f"{normalize_title(key)}={normalize_title(value)}".replace(" ", "_"))
+            b = cpv_buckets[pair] = bucket(cpv_token(*pair))
         return b
 
     title_tok: list[int] = []
@@ -155,7 +157,7 @@ def prepare_records(records: list[ProductRecord], config: EncoderConfig) -> Prep
     for rec in records:
         cat = cat_lists.get(rec.category_name)
         if cat is None:
-            cat = cat_lists[rec.category_name] = [bucket(t) for t in normalize_title(rec.category_name).split()]
+            cat = cat_lists[rec.category_name] = [bucket(t) for t in tokenize(rec.category_name)]
         cat_tok += cat
         cat_len.append(len(cat))
         values = tuple(getattr(rec, name) for name in config.fields)
@@ -164,7 +166,7 @@ def prepare_records(records: list[ProductRecord], config: EncoderConfig) -> Prep
             row = field_rows[values] = tuple(field_index(config, name, v) for name, v in zip(config.fields, values))
         field_idx.append(row)
         start = len(title_tok)
-        title_tok += [bucket(t) for t in normalize_title(rec.title).split()]
+        title_tok += [bucket(t) for t in tokenize(rec.title)]
         title_tok += [cpv_bucket(tuple(pair)) for pair in rec.cpvs or ()]
         title_len.append(len(title_tok) - start)
     return PreparedRecords(

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import ProductRecord
+from .dataset import ProductRecord, is_string_list
 from .encoder import EncodedBatch, assemble_batch, prepare_records
 from .moe import CheckpointError, MoEModel, forward_batch
 from .taxonomy import NULL_CODE, Taxonomy
@@ -216,6 +216,20 @@ def write_predictions(path: str | Path, ids: list[str], preds: Predictions | lis
     write_jsonl(path, (prediction_to_dict(i, p) for i, p in zip(ids, preds)))
 
 
+def check_prediction(row: dict) -> dict:
+    """`row` itself; a ValueError names the first key whose value has a type scoring cannot read."""
+    path, leaf = row["path"], row["leaf"]
+    if not is_string_list(path):
+        raise ValueError(f"has a 'path' that is not a list of strings: {path!r}")
+    if not isinstance(leaf, str):
+        raise ValueError(f"has a non-string 'leaf': {leaf!r}")
+    confidence = row.get("leaf_confidence", 0.0)
+    if not isinstance(confidence, (int, float)) or isinstance(confidence, bool):
+        raise ValueError(f"has a 'leaf_confidence' that is not a number: {confidence!r}")
+    return row
+
+
 def read_predictions(path: str | Path) -> list[dict]:
-    """Prediction rows, each an object with at least `id`, `path` and `leaf`."""
-    return list(read_jsonl(path, required=("id", "path", "leaf")))
+    """Prediction rows, each an object with `id`, `path` and `leaf`, checked by
+    `check_prediction`; a bad row raises ValueError naming the file, the line and the key."""
+    return list(read_jsonl(path, required=("id", "path", "leaf"), convert=check_prediction))

@@ -29,7 +29,7 @@ import numpy as np
 
 from .encoder import EncodedBatch, EncoderConfig
 from .taxonomy import NULL_CODE, Taxonomy
-from .util import ConfigError, atomic_write_bytes, config_from_dict, config_object, config_value, stream_rng
+from .util import ConfigError, config_from_dict, config_object, config_value, read_blob, stream_rng, write_blob
 
 CHECKPOINT_MAGIC = b"TAXN"
 JUDGE_MAGIC = b"TXNJ"
@@ -264,7 +264,6 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
 class ForwardCache:
     """Batched activations retained for the backward pass."""
 
-    batch: EncodedBatch
     gates: np.ndarray  # (L, B, E)
     tanh_out: np.ndarray | None  # (L*E, B, H); None from the forward-only pass
     expert_out: np.ndarray | None  # (L*E, B, H); None from the forward-only pass
@@ -288,7 +287,7 @@ def forward_batch(model: MoEModel, batch: EncodedBatch, for_backward: bool = Tru
     n = batch.dense.shape[0]
     chunks = -(-n // FORWARD_CHUNK_ROWS)
     if for_backward or chunks <= 1:
-        return _forward(model, batch, batch.dense, batch.routing, for_backward)
+        return _forward(model, batch.dense, batch.routing, for_backward)
     cfg = model.moe_config
     gates = np.empty((cfg.levels, n, cfg.experts_per_level))
     probs = [np.empty((n, len(labels))) for labels in model.level_labels]
@@ -296,20 +295,18 @@ def forward_batch(model: MoEModel, batch: EncodedBatch, for_backward: bool = Tru
     semantic_probs = np.empty((n, cfg.semantic_classes))
     bounds = [n * i // chunks for i in range(chunks + 1)]
     for lo, hi in zip(bounds, bounds[1:]):
-        part = _forward(model, batch, batch.dense[lo:hi], batch.routing[lo:hi], False)
+        part = _forward(model, batch.dense[lo:hi], batch.routing[lo:hi], False)
         gates[:, lo:hi] = part.gates
         for whole, rows in zip(probs, part.probs):
             whole[lo:hi] = rows
         pool[lo:hi] = part.pool
         semantic_probs[lo:hi] = part.semantic_probs
         del part  # before the next chunk's activations exist
-    return ForwardCache(batch, gates, None, None, None, probs, pool, semantic_probs)
+    return ForwardCache(gates, None, None, None, probs, pool, semantic_probs)
 
 
-def _forward(
-    model: MoEModel, batch: EncodedBatch, dense: np.ndarray, routing: np.ndarray, for_backward: bool
-) -> ForwardCache:
-    """One pass over the rows `dense`/`routing` of `batch`."""
+def _forward(model: MoEModel, dense: np.ndarray, routing: np.ndarray, for_backward: bool) -> ForwardCache:
+    """One pass over the rows `dense`/`routing` of a batch."""
     cfg = model.moe_config
     levels, experts = cfg.levels, cfg.experts_per_level
     s = model.stacks
@@ -336,7 +333,7 @@ def _forward(
     semantic_probs = softmax(pool @ s.semantic_W + s.semantic_b)
     if not for_backward:
         expert_out = hidden = None
-    return ForwardCache(batch, gates, tanh_out, expert_out, hidden, probs, pool, semantic_probs)
+    return ForwardCache(gates, tanh_out, expert_out, hidden, probs, pool, semantic_probs)
 
 
 # --- checkpoint container (shared by model and judge checkpoints) ---
@@ -397,21 +394,12 @@ def save_checkpoint(model: MoEModel, sink) -> None:
         "taxonomy_hash": model.taxonomy_hash,
         "level_labels": [list(labels) for labels in model.level_labels],
     }
-    blob = write_container(CHECKPOINT_MAGIC, meta, model.params)
-    if hasattr(sink, "write"):
-        sink.write(blob)
-    else:
-        atomic_write_bytes(sink, blob)
+    write_blob(sink, write_container(CHECKPOINT_MAGIC, meta, model.params))
 
 
 def load_checkpoint(source, taxonomy: Taxonomy | None = None) -> MoEModel:
     """Load a model checkpoint; verifies the taxonomy hash when one is given."""
-    if hasattr(source, "read"):
-        blob = source.read()
-    else:
-        with open(source, "rb") as fh:
-            blob = fh.read()
-    meta, manifest, flat = read_container(blob, CHECKPOINT_MAGIC)
+    meta, manifest, flat = read_container(read_blob(source), CHECKPOINT_MAGIC)
     try:
         encoder_config = config_from_dict(EncoderConfig, meta.get("encoder_config"), "encoder_config")
         moe_config = config_from_dict(MoEConfig, meta.get("moe_config"), "moe_config")

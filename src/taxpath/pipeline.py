@@ -42,6 +42,11 @@ from .train import LossWeights, TrainConfig, fit
 from .util import atomic_write_text
 
 
+# The artifacts of a run, name -> file name, in the order the stages write them.
+ARTIFACTS = {"cleansed": "cleansed.jsonl", "dev": "dev.jsonl", "judge": "judge.ckpt",
+             "annotated": "annotated.jsonl", "final": "final.ckpt", "metrics": "metrics.json"}
+
+
 class PipelineError(RuntimeError):
     pass
 
@@ -77,91 +82,55 @@ def run_pipeline(
     config: PipelineConfig,
     out_dir: str | Path,
 ) -> tuple[MoEModel, dict[str, Path]]:
-    """Run all four stages; returns the final model and the artifact paths."""
+    """Run all four stages; returns the final model and the artifact paths.
+
+    An exception inside a stage is raised again as a PipelineError naming it."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    artifacts: dict[str, Path] = {}
-    seed = config.seed
-
-    def stage(index: int, fn):
-        try:
-            return fn()
-        except Exception as exc:
-            raise PipelineError(f"stage {index}: {exc}") from exc
-
-    # Stage 1: cleanse
-    def stage1():
-        kept, _rejected = cleanse(raw_records, taxonomy)
-        artifacts["cleansed"] = out / "cleansed.jsonl"
+    artifacts = {name: out / file for name, file in ARTIFACTS.items()}
+    seed, tau_leaf = config.seed, config.tau_leaf
+    stage = 1
+    try:
+        # Stage 1: cleanse
+        kept = cleanse(raw_records, taxonomy)[0]
         write_records(artifacts["cleansed"], kept)
-        return kept
 
-    kept = stage(1, stage1)
-
-    # Stage 2: preliminary model, scoring, stratified dev set
-    def stage2():
-        spec = replace(config.split, seed=seed)
-        train_recs, val_recs, test_recs = split(kept, spec)
+        # Stage 2: preliminary model, scoring, stratified dev set
+        stage = 2
+        train_recs, val_recs, test_recs = split(kept, replace(config.split, seed=seed))
         for name, part in (("train", train_recs), ("val", val_recs), ("test", test_recs)):
             if not part:
                 raise ValueError(f"the {name} split is empty: {len(kept)} cleansed records are too few to split")
-        enc_cfg = replace(
-            config.encoder,
-            field_vocabs=build_field_vocabs(train_recs, config.encoder.fields),
-        )
-        prelim_cfg = replace(
-            config.train,
-            seed=seed,
-            loss_weights=replace(config.train.loss_weights, omega_s=1.0),
-        )
+        enc_cfg = replace(config.encoder, field_vocabs=build_field_vocabs(train_recs, config.encoder.fields))
+        prelim_cfg = replace(config.train, seed=seed, loss_weights=replace(config.train.loss_weights, omega_s=1.0))
         prelim = init_model(taxonomy, enc_cfg, config.moe, seed)
-        prelim, _ = fit(prelim, train_recs, val_recs, taxonomy, None, prelim_cfg, tau_leaf=config.tau_leaf)
-        scored = score_records(prelim, kept, taxonomy, config.tau_leaf)
-        dev = stratified_dev_sample(
-            scored, config.confidence_threshold, config.high_conf_fraction, seed
-        )
-        artifacts["dev"] = out / "dev.jsonl"
+        prelim = fit(prelim, train_recs, val_recs, taxonomy, None, prelim_cfg, tau_leaf=tau_leaf)[0]
+        scored = score_records(prelim, kept, taxonomy, tau_leaf)
+        dev = stratified_dev_sample(scored, config.confidence_threshold, config.high_conf_fraction, seed)
         write_records(artifacts["dev"], dev)
-        return train_recs, val_recs, test_recs, enc_cfg, dev
 
-    train_recs, val_recs, test_recs, enc_cfg, dev = stage(2, stage2)
-
-    # Stage 3: oracle labels on the dev set, judge distillation
-    def stage3():
+        # Stage 3: oracle labels on the dev set, judge distillation
+        stage = 3
         labeled = label_dev_set(dev, taxonomy, config.oracle_y_threshold, config.oracle_n_threshold)
         judge = distill_judge(labeled, taxonomy, seed)
-        artifacts["judge"] = out / "judge.ckpt"
         save_judge(judge, artifacts["judge"])
-        return judge
+        del prelim, scored, labeled  # freed before the final model trains
 
-    judge = stage(3, stage3)
-
-    # Stage 4: annotate the corpus, train the final model, evaluate
-    def stage4():
+        # Stage 4: annotate the corpus, train the final model, evaluate
+        stage = 4
         annotations = annotate_corpus(kept, judge, taxonomy)
-        artifacts["annotated"] = out / "annotated.jsonl"
         write_annotations(artifacts["annotated"], annotations)
-        final_cfg = replace(config.train, seed=seed)
         final = init_model(taxonomy, enc_cfg, config.moe, seed)
-        final, _ = fit(final, train_recs, val_recs, taxonomy, annotations, final_cfg, tau_leaf=config.tau_leaf)
-        artifacts["final"] = out / "final.ckpt"
+        final = fit(final, train_recs, val_recs, taxonomy, annotations, replace(config.train, seed=seed),
+                    tau_leaf=tau_leaf)[0]
         save_checkpoint(final, artifacts["final"])
 
-        preds = predict_batch(final, test_recs, taxonomy, config.tau_leaf, use_repath=False)
+        preds = predict_batch(final, test_recs, taxonomy, tau_leaf, use_repath=False)
         base = evaluate([prediction_to_dict(r.id, p) for r, p in zip(test_recs, preds)], test_recs, taxonomy)
         preds_rp = repath(preds, taxonomy)
         rp = evaluate([prediction_to_dict(r.id, p) for r, p in zip(test_recs, preds_rp)], test_recs, taxonomy)
-        artifacts["metrics"] = out / "metrics.json"
-        atomic_write_text(
-            artifacts["metrics"],
-            json.dumps(
-                {"test": {"base": base.to_dict(), "repath": rp.to_dict()}},
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n",
-        )
-        return final
-
-    final = stage(4, stage4)
+        report = {"test": {"base": base.to_dict(), "repath": rp.to_dict()}}
+        atomic_write_text(artifacts["metrics"], json.dumps(report, indent=2, sort_keys=True) + "\n")
+    except Exception as exc:
+        raise PipelineError(f"stage {stage}: {exc}") from exc
     return final, artifacts

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import ProductRecord
-from .moe import JUDGE_MAGIC, CheckpointError, param_views, read_container, write_container
+from .moe import JUDGE_MAGIC, CheckpointError, param_views, read_container, softmax, write_container
 from .taxonomy import Taxonomy
-from .util import ConfigError, atomic_write_bytes, config_from_dict, normalize_title, stream_rng, write_jsonl
+from .util import ConfigError, config_from_dict, read_blob, stream_rng, tokenize, write_blob, write_jsonl
 
 VERDICTS = ("Y", "N", "U")
 FEATURE_NAMES = ("leaf_overlap", "ancestor_overlap", "title_length", "popularity")
@@ -50,7 +50,7 @@ def oracle_judge(
     """Expert stand-in: verdict from the share of title tokens found in the
     code's name + definition. Y above `y_threshold`, N at or below
     `n_threshold`, U between."""
-    title_tokens = set(normalize_title(title).split())
+    title_tokens = set(tokenize(title))
     def_tokens = taxonomy.definition_tokens(code)
     matched = sorted(title_tokens & def_tokens)
     s = len(matched) / len(title_tokens) if title_tokens else 0.0
@@ -118,7 +118,7 @@ def judge_feature_matrix(
             ancestors = map(taxonomy.definition_tokens, taxonomy.chain(code)[:-1])
             code_stats[code] = (taxonomy.definition_tokens(code), frozenset().union(*ancestors), popularity.get(code, 0.0))
         leaf_tokens, anc_tokens, pop = code_stats[code]
-        tokens = set(normalize_title(title).split())
+        tokens = set(tokenize(title))
         n = len(tokens)
         features.extend(
             (len(tokens & leaf_tokens) / n, len(tokens & anc_tokens) / n if anc_tokens else 0.0, min(1.0, n / 16.0), pop)
@@ -153,9 +153,7 @@ class JudgeModel:
         makes one vector-matrix product per row, which rounds as one pair's `phi @ W`
         does; an (N, 4) @ (4, 3) product would add the terms in another order."""
         phi = judge_feature_matrix(titles, codes, taxonomy, self.popularity)
-        logits = (phi[:, None, :] @ self.weights)[:, 0] + self.bias
-        probs = np.exp(logits - logits.max(axis=1, keepdims=True))
-        probs /= probs.sum(axis=1, keepdims=True)
+        probs = softmax((phi[:, None, :] @ self.weights)[:, 0] + self.bias)
         return probs[:, 0] - probs[:, 1]
 
     def judge_batch(self, titles: list[str], codes: list[str], taxonomy: Taxonomy) -> list[ConsistencyLabel]:
@@ -248,16 +246,11 @@ def distill_judge(
     onehot = np.zeros((n, 3))
     onehot[np.arange(n), target] = 1.0
     for _ in range(epochs):
-        logits = phi @ w + b
-        probs = np.exp(logits - logits.max(axis=1, keepdims=True))
-        probs /= probs.sum(axis=1, keepdims=True)
-        delta = (probs - onehot) / n
+        delta = (softmax(phi @ w + b) - onehot) / n
         w -= learning_rate * (phi.T @ delta)
         b -= learning_rate * delta.sum(axis=0)
 
-    logits = phi @ w + b
-    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
-    probs /= probs.sum(axis=1, keepdims=True)
+    probs = softmax(phi @ w + b)
     scores = probs[:, 0] - probs[:, 1]
     tau_hi = _best_threshold(scores, target == 0, "ge")
     tau_lo = _best_threshold(scores, target == 1, "le")
@@ -304,20 +297,11 @@ def save_judge(judge: JudgeModel, sink) -> None:
         "holdout_agreement": judge.holdout_agreement,
         "feature_names": list(FEATURE_NAMES),
     }
-    blob = write_container(JUDGE_MAGIC, meta, {"weights": judge.weights, "bias": judge.bias})
-    if hasattr(sink, "write"):
-        sink.write(blob)
-    else:
-        atomic_write_bytes(sink, blob)
+    write_blob(sink, write_container(JUDGE_MAGIC, meta, {"weights": judge.weights, "bias": judge.bias}))
 
 
 def load_judge(source) -> JudgeModel:
-    if hasattr(source, "read"):
-        blob = source.read()
-    else:
-        with open(source, "rb") as fh:
-            blob = fh.read()
-    meta, manifest, flat = read_container(blob, JUDGE_MAGIC)
+    meta, manifest, flat = read_container(read_blob(source), JUDGE_MAGIC)
     for key in ("tau_hi", "tau_lo", "popularity", "holdout_agreement"):
         if key not in meta:
             raise CheckpointError(f"judge checkpoint meta has no {key!r}")

@@ -11,7 +11,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from .util import canonical_json, normalize_title
+from .util import canonical_json, tokenize
 
 NULL_CODE = "∅"  # reserved per-level label: "path ends above this level"
 MAX_LEVELS = 10
@@ -56,10 +56,7 @@ class Taxonomy:
         for node in sorted(self.nodes.values(), key=lambda n: n.level):  # parents first
             chains[node.code] = (chains[node.parent] if node.parent is not None else ()) + (node.code,)
         object.__setattr__(self, "_chains", chains)
-        tokens = {
-            code: frozenset(normalize_title(n.definition).split()) | frozenset(normalize_title(n.name).split())
-            for code, n in self.nodes.items()
-        }
+        tokens = {code: frozenset(tokenize(n.definition) + tokenize(n.name)) for code, n in self.nodes.items()}
         object.__setattr__(self, "_tokens", tokens)
 
     def node(self, code: str) -> TaxNode:

@@ -25,9 +25,14 @@ _DECODER = json.JSONDecoder()
 _ALNUM_RUNS = re.compile(r"[^\W_]+")
 
 
+def tokenize(text: str) -> list[str]:
+    """The runs of alphanumeric characters of `text`, NFKC-normalized and lowercased."""
+    return _ALNUM_RUNS.findall(unicodedata.normalize("NFKC", text).lower())
+
+
 def normalize_title(title: str) -> str:
-    """NFKC-normalize, lowercase, squash punctuation runs to single spaces."""
-    return " ".join(_ALNUM_RUNS.findall(unicodedata.normalize("NFKC", title).lower()))
+    """The tokens of `title` joined by single spaces: punctuation runs squashed."""
+    return " ".join(tokenize(title))
 
 
 def fnv1a_64(data: str | bytes) -> int:
@@ -68,6 +73,19 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_blob(sink, data: bytes) -> None:
+    """Write `data` to a binary file object, or atomically to a path."""
+    if hasattr(sink, "write"):
+        sink.write(data)
+    else:
+        atomic_write_bytes(sink, data)
+
+
+def read_blob(source) -> bytes:
+    """All the bytes of a binary file object or of a path."""
+    return source.read() if hasattr(source, "read") else Path(source).read_bytes()
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

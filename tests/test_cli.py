@@ -361,3 +361,85 @@ def test_train_with_judge_annotates_each_training_record_once(tmp_path, monkeypa
                "--out", str(tmp_path / "model.ckpt")) == 0
     records = read_records(data / "records.jsonl")
     assert sorted(pair for batch in calls for pair in batch) == sorted((r.title, r.leaf()) for r in records)
+
+
+BAD_PREDICTION_VALUES = [
+    ("path", "A", "has a 'path' that is not a list of strings: 'A'"),
+    ("path", ["A", 1], "has a 'path' that is not a list of strings: ['A', 1]"),
+    ("leaf", ["A.1.1"], "has a non-string 'leaf': ['A.1.1']"),
+    ("leaf_confidence", None, "has a 'leaf_confidence' that is not a number: None"),
+    ("leaf_confidence", True, "has a 'leaf_confidence' that is not a number: True"),
+    ("leaf_confidence", "0.9", "has a 'leaf_confidence' that is not a number: '0.9'"),
+]
+
+
+@pytest.mark.parametrize("command", ["eval", "repath"])
+@pytest.mark.parametrize("key, value, message", BAD_PREDICTION_VALUES)
+def test_prediction_row_with_a_value_of_the_wrong_type_exits_1_naming_the_key(
+    tmp_path, chain_taxonomy, capsys, command, key, value, message
+):
+    tax = tmp_path / "taxonomy.json"
+    tax.write_bytes(chain_taxonomy.to_json_bytes())
+    good = {"id": "a", "path": ["A", "A.1", "A.1.1"], "leaf": "A.1.1", "leaf_confidence": 0.9}
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text(json.dumps(good) + "\n" + json.dumps(dict(good, id="b", **{key: value})) + "\n", encoding="utf-8")
+    out = tmp_path / "out" / "result.json"
+    args = ("--truth", str(pred)) if command == "eval" else ()
+    assert run(command, "--pred", str(pred), *args, "--taxonomy", str(tax), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert f"error: {pred}: the row on line 2 {message}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()  # neither the result nor a run manifest
+
+
+@pytest.fixture(scope="module")
+def workflow(tmp_path_factory):
+    return full_workflow(tmp_path_factory.mktemp("workflow"))
+
+
+def subcommand_args(command, workflow, out):
+    """Arguments that make `command` write its outputs into the directory `out`."""
+    cfg, data, kept, splits, model, preds, report = workflow
+    tax = ("--taxonomy", str(data / "taxonomy.json"))
+    return {
+        "gen": ("--out", str(out)),
+        "cleanse": ("--records", str(data / "records.jsonl"), *tax, "--out", str(out / "kept.jsonl")),
+        "split": ("--records", str(kept), "--out", str(out)),
+        "pipeline": ("--records", str(data / "records.jsonl"), *tax, "--out", str(out)),
+        "train": ("--train", str(splits / "train.jsonl"), *tax, "--out", str(out / "model.ckpt")),
+        "judge": ("--dev", str(data / "records.jsonl"), *tax, "--out", str(out / "judge.ckpt")),
+        "predict": ("--model", str(model), "--records", str(splits / "test.jsonl"), *tax,
+                    "--out", str(out / "preds.jsonl")),
+        "repath": ("--pred", str(preds), *tax, "--out", str(out / "repathed.jsonl")),
+        "eval": ("--pred", str(preds), "--truth", str(splits / "test.jsonl"), *tax, "--out", str(out / "report.json")),
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["gen", "cleanse", "split", "pipeline", "train", "judge", "predict", "repath", "eval"])
+def test_each_config_subcommand_writes_one_manifest_beside_its_outputs(tmp_path, workflow, capsys, command):
+    out = tmp_path / "out"
+    argv = [command, "--config", workflow[0], *subcommand_args(command, workflow, out)]
+    assert run(*argv) == 0
+    assert list(tmp_path.rglob("run_manifest.json")) == [out / "run_manifest.json"]
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert (manifest["subcommand"], manifest["argv"], manifest["seed"]) == (command, argv, 7)
+
+
+def test_report_writes_no_manifest(tmp_path, workflow, capsys):
+    report = tmp_path / "report.json"
+    report.write_bytes(workflow[6].read_bytes())
+    assert run("report", "--report", str(report), "--cdf-csv", str(tmp_path / "cdf.csv")) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cdf.csv", "report.json"]
+
+
+def test_a_failing_subcommand_writes_no_manifest(tmp_path, workflow, capsys):
+    cfg, data, kept, splits, model, preds, report = workflow
+    out = tmp_path / "out"
+    # the model was trained over another taxonomy than this one
+    other = tmp_path / "taxonomy.json"
+    other.write_text(json.dumps({"version": 1, "nodes": [{"code": "Z", "name": "z", "definition": "z", "level": 1}]}),
+                     encoding="utf-8")
+    assert run("predict", "--config", cfg, "--model", str(model), "--records", str(splits / "test.jsonl"),
+               "--taxonomy", str(other), "--out", str(out / "preds.jsonl")) == 1
+    assert "taxonomy hash mismatch" in capsys.readouterr().err
+    assert not out.exists()

@@ -9,6 +9,7 @@ from taxpath.encoder import (
     EncoderConfig,
     assemble_batch,
     build_field_vocabs,
+    cpv_token,
     encode_batch,
     field_index,
     prepare_records,
@@ -16,7 +17,7 @@ from taxpath.encoder import (
     token_buckets,
 )
 from taxpath.synth import SynthConfig, synth_corpus
-from taxpath.util import fnv1a_64
+from taxpath.util import fnv1a_64, normalize_title
 
 
 def make_record(**kw):
@@ -158,6 +159,16 @@ def test_cpvs_fold_into_title_stream():
     cb = title_buckets(with_cpv, cfg.hash_buckets)
     assert cb.size == pb.size + 1
     assert cb[-1] == fnv1a_64("material=steel") % cfg.hash_buckets
+
+
+CPV_TEXT = st.text() | st.text(alphabet="aZ9_=-. \t\u00a0\u00c4\u00df\u2460\uff21\u6f22")
+
+
+@settings(max_examples=400, derandomize=True)
+@given(key=CPV_TEXT, value=CPV_TEXT)
+def test_cpv_token_equals_the_folded_normalized_pair(key, value):
+    expected = f"{normalize_title(key)}={normalize_title(value)}".replace(" ", "_")
+    assert cpv_token(key, value) == expected
 
 
 def test_encode_batch_matches_single():

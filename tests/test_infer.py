@@ -13,8 +13,11 @@ from taxpath.infer import (
     PredictionPath,
     label_tables,
     predict_batch,
+    prediction_to_dict,
+    read_predictions,
     repath,
     select_prediction,
+    write_predictions,
 )
 from taxpath.moe import CheckpointError, MoEConfig, init_model, level_spaces
 from taxpath.synth import SynthConfig, SynthConfigError, synth_corpus
@@ -381,6 +384,14 @@ def test_predict_batch_basics():
             assert is_valid_path(corpus.taxonomy, list(pred.selected_path))
         else:
             assert corpus.taxonomy.nodes[pred.selected_leaf].is_leaf
+
+
+def test_a_prediction_dump_reads_back_equal(tmp_path):
+    corpus, model = untrained_model(seed=29)
+    preds = predict_batch(model, corpus.records, corpus.taxonomy, use_repath=True)
+    ids = [r.id for r in corpus.records]
+    write_predictions(tmp_path / "preds.jsonl", ids, preds)
+    assert read_predictions(tmp_path / "preds.jsonl") == [prediction_to_dict(i, p) for i, p in zip(ids, preds)]
 
 
 def test_predict_batch_repath_composition():

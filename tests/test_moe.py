@@ -222,6 +222,18 @@ def test_checkpoint_round_trip():
         assert np.array_equal(da, db)
 
 
+def test_checkpoint_round_trips_through_a_path_as_through_a_buffer(tmp_path):
+    corpus, enc, moe, model = small_setup(seed=13)
+    buf = io.BytesIO()
+    save_checkpoint(model, buf)
+    save_checkpoint(model, tmp_path / "model.ckpt")
+    assert (tmp_path / "model.ckpt").read_bytes() == buf.getvalue()
+    for source in (tmp_path / "model.ckpt", str(tmp_path / "model.ckpt"), io.BytesIO(buf.getvalue())):
+        loaded = load_checkpoint(source, corpus.taxonomy)
+        assert loaded.level_labels == model.level_labels
+        assert np.array_equal(loaded.flat, model.flat)
+
+
 def test_checkpoint_taxonomy_mismatch():
     corpus, enc, moe, model = small_setup(seed=13)
     other = synth_corpus(SynthConfig(leaves=10, samples=0, leaf_depth_min=2, leaf_depth_max=3), seed=99).taxonomy

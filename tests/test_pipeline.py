@@ -122,6 +122,17 @@ def test_pipeline_errors_tagged_with_stage(corpus, tmp_path):
         run_pipeline(tiny, corpus.taxonomy, bad, tmp_path / "bad")
 
 
+@pytest.mark.parametrize("stage, name", [(1, "cleanse"), (2, "fit"), (3, "distill_judge"), (4, "annotate_corpus")])
+def test_an_exception_inside_a_stage_is_raised_naming_the_stage(corpus, tmp_path, monkeypatch, stage, name):
+    def fail(*args, **kwargs):
+        raise KeyError(f"{name} failed")
+
+    monkeypatch.setattr(pipeline, name, fail)
+    with pytest.raises(PipelineError, match=f"^stage {stage}: '{name} failed'$") as info:
+        run_pipeline(corpus.records, corpus.taxonomy, small_pipeline_config(epochs=1), tmp_path / "out")
+    assert isinstance(info.value.__cause__, KeyError)
+
+
 @pytest.mark.parametrize("n, sizes", [(3, [2, 0, 1]), (1, [1, 0, 0])])
 def test_pipeline_names_an_empty_split_before_training(corpus, tmp_path, monkeypatch, n, sizes):
     kept, _ = cleanse(corpus.records, corpus.taxonomy)

@@ -339,6 +339,19 @@ def test_judge_checkpoint_round_trip(chain_taxonomy):
     )
 
 
+def test_judge_checkpoint_round_trips_through_a_path_as_through_a_buffer(tmp_path):
+    corpus, labeled = oracle_labeled_corpus(seed=39, samples=200)
+    judge = distill_judge(labeled, corpus.taxonomy, seed=5)
+    buf = io.BytesIO()
+    save_judge(judge, buf)
+    save_judge(judge, tmp_path / "judge.ckpt")
+    assert (tmp_path / "judge.ckpt").read_bytes() == buf.getvalue()
+    for source in (tmp_path / "judge.ckpt", io.BytesIO(buf.getvalue())):
+        loaded = load_judge(source)
+        assert np.array_equal(loaded.weights, judge.weights) and np.array_equal(loaded.bias, judge.bias)
+        assert (loaded.tau_hi, loaded.tau_lo, loaded.popularity) == (judge.tau_hi, judge.tau_lo, judge.popularity)
+
+
 def test_high_confidence_stratum_has_higher_yes_rate():
     # noisy labels concentrate in the incorrect stratum, which the judge flags
     for seed in (41, 42, 43):

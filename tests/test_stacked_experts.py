@@ -227,9 +227,9 @@ def test_chunks_are_balanced(monkeypatch):
     sizes = []
     real = moe._forward
 
-    def spy(model, batch, dense, routing, for_backward):
+    def spy(model, dense, routing, for_backward):
         sizes.append(dense.shape[0])
-        return real(model, batch, dense, routing, for_backward)
+        return real(model, dense, routing, for_backward)
 
     monkeypatch.setattr(moe, "_forward", spy)
     monkeypatch.setattr(moe, "FORWARD_CHUNK_ROWS", 32)

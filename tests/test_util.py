@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from taxpath.util import _ALNUM_RUNS, canonical_json, normalize_title, read_jsonl, write_jsonl
+from taxpath.util import _ALNUM_RUNS, canonical_json, normalize_title, read_jsonl, tokenize, write_jsonl
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
@@ -39,6 +39,12 @@ def test_alnum_runs_match_exactly_the_isalnum_code_points():
 @given(title=st.text() | st.text(alphabet="aZ9_-. \t\u00a0\u00c4\u00df\u2460\uff21\u6f22"))
 def test_normalize_title_equals_the_per_character_rule(title):
     assert normalize_title(title) == per_character_normalize_title(title)
+
+
+@settings(max_examples=500, derandomize=True)
+@given(text=st.text() | st.text(alphabet="aZ9_=-. \t\u00a0\u00c4\u00df\u2460\uff21\u6f22"))
+def test_tokenize_splits_the_per_character_rule(text):
+    assert tokenize(text) == per_character_normalize_title(text).split()
 
 
 def json_loads_reader(path):
