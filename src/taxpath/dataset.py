@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .taxonomy import Taxonomy, build_taxonomy, is_valid_path
-from .util import normalize_title, read_jsonl, stream_rng, tokenize, write_jsonl
+from .util import gc_paused, normalize_title, read_jsonl, stream_rng, tokenize, write_jsonl
 
 REJECT_EMPTY_TITLE = "empty-title"
 REJECT_UNKNOWN_CODE = "unknown-code"
@@ -286,6 +286,7 @@ def record_from_dict(doc: dict) -> ProductRecord:
     )
 
 
+@gc_paused
 def read_records(path: str | Path) -> list[ProductRecord]:
     """Records from JSON Lines; a row that is not an object, lacks one of
     `RECORD_KEYS` or holds a value of the wrong type raises ValueError naming

@@ -21,6 +21,7 @@ not the level-1 argmax confidence.
 """
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,7 +32,7 @@ from .dataset import ProductRecord, is_string_list
 from .encoder import EncodedBatch, assemble_batch, prepare_records
 from .moe import CheckpointError, MoEModel, forward_batch
 from .taxonomy import NULL_CODE, Taxonomy
-from .util import read_jsonl, write_jsonl
+from .util import gc_paused, read_jsonl, write_jsonl
 
 MODE_LEAF_CONFIDENT = "leaf_confident"
 MODE_DEEPEST_VALID = "deepest_valid"
@@ -212,6 +213,7 @@ def prediction_to_dict(record_id: str, pred: PredictionPath) -> dict:
             "leaf_confidence": pred.leaf_confidence, "per_level_argmax": list(pred.per_level_argmax)}
 
 
+@gc_paused
 def write_predictions(path: str | Path, ids: list[str], preds: Predictions | list[PredictionPath]) -> None:
     write_jsonl(path, (prediction_to_dict(i, p) for i, p in zip(ids, preds)))
 
@@ -226,9 +228,12 @@ def check_prediction(row: dict) -> dict:
     confidence = row.get("leaf_confidence", 0.0)
     if not isinstance(confidence, (int, float)) or isinstance(confidence, bool):
         raise ValueError(f"has a 'leaf_confidence' that is not a number: {confidence!r}")
+    if isinstance(confidence, float) and not math.isfinite(confidence):  # the JSON decoder reads NaN and ±Infinity
+        raise ValueError(f"has a non-finite 'leaf_confidence': {confidence!r}")
     return row
 
 
+@gc_paused
 def read_predictions(path: str | Path) -> list[dict]:
     """Prediction rows, each an object with `id`, `path` and `leaf`, checked by
     `check_prediction`; a bad row raises ValueError naming the file, the line and the key."""

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dataset import ProductRecord
 from .taxonomy import Taxonomy, is_valid_path
-from .util import atomic_write_text
+from .util import atomic_write_text, gc_paused
 
 
 class EvaluationError(ValueError):
@@ -151,6 +151,7 @@ def macro_f1(
     return _macro(category_counts(pairs, mode), taxonomy, include_absent)
 
 
+@gc_paused
 def evaluate(
     pred_rows: list[dict],
     truth_records: list[ProductRecord],
@@ -208,7 +209,7 @@ def evaluate(
     n = len(confidences)
     distinct = sorted(set(confidences))
     covered = np.searchsorted(np.sort(np.array(confidences)), distinct, side="right")
-    cdf = [(c, int(k) / n) for c, k in zip(distinct, covered)]
+    cdf = [(c, k / n) for c, k in zip(distinct, covered.tolist())]
 
     return EvalReport(
         path_macro_f1=_macro(totals["path"], taxonomy, include_absent)[2],
@@ -237,6 +238,7 @@ def render_table(report: EvalReport) -> str:
     return "\n".join(lines)
 
 
+@gc_paused
 def write_report(path: str | Path, report: EvalReport) -> None:
     atomic_write_text(path, json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
 

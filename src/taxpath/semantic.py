@@ -17,7 +17,7 @@ import numpy as np
 from .dataset import ProductRecord
 from .moe import JUDGE_MAGIC, CheckpointError, param_views, read_container, softmax, write_container
 from .taxonomy import Taxonomy
-from .util import ConfigError, config_from_dict, read_blob, stream_rng, tokenize, write_blob, write_jsonl
+from .util import ConfigError, config_from_dict, gc_paused, read_blob, stream_rng, tokenize, write_blob, write_jsonl
 
 VERDICTS = ("Y", "N", "U")
 FEATURE_NAMES = ("leaf_overlap", "ancestor_overlap", "title_length", "popularity")
@@ -266,6 +266,7 @@ def distill_judge(
     return model
 
 
+@gc_paused
 def annotate_corpus(
     records: list[ProductRecord], judge: JudgeModel, taxonomy: Taxonomy
 ) -> dict[str, ConsistencyLabel]:

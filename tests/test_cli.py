@@ -370,6 +370,10 @@ BAD_PREDICTION_VALUES = [
     ("leaf_confidence", None, "has a 'leaf_confidence' that is not a number: None"),
     ("leaf_confidence", True, "has a 'leaf_confidence' that is not a number: True"),
     ("leaf_confidence", "0.9", "has a 'leaf_confidence' that is not a number: '0.9'"),
+    # the JSON decoder reads these tokens as floats; a NaN would reach metrics.json as a bare `NaN`
+    ("leaf_confidence", float("nan"), "has a non-finite 'leaf_confidence': nan"),
+    ("leaf_confidence", float("inf"), "has a non-finite 'leaf_confidence': inf"),
+    ("leaf_confidence", float("-inf"), "has a non-finite 'leaf_confidence': -inf"),
 ]
 
 

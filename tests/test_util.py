@@ -1,12 +1,19 @@
+import gc
 import json
 import sys
 import unicodedata
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from taxpath.util import _ALNUM_RUNS, canonical_json, normalize_title, read_jsonl, tokenize, write_jsonl
+from taxpath import dataset, infer, metrics, semantic
+from taxpath.dataset import ProductRecord, read_records, write_records
+from taxpath.infer import PredictionPath, read_predictions, write_predictions
+from taxpath.metrics import evaluate, write_report
+from taxpath.semantic import FEATURE_NAMES, JudgeModel, annotate_corpus
+from taxpath.util import _ALNUM_RUNS, canonical_json, gc_paused, normalize_title, read_jsonl, tokenize, write_jsonl
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
@@ -134,3 +141,93 @@ def test_write_jsonl_of_no_rows_writes_an_empty_file(tmp_path):
     write_jsonl(path, iter([]))
     assert path.read_bytes() == b""
     assert list(read_jsonl(path)) == []
+
+
+def test_gc_paused_leaves_the_collector_as_it_found_it():
+    seen = []
+    probe = gc_paused(lambda: seen.append(gc.isenabled()))
+    assert gc.isenabled()
+    probe()
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        probe()
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    assert seen == [False, False]
+
+
+def test_gc_paused_turns_the_collector_back_on_when_the_function_raises():
+    @gc_paused
+    def fail():
+        raise KeyError("boom")
+
+    with pytest.raises(KeyError, match="boom"):
+        fail()
+    assert gc.isenabled()
+
+
+def test_gc_paused_nests():
+    inner = gc_paused(gc.isenabled)
+    outer = gc_paused(lambda: (inner(), gc.isenabled()))
+    assert outer() == (False, False)
+    assert gc.isenabled()
+
+
+def record(i, path=("A", "A.1", "A.1.1")):
+    return ProductRecord(id=f"r{i:05d}", title=f"alpha one item {i}", category_name="cat", bu_code="bu00",
+                         ou_code="ou00", system_code="sys0", label_path=path, source="goods_registry")
+
+
+def test_the_corpus_sized_functions_run_with_the_collector_paused(tmp_path, chain_taxonomy, monkeypatch):
+    seen = {}
+
+    def spy_on(owner, name, caller):
+        original = getattr(owner, name)
+
+        def spy(*args, **kwargs):
+            seen.setdefault(caller, []).append(gc.isenabled())
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, spy)
+
+    spy_on(dataset, "read_jsonl", "read_records")
+    spy_on(infer, "write_jsonl", "write_predictions")
+    spy_on(infer, "read_jsonl", "read_predictions")
+    spy_on(metrics, "category_counts", "evaluate")
+    spy_on(metrics, "atomic_write_text", "write_report")
+    spy_on(JudgeModel, "judge_batch", "annotate_corpus")
+
+    records_path, pred_path = tmp_path / "records.jsonl", tmp_path / "pred.jsonl"
+    write_records(records_path, [record(0), record(1, ("B", "B.1"))])
+    records = read_records(records_path)
+    preds = [PredictionPath(r.label_path, r.leaf(), infer.MODE_LEAF_CONFIDENT, 0.9, r.label_path) for r in records]
+    write_predictions(pred_path, [r.id for r in records], preds)
+    report = evaluate(read_predictions(pred_path), records, chain_taxonomy)
+    write_report(tmp_path / "metrics.json", report)
+    judge = JudgeModel(weights=np.zeros((len(FEATURE_NAMES), 3)), bias=np.zeros(3), tau_hi=0.5, tau_lo=-0.5)
+    assert len(annotate_corpus(records, judge, chain_taxonomy)) == 2
+
+    assert report.leaf_micro_f1 == 1.0
+    assert set(seen) == {"read_records", "write_predictions", "read_predictions", "evaluate", "write_report",
+                         "annotate_corpus"}
+    assert not any(enabled for calls in seen.values() for enabled in calls), seen
+    assert gc.isenabled()
+
+
+def test_read_records_sets_off_no_collection(tmp_path):
+    path = tmp_path / "records.jsonl"
+    write_records(path, [record(i) for i in range(5000)])
+    generations = []
+
+    def callback(phase, info):
+        if phase == "start":
+            generations.append(info["generation"])
+
+    gc.callbacks.append(callback)
+    try:
+        records = read_records(path)
+    finally:
+        gc.callbacks.remove(callback)
+    assert len(records) == 5000
+    assert generations == []
