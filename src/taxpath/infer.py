@@ -228,7 +228,11 @@ def check_prediction(row: dict) -> dict:
     confidence = row.get("leaf_confidence", 0.0)
     if not isinstance(confidence, (int, float)) or isinstance(confidence, bool):
         raise ValueError(f"has a 'leaf_confidence' that is not a number: {confidence!r}")
-    if isinstance(confidence, float) and not math.isfinite(confidence):  # the JSON decoder reads NaN and ±Infinity
+    try:
+        finite = math.isfinite(confidence)  # the JSON decoder reads NaN and ±Infinity as floats
+    except OverflowError:  # a JSON integer beyond the float range; scoring's float() would raise
+        raise ValueError(f"has a 'leaf_confidence' too large for a float: {confidence!r}") from None
+    if not finite:
         raise ValueError(f"has a non-finite 'leaf_confidence': {confidence!r}")
     return row
 

@@ -7,13 +7,14 @@ Everything is deterministic given (config, seed).
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .dataset import ProductRecord, largest_remainder
-from .taxonomy import NULL_CODE, Taxonomy, ancestors, build_taxonomy
+from .taxonomy import NULL_CODE, Taxonomy, build_taxonomy
 from .util import stream_rng
 
 _CONSONANTS = "bcdfgklmnprstvz"
@@ -349,7 +350,7 @@ def synth_corpus(config: SynthConfig, seed: int) -> SynthCorpus:
             leaf = eligible[j]
             depth = taxonomy.nodes[leaf].level
             level = int(rng_noise.integers(1, depth))
-            chain = ancestors(taxonomy, leaf)
+            chain = taxonomy.chain(leaf)
             options = [c for c in taxonomy.per_level_labels[level][:-1] if c != chain[level - 1]]
             if options:
                 corrupted[leaf] = (level, options[int(rng_noise.integers(len(options)))])
@@ -419,49 +420,47 @@ def _sample_records(
         for pos, j in zip(positions[d], draws):
             chosen_leaf[pos] = ranked[int(j)]
 
-    roots = {code: ancestors(taxonomy, code)[0] for code in leaves}
-    root_list = sorted(set(roots.values()))
-    root_index = {r: i for i, r in enumerate(root_list)}
-    n_roots = len(root_list)
+    # Everything a record needs that depends only on its leaf, looked up once:
+    # the root-first chain (label path and truth), the leaf's position in
+    # `leaves`, its vocabulary, its root's index and its category name.
+    root_index = {r: i for i, r in enumerate(sorted({taxonomy.chain(code)[0] for code in leaves}))}
+    n_roots = len(root_index)
+    facts = {}
+    for pos, leaf in enumerate(leaves):
+        chain, node = taxonomy.chain(leaf), taxonomy.nodes[leaf]
+        category = taxonomy.nodes[node.parent].name if node.parent else node.name
+        facts[leaf] = (chain, pos, group_vocab[vocab_group[leaf]], root_index[chain[0]], category)
+    # The table Generator.choice(p=_SOURCE_WEIGHTS) searches: one random() per draw, same index.
+    cum = np.cumsum(_SOURCE_WEIGHTS)
+    source_cdf = (cum / cum[-1]).tolist()
+    random, integers = rng.random, rng.integers
 
     records: list[ProductRecord] = []
     truth: dict[str, tuple[str, ...]] = {}
     overrides: dict[str, tuple[str, ...]] = {}
     for i, true_leaf in enumerate(chosen_leaf):
-        vocab = group_vocab[vocab_group[true_leaf]]
-        length = int(rng.integers(config.title_len_min, config.title_len_max + 1))
-        tokens = []
-        for _ in range(length):
-            if rng.random() < config.noise_token_rate:
-                tokens.append(shared_noise[int(rng.integers(len(shared_noise)))])
-            else:
-                tokens.append(vocab[int(rng.integers(len(vocab)))])
-        title = " ".join(tokens)
+        true_path, pos, vocab, r_idx, category = facts[true_leaf]
+        title = " ".join([
+            shared_noise[integers(len(shared_noise))] if random() < config.noise_token_rate
+            else vocab[integers(len(vocab))]
+            for _ in range(integers(config.title_len_min, config.title_len_max + 1))
+        ])
 
-        labeled_leaf = true_leaf
-        if config.label_noise_rate > 0 and rng.random() < config.label_noise_rate:
-            others = [c for c in leaves if c != true_leaf]
-            labeled_leaf = others[int(rng.integers(len(others)))]
-        true_path = tuple(ancestors(taxonomy, true_leaf))
-        label_path = tuple(ancestors(taxonomy, labeled_leaf))
+        labeled_leaf, label_path = true_leaf, true_path
+        if config.label_noise_rate > 0 and random() < config.label_noise_rate:
+            j = integers(len(leaves) - 1)  # an index into `leaves` without `true_leaf`
+            labeled_leaf = leaves[j + (j >= pos)]
+            label_path = facts[labeled_leaf][0]
 
-        r_idx = root_index[roots[true_leaf]]
-        correlated = rng.random() < config.metadata_correlation
-        bu = r_idx if correlated else int(rng.integers(n_roots))
-        correlated = rng.random() < config.metadata_correlation
-        ou = r_idx if correlated else int(rng.integers(n_roots))
-        correlated = rng.random() < config.metadata_correlation
-        sys_idx = (r_idx % 3) if correlated else int(rng.integers(3))
-
-        true_node = taxonomy.nodes[true_leaf]
-        category = taxonomy.nodes[true_node.parent].name if true_node.parent else true_node.name
+        bu = r_idx if random() < config.metadata_correlation else int(integers(n_roots))
+        ou = r_idx if random() < config.metadata_correlation else int(integers(n_roots))
+        sys_idx = (r_idx % 3) if random() < config.metadata_correlation else int(integers(3))
 
         cpvs = None
-        if rng.random() < config.cpv_rate:
-            key = _CPV_KEYS[int(rng.integers(len(_CPV_KEYS)))]
-            cpvs = ((key, vocab[int(rng.integers(len(vocab)))]),)
+        if random() < config.cpv_rate:
+            cpvs = ((_CPV_KEYS[integers(len(_CPV_KEYS))], vocab[integers(len(vocab))]),)
 
-        source = _SOURCE_TAGS[int(rng.choice(len(_SOURCE_TAGS), p=_SOURCE_WEIGHTS))]
+        source = _SOURCE_TAGS[bisect_right(source_cdf, random())]
         rec_id = f"s{i:06d}"
         records.append(
             ProductRecord(

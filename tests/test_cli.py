@@ -374,6 +374,9 @@ BAD_PREDICTION_VALUES = [
     ("leaf_confidence", float("nan"), "has a non-finite 'leaf_confidence': nan"),
     ("leaf_confidence", float("inf"), "has a non-finite 'leaf_confidence': inf"),
     ("leaf_confidence", float("-inf"), "has a non-finite 'leaf_confidence': -inf"),
+    # a 401-digit JSON integer: evaluate's float() would raise OverflowError
+    pytest.param("leaf_confidence", 10**400, f"has a 'leaf_confidence' too large for a float: {10**400}",
+                 id="leaf_confidence-401-digit-int"),
 ]
 
 
