@@ -51,21 +51,9 @@ def build_field_vocabs(records: list[ProductRecord], fields: tuple[str, ...]) ->
     return {f: tuple(sorted({getattr(r, f) for r in records})) for f in fields}
 
 
-def token_buckets(text: str, hash_buckets: int) -> np.ndarray:
-    return np.array([fnv1a_64(tok) % hash_buckets for tok in tokenize(text)], dtype=np.int64)
-
-
 def cpv_token(key: str, value: str) -> str:
     """A CPV pair as one title token: `key=value`, each side's tokens joined by `_`."""
     return "_".join(tokenize(key)) + "=" + "_".join(tokenize(value))
-
-
-def title_buckets(record: ProductRecord, hash_buckets: int) -> np.ndarray:
-    """Title token buckets, with CPV pairs folded in as key=value tokens."""
-    buckets = list(token_buckets(record.title, hash_buckets))
-    for key, value in record.cpvs or ():
-        buckets.append(fnv1a_64(cpv_token(key, value)) % hash_buckets)
-    return np.array(buckets, dtype=np.int64)
 
 
 def field_index(config: EncoderConfig, name: str, value: str) -> int:
@@ -125,11 +113,12 @@ class EncodedBatch:
 def prepare_records(records: list[ProductRecord], config: EncoderConfig) -> PreparedRecords:
     """Hash tokens and resolve vocab indices once; reused across training steps.
 
-    Gives the same buckets and indices as `title_buckets`, `token_buckets`
-    and `field_index` per record, but hashes each distinct token, CPV pair
-    and category name, and resolves each distinct combination of field
-    values, only once. The memo is local to this call, so its memory ends
-    with the call. The result's arrays are read-only.
+    Each token's bucket is `fnv1a_64(token) % hash_buckets`; a title's
+    tokens are followed by its CPV pairs, each folded by `cpv_token`. Each
+    distinct token, CPV pair and category name is hashed, and each distinct
+    combination of field values resolved by `field_index`, only once. The
+    memo is local to this call, so its memory ends with the call. The
+    result's arrays are read-only.
     """
     hash_buckets = config.hash_buckets
     buckets: dict[str, int] = {}  # token (title, category or folded CPV) -> bucket
@@ -248,8 +237,4 @@ def assemble_batch(
         batch.title_weight = np.repeat(1.0 / np.maximum(title_len, 1), title_len)
         batch.cat_weight = np.repeat(1.0 / np.maximum(cat_len, 1), cat_len)
     return batch
-
-
-def encode_batch(records: list[ProductRecord], tables: dict, config: EncoderConfig) -> EncodedBatch:
-    return assemble_batch(prepare_records(records, config), tables, config)
 

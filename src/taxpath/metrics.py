@@ -3,13 +3,16 @@
 Path mode scores the overlap between predicted and true path node sets, each
 node judged independently of position. Leaf mode compares effective leaves
 (the deepest node of a possibly partial path). Both count through one table
-of per-category [tp, fp, fn] (`category_counts`): micro pools its columns,
+of per-category [tp, fp, fn] (`category_counts`), which counts each distinct
+pair once, weighted by how many samples have it: micro pools its columns,
 macro averages its per-category scores.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from collections import Counter
+from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -53,17 +56,38 @@ class EvalReport:
 
     @classmethod
     def from_dict(cls, doc: dict) -> EvalReport:
-        """The report `to_dict` wrote; a missing key raises EvaluationError naming it."""
-        if not isinstance(doc, dict):
-            raise EvaluationError("an evaluation report must be a JSON object")
-        values = {}
-        for f in fields(cls):
-            if f.name not in doc:
-                raise EvaluationError(f"evaluation report has no {f.name!r} key")
-            values[f.name] = doc[f.name]
-        values["per_depth"] = {int(k): v for k, v in values["per_depth"].items()}
-        values["confidence_cdf"] = tuple((c, f) for c, f in values["confidence_cdf"])
-        return cls(**values)
+        """The report `to_dict` wrote. A missing key, or a value of another
+        type or shape than `to_dict` writes, raises EvaluationError naming it."""
+        scores = dict.fromkeys(("path_macro_f1", "path_micro_f1", "leaf_macro_f1", "leaf_micro_f1"), _NUMBER)
+        _check(doc, "evaluation report", {**scores, "per_depth": (dict,), "confidence_cdf": (list,), "sample_count": (int,)})
+        per_depth = {}
+        for key, stats in doc["per_depth"].items():
+            where = f"evaluation report key 'per_depth' entry {key!r}"
+            if not key.isdecimal():
+                raise EvaluationError(f"{where} is not keyed by an integer depth")
+            per_depth[int(key)] = _check(stats, where, {**scores, "count": (int,)})
+        cdf = doc["confidence_cdf"]
+        if not all(type(pair) is list and len(pair) == 2 and {*map(type, pair)} <= {int, float} for pair in cdf):
+            raise EvaluationError("evaluation report key 'confidence_cdf' is not a list of number pairs")
+        return cls(**{key: doc[key] for key in scores}, per_depth=per_depth, confidence_cdf=tuple(map(tuple, cdf)),
+                   sample_count=doc["sample_count"])
+
+
+# The JSON value types a report holds, matched exactly: true and false are no numbers.
+_NUMBER = (int, float)
+_KINDS = {_NUMBER: "a number", (int,): "an integer", (dict,): "an object", (list,): "a list"}
+
+
+def _check(doc, where: str, schema: dict[str, tuple[type, ...]]) -> dict:
+    """`doc`, an object holding each key of `schema` with a value of one of its types."""
+    if type(doc) is not dict:
+        raise EvaluationError(f"{where} is not an object: {doc!r}")
+    for key, kinds in schema.items():
+        if key not in doc:
+            raise EvaluationError(f"{where} has no {key!r} key")
+        if type(doc[key]) not in kinds:
+            raise EvaluationError(f"{where} key {key!r} is not {_KINDS[kinds]}: {doc[key]!r}")
+    return doc
 
 
 def effective_leaf(path: list[str] | tuple[str, ...]) -> str:
@@ -83,8 +107,10 @@ def _f1(tp: int, pred: int, true: int) -> tuple[float, float, float]:
 MODES = ("path", "leaf")
 
 
-def category_counts(pairs: list[EvalPair], mode: str = "path") -> dict[str, list[int]]:
-    """Per-category [tp, fp, fn] over the pairs.
+def category_counts(pairs: Counter[EvalPair], mode: str = "path") -> dict[str, list[int]]:
+    """Per-category [tp, fp, fn] over the pairs, each distinct pair counted
+    once and weighted by its multiplicity (`pairs` maps a pair to how many
+    samples have it).
 
     Path mode compares the paths as node sets; leaf mode compares their
     effective leaves. Micro and macro scores both read this table.
@@ -93,12 +119,12 @@ def category_counts(pairs: list[EvalPair], mode: str = "path") -> dict[str, list
         raise EvaluationError(f"unknown mode: {mode!r}")
     nodes = set if mode == "path" else lambda path: {effective_leaf(path)}
     tallies: dict[str, list[int]] = {}
-    for pair in pairs:
+    for pair, samples in pairs.items():
         pred = nodes(pair.predicted_path)
         true = nodes(pair.true_path)
         for slot, codes in enumerate((pred & true, pred - true, true - pred)):
             for code in codes:
-                tallies.setdefault(code, [0, 0, 0])[slot] += 1
+                tallies.setdefault(code, [0, 0, 0])[slot] += samples
     return tallies
 
 
@@ -131,7 +157,7 @@ def micro_f1(pairs: list[EvalPair], mode: str = "path") -> tuple[float, float, f
     """
     if not pairs:
         raise EvaluationError("micro_f1 needs at least one pair")
-    return _micro(category_counts(pairs, mode))
+    return _micro(category_counts(Counter(pairs), mode))
 
 
 def macro_f1(
@@ -148,7 +174,7 @@ def macro_f1(
     """
     if not pairs:
         raise EvaluationError("macro_f1 needs at least one pair")
-    return _macro(category_counts(pairs, mode), taxonomy, include_absent)
+    return _macro(category_counts(Counter(pairs), mode), taxonomy, include_absent)
 
 
 @gc_paused
@@ -172,31 +198,29 @@ def evaluate(
     if not pred_rows:
         raise EvaluationError("nothing to evaluate")
 
+    # A dump holds few distinct (predicted, true) path pairs: each is counted
+    # once, with its multiplicity.
+    pairs = Counter(
+        (tuple(pred_by_id[rec_id]["path"]), tuple(rec.label_path)) for rec_id, rec in truth_by_id.items()
+    )
+    # Predicted paths may be structurally inconsistent (that is what RePath
+    # repairs); set-overlap scoring handles them fine. Ground truth, however,
+    # must be a real chain.
+    invalid = {true for true in {true for _, true in pairs} if not is_valid_path(taxonomy, list(true))}
+    if invalid:
+        rec_id = min(rec_id for rec_id, rec in truth_by_id.items() if tuple(rec.label_path) in invalid)
+        raise EvaluationError(f"truth record {rec_id!r} carries an invalid path")
     # Each pair lands in one depth bucket, so the overall tables are the sums
     # of the bucket tables: every pair is counted once per mode.
-    buckets: dict[int, list[EvalPair]] = {}
-    confidences = []
-    for rec_id in sorted(truth_by_id):
-        row = pred_by_id[rec_id]
-        rec = truth_by_id[rec_id]
-        # Predicted paths may be structurally inconsistent (that is what
-        # RePath repairs); set-overlap scoring handles them fine. Ground
-        # truth, however, must be a real chain.
-        if not is_valid_path(taxonomy, list(rec.label_path)):
-            raise EvaluationError(f"truth record {rec_id!r} carries an invalid path")
-        buckets.setdefault(len(rec.label_path), []).append(
-            EvalPair(
-                predicted_path=tuple(row["path"]),
-                true_path=tuple(rec.label_path),
-                true_depth=len(rec.label_path),
-            )
-        )
-        confidences.append(float(row.get("leaf_confidence", 0.0)))
+    buckets: dict[int, Counter[EvalPair]] = {}
+    for (pred, true), samples in pairs.items():
+        buckets.setdefault(len(true), Counter())[EvalPair(pred, true, len(true))] = samples
+    confidences = [float(row.get("leaf_confidence", 0.0)) for row in pred_rows]
 
     totals: dict[str, dict[str, list[int]]] = {mode: {} for mode in MODES}
     per_depth: dict[int, dict] = {}
     for depth in sorted(buckets):
-        stats: dict = {"count": len(buckets[depth])}
+        stats: dict = {"count": sum(buckets[depth].values())}
         for mode in MODES:
             tallies = category_counts(buckets[depth], mode)
             total = totals[mode]
@@ -238,9 +262,26 @@ def render_table(report: EvalReport) -> str:
     return "\n".join(lines)
 
 
+# The C encoder (json.dumps uses it only without `indent`), with the item
+# separator `indent=2` writes between the two numbers of a CDF pair.
+_PAIRS = json.JSONEncoder(check_circular=False, separators=(",\n      ", ": "))
+
+
 @gc_paused
 def write_report(path: str | Path, report: EvalReport) -> None:
-    atomic_write_text(path, json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+    """Write `json.dumps(report.to_dict(), indent=2, sort_keys=True)` and a
+    newline, byte for byte. That encoder is pure Python, so the confidence
+    CDF, the bulk of the report, goes through the C encoder; numbers hold no
+    brackets, so only the separators between pairs need laying out again."""
+    cdf = report.confidence_cdf
+    if not (set(map(type, cdf)) <= {tuple, list} and set(map(len, cdf)) <= {2}
+            and set(map(type, chain.from_iterable(cdf))) <= {int, float}):
+        raise ValueError("confidence_cdf entries must be pairs of numbers")
+    text = json.dumps(replace(report, confidence_cdf=()).to_dict(), indent=2, sort_keys=True)
+    if cdf:  # "confidence_cdf" sorts first, so the first match is the top-level key
+        pairs = _PAIRS.encode(cdf)[2:-2].replace("],\n      [", "\n    ],\n    [\n      ")
+        text = text.replace('"confidence_cdf": []', '"confidence_cdf": [\n    [\n      ' + pairs + "\n    ]\n  ]", 1)
+    atomic_write_text(path, text + "\n")
 
 
 def write_cdf_csv(path: str | Path, report: EvalReport) -> None:

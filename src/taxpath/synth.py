@@ -279,6 +279,11 @@ def _build_taxonomy_shape(config: SynthConfig, rng: np.random.Generator):
 def synth_corpus(config: SynthConfig, seed: int) -> SynthCorpus:
     rng_tax = stream_rng(seed, "synth-taxonomy")
     stubs, leaves, vocab_group = _build_taxonomy_shape(config, rng_tax)
+    if config.label_noise_rate > 0 and len(leaves) < 2:
+        raise SynthConfigError(
+            f"label_noise_rate {config.label_noise_rate} relabels a record to another leaf, "
+            f"but the taxonomy has only {len(leaves)} leaf"
+        )
 
     n_groups = len(set(vocab_group.values()))
     pool = _WordPool(rng_tax, min(len(_SYLLABLES) ** 3, 20 * (n_groups * config.leaf_vocab_size + 200)))

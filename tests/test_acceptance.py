@@ -16,7 +16,7 @@ from taxpath.dataset import (
     split,
     stratified_dev_sample,
 )
-from taxpath.encoder import EncoderConfig, build_field_vocabs, encode_batch
+from taxpath.encoder import EncoderConfig, build_field_vocabs
 from taxpath.infer import predict_batch, prediction_to_dict, repath
 from taxpath.metrics import evaluate, macro_f1, micro_f1
 from taxpath.moe import MoEConfig, init_model
@@ -35,6 +35,7 @@ from taxpath.train import (
     total_loss,
 )
 
+from encoder_oracles import encode_batch
 from test_metrics import brute_force_scores, random_pairs
 
 

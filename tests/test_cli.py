@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -450,3 +451,59 @@ def test_a_failing_subcommand_writes_no_manifest(tmp_path, workflow, capsys):
                "--taxonomy", str(other), "--out", str(out / "preds.jsonl")) == 1
     assert "taxonomy hash mismatch" in capsys.readouterr().err
     assert not out.exists()
+
+
+def first_depth(doc):
+    return next(iter(doc["per_depth"].values()))
+
+
+# damage done to a written report -> the error `taxpath report` prints
+REPORT_DAMAGE = {
+    "depth-without-f1": (lambda doc: first_depth(doc).pop("path_micro_f1"),
+                         r"evaluation report key 'per_depth' entry '\d+' has no 'path_micro_f1' key"),
+    "depths-as-list": (lambda doc: doc.update(per_depth=list(doc["per_depth"].values())),
+                       "evaluation report key 'per_depth' is not an object"),
+    "depth-key-not-int": (lambda doc: doc["per_depth"].update(deep={}),
+                          "evaluation report key 'per_depth' entry 'deep' is not keyed by an integer depth"),
+    "depth-entry-not-object": (lambda doc: doc["per_depth"].update({"9": [1, 2]}),
+                               "evaluation report key 'per_depth' entry '9' is not an object"),
+    "depth-count-float": (lambda doc: first_depth(doc).update(count=1.5),
+                          r"evaluation report key 'per_depth' entry '\d+' key 'count' is not an integer: 1.5"),
+    "cdf-pair-of-one": (lambda doc: doc["confidence_cdf"].append([0.5]),
+                        "evaluation report key 'confidence_cdf' is not a list of number pairs"),
+    "cdf-string": (lambda doc: doc["confidence_cdf"].append(["0.5", 1.0]),
+                   "evaluation report key 'confidence_cdf' is not a list of number pairs"),
+    "cdf-object": (lambda doc: doc.update(confidence_cdf={}), "evaluation report key 'confidence_cdf' is not a list: {}"),
+    "f1-string": (lambda doc: doc.update(path_micro_f1="0.9"),
+                  "evaluation report key 'path_micro_f1' is not a number: '0.9'"),
+    "f1-null": (lambda doc: doc.update(leaf_macro_f1=None),
+                "evaluation report key 'leaf_macro_f1' is not a number: None"),
+    "count-float": (lambda doc: doc.update(sample_count=12.0),
+                    "evaluation report key 'sample_count' is not an integer: 12.0"),
+    "count-bool": (lambda doc: doc.update(sample_count=True),
+                   "evaluation report key 'sample_count' is not an integer: True"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(REPORT_DAMAGE))
+def test_malformed_report_exits_1_naming_the_key(tmp_path, workflow, capsys, damage):
+    damage, message = REPORT_DAMAGE[damage]
+    doc = json.loads(workflow[6].read_text())
+    damage(doc)
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert run("report", "--report", str(report), "--cdf-csv", str(tmp_path / "cdf.csv")) == 1
+    err = capsys.readouterr().err
+    assert re.search("error: " + message, err), err
+    assert "Traceback" not in err
+    assert not (tmp_path / "cdf.csv").exists()
+
+
+def test_gen_with_label_noise_over_one_leaf_exits_1_naming_the_rate(tmp_path, capsys):
+    cfg = gen_config(tmp_path, leaves=1, leaf_depth_min=1, leaf_depth_max=1, label_noise_rate=0.5, samples=10)
+    assert run("gen", "--config", cfg, "--out", str(tmp_path / "data")) == 1
+    err = capsys.readouterr().err
+    assert "error: label_noise_rate 0.5 relabels a record to another leaf, but the taxonomy has only 1 leaf" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "data").exists()

@@ -10,14 +10,13 @@ from taxpath.encoder import (
     assemble_batch,
     build_field_vocabs,
     cpv_token,
-    encode_batch,
     field_index,
     prepare_records,
-    title_buckets,
-    token_buckets,
 )
 from taxpath.synth import SynthConfig, synth_corpus
 from taxpath.util import fnv1a_64, normalize_title
+
+from encoder_oracles import encode_batch, title_buckets, token_buckets
 
 
 def make_record(**kw):

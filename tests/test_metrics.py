@@ -1,11 +1,15 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taxpath.dataset import ProductRecord
 from taxpath.metrics import (
     EvalPair,
+    EvalReport,
     EvaluationError,
     effective_leaf,
     evaluate,
@@ -15,7 +19,7 @@ from taxpath.metrics import (
 )
 from taxpath import metrics
 from taxpath.synth import SynthConfig, synth_corpus
-from taxpath.taxonomy import ancestors
+from taxpath.taxonomy import ancestors, is_valid_path
 
 
 def pair(pred, true):
@@ -337,7 +341,7 @@ def test_evaluate_counts_each_pair_once_per_mode(monkeypatch):
     original = metrics.category_counts
 
     def counting(pairs, mode="path"):
-        counted.append(len(pairs))
+        counted.append(sum(pairs.values()))  # each distinct pair with its multiplicity
         return original(pairs, mode)
 
     monkeypatch.setattr(metrics, "category_counts", counting)
@@ -348,3 +352,192 @@ def test_evaluate_counts_each_pair_once_per_mode(monkeypatch):
     report = evaluate(pred_rows_for(records, [p.predicted_path for p in pairs]), records, taxonomy)
     assert len(report.per_depth) > 1
     assert sum(counted) == 2 * report.sample_count
+
+
+def reference_category_counts(pairs, mode):
+    """The per-pair tally: one set comparison per sample, each counted once."""
+    nodes = set if mode == "path" else lambda path: {effective_leaf(path)}
+    tallies = {}
+    for pair in pairs:
+        pred = nodes(pair.predicted_path)
+        true = nodes(pair.true_path)
+        for slot, codes in enumerate((pred & true, pred - true, true - pred)):
+            for code in codes:
+                tallies.setdefault(code, [0, 0, 0])[slot] += 1
+    return tallies
+
+
+def reference_evaluate(pred_rows, truth_records, taxonomy, include_absent=False):
+    """`evaluate` as it was before it counted distinct pairs: one EvalPair
+    and one truth-path check per row, rows visited in id order."""
+    pred_by_id = {row["id"]: row for row in pred_rows}
+    truth_by_id = {rec.id: rec for rec in truth_records}
+    if len(pred_by_id) != len(pred_rows):
+        raise EvaluationError("duplicate ids in prediction dump")
+    missing = sorted(set(truth_by_id) - set(pred_by_id))
+    extra = sorted(set(pred_by_id) - set(truth_by_id))
+    if missing or extra:
+        raise EvaluationError(
+            f"id mismatch between predictions and truth: missing={missing[:5]} extra={extra[:5]}"
+        )
+    if not pred_rows:
+        raise EvaluationError("nothing to evaluate")
+    buckets = {}
+    confidences = []
+    for rec_id in sorted(truth_by_id):
+        row = pred_by_id[rec_id]
+        rec = truth_by_id[rec_id]
+        if not is_valid_path(taxonomy, list(rec.label_path)):
+            raise EvaluationError(f"truth record {rec_id!r} carries an invalid path")
+        buckets.setdefault(len(rec.label_path), []).append(
+            EvalPair(predicted_path=tuple(row["path"]), true_path=tuple(rec.label_path),
+                     true_depth=len(rec.label_path))
+        )
+        confidences.append(float(row.get("leaf_confidence", 0.0)))
+    totals = {mode: {} for mode in metrics.MODES}
+    per_depth = {}
+    for depth in sorted(buckets):
+        stats = {"count": len(buckets[depth])}
+        for mode in metrics.MODES:
+            tallies = reference_category_counts(buckets[depth], mode)
+            total = totals[mode]
+            for code, counts in tallies.items():
+                total[code] = [a + b for a, b in zip(total.get(code, (0, 0, 0)), counts)]
+            stats[f"{mode}_macro_f1"] = metrics._macro(tallies, taxonomy, include_absent)[2]
+            stats[f"{mode}_micro_f1"] = metrics._micro(tallies)[2]
+        per_depth[depth] = stats
+    n = len(confidences)
+    distinct = sorted(set(confidences))
+    covered = np.searchsorted(np.sort(np.array(confidences)), distinct, side="right")
+    return EvalReport(
+        path_macro_f1=metrics._macro(totals["path"], taxonomy, include_absent)[2],
+        path_micro_f1=metrics._micro(totals["path"])[2],
+        leaf_macro_f1=metrics._macro(totals["leaf"], taxonomy, include_absent)[2],
+        leaf_micro_f1=metrics._micro(totals["leaf"])[2],
+        per_depth=per_depth,
+        confidence_cdf=tuple((c, k / n) for c, k in zip(distinct, covered.tolist())),
+        sample_count=n,
+    )
+
+
+DUMP_TAXONOMY = synth_corpus(SynthConfig(leaves=8, samples=0, leaf_depth_min=1, leaf_depth_max=4), seed=4).taxonomy
+DUMP_CODES = sorted(DUMP_TAXONOMY.nodes)
+# every node's chain: a full path to a leaf or a partial one to an inner node
+DUMP_CHAINS = [DUMP_TAXONOMY.chain(code) for code in DUMP_CODES]
+# repeated codes, unknown codes and off-chain mixes
+odd_paths = st.lists(st.sampled_from(DUMP_CODES + ["zz-unknown", "B.9"]), min_size=1, max_size=6).map(tuple)
+
+
+@st.composite
+def dumps(draw):
+    """(prediction rows, truth records): a few distinct (predicted, true)
+    pairs, each repeated, the rows in another order than the records."""
+    truths = st.sampled_from(DUMP_CHAINS)
+    pool = draw(st.lists(st.tuples(truths | odd_paths, truths), min_size=1, max_size=6))
+    n = draw(st.integers(1, 40))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    confidence = st.sampled_from([0.0, 0.25, 0.5, 0.9, 1.0]) | st.floats(0.0, 1.0)
+    ids = draw(st.permutations([f"r{i:03d}" for i in range(n)]))
+    records, rows = [], []
+    for rec_id, (pred, true) in zip(ids, picks):
+        records.append(ProductRecord(id=rec_id, title="t", category_name="c", bu_code="b", ou_code="o",
+                                     system_code="s", label_path=true, source="synthetic"))
+        rows.append({"id": rec_id, "path": list(pred), "leaf_confidence": draw(confidence)})
+    return draw(st.permutations(rows)), records
+
+
+def outcome(evaluator, rows, records, include_absent):
+    """The report, or the error message, and the written bytes alike."""
+    try:
+        report = evaluator(rows, records, DUMP_TAXONOMY, include_absent)
+    except EvaluationError as exc:
+        return "error", str(exc)
+    return report, json.dumps(report.to_dict(), indent=2, sort_keys=True)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(dump=dumps(), include_absent=st.booleans())
+def test_evaluate_matches_the_per_pair_reference(dump, include_absent):
+    rows, records = dump
+    got = outcome(evaluate, rows, records, include_absent)
+    assert got[0] != "error"
+    assert got == outcome(reference_evaluate, rows, records, include_absent)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(dump=dumps(), include_absent=st.booleans(), data=st.data(),
+       fault=st.sampled_from(["duplicate id", "missing id", "extra id", "empty path", "invalid truth"]))
+def test_evaluate_raises_what_the_per_pair_reference_raises(dump, include_absent, data, fault):
+    rows, records = dump
+    rows = [dict(row) for row in rows]
+    pick = data.draw(st.integers(0, len(rows) - 1))
+    if fault == "duplicate id":
+        rows.append(dict(rows[pick]))
+    elif fault == "missing id":
+        del rows[pick]
+    elif fault == "extra id":
+        rows.append({"id": "x-extra", "path": ["A"], "leaf_confidence": 0.5})
+    elif fault == "empty path":
+        rows[pick]["path"] = []
+    else:  # some records, not only the first in id order, carry a path that is no chain
+        bad = st.sampled_from([("zz-unknown",), DUMP_CHAINS[-1][::-1] + ("x",), DUMP_CHAINS[-1][1:] or ("x",)])
+        for k in data.draw(st.lists(st.integers(0, len(records) - 1), min_size=1, max_size=4)):
+            records[k] = replace(records[k], label_path=data.draw(bad))
+    got = outcome(evaluate, rows, records, include_absent)
+    assert got[0] == "error"
+    assert got == outcome(reference_evaluate, rows, records, include_absent)
+
+
+def test_invalid_truth_error_names_the_smallest_offending_id():
+    records = [ProductRecord(id=rec_id, title="t", category_name="c", bu_code="b", ou_code="o", system_code="s",
+                             label_path=path, source="synthetic")
+               for rec_id, path in [("r9", ("zz",)), ("r1", DUMP_CHAINS[0]), ("r5", ("yy",)), ("r7", ("zz",))]]
+    rows = [{"id": rec.id, "path": list(DUMP_CHAINS[0])} for rec in records]
+    with pytest.raises(EvaluationError, match=r"^truth record 'r5' carries an invalid path$"):
+        evaluate(rows, records, DUMP_TAXONOMY)
+
+
+def written_report(tmp_path, report):
+    path = tmp_path / "metrics.json"
+    metrics.write_report(path, report)
+    return path.read_bytes()
+
+
+def base_report(chain_taxonomy):
+    paths = [["A", "A.1"], ["B", "B.1"], ["A"]]
+    truth = [["A", "A.1"], ["B", "B.1"], ["B"]]
+    records = make_records(chain_taxonomy, truth)
+    return evaluate(pred_rows_for(records, paths, confidences=[0.4, 0.8, 0.6]), records, chain_taxonomy)
+
+
+@pytest.mark.parametrize("cdf", [
+    (),
+    ((0.5, 1.0),),
+    ((0, 1), (2, 3)),
+    [[0.25, 0.5], [0.75, 1]],
+    ((-0.0, 0.0), (5e-324, 1e16), (1e-05, 1.0)),
+    ((float("nan"), float("inf")), (float("-inf"), 1.0)),
+])
+def test_write_report_writes_what_json_dumps_writes(tmp_path, chain_taxonomy, cdf):
+    report = replace(base_report(chain_taxonomy), confidence_cdf=cdf)
+    assert written_report(tmp_path, report) == (json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n").encode()
+
+
+numbers = st.integers(-(2**70), 2**70) | st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(cdf=st.lists(st.tuples(numbers, numbers), max_size=12))
+def test_write_report_writes_what_json_dumps_writes_for_any_number_pairs(tmp_path_factory, cdf):
+    report = EvalReport(0.5, 1.0, 0.25, 0, {2: {"count": 1, "path_micro_f1": 0.1}}, tuple(cdf), len(cdf))
+    tmp_path = tmp_path_factory.mktemp("report")
+    assert written_report(tmp_path, report) == (json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n").encode()
+
+
+@pytest.mark.parametrize("entry", [(0.5,), (0.5, 1.0, 1.0), ("0.5", 1.0), (None, 1.0), (True, 1.0), ([0.5], 1.0),
+                                   0.5, "ab", {0.5: 1, 1.0: 2}])
+def test_write_report_refuses_a_cdf_entry_that_is_not_a_number_pair(tmp_path, chain_taxonomy, entry):
+    report = replace(base_report(chain_taxonomy), confidence_cdf=((0.1, 0.5), entry))
+    with pytest.raises(ValueError, match="confidence_cdf entries must be pairs of numbers"):
+        written_report(tmp_path, report)
+    assert list(tmp_path.iterdir()) == []

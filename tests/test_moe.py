@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taxpath.encoder import EncodedBatch, EncoderConfig, build_field_vocabs, encode_batch
+from taxpath.encoder import EncodedBatch, EncoderConfig, build_field_vocabs
 from taxpath.infer import label_tables, select_prediction
 from taxpath.moe import (
     CHECKPOINT_MAGIC,
@@ -23,6 +23,8 @@ from taxpath.moe import (
 )
 from taxpath.semantic import JudgeModel, load_judge, save_judge
 from taxpath.synth import SynthConfig, synth_corpus
+
+from encoder_oracles import encode_batch
 
 
 def small_setup(seed=0, experts=2, hidden=4, text_dim=4, cat_dim=2, buckets=32):

@@ -3,7 +3,7 @@ replaced, the forward-only pass's chunking, and the kind-major layout."""
 import numpy as np
 import pytest
 
-from taxpath.encoder import EncoderConfig, build_field_vocabs, encode_batch
+from taxpath.encoder import EncoderConfig, build_field_vocabs
 from taxpath.moe import (
     FORWARD_CHUNK_ROWS,
     MoEConfig,
@@ -14,6 +14,8 @@ from taxpath.moe import (
 )
 from taxpath.synth import SynthConfig, synth_corpus
 from taxpath.train import PROB_FLOOR, LossWeights, backward, build_level_targets
+
+from encoder_oracles import encode_batch
 
 
 def loop_forward(model, batch):

@@ -213,3 +213,17 @@ def test_bisect_on_the_cdf_draws_what_choice_draws(weights, seed):
     for _ in range(200):
         assert bisect_right(cdf, g.random()) == h.choice(len(p), p=p)
     assert g.random() == h.random()  # the streams are still aligned
+
+
+def test_label_noise_over_one_leaf_is_a_config_error():
+    config = SynthConfig(leaves=1, leaf_depth_min=1, leaf_depth_max=1, label_noise_rate=0.5, samples=10)
+    with pytest.raises(synth.SynthConfigError, match=r"^label_noise_rate 0.5 .* the taxonomy has only 1 leaf$"):
+        synth_corpus(config, 1)
+
+
+def test_label_noise_over_one_leaf_padded_to_more_draws_other_leaves():
+    # total_nodes padding adds leaves, and the check counts them
+    config = SynthConfig(leaves=1, leaf_depth_min=2, leaf_depth_max=2, total_nodes=4, label_noise_rate=0.5, samples=10)
+    corpus = synth_corpus(config, 1)
+    assert sum(node.is_leaf for node in corpus.taxonomy.nodes.values()) > 1
+    assert any(corpus.truth[r.id] != r.label_path for r in corpus.records)

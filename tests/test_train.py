@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from taxpath.encoder import EncoderConfig, build_field_vocabs, encode_batch
+from taxpath.encoder import EncoderConfig, build_field_vocabs
 from taxpath.moe import MoEConfig, forward_batch, init_model
 from taxpath.semantic import ConsistencyLabel
 from taxpath.synth import SynthConfig, synth_corpus
@@ -24,6 +24,8 @@ from taxpath.train import (
     semantic_loss,
     total_loss,
 )
+
+from encoder_oracles import encode_batch
 
 
 def test_level_loss_values():
