@@ -258,32 +258,35 @@ RECORD_KEYS = ("id", "title", "category_name", "bu_code", "ou_code", "system_cod
 STRING_KEYS = ("title", "category_name", "bu_code", "ou_code", "system_code", "source")
 
 
+_is_str = str.__instancecheck__  # isinstance(value, str) as a function `map` calls from C, no generator frame
+
+
 def is_string_list(values) -> bool:
     """Whether a JSON value is a list of strings."""
-    return isinstance(values, list) and all(isinstance(v, str) for v in values)
+    return isinstance(values, list) and all(map(_is_str, values))
 
 
 def record_from_dict(doc: dict) -> ProductRecord:
-    """The record a row holds; a ValueError names the first key whose value has the wrong type."""
-    for key in STRING_KEYS:
-        if not isinstance(doc[key], str):
-            raise ValueError(f"has a non-string {key!r}: {doc[key]!r}")
+    """The record a row holds; a ValueError names the first key whose value has the wrong type.
+
+    The id is a string or an integer, read as its decimal digits."""
+    record_id = doc["id"]
+    if not isinstance(record_id, str):
+        if not isinstance(record_id, int) or isinstance(record_id, bool):
+            raise ValueError(f"has an 'id' that is neither a string nor an integer: {record_id!r}")
+        record_id = str(record_id)
+    title, category_name, bu_code, ou_code, system_code, source = values = (
+        doc["title"], doc["category_name"], doc["bu_code"], doc["ou_code"], doc["system_code"], doc["source"])
+    if not all(map(_is_str, values)):
+        key = next(key for key in STRING_KEYS if not isinstance(doc[key], str))
+        raise ValueError(f"has a non-string {key!r}: {doc[key]!r}")
     label_path, cpvs = doc["label_path"], doc.get("cpvs")
     if not is_string_list(label_path):
         raise ValueError(f"has a 'label_path' that is not a list of strings: {label_path!r}")
     if cpvs is not None and not (isinstance(cpvs, list) and all(is_string_list(p) and len(p) == 2 for p in cpvs)):
         raise ValueError(f"has a 'cpvs' that is not a list of string pairs: {cpvs!r}")
-    return ProductRecord(
-        id=str(doc["id"]),
-        title=doc["title"],
-        category_name=doc["category_name"],
-        bu_code=doc["bu_code"],
-        ou_code=doc["ou_code"],
-        system_code=doc["system_code"],
-        label_path=tuple(label_path),
-        source=doc["source"],
-        cpvs=tuple((k, v) for k, v in cpvs) if cpvs is not None else None,
-    )
+    return ProductRecord(record_id, title, category_name, bu_code, ou_code, system_code, tuple(label_path), source,
+                         tuple((k, v) for k, v in cpvs) if cpvs is not None else None)
 
 
 @gc_paused

@@ -32,7 +32,7 @@ from .dataset import ProductRecord, is_string_list
 from .encoder import EncodedBatch, assemble_batch, prepare_records
 from .moe import CheckpointError, MoEModel, forward_batch
 from .taxonomy import NULL_CODE, Taxonomy
-from .util import gc_paused, read_jsonl, write_jsonl
+from .util import _ENCODE, atomic_write_text, canonical_json, gc_paused, read_jsonl
 
 MODE_LEAF_CONFIDENT = "leaf_confident"
 MODE_DEEPEST_VALID = "deepest_valid"
@@ -41,7 +41,8 @@ MODE_REPATHED = "repathed"
 DEFAULT_TAU_LEAF = 0.5
 
 
-# One row of a `Predictions`, as a prediction dump holds it.
+# One row of a `Predictions`, as a prediction dump holds it. The path and the argmax are tuples of codes,
+# which `write_predictions` looks up by value.
 PredictionPath = namedtuple("PredictionPath", "selected_path selected_leaf mode leaf_confidence per_level_argmax")
 
 
@@ -213,13 +214,35 @@ def prediction_to_dict(record_id: str, pred: PredictionPath) -> dict:
             "leaf_confidence": pred.leaf_confidence, "per_level_argmax": list(pred.per_level_argmax)}
 
 
+class _JSONTexts(dict):
+    """value -> `canonical_json(value)`, encoded at the first lookup."""
+
+    def __missing__(self, value):
+        text = self[value] = canonical_json(value)
+        return text
+
+
 @gc_paused
 def write_predictions(path: str | Path, ids: list[str], preds: Predictions | list[PredictionPath]) -> None:
-    write_jsonl(path, (prediction_to_dict(i, p) for i, p in zip(ids, preds)))
+    """The lines `write_jsonl(path, map(prediction_to_dict, ids, preds))` writes, keys in its sorted order.
+
+    The leaves, modes, paths and argmax tuples of a dump are bounded by the
+    label spaces, so each distinct one is encoded once; the id and the
+    confidence are encoded per row.
+    """
+    texts = _JSONTexts()
+    atomic_write_text(path, "".join([
+        f'{{"id":{"".join(_ENCODE(i, 0))},"leaf":{texts[p.selected_leaf]},'
+        f'"leaf_confidence":{"".join(_ENCODE(p.leaf_confidence, 0))},"mode":{texts[p.mode]},'
+        f'"path":{texts[p.selected_path]},"per_level_argmax":{texts[p.per_level_argmax]}}}\n'
+        for i, p in zip(ids, preds)
+    ]))
 
 
 def check_prediction(row: dict) -> dict:
     """`row` itself; a ValueError names the first key whose value has a type scoring cannot read."""
+    if not isinstance(row["id"], str):
+        raise ValueError(f"has a non-string 'id': {row['id']!r}")
     path, leaf = row["path"], row["leaf"]
     if not is_string_list(path):
         raise ValueError(f"has a 'path' that is not a list of strings: {path!r}")

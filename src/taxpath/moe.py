@@ -419,6 +419,9 @@ def load_checkpoint(source, taxonomy: Taxonomy | None = None) -> MoEModel:
         level_labels=level_labels,
         flat=flat,
     )
+    if not np.isfinite(flat).all():  # a NaN weight would reach every confidence of the model
+        name = next(name for name, value in model.params.items() if not np.isfinite(value).all())
+        raise CheckpointError(f"checkpoint parameter {name!r} holds a non-finite value")
     if taxonomy is not None and taxonomy.fingerprint() != model.taxonomy_hash:
         raise CheckpointError(
             f"taxonomy hash mismatch: checkpoint {model.taxonomy_hash[:12]}..., "

@@ -22,6 +22,10 @@ FNV_PRIME_64 = 0x100000001B3
 _MASK_64 = 0xFFFFFFFFFFFFFFFF
 # built once, not per call; its callers encode trees built for the call, which hold no cycle
 _CANONICAL = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"), check_circular=False)
+# the C encoder `_CANONICAL.encode` builds on every call, built once with the same arguments
+_ENCODE = json.encoder.c_make_encoder(
+    None, _CANONICAL.default, json.encoder.encode_basestring, _CANONICAL.indent, _CANONICAL.key_separator,
+    _CANONICAL.item_separator, _CANONICAL.sort_keys, _CANONICAL.skipkeys, _CANONICAL.allow_nan)
 _DECODER = json.JSONDecoder()
 # `\w` is str.isalnum() or "_", so this matches the runs of characters where isalnum() holds
 _ALNUM_RUNS = re.compile(r"[^\W_]+")
@@ -79,8 +83,8 @@ def stream_rng(seed: int, *names: str) -> np.random.Generator:
 
 
 def canonical_json(obj: Any) -> str:
-    """Deterministic JSON encoding (sorted keys, fixed separators)."""
-    return _CANONICAL.encode(obj)
+    """Deterministic JSON encoding (sorted keys, fixed separators): `_CANONICAL.encode(obj)`."""
+    return "".join(_ENCODE(obj, 0))
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
@@ -116,8 +120,7 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 
 def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
-    lines = [canonical_json(row) for row in rows]
-    atomic_write_text(path, "".join(line + "\n" for line in lines))
+    atomic_write_text(path, "".join([canonical_json(row) + "\n" for row in rows]))
 
 
 def read_jsonl(path: str | Path, required: tuple[str, ...] = (), convert: Callable[[dict], Any] | None = None) -> Iterator:
@@ -125,24 +128,28 @@ def read_jsonl(path: str | Path, required: tuple[str, ...] = (), convert: Callab
     every row must be an object holding those keys. With `convert`, each row
     is yielded as `convert(row)`; a ValueError it raises is re-raised naming
     the file and the line."""
+    keys, scan = frozenset(required), _DECODER.scan_once
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:  # one C scan per line; the errors read as json.loads words them
-                row, end = _DECODER.raw_decode(line)
+                try:
+                    row, end = scan(line, 0)
+                except StopIteration as stop:  # as raw_decode words it
+                    raise json.JSONDecodeError("Expecting value", line, stop.value) from None
                 if end != len(line):  # the line is stripped, so this is trailing data
                     raise json.JSONDecodeError("Extra data", line, len(line) - len(line[end:].lstrip(" \t\n\r")))
             except json.JSONDecodeError as exc:
                 if line.startswith("\ufeff"):
                     exc = json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
                 raise ValueError(f"{path}: bad JSON on line {lineno}: {exc}") from exc
-            if required and not isinstance(row, dict):
-                raise ValueError(f"{path}: line {lineno} is not a JSON object")
-            for key in required:
-                if key not in row:
-                    raise ValueError(f"{path}: the row on line {lineno} has no {key!r} key")
+            if required and not (isinstance(row, dict) and row.keys() >= keys):
+                if not isinstance(row, dict):
+                    raise ValueError(f"{path}: line {lineno} is not a JSON object")
+                key = next(key for key in required if key not in row)
+                raise ValueError(f"{path}: the row on line {lineno} has no {key!r} key")
             if convert is not None:
                 try:
                     row = convert(row)

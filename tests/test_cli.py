@@ -6,7 +6,7 @@ import pytest
 
 from taxpath.cli import dispatch
 from taxpath.dataset import cleanse, read_records, write_records
-from taxpath.moe import JUDGE_MAGIC, write_container
+from taxpath.moe import JUDGE_MAGIC, load_checkpoint, save_checkpoint, write_container
 from taxpath.semantic import JudgeModel
 from taxpath.taxonomy import load_taxonomy_file
 from taxpath.util import read_jsonl
@@ -365,6 +365,10 @@ def test_train_with_judge_annotates_each_training_record_once(tmp_path, monkeypa
 
 
 BAD_PREDICTION_VALUES = [
+    # eval would die hashing a list id; repath would copy it
+    ("id", ["a"], "has a non-string 'id': ['a']"),
+    ("id", 1, "has a non-string 'id': 1"),
+    ("id", None, "has a non-string 'id': None"),
     ("path", "A", "has a 'path' that is not a list of strings: 'A'"),
     ("path", ["A", 1], "has a 'path' that is not a list of strings: ['A', 1]"),
     ("leaf", ["A.1.1"], "has a non-string 'leaf': ['A.1.1']"),
@@ -390,7 +394,7 @@ def test_prediction_row_with_a_value_of_the_wrong_type_exits_1_naming_the_key(
     tax.write_bytes(chain_taxonomy.to_json_bytes())
     good = {"id": "a", "path": ["A", "A.1", "A.1.1"], "leaf": "A.1.1", "leaf_confidence": 0.9}
     pred = tmp_path / "pred.jsonl"
-    pred.write_text(json.dumps(good) + "\n" + json.dumps(dict(good, id="b", **{key: value})) + "\n", encoding="utf-8")
+    pred.write_text(json.dumps(good) + "\n" + json.dumps(dict(good, **{"id": "b", key: value})) + "\n", encoding="utf-8")
     out = tmp_path / "out" / "result.json"
     args = ("--truth", str(pred)) if command == "eval" else ()
     assert run(command, "--pred", str(pred), *args, "--taxonomy", str(tax), "--out", str(out)) == 1
@@ -450,6 +454,21 @@ def test_a_failing_subcommand_writes_no_manifest(tmp_path, workflow, capsys):
     assert run("predict", "--config", cfg, "--model", str(model), "--records", str(splits / "test.jsonl"),
                "--taxonomy", str(other), "--out", str(out / "preds.jsonl")) == 1
     assert "taxonomy hash mismatch" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_predict_with_a_non_finite_checkpoint_parameter_exits_1_writing_nothing(tmp_path, workflow, capsys):
+    cfg, data, kept, splits, model, preds, report = workflow
+    weights = load_checkpoint(model)
+    weights.params["level1/head/b"][0] = np.nan  # saved as is: only the loader checks
+    bad = tmp_path / "nan.ckpt"
+    save_checkpoint(weights, bad)
+    out = tmp_path / "out"
+    assert run("predict", "--config", cfg, "--model", str(bad), "--records", str(splits / "test.jsonl"),
+               "--taxonomy", str(data / "taxonomy.json"), "--repath", "--out", str(out / "preds.jsonl")) == 1
+    err = capsys.readouterr().err
+    assert "checkpoint parameter 'level1/head/b' holds a non-finite value" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

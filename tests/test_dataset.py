@@ -292,6 +292,12 @@ def test_product_record_compares_by_value_and_replaces(tmp_path):
         ("cpvs", [["k", "v", "w"]], "has a 'cpvs' that is not a list of string pairs: [['k', 'v', 'w']]"),
         ("cpvs", [["k", 2]], "has a 'cpvs' that is not a list of string pairs: [['k', 2]]"),
         ("cpvs", ["kv"], "has a 'cpvs' that is not a list of string pairs: ['kv']"),
+        # an id that is no string or integer would be read as its Python repr
+        ("id", ["a"], "has an 'id' that is neither a string nor an integer: ['a']"),
+        ("id", {"k": 1}, "has an 'id' that is neither a string nor an integer: {'k': 1}"),
+        ("id", None, "has an 'id' that is neither a string nor an integer: None"),
+        ("id", True, "has an 'id' that is neither a string nor an integer: True"),
+        ("id", 7.0, "has an 'id' that is neither a string nor an integer: 7.0"),
     ],
 )
 def test_read_records_names_the_line_and_key_of_a_value_of_the_wrong_type(tmp_path, key, value, message):
@@ -302,6 +308,15 @@ def test_read_records_names_the_line_and_key_of_a_value_of_the_wrong_type(tmp_pa
     path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
     with pytest.raises(ValueError, match=re.escape(f"{path}: the row on line 2 {message}")):
         read_records(path)
+
+
+def test_read_records_reads_an_integer_id_as_its_decimal_digits(tmp_path):
+    path = tmp_path / "records.jsonl"
+    write_records(path, [rec(0, "a thing", ["A"]), rec(1, "b thing", ["A", "A.1"])])
+    rows = list(read_jsonl(path))
+    rows[0]["id"], rows[1]["id"] = 12, -2**70
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    assert [r.id for r in read_records(path)] == ["12", str(-2**70)]
 
 
 def test_rejection_report(tmp_path, chain_taxonomy):

@@ -257,6 +257,17 @@ def test_checkpoint_corrupt_and_truncated():
         load_checkpoint(io.BytesIO(buf.getvalue()[:-9]))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_checkpoint_with_a_non_finite_parameter_is_refused_naming_it(value):
+    corpus, enc, moe, model = small_setup(seed=13)
+    model.params["level2/head/b"][1] = value
+    model.params["semantic/W"][0, 0] = value  # later in the manifest: not the one named
+    buf = io.BytesIO()
+    save_checkpoint(model, buf)
+    with pytest.raises(CheckpointError, match=r"^checkpoint parameter 'level2/head/b' holds a non-finite value$"):
+        load_checkpoint(io.BytesIO(buf.getvalue()), corpus.taxonomy)
+
+
 def test_checkpoint_version_mismatch():
     corpus, enc, moe, model = small_setup(seed=13)
     buf = io.BytesIO()
