@@ -16,8 +16,9 @@ import logging
 import os
 import sys
 import time
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, field, fields, make_dataclass, replace
 from pathlib import Path
+from typing import Any
 
 from .dataset import (
     SplitSpec,
@@ -29,14 +30,14 @@ from .dataset import (
 )
 from .encoder import EncoderConfig, build_field_vocabs
 from .infer import MODE_REPATHED, leaf_chain, predict_batch, read_predictions, write_predictions
-from .metrics import EvalReport, evaluate, render_table, write_cdf_csv, write_report
+from .metrics import EvalReport, EvaluationError, evaluate, render_table, write_cdf_csv, write_report
 from .moe import MoEConfig, init_model, load_checkpoint, save_checkpoint
 from .pipeline import PipelineConfig, run_pipeline
 from .semantic import annotate_corpus, distill_judge, label_dev_set, load_judge, save_judge, write_annotations
 from .synth import SynthConfig, synth_corpus
 from .taxonomy import load_taxonomy_file
 from .train import LossWeights, TrainConfig, fit
-from .util import ConfigError, atomic_write_bytes, atomic_write_text, config_from_dict, config_object, write_jsonl
+from .util import ConfigError, atomic_write_bytes, atomic_write_text, config_from_dict, config_value, read_json, write_jsonl
 
 log = logging.getLogger("taxpath")
 
@@ -55,27 +56,27 @@ CONFIG_FLAGS = {
     "--high-conf-fraction": ("pipeline.high_conf_fraction", float),
 }
 SECTIONS = ("encoder", "moe", "train", "split", "pipeline", "synth")
+# The top level of a config document: the seed, and one object per section
+ConfigDocument = make_dataclass("ConfigDocument", [("seed", int, PipelineConfig.seed)] + [
+    (name, dict[str, Any], field(default_factory=dict)) for name in SECTIONS], frozen=True)
 
 
 def read_config(args: argparse.Namespace) -> dict:
     """The config document: the --config file (if any), then the flags the user passed."""
-    doc: dict = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                doc = config_object(json.load(fh), "config")
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"bad config file {args.config}: {exc}") from exc
+    doc = config_value(dict[str, Any], read_json(Path(args.config), args.config, ConfigError), "config") if args.config else {}
     if args.seed is not None:
         doc["seed"] = args.seed
     for dest, value in vars(args).items():
         section, dot, key = dest.partition(".")
         if dot and value is not None:
-            doc[section] = {**config_object(doc.get(section, {}), section), key: value}
+            doc[section] = {**config_value(dict[str, Any], doc.get(section, {}), section), key: value}
     if getattr(args, "fractions", None):
-        parts = [float(x) for x in args.fractions.split(",")]
+        try:
+            parts = [float(x) for x in args.fractions.split(",")]
+        except ValueError:
+            parts = []
         if len(parts) != 3:
-            raise ValueError("--fractions needs three comma-separated values")
+            raise ValueError(f"--fractions needs three comma-separated numbers, got {args.fractions!r}")
         # the fractions are SplitSpec's first three fields
         doc["split"] = dict(zip((f.name for f in fields(SplitSpec)), parts))
     return doc
@@ -88,27 +89,21 @@ def load_config(doc: dict) -> tuple[int, PipelineConfig, SynthConfig]:
     `train` section also holds the loss weights. Keys left out take the
     dataclass defaults, and an unknown key raises a ConfigError naming it.
     """
-    doc = config_object(doc, "config")
-    for key in doc:
-        if key != "seed" and key not in SECTIONS:
-            raise ConfigError(f"unknown config key {key}")
-    sections = {name: config_object(doc.get(name, {}), name) for name in SECTIONS}
-    seed = doc.get("seed", PipelineConfig.seed)
-    if type(seed) is not int:
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
-    train = dict(sections["train"])
+    doc = config_from_dict(ConfigDocument, config_value(dict[str, Any], doc, "config"), "")
+    seed = doc.seed
+    train = dict(doc.train)
     weights = {f.name: train.pop(f.name) for f in fields(LossWeights) if f.name in train}
     config = config_from_dict(
-        PipelineConfig, sections["pipeline"], "pipeline",
-        encoder=config_from_dict(EncoderConfig, sections["encoder"], "encoder"),
-        moe=config_from_dict(MoEConfig, sections["moe"], "moe"),
+        PipelineConfig, doc.pipeline, "pipeline",
+        encoder=config_from_dict(EncoderConfig, doc.encoder, "encoder"),
+        moe=config_from_dict(MoEConfig, doc.moe, "moe"),
         train=config_from_dict(
             TrainConfig, train, "train", seed=seed, loss_weights=config_from_dict(LossWeights, weights, "train")
         ),
-        split=config_from_dict(SplitSpec, sections["split"], "split", seed=seed),
+        split=config_from_dict(SplitSpec, doc.split, "split", seed=seed),
         seed=seed,
     )
-    return seed, config, config_from_dict(SynthConfig, sections["synth"], "synth")
+    return seed, config, config_from_dict(SynthConfig, doc.synth, "synth")
 
 
 def config_document(config: PipelineConfig, synth: SynthConfig) -> dict:
@@ -194,13 +189,14 @@ def cmd_train(args: argparse.Namespace, config: PipelineConfig, synth: SynthConf
 def cmd_judge(args: argparse.Namespace, config: PipelineConfig, synth: SynthConfig) -> Path:
     taxonomy = load_taxonomy_file(args.taxonomy)
     dev = read_records(args.dev)
+    to_annotate = read_records(args.annotate) if args.annotate else None  # every input read before any output
     labeled = label_dev_set(dev, taxonomy, config.oracle_y_threshold, config.oracle_n_threshold)
     judge = distill_judge(labeled, taxonomy, config.seed)
     out = Path(args.out)
     save_judge(judge, out)
     print(f"judge holdout agreement: {judge.holdout_agreement:.4f}")
-    if args.annotate:
-        annotations = annotate_corpus(read_records(args.annotate), judge, taxonomy)
+    if to_annotate is not None:
+        annotations = annotate_corpus(to_annotate, judge, taxonomy)
         write_annotations(args.annotations or out.parent / "annotations.jsonl", annotations)
     return out.parent
 
@@ -241,7 +237,8 @@ def cmd_eval(args: argparse.Namespace, config: PipelineConfig, synth: SynthConfi
 
 
 def cmd_report(args: argparse.Namespace) -> None:
-    report = EvalReport.from_dict(json.loads(Path(args.report).read_text(encoding="utf-8")))
+    doc = read_json(Path(args.report), args.report, EvaluationError)
+    report = EvalReport.from_dict(doc, f"{args.report}: evaluation report")
     print(render_table(report))
     if report.per_depth:
         print("\nper-depth (path micro F1 %):")

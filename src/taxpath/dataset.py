@@ -270,6 +270,7 @@ def record_from_dict(doc: dict) -> ProductRecord:
     """The record a row holds; a ValueError names the first key whose value has the wrong type.
 
     The id is a string or an integer, read as its decimal digits."""
+    # Checked by hand, not by `config_value`: a per-value walk of 20k rows took 666 against 106 ms
     record_id = doc["id"]
     if not isinstance(record_id, str):
         if not isinstance(record_id, int) or isinstance(record_id, bool):

@@ -241,6 +241,7 @@ def write_predictions(path: str | Path, ids: list[str], preds: Predictions | lis
 
 def check_prediction(row: dict) -> dict:
     """`row` itself; a ValueError names the first key whose value has a type scoring cannot read."""
+    # Checked by hand, not by `config_value`: a per-value walk of 20k rows took 733 against 15 ms
     if not isinstance(row["id"], str):
         raise ValueError(f"has a non-string 'id': {row['id']!r}")
     path, leaf = row["path"], row["leaf"]

@@ -12,14 +12,14 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import chain
 from pathlib import Path
+from typing import TypedDict
 
 import numpy as np
 
 from .dataset import ProductRecord
 from .taxonomy import Taxonomy, is_valid_path
-from .util import atomic_write_text, gc_paused
+from .util import ConfigError, atomic_write_text, config_from_dict, config_value, gc_paused
 
 
 class EvaluationError(ValueError):
@@ -33,13 +33,18 @@ class EvalPair:
     true_depth: int
 
 
+# One entry of `EvalReport.per_depth`: the sample count and the four scores of one depth
+DepthStats = TypedDict("DepthStats", {"count": int, **dict.fromkeys(
+    ("path_macro_f1", "path_micro_f1", "leaf_macro_f1", "leaf_micro_f1"), float)})
+
+
 @dataclass(frozen=True)
 class EvalReport:
     path_macro_f1: float
     path_micro_f1: float
     leaf_macro_f1: float
     leaf_micro_f1: float
-    per_depth: dict[int, dict]
+    per_depth: dict[int, DepthStats]
     confidence_cdf: tuple[tuple[float, float], ...]
     sample_count: int
 
@@ -55,39 +60,14 @@ class EvalReport:
         }
 
     @classmethod
-    def from_dict(cls, doc: dict) -> EvalReport:
-        """The report `to_dict` wrote. A missing key, or a value of another
-        type or shape than `to_dict` writes, raises EvaluationError naming it."""
-        scores = dict.fromkeys(("path_macro_f1", "path_micro_f1", "leaf_macro_f1", "leaf_micro_f1"), _NUMBER)
-        _check(doc, "evaluation report", {**scores, "per_depth": (dict,), "confidence_cdf": (list,), "sample_count": (int,)})
-        per_depth = {}
-        for key, stats in doc["per_depth"].items():
-            where = f"evaluation report key 'per_depth' entry {key!r}"
-            if not key.isdecimal():
-                raise EvaluationError(f"{where} is not keyed by an integer depth")
-            per_depth[int(key)] = _check(stats, where, {**scores, "count": (int,)})
-        cdf = doc["confidence_cdf"]
-        if not all(type(pair) is list and len(pair) == 2 and {*map(type, pair)} <= {int, float} for pair in cdf):
-            raise EvaluationError("evaluation report key 'confidence_cdf' is not a list of number pairs")
-        return cls(**{key: doc[key] for key in scores}, per_depth=per_depth, confidence_cdf=tuple(map(tuple, cdf)),
-                   sample_count=doc["sample_count"])
-
-
-# The JSON value types a report holds, matched exactly: true and false are no numbers.
-_NUMBER = (int, float)
-_KINDS = {_NUMBER: "a number", (int,): "an integer", (dict,): "an object", (list,): "a list"}
-
-
-def _check(doc, where: str, schema: dict[str, tuple[type, ...]]) -> dict:
-    """`doc`, an object holding each key of `schema` with a value of one of its types."""
-    if type(doc) is not dict:
-        raise EvaluationError(f"{where} is not an object: {doc!r}")
-    for key, kinds in schema.items():
-        if key not in doc:
-            raise EvaluationError(f"{where} has no {key!r} key")
-        if type(doc[key]) not in kinds:
-            raise EvaluationError(f"{where} key {key!r} is not {_KINDS[kinds]}: {doc[key]!r}")
-    return doc
+    def from_dict(cls, doc: dict, where: str = "evaluation report") -> EvalReport:
+        """The report `to_dict` wrote. A missing or unknown key, or a value of
+        another type or shape than `to_dict` writes, raises EvaluationError
+        naming its key path from `where`."""
+        try:
+            return config_from_dict(cls, doc, where)
+        except ConfigError as exc:
+            raise EvaluationError(str(exc)) from exc
 
 
 def effective_leaf(path: list[str] | tuple[str, ...]) -> str:
@@ -273,10 +253,7 @@ def write_report(path: str | Path, report: EvalReport) -> None:
     newline, byte for byte. That encoder is pure Python, so the confidence
     CDF, the bulk of the report, goes through the C encoder; numbers hold no
     brackets, so only the separators between pairs need laying out again."""
-    cdf = report.confidence_cdf
-    if not (set(map(type, cdf)) <= {tuple, list} and set(map(len, cdf)) <= {2}
-            and set(map(type, chain.from_iterable(cdf))) <= {int, float}):
-        raise ValueError("confidence_cdf entries must be pairs of numbers")
+    cdf = config_value(tuple[tuple[float, float], ...], report.confidence_cdf, "confidence_cdf")
     text = json.dumps(replace(report, confidence_cdf=()).to_dict(), indent=2, sort_keys=True)
     if cdf:  # "confidence_cdf" sorts first, so the first match is the top-level key
         pairs = _PAIRS.encode(cdf)[2:-2].replace("],\n      [", "\n    ],\n    [\n      ")

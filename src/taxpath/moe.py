@@ -24,12 +24,13 @@ import json
 import math
 import struct
 from dataclasses import asdict, dataclass, field
+from typing import Any, TypedDict
 
 import numpy as np
 
 from .encoder import EncodedBatch, EncoderConfig
 from .taxonomy import NULL_CODE, Taxonomy
-from .util import ConfigError, config_from_dict, config_object, config_value, read_blob, stream_rng, write_blob
+from .util import ConfigError, config_from_dict, config_value, read_blob, read_json, stream_rng, write_blob
 
 CHECKPOINT_MAGIC = b"TAXN"
 JUDGE_MAGIC = b"TXNJ"
@@ -338,6 +339,12 @@ def _forward(model: MoEModel, dense: np.ndarray, routing: np.ndarray, for_backwa
 
 # --- checkpoint container (shared by model and judge checkpoints) ---
 
+# The container's JSON header, one array of its manifest, and a model checkpoint's meta
+ArraySpec = TypedDict("ArraySpec", {"name": str, "shape": tuple[int, ...]})
+ContainerHeader = TypedDict("ContainerHeader", {"meta": Any, "manifest": tuple[ArraySpec, ...], "payload_sha256": str})
+ModelMeta = TypedDict("ModelMeta", {"encoder_config": EncoderConfig, "moe_config": MoEConfig, "taxonomy_hash": str,
+                                    "level_labels": tuple[tuple[str, ...], ...]})
+
 
 def write_container(magic: bytes, meta: dict, params: dict[str, np.ndarray]) -> bytes:
     payload = b"".join(np.ascontiguousarray(v, dtype="<f8").tobytes() for v in params.values())
@@ -356,8 +363,9 @@ def write_container(magic: bytes, meta: dict, params: dict[str, np.ndarray]) -> 
     )
 
 
-def read_container(blob: bytes, magic: bytes) -> tuple[dict, list[tuple[str, tuple[int, ...]]], np.ndarray]:
-    """(meta, manifest of (name, shape), flat float64 payload) of a verified container."""
+def read_container(blob: bytes, magic: bytes, meta_schema=dict[str, Any]) -> tuple[dict, list, np.ndarray]:
+    """(meta, manifest of (name, shape), flat float64 payload) of a verified
+    container, its meta checked against the type hint `meta_schema`."""
     if len(blob) < 16 or blob[:4] != magic:
         raise CheckpointError(f"bad magic: expected {magic!r}")
     (version,) = struct.unpack("<I", blob[4:8])
@@ -366,21 +374,22 @@ def read_container(blob: bytes, magic: bytes) -> tuple[dict, list[tuple[str, tup
     (header_len,) = struct.unpack("<Q", blob[8:16])
     if len(blob) < 16 + header_len:
         raise CheckpointError("truncated checkpoint: header incomplete")
-    try:  # ValueError covers undecodable bytes and bad JSON
-        header = json.loads(blob[16 : 16 + header_len].decode("utf-8"))
-        meta, checksum = config_object(header["meta"], "meta"), header["payload_sha256"]
-        manifest = [(item["name"], tuple(item["shape"])) for item in header["manifest"]]
-        if not all(isinstance(name, str) and all(type(d) is int and d >= 0 for d in shape) for name, shape in manifest):
-            raise ValueError("every array needs a name and a shape of non-negative integers")
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CheckpointError(f"corrupt checkpoint header: {exc!r}") from exc
+    header = read_json(blob[16 : 16 + header_len], "checkpoint header", CheckpointError)
+    try:
+        header = config_from_dict(ContainerHeader, header, "checkpoint header")
+        meta = config_value(meta_schema, header["meta"], "checkpoint header.meta")
+    except ConfigError as exc:
+        raise CheckpointError(str(exc)) from exc
+    manifest = [(array["name"], array["shape"]) for array in header["manifest"]]
+    if any(d < 0 for _, shape in manifest for d in shape):
+        raise CheckpointError("checkpoint header.manifest: every array needs a shape of non-negative integers")
     payload = memoryview(blob)[16 + header_len :]
     expected = sum(math.prod(shape) for _, shape in manifest) * 8
     if len(payload) != expected:
         raise CheckpointError(
             f"truncated checkpoint: payload has {len(payload)} bytes, expected {expected}"
         )
-    if hashlib.sha256(payload).hexdigest() != checksum:
+    if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
         raise CheckpointError("truncated or corrupt checkpoint: payload checksum mismatch")
     flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)  # the one copy
     return meta, manifest, flat
@@ -399,26 +408,14 @@ def save_checkpoint(model: MoEModel, sink) -> None:
 
 def load_checkpoint(source, taxonomy: Taxonomy | None = None) -> MoEModel:
     """Load a model checkpoint; verifies the taxonomy hash when one is given."""
-    meta, manifest, flat = read_container(read_blob(source), CHECKPOINT_MAGIC)
-    try:
-        encoder_config = config_from_dict(EncoderConfig, meta.get("encoder_config"), "encoder_config")
-        moe_config = config_from_dict(MoEConfig, meta.get("moe_config"), "moe_config")
-        taxonomy_hash = config_value(str, meta.get("taxonomy_hash"), "taxonomy_hash")
-        level_labels = config_value(tuple[tuple[str, ...], ...], meta.get("level_labels"), "level_labels")
-    except ConfigError as exc:
-        raise CheckpointError(f"bad checkpoint header: {exc}") from exc
+    meta, manifest, flat = read_container(read_blob(source), CHECKPOINT_MAGIC, ModelMeta)
+    moe_config, level_labels = meta["moe_config"], meta["level_labels"]
     # the count first, so a header naming huge configs is refused without building their manifest
-    count = 3 + len(encoder_config.fields) + moe_config.levels * (4 + 4 * moe_config.experts_per_level)
+    count = 3 + len(meta["encoder_config"].fields) + moe_config.levels * (4 + 4 * moe_config.experts_per_level)
     if (len(level_labels) != moe_config.levels or not all(level_labels) or len(manifest) != count
-            or manifest != param_manifest(encoder_config, moe_config, level_labels)):
+            or manifest != param_manifest(meta["encoder_config"], moe_config, level_labels)):
         raise CheckpointError("label spaces or parameter manifest do not match the checkpoint's model configuration")
-    model = MoEModel(
-        encoder_config=encoder_config,
-        moe_config=moe_config,
-        taxonomy_hash=taxonomy_hash,
-        level_labels=level_labels,
-        flat=flat,
-    )
+    model = MoEModel(**meta, flat=flat)
     if not np.isfinite(flat).all():  # a NaN weight would reach every confidence of the model
         name = next(name for name, value in model.params.items() if not np.isfinite(value).all())
         raise CheckpointError(f"checkpoint parameter {name!r} holds a non-finite value")

@@ -11,16 +11,20 @@ import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import TypedDict
 
 import numpy as np
 
 from .dataset import ProductRecord
 from .moe import JUDGE_MAGIC, CheckpointError, param_views, read_container, softmax, write_container
 from .taxonomy import Taxonomy
-from .util import ConfigError, config_from_dict, gc_paused, read_blob, stream_rng, tokenize, write_blob, write_jsonl
+from .util import gc_paused, read_blob, stream_rng, tokenize, write_blob, write_jsonl
 
 VERDICTS = ("Y", "N", "U")
 FEATURE_NAMES = ("leaf_overlap", "ancestor_overlap", "title_length", "popularity")
+# The meta of a judge checkpoint: `JudgeModel`'s scalar fields and the feature order, every key required
+JudgeMeta = TypedDict("JudgeMeta", {"tau_hi": float, "tau_lo": float, "popularity": dict[str, float],
+                                    "holdout_agreement": float, "feature_names": tuple[str, ...]})
 
 DEFAULT_Y_THRESHOLD = 0.5
 DEFAULT_N_THRESHOLD = 0.1
@@ -302,10 +306,7 @@ def save_judge(judge: JudgeModel, sink) -> None:
 
 
 def load_judge(source) -> JudgeModel:
-    meta, manifest, flat = read_container(read_blob(source), JUDGE_MAGIC)
-    for key in ("tau_hi", "tau_lo", "popularity", "holdout_agreement"):
-        if key not in meta:
-            raise CheckpointError(f"judge checkpoint meta has no {key!r}")
+    meta, manifest, flat = read_container(read_blob(source), JUDGE_MAGIC, JudgeMeta)
     shapes = dict(manifest)
     for name, expected in (("weights", (len(FEATURE_NAMES), len(VERDICTS))), ("bias", (len(VERDICTS),))):
         if name not in shapes:
@@ -314,15 +315,13 @@ def load_judge(source) -> JudgeModel:
             raise CheckpointError(
                 f"judge array {name!r} has shape {shapes[name]}, expected {expected}"
             )
-    if "feature_names" not in meta:
-        raise CheckpointError("judge checkpoint meta has no 'feature_names'")
-    if meta["feature_names"] != list(FEATURE_NAMES):
+    feature_names = meta.pop("feature_names")
+    if feature_names != FEATURE_NAMES:
         raise CheckpointError(
-            f"judge checkpoint feature_names {meta['feature_names']} differ from {list(FEATURE_NAMES)}"
+            f"judge checkpoint feature_names {list(feature_names)} differ from {list(FEATURE_NAMES)}"
         )
     params = param_views(flat, manifest)
-    try:  # the meta's types are checked like a config's
-        fields = {key: value for key, value in meta.items() if key != "feature_names"}
-        return config_from_dict(JudgeModel, fields, "judge meta", weights=params["weights"], bias=params["bias"])
-    except ConfigError as exc:
+    try:
+        return JudgeModel(weights=params["weights"], bias=params["bias"], **meta)
+    except ValueError as exc:
         raise CheckpointError(f"bad judge checkpoint meta: {exc}") from exc

@@ -5,9 +5,11 @@ from __future__ import annotations
 import dataclasses
 import functools
 import gc
+import itertools
 import json
 import os
 import re
+import sys
 import tempfile
 import types
 import typing
@@ -123,88 +125,148 @@ def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
     atomic_write_text(path, "".join([canonical_json(row) + "\n" for row in rows]))
 
 
+def read_json(source, where: str, error: type[Exception] = ValueError) -> Any:
+    """The JSON document in a path, a binary file object or bytes. Any failure to decode it (bad UTF-8, a BOM,
+    bad JSON, nesting too deep, an integer too long to convert) raises `error` naming `where`."""
+    data = source if isinstance(source, bytes) else read_blob(source)
+    try:  # UnicodeDecodeError and JSONDecodeError are ValueErrors, as is the int-digit limit's
+        return json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{where}: bad JSON: {exc}") from exc
+
+
 def read_jsonl(path: str | Path, required: tuple[str, ...] = (), convert: Callable[[dict], Any] | None = None) -> Iterator:
     """The rows of a JSON Lines file, blank lines skipped. With `required`,
     every row must be an object holding those keys. With `convert`, each row
     is yielded as `convert(row)`; a ValueError it raises is re-raised naming
-    the file and the line."""
+    the file and the line, as is a line that `read_json` could not decode."""
     keys, scan = frozenset(required), _DECODER.scan_once
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:  # one C scan per line; the errors read as json.loads words them
-                try:
-                    row, end = scan(line, 0)
-                except StopIteration as stop:  # as raw_decode words it
-                    raise json.JSONDecodeError("Expecting value", line, stop.value) from None
-                if end != len(line):  # the line is stripped, so this is trailing data
-                    raise json.JSONDecodeError("Extra data", line, len(line) - len(line[end:].lstrip(" \t\n\r")))
-            except json.JSONDecodeError as exc:
-                if line.startswith("\ufeff"):
-                    exc = json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:  # one C scan per line; the errors read as json.loads words them
+                    try:
+                        row, end = scan(line, 0)
+                    except StopIteration as stop:  # as raw_decode words it
+                        raise json.JSONDecodeError("Expecting value", line, stop.value) from None
+                    if end != len(line):  # the line is stripped, so this is trailing data
+                        raise json.JSONDecodeError("Extra data", line, len(line) - len(line[end:].lstrip(" \t\n\r")))
+                except (ValueError, RecursionError) as exc:
+                    if line.startswith("\ufeff"):
+                        exc = json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+                    raise ValueError(f"{path}: bad JSON on line {lineno}: {exc}") from exc
+                if required and not (isinstance(row, dict) and row.keys() >= keys):
+                    if not isinstance(row, dict):
+                        raise ValueError(f"{path}: line {lineno} is not a JSON object")
+                    key = next(key for key in required if key not in row)
+                    raise ValueError(f"{path}: the row on line {lineno} has no {key!r} key")
+                if convert is not None:
+                    try:
+                        row = convert(row)
+                    except ValueError as exc:
+                        raise ValueError(f"{path}: the row on line {lineno} {exc}") from None
+                yield row
+    except UnicodeDecodeError:  # the text layer decodes ahead of the lines, so find the line again
+        for lineno, raw in enumerate(Path(path).read_bytes().split(b"\n"), start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
                 raise ValueError(f"{path}: bad JSON on line {lineno}: {exc}") from exc
-            if required and not (isinstance(row, dict) and row.keys() >= keys):
-                if not isinstance(row, dict):
-                    raise ValueError(f"{path}: line {lineno} is not a JSON object")
-                key = next(key for key in required if key not in row)
-                raise ValueError(f"{path}: the row on line {lineno} has no {key!r} key")
-            if convert is not None:
-                try:
-                    row = convert(row)
-                except ValueError as exc:
-                    raise ValueError(f"{path}: the row on line {lineno} {exc}") from None
-            yield row
+        raise
 
 
 class ConfigError(ValueError):
-    """A config document that does not fit its dataclass."""
+    """A JSON document (a config, a report, a checkpoint header) that does not fit its schema."""
 
 
-def config_object(value: Any, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {value!r}")
-    return value
+# The types of the JSON values each scalar type hint takes as they are, matched exactly: `true` is no number
+_SCALARS = {int: {int}, float: {float}, str: {str}, bool: {bool}}
 
 
-def config_from_dict(cls, doc: Any, section: str, **given):
-    """An instance of the config dataclass `cls` from the JSON object `doc`.
+def _key_path(where) -> str:
+    """The key path `where` names: a string, or a (parent, key) pair formatted only when a check fails."""
+    if isinstance(where, str):
+        return where
+    parent, key = _key_path(where[0]), where[1]
+    if isinstance(key, int):
+        return f"{parent}[{key}]"
+    return f"{parent}.{key}" if parent else key
 
-    Every key must name a field of `cls` other than those in `given`, which
-    the caller supplies; missing keys take the field defaults. Values are
-    checked against the field types, JSON lists become tuples and nested
-    objects become nested dataclasses. Errors name `section.key`.
-    """
-    doc = config_object(doc, section)
-    settable = [f.name for f in dataclasses.fields(cls) if f.name not in given]
-    for key in doc:
-        if key not in settable:
-            raise ConfigError(f"unknown config key {section}.{key}")
+
+@functools.cache
+def _schema(cls) -> tuple[dict[str, Any], tuple[str, ...]]:
+    """(type hint per key, the keys with no default) of a dataclass or a TypedDict, resolved once per class."""
     hints = typing.get_type_hints(cls)
-    values = {key: config_value(hints[key], value, f"{section}.{key}") for key, value in doc.items()}
+    if not dataclasses.is_dataclass(cls):
+        return hints, tuple(key for key in hints if key in cls.__required_keys__)
+    fields = [f for f in dataclasses.fields(cls) if f.init]
+    required = [f.name for f in fields if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+    return {f.name: hints[f.name] for f in fields}, tuple(required)
+
+
+def config_from_dict(cls, doc: Any, section, **given):
+    """An instance of the dataclass or TypedDict `cls` from the JSON object `doc`.
+
+    The one checker for JSON documents: configs, reports, checkpoint headers.
+    Every key must name a field of `cls` other than those in `given`, which
+    the caller supplies. A field with no default must be present; missing
+    keys take the field defaults. Values are checked by `config_value`.
+    Errors name the key path from `section`.
+    """
+    doc = config_value(dict[str, Any], doc, section)
+    hints, required = _schema(cls)
+    for key in doc:
+        if key not in hints or key in given:
+            raise ConfigError(f"unknown config key {_key_path((section, key))}")
+    for key in required:
+        if key not in doc and key not in given:
+            raise ConfigError(f"{_key_path(section)} has no {key!r} key")
+    values = {key: config_value(hints[key], value, (section, key)) for key, value in doc.items()}
     try:
         return cls(**values, **given)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{section}: {exc}") from exc
+        raise ConfigError(f"{_key_path(section)}: {exc}") from exc
 
 
-def config_value(hint, value: Any, where: str):
-    """`value` checked against the type hint `hint`, lists turned into tuples."""
+def config_value(hint, value: Any, where):
+    """`value` checked against the type hint `hint`. JSON lists become tuples, of as many items as a fixed-size
+    tuple hint names; objects become dicts (keys read as integers for `dict[int, X]`), dataclasses or TypedDicts."""
+    if hint is Any:
+        return value
     if typing.get_origin(hint) in (typing.Union, types.UnionType):  # only `X | None` occurs
         if value is None:
             return None
         (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
     origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if dataclasses.is_dataclass(hint):
+    if dataclasses.is_dataclass(hint) or typing.is_typeddict(hint):
         return config_from_dict(hint, value, where)
+    if origin is tuple and isinstance(value, (list, tuple)) and args[-1] is Ellipsis:
+        item, inner = args[0], typing.get_args(args[0])
+        # in bulk where the types show at once that every item fits: scalars, or lists of scalars of one type
+        if item in _SCALARS and set(map(type, value)) <= _SCALARS[item]:
+            return tuple(value)
+        if (typing.get_origin(item) is tuple and len(set(inner)) == 1 and inner[0] in _SCALARS
+                and set(map(type, value)) <= {list, tuple} and set(map(len, value)) <= {len(inner)}
+                and set(map(type, itertools.chain.from_iterable(value))) <= _SCALARS[inner[0]]):
+            return tuple(map(tuple, value))
+        return tuple(config_value(item, x, (where, i)) for i, x in enumerate(value))
     if origin is tuple and isinstance(value, (list, tuple)):
-        return tuple(config_value(args[0], item, f"{where}[{i}]") for i, item in enumerate(value))
+        if len(value) != len(args):
+            raise ConfigError(f"{_key_path(where)} must be a list of {len(args)} values, got {value!r}")
+        return tuple(config_value(arg, item, (where, i)) for i, (arg, item) in enumerate(zip(args, value)))
     if origin is dict and isinstance(value, dict):
-        return {key: config_value(args[1], item, f"{where}.{key}") for key, item in value.items()}
-    accepted = {int: (int,), float: (int, float), str: (str,), bool: (bool,)}.get(hint, ())
-    # `true` is an int to Python, but no count or number in a config
-    if isinstance(value, accepted) and (hint is bool) == isinstance(value, bool):
+        bad = next((key for key in value if args[0] is int and not (isinstance(key, str) and key.isdecimal())), None)
+        if bad is not None:  # JSON keys are strings
+            raise ConfigError(f"{_key_path(where)} keys must be integers, got {bad!r}")
+        return {args[0](key): config_value(args[1], item, (where, key)) for key, item in value.items()}
+    if type(value) in _SCALARS.get(hint, ()):
         return value
-    kind = {tuple: "a list", dict: "an object", int: "an integer", float: "a number", str: "a string", bool: "true or false"}
-    raise ConfigError(f"{where} must be {kind.get(origin or hint, hint)}, got {value!r}")
+    if hint is float and type(value) is int:  # an integer stands for a float where float() can hold it
+        if abs(value) <= sys.float_info.max:
+            return value
+        raise ConfigError(f"{_key_path(where)} must be a number a float can hold, got {value!r}")
+    kind = {tuple: "a list", dict: "a JSON object", int: "an integer", float: "a number", str: "a string", bool: "true or false"}
+    raise ConfigError(f"{_key_path(where)} must be {kind.get(origin or hint, hint)}, got {value!r}")

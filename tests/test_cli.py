@@ -7,7 +7,7 @@ import pytest
 from taxpath.cli import dispatch
 from taxpath.dataset import cleanse, read_records, write_records
 from taxpath.moe import JUDGE_MAGIC, load_checkpoint, save_checkpoint, write_container
-from taxpath.semantic import JudgeModel
+from taxpath.semantic import FEATURE_NAMES, JudgeModel
 from taxpath.taxonomy import load_taxonomy_file
 from taxpath.util import read_jsonl
 
@@ -220,7 +220,7 @@ def test_train_with_mis_shaped_judge_exits_1_naming_the_array(tmp_path, capsys):
     data = tmp_path / "data"
     assert run("gen", "--config", cfg, "--out", str(data)) == 0
     judge = tmp_path / "judge.ckpt"
-    meta = {"tau_hi": 0.5, "tau_lo": -0.5, "popularity": {}, "holdout_agreement": 1.0}
+    meta = {"tau_hi": 0.5, "tau_lo": -0.5, "popularity": {}, "holdout_agreement": 1.0, "feature_names": FEATURE_NAMES}
     judge.write_bytes(write_container(JUDGE_MAGIC, meta, {"weights": np.zeros((2, 3)), "bias": np.zeros(3)}))
     capsys.readouterr()
     code = run("train", "--config", cfg, "--train", str(data / "records.jsonl"),
@@ -341,7 +341,7 @@ def test_report_without_sample_count_exits_1_naming_the_key(tmp_path, capsys):
     report.write_text(json.dumps(doc), encoding="utf-8")
     capsys.readouterr()
     assert run("report", "--report", str(report)) == 1
-    assert "error: evaluation report has no 'sample_count' key" in capsys.readouterr().err
+    assert f"error: {report}: evaluation report has no 'sample_count' key" in capsys.readouterr().err
 
 
 def test_train_with_judge_annotates_each_training_record_once(tmp_path, monkeypatch):
@@ -476,31 +476,32 @@ def first_depth(doc):
     return next(iter(doc["per_depth"].values()))
 
 
-# damage done to a written report -> the error `taxpath report` prints
+# damage done to a written report -> the error `taxpath report` prints after the file's name
 REPORT_DAMAGE = {
     "depth-without-f1": (lambda doc: first_depth(doc).pop("path_micro_f1"),
-                         r"evaluation report key 'per_depth' entry '\d+' has no 'path_micro_f1' key"),
+                         r"evaluation report\.per_depth\.\d+ has no 'path_micro_f1' key"),
     "depths-as-list": (lambda doc: doc.update(per_depth=list(doc["per_depth"].values())),
-                       "evaluation report key 'per_depth' is not an object"),
+                       r"evaluation report\.per_depth must be a JSON object, got \[\{"),
     "depth-key-not-int": (lambda doc: doc["per_depth"].update(deep={}),
-                          "evaluation report key 'per_depth' entry 'deep' is not keyed by an integer depth"),
+                          r"evaluation report\.per_depth keys must be integers, got 'deep'"),
     "depth-entry-not-object": (lambda doc: doc["per_depth"].update({"9": [1, 2]}),
-                               "evaluation report key 'per_depth' entry '9' is not an object"),
+                               r"evaluation report\.per_depth\.9 must be a JSON object, got \[1, 2\]"),
     "depth-count-float": (lambda doc: first_depth(doc).update(count=1.5),
-                          r"evaluation report key 'per_depth' entry '\d+' key 'count' is not an integer: 1.5"),
+                          r"evaluation report\.per_depth\.\d+\.count must be an integer, got 1\.5"),
     "cdf-pair-of-one": (lambda doc: doc["confidence_cdf"].append([0.5]),
-                        "evaluation report key 'confidence_cdf' is not a list of number pairs"),
+                        r"evaluation report\.confidence_cdf\[\d+\] must be a list of 2 values, got \[0\.5\]"),
     "cdf-string": (lambda doc: doc["confidence_cdf"].append(["0.5", 1.0]),
-                   "evaluation report key 'confidence_cdf' is not a list of number pairs"),
-    "cdf-object": (lambda doc: doc.update(confidence_cdf={}), "evaluation report key 'confidence_cdf' is not a list: {}"),
+                   r"evaluation report\.confidence_cdf\[\d+\]\[0\] must be a number, got '0\.5'"),
+    "cdf-object": (lambda doc: doc.update(confidence_cdf={}),
+                   r"evaluation report\.confidence_cdf must be a list, got \{\}"),
     "f1-string": (lambda doc: doc.update(path_micro_f1="0.9"),
-                  "evaluation report key 'path_micro_f1' is not a number: '0.9'"),
+                  r"evaluation report\.path_micro_f1 must be a number, got '0\.9'"),
     "f1-null": (lambda doc: doc.update(leaf_macro_f1=None),
-                "evaluation report key 'leaf_macro_f1' is not a number: None"),
+                r"evaluation report\.leaf_macro_f1 must be a number, got None"),
     "count-float": (lambda doc: doc.update(sample_count=12.0),
-                    "evaluation report key 'sample_count' is not an integer: 12.0"),
+                    r"evaluation report\.sample_count must be an integer, got 12\.0"),
     "count-bool": (lambda doc: doc.update(sample_count=True),
-                   "evaluation report key 'sample_count' is not an integer: True"),
+                   r"evaluation report\.sample_count must be an integer, got True"),
 }
 
 
@@ -514,7 +515,7 @@ def test_malformed_report_exits_1_naming_the_key(tmp_path, workflow, capsys, dam
     capsys.readouterr()
     assert run("report", "--report", str(report), "--cdf-csv", str(tmp_path / "cdf.csv")) == 1
     err = capsys.readouterr().err
-    assert re.search("error: " + message, err), err
+    assert re.search(f"error: {re.escape(str(report))}: " + message, err), err
     assert "Traceback" not in err
     assert not (tmp_path / "cdf.csv").exists()
 

@@ -58,7 +58,7 @@ def test_duplicate_dangling_and_parse_errors():
         )
     with pytest.raises(TaxonomyError, match="dangling"):
         build_taxonomy([{"code": "X", "name": "x", "definition": "d", "parent": "nope", "level": 2}])
-    with pytest.raises(TaxonomyError, match="parse"):
+    with pytest.raises(TaxonomyError, match="bad JSON"):
         load_taxonomy(b"{not json")
     with pytest.raises(TaxonomyError, match="own parent"):
         build_taxonomy([{"code": "A", "name": "a", "definition": "d", "parent": "A", "level": 1}])
