@@ -47,8 +47,8 @@ class SplitSpec:
 
     def __post_init__(self):
         fracs = (self.train_fraction, self.val_fraction, self.test_fraction)
-        if any(f <= 0 for f in fracs):
-            raise DatasetError(f"split fractions must be positive: {fracs}")
+        if any(not f > 0 or not math.isfinite(f) for f in fracs):  # `not f > 0` holds for NaN too
+            raise DatasetError(f"split fractions must be positive and finite: {fracs}")
         if abs(sum(fracs) - 1.0) > 1e-9:
             raise DatasetError(f"split fractions must sum to 1: {fracs}")
 

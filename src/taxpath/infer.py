@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import ProductRecord, is_string_list
-from .encoder import EncodedBatch, assemble_batch, prepare_records
+from .encoder import PreparedRecords, assemble_batch, prepare_records
 from .moe import CheckpointError, MoEModel, forward_batch
 from .taxonomy import NULL_CODE, Taxonomy
 from .util import _ENCODE, atomic_write_text, canonical_json, gc_paused, read_jsonl
@@ -39,6 +39,9 @@ MODE_DEEPEST_VALID = "deepest_valid"
 MODE_REPATHED = "repathed"
 
 DEFAULT_TAU_LEAF = 0.5
+
+# The most rows prediction assembles, forwards and selects at once (see `predict_prepared`)
+FORWARD_CHUNK_ROWS = 2048
 
 
 # One row of a `Predictions`, as a prediction dump holds it. The path and the argmax are tuples of codes,
@@ -190,22 +193,35 @@ def predict_batch(
     tau_leaf: float = DEFAULT_TAU_LEAF, use_repath: bool = False,
 ) -> Predictions:
     """Order-preserving batch prediction; verifies the model/taxonomy pairing."""
-    enc = model.encoder_config
-    batch = assemble_batch(prepare_records(records, enc), model.params, enc, for_backward=False)
-    return predict_encoded(model, batch, taxonomy, tau_leaf, use_repath)
+    return predict_prepared(model, prepare_records(records, model.encoder_config), taxonomy, tau_leaf, use_repath)
 
 
-def predict_encoded(
-    model: MoEModel, batch: EncodedBatch, taxonomy: Taxonomy,
+def predict_prepared(
+    model: MoEModel, prepared: PreparedRecords, taxonomy: Taxonomy,
     tau_leaf: float = DEFAULT_TAU_LEAF, use_repath: bool = False,
 ) -> Predictions:
-    """`predict_batch` over a batch already encoded with the model's parameters."""
+    """`predict_batch` over records prepared with the model's encoder config.
+
+    Rows are assembled, forwarded and selected in ceil(N / FORWARD_CHUNK_ROWS)
+    chunks of near-equal size, so the features and activations held at once
+    stay bounded however large N is. A GEMM over a large chunk gives the same
+    rows as one over the whole batch (a short tail would not), and every other
+    step is row-wise: the result is the one a single pass over all rows gives.
+    """
     tables = label_tables(taxonomy, model.level_labels)
     if model.taxonomy_hash != tables.fingerprint:
         raise CheckpointError(f"taxonomy hash mismatch: model {model.taxonomy_hash[:12]}..., "
                               f"supplied {tables.fingerprint[:12]}...")
-    cache = forward_batch(model, batch, for_backward=False)
-    preds = select_prediction(cache.probs, tables, tau_leaf)
+    n = len(prepared)
+    chunks = max(1, -(-n // FORWARD_CHUNK_ROWS))
+    bounds = [n * i // chunks for i in range(chunks + 1)]
+    parts = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        batch = assemble_batch(prepared, model.params, model.encoder_config, rows=np.arange(lo, hi), for_backward=False)
+        parts.append(select_prediction(forward_batch(model, batch, for_backward=False).probs, tables, tau_leaf))
+        del batch  # before the next chunk's features exist
+    preds = parts[0] if chunks == 1 else Predictions(
+        tables, *(np.concatenate([getattr(part, column.name) for part in parts]) for column in fields(Predictions)[1:]))
     return repath(preds, taxonomy) if use_repath else preds
 
 

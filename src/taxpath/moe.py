@@ -19,6 +19,7 @@ whose label spaces differ per level, keep a loop.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -36,13 +37,22 @@ CHECKPOINT_MAGIC = b"TAXN"
 JUDGE_MAGIC = b"TXNJ"
 CHECKPOINT_VERSION = 2
 
-# The forward-only pass runs at most this many rows at a time, so its expert
-# stacks stay small however large the batch (see `forward_batch`).
-FORWARD_CHUNK_ROWS = 2048
-
 
 class CheckpointError(RuntimeError):
     pass
+
+
+def names_its_file(load):
+    """`load(source, ...)`, whose CheckpointError messages start with `source` when it is a path."""
+    @functools.wraps(load)
+    def load_naming_the_file(source, *args, **kwargs):
+        try:
+            return load(source, *args, **kwargs)
+        except CheckpointError as exc:
+            if hasattr(source, "read"):
+                raise
+            raise CheckpointError(f"{source}: {exc}") from exc
+    return load_naming_the_file
 
 
 @dataclass(frozen=True)
@@ -270,54 +280,27 @@ class ForwardCache:
     expert_out: np.ndarray | None  # (L*E, B, H); None from the forward-only pass
     hidden: np.ndarray | None  # (L, B, H); None from the forward-only pass
     probs: list[np.ndarray]  # per level: (B, K_level)
-    pool: np.ndarray  # (B, H)
-    semantic_probs: np.ndarray  # (B, semantic_classes)
+    pool: np.ndarray | None  # (B, H); None from the forward-only pass
+    semantic_probs: np.ndarray | None  # (B, semantic_classes); None from the forward-only pass
 
 
 def forward_batch(model: MoEModel, batch: EncodedBatch, for_backward: bool = True) -> ForwardCache:
     """Forward pass over a batch.
 
-    With `for_backward=False` only what prediction needs is kept: the
-    activations the backward pass reads (`tanh_out`, `expert_out`,
-    `hidden`) are None, and a batch of more than FORWARD_CHUNK_ROWS rows
-    runs in ceil(N / that) chunks of near-equal size, so the activations
-    held at once stay bounded however large N is. Equal chunks keep every
-    chunk large: a GEMM over a large chunk gives the same rows as one over
-    the whole batch, where a short tail of a few rows would not.
+    With `for_backward=False` only the gates and the per-level probabilities,
+    which prediction reads, are kept: the backward activations and the
+    semantic head are None.
     """
-    n = batch.dense.shape[0]
-    chunks = -(-n // FORWARD_CHUNK_ROWS)
-    if for_backward or chunks <= 1:
-        return _forward(model, batch.dense, batch.routing, for_backward)
-    cfg = model.moe_config
-    gates = np.empty((cfg.levels, n, cfg.experts_per_level))
-    probs = [np.empty((n, len(labels))) for labels in model.level_labels]
-    pool = np.empty((n, cfg.expert_hidden_dim))
-    semantic_probs = np.empty((n, cfg.semantic_classes))
-    bounds = [n * i // chunks for i in range(chunks + 1)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        part = _forward(model, batch.dense[lo:hi], batch.routing[lo:hi], False)
-        gates[:, lo:hi] = part.gates
-        for whole, rows in zip(probs, part.probs):
-            whole[lo:hi] = rows
-        pool[lo:hi] = part.pool
-        semantic_probs[lo:hi] = part.semantic_probs
-        del part  # before the next chunk's activations exist
-    return ForwardCache(gates, None, None, None, probs, pool, semantic_probs)
-
-
-def _forward(model: MoEModel, dense: np.ndarray, routing: np.ndarray, for_backward: bool) -> ForwardCache:
-    """One pass over the rows `dense`/`routing` of a batch."""
     cfg = model.moe_config
     levels, experts = cfg.levels, cfg.experts_per_level
     s = model.stacks
-    n = dense.shape[0]
+    n = batch.dense.shape[0]
     # (L, B, E): one (B, E) GEMM per level. A single (routing_dim, L*E) GEMM
     # would pick another kernel and differ in the last bits.
-    logits = np.matmul(routing, s.gate_W)
+    logits = np.matmul(batch.routing, s.gate_W)
     logits += s.gate_b[:, None, :]
     gates = softmax(logits)
-    tanh_out = np.matmul(dense, s.W1)  # (L*E, B, H)
+    tanh_out = np.matmul(batch.dense, s.W1)  # (L*E, B, H)
     tanh_out += s.b1[:, None, :]
     np.tanh(tanh_out, out=tanh_out)
     expert_out = np.matmul(tanh_out, s.W2)
@@ -330,10 +313,10 @@ def _forward(model: MoEModel, dense: np.ndarray, routing: np.ndarray, for_backwa
     for e in range(experts):
         hidden += gates[:, :, e : e + 1] * per_level[:, e]
     probs = [softmax(u @ w + b) for u, w, b in zip(hidden, s.head_W, s.head_b)]
+    if not for_backward:
+        return ForwardCache(gates, None, None, None, probs, None, None)
     pool = np.mean(hidden, axis=0)
     semantic_probs = softmax(pool @ s.semantic_W + s.semantic_b)
-    if not for_backward:
-        expert_out = hidden = None
     return ForwardCache(gates, tanh_out, expert_out, hidden, probs, pool, semantic_probs)
 
 
@@ -406,6 +389,7 @@ def save_checkpoint(model: MoEModel, sink) -> None:
     write_blob(sink, write_container(CHECKPOINT_MAGIC, meta, model.params))
 
 
+@names_its_file
 def load_checkpoint(source, taxonomy: Taxonomy | None = None) -> MoEModel:
     """Load a model checkpoint; verifies the taxonomy hash when one is given."""
     meta, manifest, flat = read_container(read_blob(source), CHECKPOINT_MAGIC, ModelMeta)

@@ -16,7 +16,7 @@ from typing import TypedDict
 import numpy as np
 
 from .dataset import ProductRecord
-from .moe import JUDGE_MAGIC, CheckpointError, param_views, read_container, softmax, write_container
+from .moe import JUDGE_MAGIC, CheckpointError, names_its_file, param_views, read_container, softmax, write_container
 from .taxonomy import Taxonomy
 from .util import gc_paused, read_blob, stream_rng, tokenize, write_blob, write_jsonl
 
@@ -305,6 +305,7 @@ def save_judge(judge: JudgeModel, sink) -> None:
     write_blob(sink, write_container(JUDGE_MAGIC, meta, {"weights": judge.weights, "bias": judge.bias}))
 
 
+@names_its_file
 def load_judge(source) -> JudgeModel:
     meta, manifest, flat = read_container(read_blob(source), JUDGE_MAGIC, JudgeMeta)
     shapes = dict(manifest)

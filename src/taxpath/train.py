@@ -16,7 +16,7 @@ import numpy as np
 
 from .dataset import ProductRecord
 from .encoder import EncodedBatch, PreparedRecords, assemble_batch, prepare_records
-from .infer import DEFAULT_TAU_LEAF, label_tables, predict_batch, predict_encoded  # noqa: F401 (perfbench patches train.predict_batch)
+from .infer import DEFAULT_TAU_LEAF, label_tables, predict_batch, predict_prepared  # noqa: F401 (perfbench patches train.predict_batch)
 from .moe import ForwardCache, MoEModel, forward_batch
 from .semantic import ConsistencyLabel
 from .taxonomy import NULL_CODE, Taxonomy
@@ -353,8 +353,7 @@ def leaf_accuracy(
     """Share of prepared records whose selected leaf is the true one, given as labels in `truth`."""
     if not len(prepared):
         return float("nan")
-    batch = assemble_batch(prepared, model.params, model.encoder_config, for_backward=False)
-    preds = predict_encoded(model, batch, taxonomy, tau_leaf=tau_leaf, use_repath=False)
+    preds = predict_prepared(model, prepared, taxonomy, tau_leaf=tau_leaf, use_repath=False)
     return int(np.count_nonzero(preds.leaf == truth)) / len(prepared)
 
 

@@ -161,6 +161,9 @@ def test_split_bad_fractions():
         SplitSpec(0.5, 0.2, 0.2)
     with pytest.raises(DatasetError):
         SplitSpec(0.8, 0.3, -0.1)
+    for fracs in ((float("nan"), 0.5, 0.5), (0.5, 0.5, float("nan")), (float("inf"), 0.5, 0.5)):
+        with pytest.raises(DatasetError, match=r"^split fractions must be positive and finite: "):
+            SplitSpec(*fracs)
 
 
 def scored(record, conf, correct):

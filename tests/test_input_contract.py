@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import struct
 import tempfile
 from pathlib import Path
 
@@ -193,6 +194,54 @@ def test_fractions_that_are_not_numbers_exit_1_naming_the_flag(tmp_path, inputs)
         assert code == 1
         assert err == f"error: --fractions needs three comma-separated numbers, got {fractions!r}\n"
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("source", ["flag-nan", "flag-inf", "config-nan"])
+def test_non_finite_fractions_exit_1_naming_the_rule(tmp_path, inputs, source):
+    config, fractions = inputs["config"], ()
+    if source == "config-nan":
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**TINY, "split": {"train_fraction": float("nan")}}), encoding="utf-8")
+        assert "NaN" in config.read_text(encoding="utf-8")
+    else:
+        fractions = ("--fractions", "nan,0.5,0.5" if source == "flag-nan" else "0.5,inf,0.5")
+    code, err = run("split", "--config", config, "--records", inputs["kept"], "--out", tmp_path / "out", *fractions)
+    assert code == 1 and err.startswith("error: split: split fractions must be positive and finite: "), err
+    assert len(err.splitlines()) == 1 and not (tmp_path / "out").exists()
+
+
+# --- checkpoints ---------------------------------------------------------------------
+
+def without_manifest(blob: bytes) -> bytes:
+    """`blob` with a header that lacks `manifest`; the payload and its checksum are kept."""
+    (header_len,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16 : 16 + header_len])
+    del header["manifest"]
+    raw = json.dumps(header).encode("utf-8")
+    return blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + header_len :]
+
+
+# damage -> (the bytes of a broken checkpoint made from a valid model checkpoint, what the error says)
+CHECKPOINT_DAMAGE = {
+    "no-manifest": (lambda blob, magic: magic + without_manifest(blob)[4:], "checkpoint header has no 'manifest' key"),
+    "bad-magic": (lambda blob, magic: b"NOPE" + blob[4:], "bad magic: expected "),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(CHECKPOINT_DAMAGE))
+@pytest.mark.parametrize("kind", ["model", "judge"])
+def test_a_broken_checkpoint_exits_1_naming_the_file(tmp_path, inputs, kind, damage):
+    damage, message = CHECKPOINT_DAMAGE[damage]
+    bad, out = tmp_path / "bad.ckpt", tmp_path / "out"
+    bad.write_bytes(damage(inputs["model"].read_bytes(), b"TAXN" if kind == "model" else b"TXNJ"))
+    config, tax = ("--config", inputs["config"]), ("--taxonomy", inputs["taxonomy"])
+    if kind == "model":
+        argv = ("predict", *config, "--model", bad, "--records", inputs["test"], *tax, "--out", out / "preds.jsonl")
+    else:
+        argv = ("train", *config, "--train", inputs["train"], "--judge", bad, *tax, "--out", out / "model.ckpt")
+    code, err = run(*argv)
+    assert_refused(code, err, bad, out)
+    assert f"error: {bad}: {message}" in err
 
 
 # --- the fuzz harness ----------------------------------------------------------------

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import struct
 from dataclasses import asdict
 
@@ -350,10 +351,24 @@ def test_forward_without_backward_cache_gives_identical_outputs():
     full = forward_batch(model, batch)
     lean = forward_batch(model, batch, for_backward=False)
     assert lean.tanh_out is None and lean.expert_out is None and lean.hidden is None
-    for a, b in zip([*full.probs, full.pool, *full.gates], [*lean.probs, lean.pool, *lean.gates]):
+    for a, b in zip([*full.probs, *full.gates], [*lean.probs, *lean.gates]):
         assert np.array_equal(a, b)
-    assert np.array_equal(full.semantic_probs, lean.semantic_probs)
+    # prediction reads no semantic head; its values are pinned by the full-forward reference test
+    assert lean.pool is None and lean.semantic_probs is None
 
+
+def test_a_checkpoint_loaded_from_a_path_is_refused_naming_the_path(tmp_path):
+    corpus, enc, moe, model = small_setup(seed=13)
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(model, bad)
+    bad.write_bytes(bad.read_bytes()[:-9])
+    for source in (bad, str(bad)):
+        with pytest.raises(CheckpointError, match=rf"^{re.escape(str(bad))}: truncated checkpoint: payload has "):
+            load_checkpoint(source)
+        with pytest.raises(CheckpointError, match=rf"^{re.escape(str(bad))}: bad magic: expected b'TXNJ'$"):
+            load_judge(source)
+    with pytest.raises(CheckpointError, match=r"^truncated checkpoint: payload has "):  # a file object has no name
+        load_checkpoint(io.BytesIO(bad.read_bytes()))
 
 
 # --- container fuzzing: only CheckpointError escapes the loaders -------------

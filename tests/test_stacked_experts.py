@@ -1,11 +1,13 @@
 """The stacked-expert forward and backward against the per-expert loops they
-replaced, the forward-only pass's chunking, and the kind-major layout."""
+replaced, prediction's chunking, and the kind-major layout."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from taxpath.encoder import EncoderConfig, build_field_vocabs
+from taxpath.encoder import EncoderConfig, assemble_batch, build_field_vocabs, prepare_records
+from taxpath.infer import FORWARD_CHUNK_ROWS, label_tables, predict_batch, select_prediction
 from taxpath.moe import (
-    FORWARD_CHUNK_ROWS,
     MoEConfig,
     forward_batch,
     init_model,
@@ -208,39 +210,60 @@ def test_backward_builds_the_views_of_a_reused_buffer_once():
     assert fresh is not first and not np.shares_memory(fresh["text_table"], grad_flat)
 
 
+def predictions_equal(a, b) -> bool:
+    return all(np.array_equal(getattr(a, name), getattr(b, name)) for name in (
+        "argmax", "confidence", "path", "last", "leaf", "confident", "repathed", "leaf_confidence"))
+
+
 @pytest.mark.parametrize("n", [1, 2047, 2048, 2049, 6151])
 def test_chunked_forward_equals_one_pass(n):
     corpus, model = setup(2, extra_levels=1, samples=n, seed=7, hidden=8)
-    batch = encode_batch(corpus.records, model.params, model.encoder_config)
+    batch = assemble_batch(prepare_records(corpus.records, model.encoder_config), model.params,
+                           model.encoder_config, for_backward=False)
     assert batch.dense.shape[0] == n
-    one_pass = forward_batch(model, batch)  # with the backward cache: never chunked
-    chunked = forward_batch(model, batch, for_backward=False)
-    assert chunked.tanh_out is None and chunked.expert_out is None and chunked.hidden is None
-    for a, b in zip([*one_pass.probs, one_pass.gates, one_pass.pool, one_pass.semantic_probs],
-                    [*chunked.probs, chunked.gates, chunked.pool, chunked.semantic_probs]):
-        assert a.shape == b.shape and np.array_equal(a, b)
+    one_pass = forward_batch(model, batch, for_backward=False)  # all rows at once
+    tables = label_tables(corpus.taxonomy, model.level_labels)
+    want = select_prediction(one_pass.probs, tables, 0.3)
+    got = predict_batch(model, corpus.records, corpus.taxonomy, tau_leaf=0.3)  # in chunks
+    assert len(got) == n and predictions_equal(got, want)
 
 
 def test_chunks_are_balanced(monkeypatch):
-    import taxpath.moe as moe
+    import taxpath.infer as infer
 
     corpus, model = setup(2, samples=100, hidden=4)
-    batch = encode_batch(corpus.records, model.params, model.encoder_config)
     sizes = []
-    real = moe._forward
+    real = infer.forward_batch
 
-    def spy(model, dense, routing, for_backward):
-        sizes.append(dense.shape[0])
-        return real(model, dense, routing, for_backward)
+    def spy(model, batch, for_backward=True):
+        sizes.append(batch.dense.shape[0])
+        return real(model, batch, for_backward)
 
-    monkeypatch.setattr(moe, "_forward", spy)
-    monkeypatch.setattr(moe, "FORWARD_CHUNK_ROWS", 32)
-    forward_batch(model, batch, for_backward=False)
+    monkeypatch.setattr(infer, "forward_batch", spy)
+    monkeypatch.setattr(infer, "FORWARD_CHUNK_ROWS", 32)
+    predict_batch(model, corpus.records, corpus.taxonomy)
     assert sizes == [25, 25, 25, 25]  # ceil(100 / 32) = 4 chunks, no short tail
     sizes.clear()
-    forward_batch(model, batch)
-    assert sizes == [100]
+    predict_batch(model, corpus.records[:32], corpus.taxonomy)
+    assert sizes == [32]
     assert FORWARD_CHUNK_ROWS == 2048
+
+
+def test_prediction_memory_stays_flat_in_the_number_of_chunks():
+    corpus, model = setup(1, samples=400, seed=11)
+    predict_batch(model, corpus.records[:8], corpus.taxonomy)  # label tables built outside the traced peaks
+
+    def traced_peak(records) -> int:
+        tracemalloc.start()
+        try:
+            predict_batch(model, records, corpus.taxonomy)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    records = (corpus.records * (4 * FORWARD_CHUNK_ROWS // len(corpus.records) + 1))[: 4 * FORWARD_CHUNK_ROWS]
+    one, four = traced_peak(records[:FORWARD_CHUNK_ROWS]), traced_peak(records)
+    assert four < 2 * one, (one, four)
 
 
 def test_manifest_lists_each_kind_as_one_contiguous_stack():
