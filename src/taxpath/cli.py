@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 validation error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -30,7 +31,7 @@ from .dataset import (
 )
 from .encoder import EncoderConfig, build_field_vocabs
 from .infer import MODE_REPATHED, leaf_chain, predict_batch, read_predictions, write_predictions
-from .metrics import EvalReport, EvaluationError, evaluate, render_table, write_cdf_csv, write_report
+from .metrics import EvalReport, EvaluationError, InvalidTruthError, evaluate, render_table, write_cdf_csv, write_report
 from .moe import MoEConfig, init_model, load_checkpoint, save_checkpoint
 from .pipeline import PipelineConfig, run_pipeline
 from .semantic import annotate_corpus, distill_judge, label_dev_set, load_judge, save_judge, write_annotations
@@ -127,6 +128,16 @@ def _write_manifest(out_dir: Path, subcommand: str, config: PipelineConfig, synt
     atomic_write_text(out_dir / "run_manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+@contextlib.contextmanager
+def records_of(path, errors=(ValueError, RuntimeError)):
+    """An error of the classes `errors` raised in the block, which uses the records read from `path`, re-raised
+    naming that file: a record that does not fit the taxonomy or the model is found only where it is used."""
+    try:
+        yield
+    except errors as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def cmd_gen(args: argparse.Namespace, config: PipelineConfig, synth: SynthConfig) -> Path:
     out_dir = Path(args.out)
     corpus = synth_corpus(synth, config.seed)
@@ -174,9 +185,11 @@ def cmd_train(args: argparse.Namespace, config: PipelineConfig, synth: SynthConf
     enc = config.encoder
     if not enc.field_vocabs:
         enc = replace(enc, field_vocabs=build_field_vocabs(train_recs, enc.fields))
-    annotations = annotate_corpus(train_recs, load_judge(args.judge), taxonomy) if args.judge else None
+    judge = load_judge(args.judge) if args.judge else None
     model = init_model(taxonomy, enc, config.moe, config.seed)
-    model, logs = fit(model, train_recs, val_recs, taxonomy, annotations, config.train, tau_leaf=config.tau_leaf)
+    with records_of(args.train):  # validation records meet no check that could refuse one
+        annotations = annotate_corpus(train_recs, judge, taxonomy) if judge else None
+        model, logs = fit(model, train_recs, val_recs, taxonomy, annotations, config.train, tau_leaf=config.tau_leaf)
     out = Path(args.out)
     save_checkpoint(model, out)
     if args.log:
@@ -190,13 +203,15 @@ def cmd_judge(args: argparse.Namespace, config: PipelineConfig, synth: SynthConf
     taxonomy = load_taxonomy_file(args.taxonomy)
     dev = read_records(args.dev)
     to_annotate = read_records(args.annotate) if args.annotate else None  # every input read before any output
-    labeled = label_dev_set(dev, taxonomy, config.oracle_y_threshold, config.oracle_n_threshold)
-    judge = distill_judge(labeled, taxonomy, config.seed)
+    with records_of(args.dev):
+        labeled = label_dev_set(dev, taxonomy, config.oracle_y_threshold, config.oracle_n_threshold)
+        judge = distill_judge(labeled, taxonomy, config.seed)
+    with records_of(args.annotate):  # before any output, which a record it refuses would leave half written
+        annotations = annotate_corpus(to_annotate, judge, taxonomy) if to_annotate is not None else None
     out = Path(args.out)
     save_judge(judge, out)
     print(f"judge holdout agreement: {judge.holdout_agreement:.4f}")
-    if to_annotate is not None:
-        annotations = annotate_corpus(to_annotate, judge, taxonomy)
+    if annotations is not None:
         write_annotations(args.annotations or out.parent / "annotations.jsonl", annotations)
     return out.parent
 
@@ -229,7 +244,8 @@ def cmd_eval(args: argparse.Namespace, config: PipelineConfig, synth: SynthConfi
     taxonomy = load_taxonomy_file(args.taxonomy)
     pred_rows = read_predictions(args.pred)
     truth = read_records(args.truth)
-    report = evaluate(pred_rows, truth, taxonomy, include_absent=args.include_absent)
+    with records_of(args.truth, InvalidTruthError):
+        report = evaluate(pred_rows, truth, taxonomy, include_absent=args.include_absent)
     out = Path(args.out)
     write_report(out, report)
     print(render_table(report))

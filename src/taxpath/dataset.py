@@ -266,19 +266,21 @@ def is_string_list(values) -> bool:
     return isinstance(values, list) and all(map(_is_str, values))
 
 
-def record_from_dict(doc: dict) -> ProductRecord:
+def record_from_dict(doc: dict, same) -> ProductRecord:
     """The record a row holds; a ValueError names the first key whose value has the wrong type.
 
-    The id is a string or an integer, read as its decimal digits."""
+    The id is a string or an integer, read as its decimal digits. The values
+    records repeat come from `same` (see `util.read_jsonl`): each distinct
+    label path, (category, BU, OU, system, source) tuple and CPV pair is one object."""
     # Checked by hand, not by `config_value`: a per-value walk of 20k rows took 666 against 106 ms
     record_id = doc["id"]
     if not isinstance(record_id, str):
         if not isinstance(record_id, int) or isinstance(record_id, bool):
             raise ValueError(f"has an 'id' that is neither a string nor an integer: {record_id!r}")
         record_id = str(record_id)
-    title, category_name, bu_code, ou_code, system_code, source = values = (
-        doc["title"], doc["category_name"], doc["bu_code"], doc["ou_code"], doc["system_code"], doc["source"])
-    if not all(map(_is_str, values)):
+    title = doc["title"]
+    kinds = (doc["category_name"], doc["bu_code"], doc["ou_code"], doc["system_code"], doc["source"])
+    if not (isinstance(title, str) and all(map(_is_str, kinds))):
         key = next(key for key in STRING_KEYS if not isinstance(doc[key], str))
         raise ValueError(f"has a non-string {key!r}: {doc[key]!r}")
     label_path, cpvs = doc["label_path"], doc.get("cpvs")
@@ -286,8 +288,12 @@ def record_from_dict(doc: dict) -> ProductRecord:
         raise ValueError(f"has a 'label_path' that is not a list of strings: {label_path!r}")
     if cpvs is not None and not (isinstance(cpvs, list) and all(is_string_list(p) and len(p) == 2 for p in cpvs)):
         raise ValueError(f"has a 'cpvs' that is not a list of string pairs: {cpvs!r}")
-    return ProductRecord(record_id, title, category_name, bu_code, ou_code, system_code, tuple(label_path), source,
-                         tuple((k, v) for k, v in cpvs) if cpvs is not None else None)
+    category_name, bu_code, ou_code, system_code, source = same(kinds, kinds)
+    label_path = tuple(label_path)
+    if cpvs is not None:
+        cpvs = tuple([same(pair, pair) for pair in map(tuple, cpvs)])
+    return ProductRecord(record_id, title, category_name, bu_code, ou_code, system_code, same(label_path, label_path),
+                         source, cpvs)
 
 
 @gc_paused

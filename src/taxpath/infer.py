@@ -255,8 +255,12 @@ def write_predictions(path: str | Path, ids: list[str], preds: Predictions | lis
     ]))
 
 
-def check_prediction(row: dict) -> dict:
-    """`row` itself; a ValueError names the first key whose value has a type scoring cannot read."""
+def check_prediction(row: dict, same) -> dict:
+    """`row` itself; a ValueError names the first key whose value has a type scoring cannot read.
+
+    Its codes come from `same` (see `util.read_jsonl`): the leaf, the items of
+    the path and of a `per_level_argmax` list of strings, and a string mode.
+    The row keeps its own lists, so changing one row's path changes no other."""
     # Checked by hand, not by `config_value`: a per-value walk of 20k rows took 733 against 15 ms
     if not isinstance(row["id"], str):
         raise ValueError(f"has a non-string 'id': {row['id']!r}")
@@ -274,6 +278,13 @@ def check_prediction(row: dict) -> dict:
         raise ValueError(f"has a 'leaf_confidence' too large for a float: {confidence!r}") from None
     if not finite:
         raise ValueError(f"has a non-finite 'leaf_confidence': {confidence!r}")
+    row["leaf"] = same(leaf, leaf)
+    path[:] = map(same, path, path)
+    mode, argmax = row.get("mode"), row.get("per_level_argmax")
+    if isinstance(mode, str):
+        row["mode"] = same(mode, mode)
+    if is_string_list(argmax):
+        argmax[:] = map(same, argmax, argmax)
     return row
 
 

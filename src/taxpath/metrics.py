@@ -26,6 +26,10 @@ class EvaluationError(ValueError):
     pass
 
 
+class InvalidTruthError(EvaluationError):
+    """A truth record whose label path is not a chain of the taxonomy."""
+
+
 @dataclass(frozen=True)
 class EvalPair:
     predicted_path: tuple[str, ...]
@@ -169,9 +173,10 @@ def evaluate(
     truth_by_id = {rec.id: rec for rec in truth_records}
     if len(pred_by_id) != len(pred_rows):
         raise EvaluationError("duplicate ids in prediction dump")
-    missing = sorted(set(truth_by_id) - set(pred_by_id))
-    extra = sorted(set(pred_by_id) - set(truth_by_id))
-    if missing or extra:
+    # as many distinct ids on each side, and each truth id predicted: the same ids
+    if len(truth_by_id) != len(pred_by_id) or not all(map(pred_by_id.__contains__, truth_by_id)):
+        missing = sorted(truth_by_id.keys() - pred_by_id.keys())
+        extra = sorted(pred_by_id.keys() - truth_by_id.keys())
         raise EvaluationError(
             f"id mismatch between predictions and truth: missing={missing[:5]} extra={extra[:5]}"
         )
@@ -189,7 +194,7 @@ def evaluate(
     invalid = {true for true in {true for _, true in pairs} if not is_valid_path(taxonomy, list(true))}
     if invalid:
         rec_id = min(rec_id for rec_id, rec in truth_by_id.items() if tuple(rec.label_path) in invalid)
-        raise EvaluationError(f"truth record {rec_id!r} carries an invalid path")
+        raise InvalidTruthError(f"truth record {rec_id!r} carries an invalid path")
     # Each pair lands in one depth bucket, so the overall tables are the sums
     # of the bucket tables: every pair is counted once per mode.
     buckets: dict[int, Counter[EvalPair]] = {}

@@ -135,12 +135,19 @@ def read_json(source, where: str, error: type[Exception] = ValueError) -> Any:
         raise error(f"{where}: bad JSON: {exc}") from exc
 
 
-def read_jsonl(path: str | Path, required: tuple[str, ...] = (), convert: Callable[[dict], Any] | None = None) -> Iterator:
+def read_jsonl(path: str | Path, required: tuple[str, ...] = (),
+               convert: Callable[[dict, Callable[[Any, Any], Any]], Any] | None = None) -> Iterator:
     """The rows of a JSON Lines file, blank lines skipped. With `required`,
     every row must be an object holding those keys. With `convert`, each row
-    is yielded as `convert(row)`; a ValueError it raises is re-raised naming
-    the file and the line, as is a line that `read_json` could not decode."""
-    keys, scan = frozenset(required), _DECODER.scan_once
+    is yielded as `convert(row, same)`; a ValueError it raises is re-raised
+    naming the file and the line, as is a line that `read_json` could not decode.
+
+    `same(value, value)` returns the first value equal to `value` that this
+    read passed it: the scanner makes a new object of every string, so a
+    converter holds each repeated string or tuple of a file once through it.
+    Put in only immutable values that equal no value of another type, such
+    as strings and tuples of strings (`1`, `1.0` and `True` are all equal)."""
+    keys, scan, same = frozenset(required), _DECODER.scan_once, {}.setdefault
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -165,7 +172,7 @@ def read_jsonl(path: str | Path, required: tuple[str, ...] = (), convert: Callab
                     raise ValueError(f"{path}: the row on line {lineno} has no {key!r} key")
                 if convert is not None:
                     try:
-                        row = convert(row)
+                        row = convert(row, same)
                     except ValueError as exc:
                         raise ValueError(f"{path}: the row on line {lineno} {exc}") from None
                 yield row

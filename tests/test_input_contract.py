@@ -210,6 +210,33 @@ def test_non_finite_fractions_exit_1_naming_the_rule(tmp_path, inputs, source):
     assert len(err.splitlines()) == 1 and not (tmp_path / "out").exists()
 
 
+# --- records that do not fit the taxonomy --------------------------------------------
+
+# the subcommand given records whose fourth label path ends in an unknown code -> what the error says after the file
+RECORD_MISFITS = {
+    "eval": (lambda bad, i, out: ("--pred", i["predictions"], "--truth", bad, "--out", out / "report.json"),
+             "truth record {id!r} carries an invalid path"),
+    "train": (lambda bad, i, out: ("--train", bad, "--out", out / "model.ckpt"),
+              "record {id!r}: code 'nope' not in level-2 label space"),
+    "judge-dev": (lambda bad, i, out: ("--dev", bad, "--out", out / "judge.ckpt"), "unknown code: 'nope'"),
+    "judge-annotate": (lambda bad, i, out: ("--dev", i["records"], "--annotate", bad, "--out", out / "judge.ckpt"),
+                       "unknown code: 'nope'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECORD_MISFITS))
+def test_a_record_that_does_not_fit_the_taxonomy_exits_1_naming_its_file(tmp_path, inputs, case):
+    args, message = RECORD_MISFITS[case]
+    rows = [json.loads(line) for line in inputs["test"].read_text(encoding="utf-8").splitlines()]
+    rows[3]["label_path"] = [rows[3]["label_path"][0], "nope"]
+    bad, out = tmp_path / "bad.jsonl", tmp_path / "out"
+    bad.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    code, err = run(case.split("-")[0], "--config", inputs["config"], *args(bad, inputs, out),
+                    "--taxonomy", inputs["taxonomy"])
+    assert_refused(code, err, bad, out)
+    assert err == f"error: {bad}: {message.format(id=rows[3]['id'])}\n"
+
+
 # --- checkpoints ---------------------------------------------------------------------
 
 def without_manifest(blob: bytes) -> bytes:
