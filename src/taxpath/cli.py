@@ -31,7 +31,8 @@ from .dataset import (
 )
 from .encoder import EncoderConfig, build_field_vocabs
 from .infer import MODE_REPATHED, leaf_chain, predict_batch, read_predictions, write_predictions
-from .metrics import EvalReport, EvaluationError, InvalidTruthError, evaluate, render_table, write_cdf_csv, write_report
+from .metrics import (EvalReport, EvaluationError, InvalidPredictionsError, InvalidTruthError, evaluate, render_table,
+                      write_cdf_csv, write_report)
 from .moe import MoEConfig, init_model, load_checkpoint, save_checkpoint
 from .pipeline import PipelineConfig, run_pipeline
 from .semantic import annotate_corpus, distill_judge, label_dev_set, load_judge, save_judge, write_annotations
@@ -229,14 +230,13 @@ def cmd_predict(args: argparse.Namespace, config: PipelineConfig, synth: SynthCo
 
 def cmd_repath(args: argparse.Namespace, config: PipelineConfig, synth: SynthConfig) -> Path:
     taxonomy = load_taxonomy_file(args.taxonomy)
-    out_rows = []
-    for row in read_predictions(args.pred):
+    rows = read_predictions(args.pred)
+
+    def repathed(row: dict) -> dict:
         chain = leaf_chain(taxonomy, row["leaf"])
-        if chain is not None:
-            row = dict(row, path=list(chain), mode=MODE_REPATHED)
-        out_rows.append(row)
+        return row if chain is None else dict(row, path=list(chain), mode=MODE_REPATHED)
     out = Path(args.out)
-    write_jsonl(out, out_rows)
+    write_jsonl(out, map(repathed, rows))  # one repathed row at a time
     return out.parent
 
 
@@ -244,7 +244,7 @@ def cmd_eval(args: argparse.Namespace, config: PipelineConfig, synth: SynthConfi
     taxonomy = load_taxonomy_file(args.taxonomy)
     pred_rows = read_predictions(args.pred)
     truth = read_records(args.truth)
-    with records_of(args.truth, InvalidTruthError):
+    with records_of(args.pred, InvalidPredictionsError), records_of(args.truth, InvalidTruthError):
         report = evaluate(pred_rows, truth, taxonomy, include_absent=args.include_absent)
     out = Path(args.out)
     write_report(out, report)

@@ -32,7 +32,7 @@ from .dataset import ProductRecord, is_string_list
 from .encoder import PreparedRecords, assemble_batch, prepare_records
 from .moe import CheckpointError, MoEModel, forward_batch
 from .taxonomy import NULL_CODE, Taxonomy
-from .util import _ENCODE, atomic_write_text, canonical_json, gc_paused, read_jsonl
+from .util import _ENCODE, WRITE_LINES, atomic_write_chunks, canonical_json, gc_paused, read_jsonl
 
 MODE_LEAF_CONFIDENT = "leaf_confident"
 MODE_DEEPEST_VALID = "deepest_valid"
@@ -121,6 +121,10 @@ class Predictions:
     def __iter__(self):
         return iter(self.rows())
 
+    def __getitem__(self, rows: slice) -> Predictions:
+        """The rows `rows` (a slice), over views of these columns."""
+        return Predictions(self.tables, *(getattr(self, column.name)[rows] for column in fields(Predictions)[1:]))
+
     @property
     def selected_path(self) -> tuple[tuple[str, ...], ...]:
         """Each row's selected path as codes."""
@@ -128,11 +132,16 @@ class Predictions:
         return tuple(chains[g] if r else tuple(p[: n + 1])
                      for p, n, g, r in zip(paths, self.last.tolist(), self.leaf.tolist(), self.repathed.tolist()))
 
+    def columns(self) -> tuple:
+        """The fields of `PredictionPath`, in its order, each as one sequence over the rows."""
+        paths = self.selected_path
+        modes = [MODE_REPATHED if r else MODE_LEAF_CONFIDENT if c else MODE_DEEPEST_VALID
+                 for c, r in zip(self.confident.tolist(), self.repathed.tolist())]
+        return (paths, [p[-1] for p in paths], modes, self.leaf_confidence.tolist(),
+                list(map(tuple, self.tables.codes[self.argmax].tolist())))
+
     def rows(self) -> list[PredictionPath]:
-        columns = zip(self.selected_path, self.confident.tolist(), self.repathed.tolist(),
-                      self.leaf_confidence.tolist(), self.tables.codes[self.argmax].tolist())
-        return [PredictionPath(p, p[-1], MODE_REPATHED if r else MODE_LEAF_CONFIDENT if c else MODE_DEEPEST_VALID,
-                               conf, tuple(a)) for p, c, r, conf, a in columns]
+        return list(map(PredictionPath, *self.columns()))
 
 
 def select_prediction(
@@ -242,25 +251,31 @@ class _JSONTexts(dict):
 def write_predictions(path: str | Path, ids: list[str], preds: Predictions | list[PredictionPath]) -> None:
     """The lines `write_jsonl(path, map(prediction_to_dict, ids, preds))` writes, keys in its sorted order.
 
-    The leaves, modes, paths and argmax tuples of a dump are bounded by the
-    label spaces, so each distinct one is encoded once; the id and the
-    confidence are encoded per row.
+    The rows go WRITE_LINES at a time, from their columns. The leaves, modes, paths and argmax tuples of a
+    dump are bounded by the label spaces, so each distinct one is encoded once; the id and the confidence
+    are encoded per row.
     """
     texts = _JSONTexts()
-    atomic_write_text(path, "".join([
-        f'{{"id":{"".join(_ENCODE(i, 0))},"leaf":{texts[p.selected_leaf]},'
-        f'"leaf_confidence":{"".join(_ENCODE(p.leaf_confidence, 0))},"mode":{texts[p.mode]},'
-        f'"path":{texts[p.selected_path]},"per_level_argmax":{texts[p.per_level_argmax]}}}\n'
-        for i, p in zip(ids, preds)
-    ]))
+
+    def chunks():
+        for lo in range(0, len(preds), WRITE_LINES):
+            part = preds[lo:lo + WRITE_LINES]
+            yield "".join([
+                f'{{"id":{"".join(_ENCODE(i, 0))},"leaf":{texts[leaf]},'
+                f'"leaf_confidence":{"".join(_ENCODE(conf, 0))},"mode":{texts[mode]},'
+                f'"path":{texts[p]},"per_level_argmax":{texts[a]}}}\n'
+                for i, p, leaf, mode, conf, a in zip(
+                    ids[lo:lo + WRITE_LINES], *(part.columns() if isinstance(part, Predictions) else zip(*part)))
+            ])
+    atomic_write_chunks(path, map(str.encode, chunks()))
 
 
 def check_prediction(row: dict, same) -> dict:
-    """`row` itself; a ValueError names the first key whose value has a type scoring cannot read.
+    """`row`, rebuilt in its key order; a ValueError names the first key whose value has a type scoring cannot read.
 
-    Its codes come from `same` (see `util.read_jsonl`): the leaf, the items of
-    the path and of a `per_level_argmax` list of strings, and a string mode.
-    The row keeps its own lists, so changing one row's path changes no other."""
+    Its keys and codes come from `same` (see `util.read_jsonl`): the leaf, the
+    items of the path and of a `per_level_argmax` list of strings, and a string
+    mode. The row keeps its own lists, so changing one row's path changes no other."""
     # Checked by hand, not by `config_value`: a per-value walk of 20k rows took 733 against 15 ms
     if not isinstance(row["id"], str):
         raise ValueError(f"has a non-string 'id': {row['id']!r}")
@@ -278,6 +293,7 @@ def check_prediction(row: dict, same) -> dict:
         raise ValueError(f"has a 'leaf_confidence' too large for a float: {confidence!r}") from None
     if not finite:
         raise ValueError(f"has a non-finite 'leaf_confidence': {confidence!r}")
+    row = dict(zip(map(same, row, row), row.values()))  # the scanner makes each line's key strings anew
     row["leaf"] = same(leaf, leaf)
     path[:] = map(same, path, path)
     mode, argmax = row.get("mode"), row.get("per_level_argmax")

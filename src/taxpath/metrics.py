@@ -30,6 +30,10 @@ class InvalidTruthError(EvaluationError):
     """A truth record whose label path is not a chain of the taxonomy."""
 
 
+class InvalidPredictionsError(EvaluationError):
+    """A prediction dump that repeats an id."""
+
+
 @dataclass(frozen=True)
 class EvalPair:
     predicted_path: tuple[str, ...]
@@ -172,7 +176,8 @@ def evaluate(
     pred_by_id = {row["id"]: row for row in pred_rows}
     truth_by_id = {rec.id: rec for rec in truth_records}
     if len(pred_by_id) != len(pred_rows):
-        raise EvaluationError("duplicate ids in prediction dump")
+        repeated = next(i for i, n in Counter(row["id"] for row in pred_rows).items() if n > 1)  # in file order
+        raise InvalidPredictionsError(f"duplicate id {repeated!r} in prediction dump")
     # as many distinct ids on each side, and each truth id predicted: the same ids
     if len(truth_by_id) != len(pred_by_id) or not all(map(pred_by_id.__contains__, truth_by_id)):
         missing = sorted(truth_by_id.keys() - pred_by_id.keys())

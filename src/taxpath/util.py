@@ -29,6 +29,9 @@ _ENCODE = json.encoder.c_make_encoder(
     None, _CANONICAL.default, json.encoder.encode_basestring, _CANONICAL.indent, _CANONICAL.key_separator,
     _CANONICAL.item_separator, _CANONICAL.sort_keys, _CANONICAL.skipkeys, _CANONICAL.allow_nan)
 _DECODER = json.JSONDecoder()
+# The most lines a writer joins into one string, so what it holds stays bounded however many rows it writes.
+# A line with a non-ASCII code (NULL_CODE is one) takes two bytes a character until it is encoded.
+WRITE_LINES = 512
 # `\w` is str.isalnum() or "_", so this matches the runs of characters where isalnum() holds
 _ALNUM_RUNS = re.compile(r"[^\W_]+")
 
@@ -89,19 +92,24 @@ def canonical_json(obj: Any) -> str:
     return "".join(_ENCODE(obj, 0))
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write via a temp file in the same directory, then rename into place."""
+def atomic_write_chunks(path: str | Path, chunks: Iterable[bytes]) -> None:
+    """Write `chunks` in turn, each dropped once written, to a temp file in the same directory, then rename it
+    into place. A chunk that fails to come (a row that does not encode) leaves the target as it was."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+    atomic_write_chunks(path, (data,))
 
 
 def write_blob(sink, data: bytes) -> None:
@@ -118,11 +126,13 @@ def read_blob(source) -> bytes:
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    atomic_write_chunks(path, (text.encode("utf-8"),))
 
 
 def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
-    atomic_write_text(path, "".join([canonical_json(row) + "\n" for row in rows]))
+    """One `canonical_json(row)` line per row, encoded and written WRITE_LINES lines at a time."""
+    lines = (canonical_json(row) + "\n" for row in rows)
+    atomic_write_chunks(path, map(str.encode, iter(lambda: "".join(itertools.islice(lines, WRITE_LINES)), "")))
 
 
 def read_json(source, where: str, error: type[Exception] = ValueError) -> Any:

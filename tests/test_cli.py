@@ -276,6 +276,22 @@ def test_eval_row_without_path_exits_1_naming_the_key(tmp_path, capsys):
     assert f"error: {pred}: the row on line 1 has no 'path' key" in capsys.readouterr().err
 
 
+def test_eval_of_a_dump_with_a_repeated_id_exits_1_naming_the_file_and_the_id(tmp_path, capsys):
+    cfg = gen_config(tmp_path)
+    data = tmp_path / "data"
+    assert run("gen", "--config", cfg, "--out", str(data)) == 0
+    records = read_records(data / "records.jsonl")
+    rows = [{"id": r.id, "leaf": r.leaf(), "path": list(r.label_path)} for r in records]
+    pred = tmp_path / "dup.jsonl"
+    pred.write_text("".join(json.dumps(row) + "\n" for row in [*rows, rows[3], rows[1]]), encoding="utf-8")
+    out = tmp_path / "eval"
+    capsys.readouterr()
+    assert run("eval", "--pred", str(pred), "--truth", str(data / "records.jsonl"),
+               "--taxonomy", str(data / "taxonomy.json"), "--out", str(out / "report.json")) == 1
+    assert capsys.readouterr().err == f"error: {pred}: duplicate id {records[1].id!r} in prediction dump\n"
+    assert not out.exists()
+
+
 def test_eval_row_that_is_not_an_object_exits_1(tmp_path, chain_taxonomy, capsys):
     tax = tmp_path / "taxonomy.json"
     tax.write_bytes(chain_taxonomy.to_json_bytes())

@@ -373,7 +373,9 @@ def reference_evaluate(pred_rows, truth_records, taxonomy, include_absent=False)
     pred_by_id = {row["id"]: row for row in pred_rows}
     truth_by_id = {rec.id: rec for rec in truth_records}
     if len(pred_by_id) != len(pred_rows):
-        raise EvaluationError("duplicate ids in prediction dump")
+        ids = [row["id"] for row in pred_rows]
+        repeated = next(i for i in ids if ids.count(i) > 1)
+        raise EvaluationError(f"duplicate id {repeated!r} in prediction dump")
     missing = sorted(set(truth_by_id) - set(pred_by_id))
     extra = sorted(set(pred_by_id) - set(truth_by_id))
     if missing or extra:

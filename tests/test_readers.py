@@ -1,11 +1,12 @@
 """The JSON Lines readers hold each repeated value once.
 
 `read_records` and `read_predictions` take every string and tuple of strings
-that rows repeat from one memo per read (`util.read_jsonl`'s `same`). These
-tests check that the values they return are those a `json.loads` per line
-gives, of the same types and in the same key order, that equal values are one
-object, that no row shares a list with another, and that the sharing shows in
-the memory a read holds. They also run on the lowest Python the package allows.
+that rows repeat, and the keys of prediction rows, from one memo per read
+(`util.read_jsonl`'s `same`). These tests check that the values they return
+are those a `json.loads` per line gives, of the same types and in the same key
+order, that equal values are one object, that no row shares a list with
+another, and that the sharing shows in the memory a read holds. They also run
+on the lowest Python the package allows.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from taxpath.dataset import ProductRecord, read_records, write_records
-from taxpath.infer import read_predictions
+from taxpath.infer import MODE_REPATHED, PredictionPath, read_predictions, write_predictions
 from taxpath.synth import SynthConfig, synth_corpus
 
 UNPAUSED = settings(suppress_health_check=[HealthCheck.function_scoped_fixture], derandomize=True)
@@ -63,6 +64,18 @@ def test_equal_prediction_codes_are_one_object_and_each_row_keeps_its_lists(tmp_
     first["per_level_argmax"][0] = "B"
     assert second["path"] == ["A", "A.1"] and second["per_level_argmax"] == ["A", "A.1", "__NULL__"]
     assert [list(row) for row in rows] == [list(prediction_row(0, ["A"]))] * 3
+
+
+def test_prediction_rows_share_one_key_object_per_distinct_key(tmp_path):
+    path = tmp_path / "preds.jsonl"
+    shuffled_row = dict(reversed(prediction_row(1, ["A"], note=1).items()))
+    write_lines(path, [prediction_row(0, ["A", "A.1"], note=None), shuffled_row, prediction_row(2, ["B"])])
+    rows = read_predictions(path)
+    assert [list(row) for row in rows] == [list(prediction_row(0, ["A"], note=None)), list(shuffled_row),
+                                           list(prediction_row(2, ["B"]))]
+    keys = {}
+    assert all(keys.setdefault(key, key) is key for row in rows for key in row)
+    assert len(keys) == 7
 
 
 # --- the json.loads oracle -----------------------------------------------------------
@@ -129,6 +142,8 @@ def test_read_predictions_equals_a_json_loads_per_line(tmp_path, rows):
     assert repr(got) == repr(expected)  # and the keys in the file's order
     lists = [row[key] for row in got for key in ("path", "per_level_argmax") if isinstance(row.get(key), list)]
     assert len(set(map(id, lists))) == len(lists)  # no row shares a list with another
+    keys = {}
+    assert all(keys.setdefault(key, key) is key for row in got for key in row)  # one object per distinct key
 
 
 # --- memory ------------------------------------------------------------------------
@@ -155,3 +170,16 @@ def test_records_read_hold_at_most_three_fifths_of_unshared_records(tmp_path):
             return [reference_record(json.loads(line)) for line in fh]
 
     assert held_bytes(lambda: read_records(path)) <= 0.6 * held_bytes(unshared)
+
+
+def test_prediction_rows_read_hold_at_most_seven_tenths_of_rows_with_their_own_keys(tmp_path):
+    path = tmp_path / "preds.jsonl"
+    records = synth_corpus(SynthConfig(samples=20_000), seed=2).records
+    write_predictions(path, [r.id for r in records],
+                      [PredictionPath(r.label_path, r.leaf(), MODE_REPATHED, k / 7e4, r.label_path + ("∅",))
+                       for k, r in enumerate(records)])
+
+    def unshared():  # the same rows, each with its own six key strings, as the JSON scanner makes them
+        return [{key.encode().decode(): value for key, value in row.items()} for row in read_predictions(path)]
+
+    assert held_bytes(lambda: read_predictions(path)) <= 0.7 * held_bytes(unshared)

@@ -192,7 +192,7 @@ def test_the_corpus_sized_functions_run_with_the_collector_paused(tmp_path, chai
         monkeypatch.setattr(owner, name, spy)
 
     spy_on(dataset, "read_jsonl", "read_records")
-    spy_on(infer, "atomic_write_text", "write_predictions")
+    spy_on(infer, "atomic_write_chunks", "write_predictions")
     spy_on(infer, "read_jsonl", "read_predictions")
     spy_on(metrics, "category_counts", "evaluate")
     spy_on(metrics, "atomic_write_text", "write_report")
