@@ -244,7 +244,8 @@ def cmd_eval(args: argparse.Namespace, config: PipelineConfig, synth: SynthConfi
     taxonomy = load_taxonomy_file(args.taxonomy)
     pred_rows = read_predictions(args.pred)
     truth = read_records(args.truth)
-    with records_of(args.pred, InvalidPredictionsError), records_of(args.truth, InvalidTruthError):
+    with (records_of(f"{args.pred} against {args.truth}", EvaluationError),  # an error of both files, such as their ids
+          records_of(args.pred, InvalidPredictionsError), records_of(args.truth, InvalidTruthError)):
         report = evaluate(pred_rows, truth, taxonomy, include_absent=args.include_absent)
     out = Path(args.out)
     write_report(out, report)

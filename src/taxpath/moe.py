@@ -15,7 +15,8 @@ gates as (L, routing_dim, E) and (L, E), experts as (L*E, dense_dim, H),
 (L*E, H), (L*E, H, H) and (L*E, H), with row l*E + e holding level l+1's
 expert e. The forward and backward passes run each kind as one batched
 matmul over its stack (the multi-gate MoE formulation); only the heads,
-whose label spaces differ per level, keep a loop.
+whose label spaces differ per level, keep a loop. A forward-only pass runs
+the expert stacks a slab of levels at a time (`SLAB_BYTES`).
 """
 from __future__ import annotations
 
@@ -284,15 +285,21 @@ class ForwardCache:
     semantic_probs: np.ndarray | None  # (B, semantic_classes); None from the forward-only pass
 
 
+# Most float64 bytes of (E, B, H) expert activations a forward-only pass holds per
+# slab of levels (one level may hold more); a slab's matmuls slice the stacked ones.
+SLAB_BYTES = 1 << 20
+
+
 def forward_batch(model: MoEModel, batch: EncodedBatch, for_backward: bool = True) -> ForwardCache:
     """Forward pass over a batch.
 
     With `for_backward=False` only the gates and the per-level probabilities,
     which prediction reads, are kept: the backward activations and the
-    semantic head are None.
+    semantic head are None, and the experts run a slab of levels at a time
+    (SLAB_BYTES of activations, or one level if that holds more).
     """
     cfg = model.moe_config
-    levels, experts = cfg.levels, cfg.experts_per_level
+    levels, experts, h = cfg.levels, cfg.experts_per_level, cfg.expert_hidden_dim
     s = model.stacks
     n = batch.dense.shape[0]
     # (L, B, E): one (B, E) GEMM per level. A single (routing_dim, L*E) GEMM
@@ -300,19 +307,28 @@ def forward_batch(model: MoEModel, batch: EncodedBatch, for_backward: bool = Tru
     logits = np.matmul(batch.routing, s.gate_W)
     logits += s.gate_b[:, None, :]
     gates = softmax(logits)
-    tanh_out = np.matmul(batch.dense, s.W1)  # (L*E, B, H)
-    tanh_out += s.b1[:, None, :]
-    np.tanh(tanh_out, out=tanh_out)
-    expert_out = np.matmul(tanh_out, s.W2)
-    if not for_backward:
-        tanh_out = None
-    expert_out += s.b2[:, None, :]
-    # one expert at a time into zeros: the summation order the outputs are defined by
-    per_level = expert_out.reshape(levels, experts, n, cfg.expert_hidden_dim)
-    hidden = np.zeros((levels, n, cfg.expert_hidden_dim))
-    for e in range(experts):
-        hidden += gates[:, :, e : e + 1] * per_level[:, e]
-    probs = [softmax(u @ w + b) for u, w, b in zip(hidden, s.head_W, s.head_b)]
+    slab = levels if for_backward else max(1, SLAB_BYTES // (8 * experts * max(n, 1) * h))
+    probs = []
+    for lo in range(0, levels, slab):
+        hi = min(lo + slab, levels)
+        stack = slice(lo * experts, hi * experts)
+        tanh_out = np.matmul(batch.dense, s.W1[stack])  # (slab*E, B, H)
+        tanh_out += s.b1[stack, None, :]
+        np.tanh(tanh_out, out=tanh_out)
+        expert_out = np.matmul(tanh_out, s.W2[stack])
+        if not for_backward:
+            tanh_out = None
+        expert_out += s.b2[stack, None, :]
+        # one expert at a time into zeros: the summation order the outputs are defined by
+        per_level = expert_out.reshape(hi - lo, experts, n, h)
+        hidden = np.zeros((hi - lo, n, h))
+        for e in range(experts):
+            hidden += gates[lo:hi, :, e : e + 1] * per_level[:, e]
+        if not for_backward:
+            expert_out = per_level = None
+        probs += [softmax(u @ w + b) for u, w, b in zip(hidden, s.head_W[lo:hi], s.head_b[lo:hi])]
+        if not for_backward:
+            hidden = None
     if not for_backward:
         return ForwardCache(gates, None, None, None, probs, None, None)
     pool = np.mean(hidden, axis=0)

@@ -292,6 +292,24 @@ def test_eval_of_a_dump_with_a_repeated_id_exits_1_naming_the_file_and_the_id(tm
     assert not out.exists()
 
 
+def test_eval_of_a_dump_whose_ids_differ_from_the_truth_exits_1_naming_both_files(tmp_path, capsys):
+    cfg = gen_config(tmp_path)
+    data = tmp_path / "data"
+    assert run("gen", "--config", cfg, "--out", str(data)) == 0
+    records = read_records(data / "records.jsonl")
+    pred = tmp_path / "short.jsonl"
+    pred.write_text("".join(json.dumps({"id": r.id, "leaf": r.leaf(), "path": list(r.label_path)}) + "\n"
+                            for r in records[1:]), encoding="utf-8")
+    truth = data / "records.jsonl"
+    out = tmp_path / "eval"
+    capsys.readouterr()
+    assert run("eval", "--pred", str(pred), "--truth", str(truth),
+               "--taxonomy", str(data / "taxonomy.json"), "--out", str(out / "report.json")) == 1
+    assert capsys.readouterr().err == (f"error: {pred} against {truth}: id mismatch between predictions and truth: "
+                                       f"missing={[records[0].id]} extra=[]\n")
+    assert not out.exists()
+
+
 def test_eval_row_that_is_not_an_object_exits_1(tmp_path, chain_taxonomy, capsys):
     tax = tmp_path / "taxonomy.json"
     tax.write_bytes(chain_taxonomy.to_json_bytes())

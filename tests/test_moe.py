@@ -1,7 +1,10 @@
+import dataclasses
+import functools
 import io
 import json
 import re
 import struct
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -9,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taxpath.encoder import EncodedBatch, EncoderConfig, build_field_vocabs
+from taxpath.encoder import EncodedBatch, EncoderConfig, assemble_batch, build_field_vocabs, prepare_records
 from taxpath.infer import label_tables, select_prediction
 from taxpath.moe import (
     CHECKPOINT_MAGIC,
+    SLAB_BYTES,
     CheckpointError,
     MoEConfig,
     forward_batch,
@@ -26,6 +30,7 @@ from taxpath.semantic import JudgeModel, load_judge, save_judge
 from taxpath.synth import SynthConfig, synth_corpus
 
 from encoder_oracles import encode_batch
+from test_stacked_experts import BENCH_DIMS, setup
 
 
 def small_setup(seed=0, experts=2, hidden=4, text_dim=4, cat_dim=2, buckets=32):
@@ -345,16 +350,56 @@ def test_checkpoint_manifest_must_match_its_config():
         load_checkpoint(io.BytesIO(blob))
 
 
-def test_forward_without_backward_cache_gives_identical_outputs():
-    corpus, enc, moe, model = small_setup(seed=17, experts=3)
-    batch = encode_batch(corpus.records, model.params, enc)
-    full = forward_batch(model, batch)
+@functools.cache
+def bench_setup(experts):
+    """A bench-sized model over a depth-4 taxonomy with one level past its
+    depth, and a batch of 2,048 rows or, if more, as many as one level's
+    activations fill a slab with."""
+    rows = max(2048, SLAB_BYTES // (8 * experts * BENCH_DIMS["hidden"]))
+    corpus, model = setup(experts, extra_levels=1, samples=rows, seed=experts, depth=4, **BENCH_DIMS)
+    assert model.level_labels[-1] == ("∅",) and model.moe_config.levels == 5
+    batch = assemble_batch(prepare_records(corpus.records, model.encoder_config), model.params,
+                           model.encoder_config, for_backward=False)
+    return model, batch
+
+
+def first_rows(batch, n):
+    assert n <= len(batch.dense)
+    return dataclasses.replace(batch, dense=batch.dense[:n], routing=batch.routing[:n])
+
+
+# levels per slab of the forward-only pass over the 5 levels: 5 is one slab,
+# 1 five equal slabs, 3 and 2 an uneven last slab
+@pytest.mark.parametrize("slab", [5, 3, 2, 1])
+@pytest.mark.parametrize("experts", [1, 2, 3])
+def test_forward_without_backward_cache_gives_identical_outputs(experts, slab):
+    model, batch = bench_setup(experts)
+    n = SLAB_BYTES // (8 * experts * model.moe_config.expert_hidden_dim * slab)  # the most rows with `slab` levels
+    batch = first_rows(batch, n)
+    full = forward_batch(model, batch)  # one slab: backward reads every level
     lean = forward_batch(model, batch, for_backward=False)
     assert lean.tanh_out is None and lean.expert_out is None and lean.hidden is None
+    assert len(lean.probs) == len(full.probs) == 5 and lean.gates.shape == full.gates.shape
     for a, b in zip([*full.probs, *full.gates], [*lean.probs, *lean.gates]):
         assert np.array_equal(a, b)
     # prediction reads no semantic head; its values are pinned by the full-forward reference test
     assert lean.pool is None and lean.semantic_probs is None
+
+
+def test_forward_without_backward_cache_holds_one_slab_of_activations():
+    model, batch = bench_setup(2)
+    batch = first_rows(batch, 2048)
+
+    def traced_peak(for_backward) -> int:
+        tracemalloc.start()
+        try:
+            forward_batch(model, batch, for_backward)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    full, lean = traced_peak(True), traced_peak(False)
+    assert lean <= 0.4 * full, (lean, full)
 
 
 def test_a_checkpoint_loaded_from_a_path_is_refused_naming_the_path(tmp_path):

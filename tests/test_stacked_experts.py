@@ -127,9 +127,10 @@ def loop_backward(model, batch, targets, semantic_targets, weights):
     return float(per_sample.mean()), grads
 
 
-def setup(experts, extra_levels=0, samples=320, seed=0, hidden=5, leaves=14, text_dim=6, cat_dim=3, buckets=97):
+def setup(experts, extra_levels=0, samples=320, seed=0, hidden=5, leaves=14, text_dim=6, cat_dim=3, buckets=97,
+          depth=3):
     corpus = synth_corpus(
-        SynthConfig(leaves=leaves, samples=samples, leaf_depth_min=2, leaf_depth_max=3, cpv_rate=0.3), seed=seed
+        SynthConfig(leaves=leaves, samples=samples, leaf_depth_min=2, leaf_depth_max=depth, cpv_rate=0.3), seed=seed
     )
     fields = ("bu_code", "ou_code", "system_code")
     enc = EncoderConfig(hash_buckets=buckets, text_dim=text_dim, cat_dim=cat_dim, fields=fields,
