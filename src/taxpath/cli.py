@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 validation error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import logging
 import os
@@ -39,7 +38,8 @@ from .semantic import annotate_corpus, distill_judge, label_dev_set, load_judge,
 from .synth import SynthConfig, synth_corpus
 from .taxonomy import load_taxonomy_file
 from .train import LossWeights, TrainConfig, fit
-from .util import ConfigError, atomic_write_bytes, atomic_write_text, config_from_dict, config_value, read_json, write_jsonl
+from .util import (ConfigError, atomic_write_bytes, atomic_write_text, config_from_dict, config_value, naming, read_json,
+                   write_jsonl)
 
 log = logging.getLogger("taxpath")
 
@@ -129,16 +129,6 @@ def _write_manifest(out_dir: Path, subcommand: str, config: PipelineConfig, synt
     atomic_write_text(out_dir / "run_manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-@contextlib.contextmanager
-def records_of(path, errors=(ValueError, RuntimeError)):
-    """An error of the classes `errors` raised in the block, which uses the records read from `path`, re-raised
-    naming that file: a record that does not fit the taxonomy or the model is found only where it is used."""
-    try:
-        yield
-    except errors as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-
-
 def cmd_gen(args: argparse.Namespace, config: PipelineConfig, synth: SynthConfig) -> Path:
     out_dir = Path(args.out)
     corpus = synth_corpus(synth, config.seed)
@@ -188,7 +178,7 @@ def cmd_train(args: argparse.Namespace, config: PipelineConfig, synth: SynthConf
         enc = replace(enc, field_vocabs=build_field_vocabs(train_recs, enc.fields))
     judge = load_judge(args.judge) if args.judge else None
     model = init_model(taxonomy, enc, config.moe, config.seed)
-    with records_of(args.train):  # validation records meet no check that could refuse one
+    with naming(args.train):  # validation records meet no check that could refuse one
         annotations = annotate_corpus(train_recs, judge, taxonomy) if judge else None
         model, logs = fit(model, train_recs, val_recs, taxonomy, annotations, config.train, tau_leaf=config.tau_leaf)
     out = Path(args.out)
@@ -204,10 +194,10 @@ def cmd_judge(args: argparse.Namespace, config: PipelineConfig, synth: SynthConf
     taxonomy = load_taxonomy_file(args.taxonomy)
     dev = read_records(args.dev)
     to_annotate = read_records(args.annotate) if args.annotate else None  # every input read before any output
-    with records_of(args.dev):
+    with naming(args.dev):
         labeled = label_dev_set(dev, taxonomy, config.oracle_y_threshold, config.oracle_n_threshold)
         judge = distill_judge(labeled, taxonomy, config.seed)
-    with records_of(args.annotate):  # before any output, which a record it refuses would leave half written
+    with naming(args.annotate):  # before any output, which a record it refuses would leave half written
         annotations = annotate_corpus(to_annotate, judge, taxonomy) if to_annotate is not None else None
     out = Path(args.out)
     save_judge(judge, out)
@@ -244,8 +234,8 @@ def cmd_eval(args: argparse.Namespace, config: PipelineConfig, synth: SynthConfi
     taxonomy = load_taxonomy_file(args.taxonomy)
     pred_rows = read_predictions(args.pred)
     truth = read_records(args.truth)
-    with (records_of(f"{args.pred} against {args.truth}", EvaluationError),  # an error of both files, such as their ids
-          records_of(args.pred, InvalidPredictionsError), records_of(args.truth, InvalidTruthError)):
+    with (naming(f"{args.pred} against {args.truth}", EvaluationError),  # an error of both files, such as their ids
+          naming(args.pred, InvalidPredictionsError), naming(args.truth, InvalidTruthError)):
         report = evaluate(pred_rows, truth, taxonomy, include_absent=args.include_absent)
     out = Path(args.out)
     write_report(out, report)

@@ -20,19 +20,19 @@ the expert stacks a slab of levels at a time (`SLAB_BYTES`).
 """
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
 import struct
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 from typing import Any, TypedDict
 
 import numpy as np
 
 from .encoder import EncodedBatch, EncoderConfig
 from .taxonomy import NULL_CODE, Taxonomy
-from .util import ConfigError, config_from_dict, config_value, read_blob, read_json, stream_rng, write_blob
+from .util import ConfigError, atomic_write_bytes, config_from_dict, config_value, naming, read_json, stream_rng
 
 CHECKPOINT_MAGIC = b"TAXN"
 JUDGE_MAGIC = b"TXNJ"
@@ -41,19 +41,6 @@ CHECKPOINT_VERSION = 2
 
 class CheckpointError(RuntimeError):
     pass
-
-
-def names_its_file(load):
-    """`load(source, ...)`, whose CheckpointError messages start with `source` when it is a path."""
-    @functools.wraps(load)
-    def load_naming_the_file(source, *args, **kwargs):
-        try:
-            return load(source, *args, **kwargs)
-        except CheckpointError as exc:
-            if hasattr(source, "read"):
-                raise
-            raise CheckpointError(f"{source}: {exc}") from exc
-    return load_naming_the_file
 
 
 @dataclass(frozen=True)
@@ -266,10 +253,10 @@ def init_model(
     return model
 
 
-def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = logits - logits.max(axis=axis, keepdims=True)
+def softmax(logits: np.ndarray) -> np.ndarray:  # over the last axis
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum(axis=axis, keepdims=True)
+    return exp / exp.sum(axis=-1, keepdims=True)
 
 
 @dataclass
@@ -394,34 +381,33 @@ def read_container(blob: bytes, magic: bytes, meta_schema=dict[str, Any]) -> tup
     return meta, manifest, flat
 
 
-def save_checkpoint(model: MoEModel, sink) -> None:
-    """Serialize to a binary sink (file-like or path)."""
+def save_checkpoint(model: MoEModel, path: str | Path) -> None:
+    """Write the model's checkpoint to `path`, atomically."""
     meta = {
         "encoder_config": asdict(model.encoder_config),
         "moe_config": asdict(model.moe_config),
         "taxonomy_hash": model.taxonomy_hash,
         "level_labels": [list(labels) for labels in model.level_labels],
     }
-    write_blob(sink, write_container(CHECKPOINT_MAGIC, meta, model.params))
+    atomic_write_bytes(path, write_container(CHECKPOINT_MAGIC, meta, model.params))
 
 
-@names_its_file
-def load_checkpoint(source, taxonomy: Taxonomy | None = None) -> MoEModel:
-    """Load a model checkpoint; verifies the taxonomy hash when one is given."""
-    meta, manifest, flat = read_container(read_blob(source), CHECKPOINT_MAGIC, ModelMeta)
-    moe_config, level_labels = meta["moe_config"], meta["level_labels"]
-    # the count first, so a header naming huge configs is refused without building their manifest
-    count = 3 + len(meta["encoder_config"].fields) + moe_config.levels * (4 + 4 * moe_config.experts_per_level)
-    if (len(level_labels) != moe_config.levels or not all(level_labels) or len(manifest) != count
-            or manifest != param_manifest(meta["encoder_config"], moe_config, level_labels)):
-        raise CheckpointError("label spaces or parameter manifest do not match the checkpoint's model configuration")
-    model = MoEModel(**meta, flat=flat)
-    if not np.isfinite(flat).all():  # a NaN weight would reach every confidence of the model
-        name = next(name for name, value in model.params.items() if not np.isfinite(value).all())
-        raise CheckpointError(f"checkpoint parameter {name!r} holds a non-finite value")
-    if taxonomy is not None and taxonomy.fingerprint() != model.taxonomy_hash:
-        raise CheckpointError(
-            f"taxonomy hash mismatch: checkpoint {model.taxonomy_hash[:12]}..., "
-            f"supplied {taxonomy.fingerprint()[:12]}..."
-        )
-    return model
+def load_checkpoint(path: str | Path, taxonomy: Taxonomy | None = None) -> MoEModel:
+    """The model checkpoint at `path`; verifies the taxonomy hash when one is given.
+    Every CheckpointError it raises names `path`."""
+    with naming(path, CheckpointError, CheckpointError):
+        meta, manifest, flat = read_container(Path(path).read_bytes(), CHECKPOINT_MAGIC, ModelMeta)
+        moe_config, level_labels = meta["moe_config"], meta["level_labels"]
+        # the count first, so a header naming huge configs is refused without building their manifest
+        count = 3 + len(meta["encoder_config"].fields) + moe_config.levels * (4 + 4 * moe_config.experts_per_level)
+        if (len(level_labels) != moe_config.levels or not all(level_labels) or len(manifest) != count
+                or manifest != param_manifest(meta["encoder_config"], moe_config, level_labels)):
+            raise CheckpointError("label spaces or parameter manifest do not match the checkpoint's model configuration")
+        model = MoEModel(**meta, flat=flat)
+        if not np.isfinite(flat).all():  # a NaN weight would reach every confidence of the model
+            name = next(name for name, value in model.params.items() if not np.isfinite(value).all())
+            raise CheckpointError(f"checkpoint parameter {name!r} holds a non-finite value")
+        if taxonomy is not None and taxonomy.fingerprint() != model.taxonomy_hash:
+            raise CheckpointError(f"taxonomy hash mismatch: checkpoint {model.taxonomy_hash[:12]}..., "
+                                  f"supplied {taxonomy.fingerprint()[:12]}...")
+        return model

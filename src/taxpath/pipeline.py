@@ -12,6 +12,7 @@ Each stage writes its artifact into the output directory.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -63,6 +64,11 @@ class PipelineConfig:
     oracle_y_threshold: float = DEFAULT_Y_THRESHOLD
     oracle_n_threshold: float = DEFAULT_N_THRESHOLD
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("confidence_threshold", "high_conf_fraction", "tau_leaf", "oracle_y_threshold", "oracle_n_threshold"):
+            if math.isnan(getattr(self, name)):  # every comparison with NaN is false: a NaN threshold selects nothing
+                raise ValueError(f"{name} must be a number, got nan")
 
 
 def score_records(

@@ -11,14 +11,15 @@ import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import TypedDict
 
 import numpy as np
 
 from .dataset import ProductRecord
-from .moe import JUDGE_MAGIC, CheckpointError, names_its_file, param_views, read_container, softmax, write_container
+from .moe import JUDGE_MAGIC, CheckpointError, param_views, read_container, softmax, write_container
 from .taxonomy import Taxonomy
-from .util import gc_paused, read_blob, stream_rng, tokenize, write_blob, write_jsonl
+from .util import atomic_write_bytes, gc_paused, naming, stream_rng, tokenize, write_jsonl
 
 VERDICTS = ("Y", "N", "U")
 FEATURE_NAMES = ("leaf_overlap", "ancestor_overlap", "title_length", "popularity")
@@ -28,6 +29,10 @@ JudgeMeta = TypedDict("JudgeMeta", {"tau_hi": float, "tau_lo": float, "popularit
 
 DEFAULT_Y_THRESHOLD = 0.5
 DEFAULT_N_THRESHOLD = 0.1
+# `distill_judge`'s held-out share of the labeled pairs, and its full-batch gradient descent
+HOLDOUT_FRACTION = 0.2
+DISTILL_EPOCHS = 400
+DISTILL_LEARNING_RATE = 2.0
 
 
 class DegenerateLabelsError(ValueError):
@@ -151,6 +156,11 @@ class JudgeModel:
             raise ValueError(f"tau_hi must exceed tau_lo: {self.tau_hi} <= {self.tau_lo}")
         if not (np.isfinite(self.weights).all() and np.isfinite(self.bias).all()):
             raise ValueError("judge weights must be finite")
+        if not (math.isfinite(self.tau_hi) and math.isfinite(self.tau_lo)):
+            raise ValueError(f"judge thresholds must be finite: tau_hi {self.tau_hi}, tau_lo {self.tau_lo}")
+        bad = next((code for code, value in self.popularity.items() if not math.isfinite(value)), None)
+        if bad is not None:  # it would reach the score of every record of that code
+            raise ValueError(f"judge popularity of {bad!r} must be finite: {self.popularity[bad]}")
 
     def scores(self, titles: list[str], codes: list[str], taxonomy: Taxonomy) -> np.ndarray:
         """(N,) P(Y) - P(N) for each (title, code) pair. The stacked `phi[:, None, :] @ W`
@@ -211,9 +221,6 @@ def distill_judge(
     labeled: list[tuple[str, str, ConsistencyLabel]],
     taxonomy: Taxonomy,
     seed: int,
-    holdout_fraction: float = 0.2,
-    epochs: int = 400,
-    learning_rate: float = 2.0,
 ) -> JudgeModel:
     """Fit the lightweight judge on oracle-labeled (title, code) pairs.
 
@@ -231,7 +238,7 @@ def distill_judge(
 
     rng = stream_rng(seed, "judge-distill")
     order = rng.permutation(len(labeled))
-    n_holdout = int(len(labeled) * holdout_fraction)
+    n_holdout = int(len(labeled) * HOLDOUT_FRACTION)
     holdout_idx = set(order[:n_holdout].tolist())
     fit_rows = [labeled[i] for i in range(len(labeled)) if i not in holdout_idx]
     holdout_rows = [labeled[i] for i in sorted(holdout_idx)]
@@ -249,10 +256,10 @@ def distill_judge(
     n = len(fit_rows)
     onehot = np.zeros((n, 3))
     onehot[np.arange(n), target] = 1.0
-    for _ in range(epochs):
+    for _ in range(DISTILL_EPOCHS):
         delta = (softmax(phi @ w + b) - onehot) / n
-        w -= learning_rate * (phi.T @ delta)
-        b -= learning_rate * delta.sum(axis=0)
+        w -= DISTILL_LEARNING_RATE * (phi.T @ delta)
+        b -= DISTILL_LEARNING_RATE * delta.sum(axis=0)
 
     probs = softmax(phi @ w + b)
     scores = probs[:, 0] - probs[:, 1]
@@ -294,7 +301,8 @@ def write_annotations(path, annotations: dict[str, ConsistencyLabel]) -> None:
     write_jsonl(path, ({"id": i, "verdict": lab.verdict, "rationale": lab.rationale} for i, lab in annotations.items()))
 
 
-def save_judge(judge: JudgeModel, sink) -> None:
+def save_judge(judge: JudgeModel, path: str | Path) -> None:
+    """Write the judge's checkpoint to `path`, atomically."""
     meta = {
         "tau_hi": judge.tau_hi,
         "tau_lo": judge.tau_lo,
@@ -302,27 +310,24 @@ def save_judge(judge: JudgeModel, sink) -> None:
         "holdout_agreement": judge.holdout_agreement,
         "feature_names": list(FEATURE_NAMES),
     }
-    write_blob(sink, write_container(JUDGE_MAGIC, meta, {"weights": judge.weights, "bias": judge.bias}))
+    atomic_write_bytes(path, write_container(JUDGE_MAGIC, meta, {"weights": judge.weights, "bias": judge.bias}))
 
 
-@names_its_file
-def load_judge(source) -> JudgeModel:
-    meta, manifest, flat = read_container(read_blob(source), JUDGE_MAGIC, JudgeMeta)
-    shapes = dict(manifest)
-    for name, expected in (("weights", (len(FEATURE_NAMES), len(VERDICTS))), ("bias", (len(VERDICTS),))):
-        if name not in shapes:
-            raise CheckpointError(f"judge checkpoint has no {name!r} array (found {sorted(shapes)})")
-        if shapes[name] != expected:
-            raise CheckpointError(
-                f"judge array {name!r} has shape {shapes[name]}, expected {expected}"
-            )
-    feature_names = meta.pop("feature_names")
-    if feature_names != FEATURE_NAMES:
-        raise CheckpointError(
-            f"judge checkpoint feature_names {list(feature_names)} differ from {list(FEATURE_NAMES)}"
-        )
-    params = param_views(flat, manifest)
-    try:
-        return JudgeModel(weights=params["weights"], bias=params["bias"], **meta)
-    except ValueError as exc:
-        raise CheckpointError(f"bad judge checkpoint meta: {exc}") from exc
+def load_judge(path: str | Path) -> JudgeModel:
+    """The judge checkpoint at `path`. Every CheckpointError it raises names `path`."""
+    with naming(path, CheckpointError, CheckpointError):
+        meta, manifest, flat = read_container(Path(path).read_bytes(), JUDGE_MAGIC, JudgeMeta)
+        shapes = dict(manifest)
+        for name, expected in (("weights", (len(FEATURE_NAMES), len(VERDICTS))), ("bias", (len(VERDICTS),))):
+            if name not in shapes:
+                raise CheckpointError(f"judge checkpoint has no {name!r} array (found {sorted(shapes)})")
+            if shapes[name] != expected:
+                raise CheckpointError(f"judge array {name!r} has shape {shapes[name]}, expected {expected}")
+        feature_names = meta.pop("feature_names")
+        if feature_names != FEATURE_NAMES:
+            raise CheckpointError(f"judge checkpoint feature_names {list(feature_names)} differ from {list(FEATURE_NAMES)}")
+        params = param_views(flat, manifest)
+        try:
+            return JudgeModel(weights=params["weights"], bias=params["bias"], **meta)
+        except ValueError as exc:
+            raise CheckpointError(f"bad judge checkpoint meta: {exc}") from exc

@@ -60,12 +60,6 @@ class Taxonomy:
         tokens = {code: frozenset(tokenize(n.definition) + tokenize(n.name)) for code, n in self.nodes.items()}
         object.__setattr__(self, "_tokens", tokens)
 
-    def node(self, code: str) -> TaxNode:
-        try:
-            return self.nodes[code]
-        except KeyError:
-            raise TaxonomyError(f"unknown code: {code!r}") from None
-
     def chain(self, code: str) -> tuple[str, ...]:
         """Root-first chain of codes ending at `code`; length equals its level."""
         try:
@@ -191,7 +185,7 @@ def build_taxonomy(raw_nodes: list[dict]) -> Taxonomy:
 def load_taxonomy(source, where: str = "taxonomy") -> Taxonomy:
     """Load and validate the taxonomy JSON format.
 
-    `source` may be bytes, a UTF-8 string, a binary file object or a path.
+    `source` may be bytes, a UTF-8 string or a path.
     Every fault raises TaxonomyError naming `where`.
     """
     doc = read_json(source.encode("utf-8") if isinstance(source, str) else source, where, TaxonomyError)

@@ -17,7 +17,7 @@ import numpy as np
 from .dataset import ProductRecord
 from .encoder import EncodedBatch, PreparedRecords, assemble_batch, prepare_records
 from .infer import DEFAULT_TAU_LEAF, label_tables, predict_batch, predict_prepared  # noqa: F401 (perfbench patches train.predict_batch)
-from .moe import ForwardCache, MoEModel, forward_batch
+from .moe import MoEModel, forward_batch
 from .semantic import ConsistencyLabel
 from .taxonomy import NULL_CODE, Taxonomy
 from .util import stream_rng
@@ -150,7 +150,6 @@ def backward(
     semantic_targets: np.ndarray,
     weights: LossWeights,
     sample_ids: Sequence[str] | None = None,
-    cache: ForwardCache | None = None,
     grad_flat: np.ndarray | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean total loss over the batch and its gradient for every parameter.
@@ -164,8 +163,7 @@ def backward(
     """
     cfg = model.moe_config
     enc = model.encoder_config
-    if cache is None:
-        cache = forward_batch(model, batch)
+    cache = forward_batch(model, batch)
     n = batch.dense.shape[0]
     levels, experts, hidden_dim = cfg.levels, cfg.experts_per_level, cfg.expert_hidden_dim
     ar = np.arange(n)

@@ -2,6 +2,7 @@
 atomic file I/O, the strict config loader, the garbage-collector pause."""
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import gc
@@ -112,19 +113,6 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     atomic_write_chunks(path, (data,))
 
 
-def write_blob(sink, data: bytes) -> None:
-    """Write `data` to a binary file object, or atomically to a path."""
-    if hasattr(sink, "write"):
-        sink.write(data)
-    else:
-        atomic_write_bytes(sink, data)
-
-
-def read_blob(source) -> bytes:
-    """All the bytes of a binary file object or of a path."""
-    return source.read() if hasattr(source, "read") else Path(source).read_bytes()
-
-
 def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_chunks(path, (text.encode("utf-8"),))
 
@@ -135,14 +123,25 @@ def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
     atomic_write_chunks(path, map(str.encode, iter(lambda: "".join(itertools.islice(lines, WRITE_LINES)), "")))
 
 
-def read_json(source, where: str, error: type[Exception] = ValueError) -> Any:
-    """The JSON document in a path, a binary file object or bytes. Any failure to decode it (bad UTF-8, a BOM,
-    bad JSON, nesting too deep, an integer too long to convert) raises `error` naming `where`."""
-    data = source if isinstance(source, bytes) else read_blob(source)
+def read_json(source: str | Path | bytes, where: str, error: type[Exception] = ValueError) -> Any:
+    """The JSON document in a path or in bytes. Any failure to decode it (bad UTF-8, a BOM, bad JSON,
+    nesting too deep, an integer too long to convert) raises `error` naming `where`."""
+    data = source if isinstance(source, bytes) else Path(source).read_bytes()
     try:  # UnicodeDecodeError and JSONDecodeError are ValueErrors, as is the int-digit limit's
         return json.loads(data.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
         raise error(f"{where}: bad JSON: {exc}") from exc
+
+
+@contextlib.contextmanager
+def naming(path, errors=(ValueError, RuntimeError), raises: type[Exception] = ValueError):
+    """An error of the classes `errors` raised in the block re-raised as `raises`, its message naming `path`:
+    a fault in what was read from a file (a record that does not fit the model, say) is found only where it
+    is used."""
+    try:
+        yield
+    except errors as exc:
+        raise raises(f"{path}: {exc}") from exc
 
 
 def read_jsonl(path: str | Path, required: tuple[str, ...] = (),

@@ -232,6 +232,32 @@ def test_train_with_mis_shaped_judge_exits_1_naming_the_array(tmp_path, capsys):
     assert not (tmp_path / "model.ckpt").exists()
 
 
+# a non-finite judge meta value -> what the error says after the judge's path
+NON_FINITE_JUDGES = {
+    "nan-popularity": ({"popularity": {"A": float("nan")}}, "judge popularity of 'A' must be finite: nan"),
+    "infinite-tau_hi": ({"tau_hi": float("inf")}, "judge thresholds must be finite: tau_hi inf, tau_lo -0.5"),
+}
+
+
+@pytest.mark.parametrize("fault", list(NON_FINITE_JUDGES))
+def test_train_with_a_non_finite_judge_meta_value_exits_1_naming_the_judge(tmp_path, capsys, fault):
+    meta_update, message = NON_FINITE_JUDGES[fault]
+    cfg = gen_config(tmp_path)
+    data = tmp_path / "data"
+    assert run("gen", "--config", cfg, "--out", str(data)) == 0
+    judge = tmp_path / "judge.ckpt"
+    meta = {"tau_hi": 0.5, "tau_lo": -0.5, "popularity": {}, "holdout_agreement": 1.0, "feature_names": FEATURE_NAMES}
+    judge.write_bytes(write_container(JUDGE_MAGIC, {**meta, **meta_update},
+                                      {"weights": np.zeros((len(FEATURE_NAMES), 3)), "bias": np.zeros(3)}))
+    capsys.readouterr()
+    code = run("train", "--config", cfg, "--train", str(data / "records.jsonl"),
+               "--taxonomy", str(data / "taxonomy.json"), "--judge", str(judge),
+               "--out", str(tmp_path / "model.ckpt"))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {judge}: bad judge checkpoint meta: {message}\n"
+    assert not (tmp_path / "model.ckpt").exists()
+
+
 def test_repath_subcommand_rewrites_only_leaf_rows(tmp_path, chain_taxonomy):
     tax = tmp_path / "taxonomy.json"
     tax.write_bytes(chain_taxonomy.to_json_bytes())

@@ -1,5 +1,4 @@
 """The strict config loader: dataclass defaults, unknown keys, types, round trips."""
-import io
 import json
 import re
 from dataclasses import asdict, replace
@@ -184,7 +183,7 @@ def test_construction_errors_name_the_section():
 
 # --- checkpoints ----------------------------------------------------------------
 
-def test_checkpoint_with_an_unknown_config_key_is_rejected(chain_taxonomy):
+def test_checkpoint_with_an_unknown_config_key_is_rejected(chain_taxonomy, tmp_path):
     enc = EncoderConfig(hash_buckets=8, text_dim=2, cat_dim=1)
     moe = MoEConfig(levels=chain_taxonomy.max_depth, experts_per_level=1, expert_hidden_dim=2)
     model = init_model(chain_taxonomy, enc, moe, seed=0)
@@ -194,15 +193,18 @@ def test_checkpoint_with_an_unknown_config_key_is_rejected(chain_taxonomy):
         "taxonomy_hash": model.taxonomy_hash,
         "level_labels": [list(labels) for labels in model.level_labels],
     }
-    blob = write_container(CHECKPOINT_MAGIC, meta, model.params)  # checksum-valid
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(write_container(CHECKPOINT_MAGIC, meta, model.params))  # checksum-valid
     with pytest.raises(CheckpointError, match=r"unknown config key checkpoint header\.meta\.moe_config\.experts"):
-        load_checkpoint(io.BytesIO(blob))
+        load_checkpoint(path)
     meta["moe_config"] = {**asdict(moe), "levels": "3"}
+    path.write_bytes(write_container(CHECKPOINT_MAGIC, meta, model.params))
     with pytest.raises(CheckpointError, match=r"moe_config\.levels must be an integer"):
-        load_checkpoint(io.BytesIO(write_container(CHECKPOINT_MAGIC, meta, model.params)))
+        load_checkpoint(path)
     del meta["moe_config"]
+    path.write_bytes(write_container(CHECKPOINT_MAGIC, meta, model.params))
     with pytest.raises(CheckpointError, match=r"meta has no 'moe_config' key"):
-        load_checkpoint(io.BytesIO(write_container(CHECKPOINT_MAGIC, meta, model.params)))
+        load_checkpoint(path)
 
 
 # --- the command line -----------------------------------------------------------

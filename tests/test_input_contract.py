@@ -210,6 +210,25 @@ def test_non_finite_fractions_exit_1_naming_the_rule(tmp_path, inputs, source):
     assert len(err.splitlines()) == 1 and not (tmp_path / "out").exists()
 
 
+PIPELINE_FLOATS = ("confidence_threshold", "high_conf_fraction", "tau_leaf", "oracle_y_threshold", "oracle_n_threshold")
+
+
+@pytest.mark.parametrize("source", ["--tau-leaf", *PIPELINE_FLOATS])
+def test_a_nan_pipeline_setting_exits_1_naming_the_key(tmp_path, inputs, source):
+    """From the flag, or from the config file's pipeline section: refused before any output is written."""
+    config, flag, key = inputs["config"], (), source
+    if source == "--tau-leaf":
+        flag, key = (source, "nan"), "tau_leaf"
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**TINY, "pipeline": {key: float("nan")}}), encoding="utf-8")
+    out = tmp_path / "out"
+    code, err = run("predict", "--config", config, "--model", inputs["model"], "--records", inputs["test"],
+                    "--taxonomy", inputs["taxonomy"], "--out", out / "preds.jsonl", *flag)
+    assert code == 1 and err == f"error: pipeline: {key} must be a number, got nan\n", err
+    assert not out.exists()
+
+
 # --- records that do not fit the taxonomy --------------------------------------------
 
 # the subcommand given records whose fourth label path ends in an unknown code -> what the error says after the file

@@ -1,4 +1,4 @@
-import io
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -152,17 +152,14 @@ def test_distill_degenerate_labels(chain_taxonomy):
         distill_judge(labeled, chain_taxonomy, seed=0)
 
 
-def test_label_dev_set_keeps_a_dev_set_with_y_and_n_as_the_oracle_labels_it():
+def test_label_dev_set_keeps_a_dev_set_with_y_and_n_as_the_oracle_labels_it(tmp_path):
     corpus, labeled = oracle_labeled_corpus(seed=31, samples=300)
     assert {label.verdict for _, _, label in labeled} >= {"Y", "N"}
     got = label_dev_set(corpus.records, corpus.taxonomy)
     assert got == labeled
-    buffers = []
-    for rows in (labeled, got):
-        buf = io.BytesIO()
-        save_judge(distill_judge(rows, corpus.taxonomy, seed=1), buf)
-        buffers.append(buf.getvalue())
-    assert buffers[0] == buffers[1]
+    for name, rows in (("labeled.ckpt", labeled), ("got.ckpt", got)):
+        save_judge(distill_judge(rows, corpus.taxonomy, seed=1), tmp_path / name)
+    assert (tmp_path / "labeled.ckpt").read_bytes() == (tmp_path / "got.ckpt").read_bytes()
 
 
 def test_label_dev_set_adds_mismatched_pairs_when_no_pair_is_n():
@@ -322,12 +319,11 @@ def test_annotations_file_equals_the_per_record_judge(tmp_path):
     assert (tmp_path / "batch.jsonl").read_bytes() == (tmp_path / "per_row.jsonl").read_bytes()
 
 
-def test_judge_checkpoint_round_trip(chain_taxonomy):
+def test_judge_checkpoint_round_trip(chain_taxonomy, tmp_path):
     corpus, labeled = oracle_labeled_corpus(seed=39, samples=200)
     judge = distill_judge(labeled, corpus.taxonomy, seed=5)
-    buf = io.BytesIO()
-    save_judge(judge, buf)
-    loaded = load_judge(io.BytesIO(buf.getvalue()))
+    save_judge(judge, tmp_path / "judge.ckpt")
+    loaded = load_judge(tmp_path / "judge.ckpt")
     assert np.array_equal(loaded.weights, judge.weights)
     assert np.array_equal(loaded.bias, judge.bias)
     assert (loaded.tau_hi, loaded.tau_lo) == (judge.tau_hi, judge.tau_lo)
@@ -339,14 +335,13 @@ def test_judge_checkpoint_round_trip(chain_taxonomy):
     )
 
 
-def test_judge_checkpoint_round_trips_through_a_path_as_through_a_buffer(tmp_path):
+def test_judge_checkpoint_round_trips_through_a_path_or_its_string(tmp_path):
     corpus, labeled = oracle_labeled_corpus(seed=39, samples=200)
     judge = distill_judge(labeled, corpus.taxonomy, seed=5)
-    buf = io.BytesIO()
-    save_judge(judge, buf)
-    save_judge(judge, tmp_path / "judge.ckpt")
-    assert (tmp_path / "judge.ckpt").read_bytes() == buf.getvalue()
-    for source in (tmp_path / "judge.ckpt", io.BytesIO(buf.getvalue())):
+    save_judge(judge, str(tmp_path / "judge.ckpt"))
+    save_judge(judge, tmp_path / "again.ckpt")
+    assert (tmp_path / "judge.ckpt").read_bytes() == (tmp_path / "again.ckpt").read_bytes()
+    for source in (tmp_path / "judge.ckpt", str(tmp_path / "judge.ckpt")):
         loaded = load_judge(source)
         assert np.array_equal(loaded.weights, judge.weights) and np.array_equal(loaded.bias, judge.bias)
         assert (loaded.tau_hi, loaded.tau_lo, loaded.popularity) == (judge.tau_hi, judge.tau_lo, judge.popularity)
@@ -384,19 +379,20 @@ def test_high_confidence_stratum_has_higher_yes_rate():
         assert y_rate(high) > y_rate(incorrect)
 
 
-def judge_blob_with(arrays=None, drop_meta=None, set_meta=None):
-    """A checksum-valid judge container: a real judge's meta and arrays, with
-    the arrays replaced by `arrays`, the meta key `drop_meta` removed or the
-    meta keys in `set_meta` overwritten."""
+def judge_file_with(directory, arrays=None, drop_meta=None, set_meta=None):
+    """The path of a checksum-valid judge container written in `directory`: a
+    real judge's meta and arrays, with the arrays replaced by `arrays`, the
+    meta key `drop_meta` removed or the meta keys in `set_meta` overwritten."""
     corpus, labeled = oracle_labeled_corpus(seed=39, samples=200)
-    buf = io.BytesIO()
-    save_judge(distill_judge(labeled, corpus.taxonomy, seed=5), buf)
-    meta, manifest, flat = read_container(buf.getvalue(), JUDGE_MAGIC)
+    path = directory / "judge.ckpt"
+    save_judge(distill_judge(labeled, corpus.taxonomy, seed=5), path)
+    meta, manifest, flat = read_container(path.read_bytes(), JUDGE_MAGIC)
     meta.pop(drop_meta, None)
     meta.update(set_meta or {})
     if arrays is None:
         arrays = param_views(flat, manifest)
-    return write_container(JUDGE_MAGIC, meta, arrays)
+    path.write_bytes(write_container(JUDGE_MAGIC, meta, arrays))
+    return path
 
 
 W_SHAPE = (len(FEATURE_NAMES), 3)
@@ -410,9 +406,9 @@ W_SHAPE = (len(FEATURE_NAMES), 3)
         ({}, "weights"),
     ],
 )
-def test_load_judge_names_a_missing_array(arrays, missing):
+def test_load_judge_names_a_missing_array(arrays, missing, tmp_path):
     with pytest.raises(CheckpointError, match=f"no '{missing}' array"):
-        load_judge(io.BytesIO(judge_blob_with(arrays)))
+        load_judge(judge_file_with(tmp_path, arrays))
 
 
 @pytest.mark.parametrize(
@@ -424,19 +420,39 @@ def test_load_judge_names_a_missing_array(arrays, missing):
         ({"weights": np.zeros(W_SHAPE), "bias": np.zeros((1, 3))}, "bias"),
     ],
 )
-def test_load_judge_names_a_mis_shaped_array(arrays, bad):
+def test_load_judge_names_a_mis_shaped_array(arrays, bad, tmp_path):
     with pytest.raises(CheckpointError, match=f"'{bad}' has shape"):
-        load_judge(io.BytesIO(judge_blob_with(arrays)))
+        load_judge(judge_file_with(tmp_path, arrays))
 
 
 @pytest.mark.parametrize("key", ["tau_hi", "tau_lo", "popularity", "holdout_agreement", "feature_names"])
-def test_load_judge_names_a_missing_meta_key(key):
-    load_judge(io.BytesIO(judge_blob_with()))  # the rebuilt container alone loads
+def test_load_judge_names_a_missing_meta_key(key, tmp_path):
+    load_judge(judge_file_with(tmp_path))  # the rebuilt container alone loads
     with pytest.raises(CheckpointError, match=f"meta has no '{key}'"):
-        load_judge(io.BytesIO(judge_blob_with(drop_meta=key)))
+        load_judge(judge_file_with(tmp_path, drop_meta=key))
 
 
-def test_load_judge_rejects_features_in_another_order():
-    blob = judge_blob_with(set_meta={"feature_names": list(reversed(FEATURE_NAMES))})
+def test_load_judge_rejects_features_in_another_order(tmp_path):
+    path = judge_file_with(tmp_path, set_meta={"feature_names": list(reversed(FEATURE_NAMES))})
     with pytest.raises(CheckpointError, match="feature_names.*popularity.*leaf_overlap.*leaf_overlap.*popularity"):
-        load_judge(io.BytesIO(blob))
+        load_judge(path)
+
+
+# a judge meta value that is not finite -> what the refusal says after the path
+NON_FINITE_META = {
+    "popularity-nan": ("popularity", float("nan"), r"judge popularity of '.+' must be finite: nan"),
+    "popularity-inf": ("popularity", float("inf"), r"judge popularity of '.+' must be finite: inf"),
+    "tau_hi-inf": ("tau_hi", float("inf"), r"judge thresholds must be finite: tau_hi inf, tau_lo "),
+    "tau_lo-minus-inf": ("tau_lo", float("-inf"), r"judge thresholds must be finite: tau_hi \S+, tau_lo -inf"),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_FINITE_META))
+def test_load_judge_refuses_a_non_finite_threshold_or_popularity_naming_the_path(case, tmp_path):
+    key, value, message = NON_FINITE_META[case]
+    meta = read_container(judge_file_with(tmp_path).read_bytes(), JUDGE_MAGIC)[0]
+    if key == "popularity":  # one code's value, the others as they were
+        value = {**meta["popularity"], next(iter(meta["popularity"])): value}
+    path = judge_file_with(tmp_path, set_meta={key: value})
+    with pytest.raises(CheckpointError, match=rf"^{re.escape(str(path))}: bad judge checkpoint meta: {message}"):
+        load_judge(path)

@@ -211,7 +211,7 @@ def test_fingerprint_is_the_canonical_json_digest(chain_taxonomy):
 
 
 def per_call_definition_tokens(tax, code):
-    node = tax.node(code)
+    node = tax.nodes[code]
     return set(normalize_title(node.definition).split()) | set(normalize_title(node.name).split())
 
 
