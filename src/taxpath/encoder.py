@@ -5,6 +5,9 @@ shared bucket table (FNV-1a 64-bit, fixed constants) and averaging the rows.
 Structured codes contribute learned embeddings to the dense block and one-hot
 blocks to a separate routing vector; the routing vector is what the MoE gates
 read, so gate decisions depend only on structured metadata.
+
+A batch is prepared once (`prepare_records`) and assembled per step or chunk
+(`assemble_batch`); `encode_one` featurises one record served alone, to the same bytes.
 """
 from __future__ import annotations
 
@@ -238,3 +241,27 @@ def assemble_batch(
         batch.cat_weight = np.repeat(1.0 / np.maximum(cat_len, 1), cat_len)
     return batch
 
+
+def encode_one(record: ProductRecord, tables: dict, config: EncoderConfig) -> EncodedBatch:
+    """The features `assemble_batch(prepare_records([record], config), tables, config, for_backward=False)`
+    builds, byte for byte, without a batch's memo, CSR lists and padded gather.
+
+    Each mean adds its table rows in `_token_means`'s order, the first row copied and later rows added,
+    which `np.add.accumulate` keeps at any width (`np.add.reduce` sums a one-column gather pairwise)."""
+    hash_buckets, dt = config.hash_buckets, config.text_dim
+    title = tokenize(record.title) + [cpv_token(*pair) for pair in record.cpvs or ()]
+    title_tok, cat_tok = (np.array([fnv1a_64(t) % hash_buckets for t in tokens], dtype=np.int64)
+                          for tokens in (title, tokenize(record.category_name)))
+    dense = np.zeros((1, config.dense_dim))  # a record without tokens keeps zero means
+    routing = np.zeros((1, config.routing_dim))
+    for lo, tokens in ((0, title_tok), (dt, cat_tok)):
+        if tokens.size:
+            np.divide(np.add.accumulate(tables["text_table"].take(tokens, axis=0))[-1], tokens.size, out=dense[0, lo : lo + dt])
+    field_idx = [field_index(config, name, getattr(record, name)) for name in config.fields]
+    dense_off, block_off = 2 * dt, 0
+    for name, idx in zip(config.fields, field_idx):
+        dense[0, dense_off : dense_off + config.cat_dim] = tables[f"field/{name}/table"][idx]
+        routing[0, block_off + idx] = 1.0
+        dense_off += config.cat_dim
+        block_off += len(config.vocab(name)) + 1
+    return EncodedBatch(dense, routing, title_tok, None, None, cat_tok, None, None, np.array([field_idx], dtype=np.int64))

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import ProductRecord, is_string_list
-from .encoder import PreparedRecords, assemble_batch, prepare_records
+from .encoder import PreparedRecords, assemble_batch, encode_one, prepare_records
 from .moe import CheckpointError, MoEModel, forward_batch
 from .taxonomy import NULL_CODE, Taxonomy
 from .util import _ENCODE, WRITE_LINES, atomic_write_chunks, canonical_json, gc_paused, read_jsonl
@@ -201,8 +201,11 @@ def predict_batch(
     model: MoEModel, records: list[ProductRecord], taxonomy: Taxonomy,
     tau_leaf: float = DEFAULT_TAU_LEAF, use_repath: bool = False,
 ) -> Predictions:
-    """Order-preserving batch prediction; verifies the model/taxonomy pairing."""
-    return predict_prepared(model, prepare_records(records, model.encoder_config), taxonomy, tau_leaf, use_repath)
+    """Order-preserving batch prediction; verifies the model/taxonomy pairing. One record is
+    featurised by `encode_one` (the batch path's bytes without its scaffolding), more by `prepare_records`."""
+    if len(records) != 1:
+        return predict_prepared(model, prepare_records(records, model.encoder_config), taxonomy, tau_leaf, use_repath)
+    return _predict(model, [encode_one(records[0], model.params, model.encoder_config)], taxonomy, tau_leaf, use_repath)
 
 
 def predict_prepared(
@@ -217,19 +220,25 @@ def predict_prepared(
     rows as one over the whole batch (a short tail would not), and every other
     step is row-wise: the result is the one a single pass over all rows gives.
     """
+    n = len(prepared)
+    chunks = max(1, -(-n // FORWARD_CHUNK_ROWS))
+    bounds = [n * i // chunks for i in range(chunks + 1)]
+    batches = (assemble_batch(prepared, model.params, model.encoder_config, rows=np.arange(lo, hi), for_backward=False)
+               for lo, hi in zip(bounds, bounds[1:]))
+    return _predict(model, batches, taxonomy, tau_leaf, use_repath)
+
+
+def _predict(model: MoEModel, batches, taxonomy: Taxonomy, tau_leaf: float, use_repath: bool) -> Predictions:
+    """Check the taxonomy, then forward and select each of `batches` (consecutive rows' features) and join them."""
     tables = label_tables(taxonomy, model.level_labels)
     if model.taxonomy_hash != tables.fingerprint:
         raise CheckpointError(f"taxonomy hash mismatch: model {model.taxonomy_hash[:12]}..., "
                               f"supplied {tables.fingerprint[:12]}...")
-    n = len(prepared)
-    chunks = max(1, -(-n // FORWARD_CHUNK_ROWS))
-    bounds = [n * i // chunks for i in range(chunks + 1)]
     parts = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        batch = assemble_batch(prepared, model.params, model.encoder_config, rows=np.arange(lo, hi), for_backward=False)
+    for batch in batches:
         parts.append(select_prediction(forward_batch(model, batch, for_backward=False).probs, tables, tau_leaf))
         del batch  # before the next chunk's features exist
-    preds = parts[0] if chunks == 1 else Predictions(
+    preds = parts[0] if len(parts) == 1 else Predictions(
         tables, *(np.concatenate([getattr(part, column.name) for part in parts]) for column in fields(Predictions)[1:]))
     return repath(preds, taxonomy) if use_repath else preds
 

@@ -253,10 +253,11 @@ def init_model(
     return model
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:  # over the last axis
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
+def softmax(logits: np.ndarray) -> np.ndarray:  # over the last axis, in one array, by the ufuncs ndarray.max/sum wrap
+    out = np.subtract(logits, np.maximum.reduce(logits, axis=-1, keepdims=True))
+    np.exp(out, out=out)
+    out /= np.add.reduce(out, axis=-1, keepdims=True)
+    return out
 
 
 @dataclass

@@ -69,6 +69,10 @@ class PipelineConfig:
         for name in ("confidence_threshold", "high_conf_fraction", "tau_leaf", "oracle_y_threshold", "oracle_n_threshold"):
             if math.isnan(getattr(self, name)):  # every comparison with NaN is false: a NaN threshold selects nothing
                 raise ValueError(f"{name} must be a number, got nan")
+        if not 0.0 < self.confidence_threshold < 1.0:  # as `stratified_dev_sample` requires
+            raise ValueError(f"confidence_threshold must be in (0,1), got {self.confidence_threshold}")
+        if not 0.0 < self.high_conf_fraction <= 1.0:
+            raise ValueError(f"high_conf_fraction must be in (0,1], got {self.high_conf_fraction}")
 
 
 def score_records(

@@ -185,10 +185,10 @@ def build_taxonomy(raw_nodes: list[dict]) -> Taxonomy:
 def load_taxonomy(source, where: str = "taxonomy") -> Taxonomy:
     """Load and validate the taxonomy JSON format.
 
-    `source` may be bytes, a UTF-8 string or a path.
+    `source` is a path (a `str` or a `Path`) or the document's bytes, as `util.read_json` reads it.
     Every fault raises TaxonomyError naming `where`.
     """
-    doc = read_json(source.encode("utf-8") if isinstance(source, str) else source, where, TaxonomyError)
+    doc = read_json(source, where, TaxonomyError)
     try:
         if not isinstance(doc, dict) or "nodes" not in doc:
             raise TaxonomyError("taxonomy document must be an object with a 'nodes' list")

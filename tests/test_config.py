@@ -103,8 +103,8 @@ def pipeline_configs(draw, seed=seeds):
         moe=draw(moe_configs),
         train=replace(draw(train_configs), seed=shared),
         split=draw(split_specs(seed=st.just(shared))),
-        confidence_threshold=draw(unit),
-        high_conf_fraction=draw(unit),
+        confidence_threshold=draw(open_unit),
+        high_conf_fraction=draw(st.floats(0.0, 1.0, exclude_min=True)),
         tau_leaf=draw(unit),
         oracle_y_threshold=draw(unit),
         oracle_n_threshold=draw(unit),

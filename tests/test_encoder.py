@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from taxpath.dataset import ProductRecord
@@ -10,6 +10,7 @@ from taxpath.encoder import (
     assemble_batch,
     build_field_vocabs,
     cpv_token,
+    encode_one,
     field_index,
     prepare_records,
 )
@@ -47,7 +48,7 @@ def title_embedding(text, table, cfg):
     return encode_batch([make_record(title=text)], tables, cfg).dense[0, : cfg.text_dim]
 
 
-def encode_one(record, tables, cfg):
+def batch_of_one_rows(record, tables, cfg):
     """Dense and routing rows of a one-record batch."""
     batch = encode_batch([record], tables, cfg)
     return batch.dense[0], batch.routing[0]
@@ -101,7 +102,7 @@ def test_unseen_value_maps_to_unk_slot():
     known = [make_record(bu_code="bu01"), make_record(id="r1", bu_code="bu02")]
     cfg = vocab_config(known)
     tables = make_tables(cfg)
-    _, routing = encode_one(make_record(bu_code="mystery"), tables, cfg)
+    _, routing = batch_of_one_rows(make_record(bu_code="mystery"), tables, cfg)
     block = routing[: len(cfg.vocab("bu_code")) + 1]
     assert block[-1] == 1.0 and block.sum() == 1.0
 
@@ -111,7 +112,7 @@ def test_routing_blocks_one_hot():
     cfg = vocab_config(records)
     tables = make_tables(cfg)
     for r in records:
-        _, routing = encode_one(r, tables, cfg)
+        _, routing = batch_of_one_rows(r, tables, cfg)
         off = 0
         for name in cfg.fields:
             width = len(cfg.vocab(name)) + 1
@@ -123,8 +124,8 @@ def test_title_change_touches_only_title_block():
     records = [make_record()]
     cfg = vocab_config(records)
     tables = make_tables(cfg)
-    a_dense, a_routing = encode_one(make_record(title="one thing"), tables, cfg)
-    b_dense, b_routing = encode_one(make_record(title="another thing entirely"), tables, cfg)
+    a_dense, a_routing = batch_of_one_rows(make_record(title="one thing"), tables, cfg)
+    b_dense, b_routing = batch_of_one_rows(make_record(title="another thing entirely"), tables, cfg)
     assert np.array_equal(a_routing, b_routing)
     assert not np.array_equal(a_dense[: cfg.text_dim], b_dense[: cfg.text_dim])
     assert np.array_equal(a_dense[cfg.text_dim :], b_dense[cfg.text_dim :])
@@ -136,7 +137,7 @@ def test_encode_compositional_oracle():
     cfg = vocab_config(records, fields=fields)
     tables = make_tables(cfg, seed=3)
     r = records[0]
-    dense, _ = encode_one(r, tables, cfg)
+    dense, _ = batch_of_one_rows(r, tables, cfg)
     expected = np.concatenate(
         [
             tables["text_table"][token_buckets(r.title, cfg.hash_buckets)].mean(axis=0),
@@ -176,7 +177,7 @@ def test_encode_batch_matches_single():
     tables = make_tables(cfg, seed=9)
     batch = encode_batch(records, tables, cfg)
     for i, r in enumerate(records):
-        dense, routing = encode_one(r, tables, cfg)
+        dense, routing = batch_of_one_rows(r, tables, cfg)
         assert np.array_equal(batch.dense[i], dense)
         assert np.array_equal(batch.routing[i], routing)
 
@@ -385,3 +386,35 @@ def test_prepare_records_lays_tokens_out_flat_and_read_only():
     for array in (prepared.title.tokens, prepared.title.lengths, prepared.title.starts,
                   prepared.cat.tokens, prepared.field_idx):
         assert array.dtype == np.int64 and not array.flags.writeable
+
+
+# Titles long enough that a one-column mean summed pairwise (in blocks of 8) would differ in the last bit
+long_texts = st.one_of(texts, st.lists(st.sampled_from(SHARED_TOKENS), max_size=20).map(" ".join))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(title=long_texts, category=texts, cpvs=cpv_lists, bu_code=st.sampled_from(["bu01", "bu02", "unseen"]),
+       hash_buckets=st.integers(1, 64), text_dim=st.integers(1, 5), seed=st.integers(0, 2**16))
+@example(title="", category="!!", cpvs=None, bu_code="unseen", hash_buckets=16, text_dim=4, seed=0)
+@example(title="  !! ..,", category="", cpvs=(), bu_code="bu01", hash_buckets=16, text_dim=1, seed=1)
+@example(title="alpha alpha Beta alpha machine alpha Beta alpha machine", category="cat cat",
+         cpvs=(("k", "v"), ("k", "v")), bu_code="bu02", hash_buckets=3, text_dim=1, seed=2)
+def test_encode_one_equals_the_batch_of_one(title, category, cpvs, bu_code, hash_buckets, text_dim, seed):
+    """Byte for byte, over a text table with -0.0 entries and rows of mixed magnitude: a mean started
+    from zeros would lose the sign of -0.0, and one summed in another order would differ in the last bit."""
+    cfg = vocab_config([make_record(bu_code="bu01"), make_record(bu_code="bu02")], hash_buckets=hash_buckets,
+                       text_dim=text_dim)
+    tables = make_tables(cfg, seed=seed)
+    rng = np.random.default_rng(seed)
+    table = tables["text_table"] * 10.0 ** rng.integers(-12, 12, size=(hash_buckets, 1))
+    table[rng.random(table.shape) < 0.3] = -0.0
+    table[rng.random(hash_buckets) < 0.3] = -0.0
+    tables["text_table"] = table
+    rec = make_record(title=title, category_name=category, cpvs=cpvs, bu_code=bu_code)
+    got = encode_one(rec, tables, cfg)
+    want = assemble_batch(prepare_records([rec], cfg), tables, cfg, for_backward=False)
+    for name in ("dense", "routing", "title_tok", "cat_tok", "field_idx"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    for name in ("title_sample", "title_weight", "cat_sample", "cat_weight"):
+        assert getattr(got, name) is None

@@ -1,3 +1,6 @@
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
@@ -11,8 +14,10 @@ from taxpath.infer import (
     MODE_LEAF_CONFIDENT,
     MODE_REPATHED,
     PredictionPath,
+    Predictions,
     label_tables,
     predict_batch,
+    predict_prepared,
     prediction_to_dict,
     read_predictions,
     repath,
@@ -426,3 +431,40 @@ def test_correct_leaf_plus_repath_recovers_true_path():
         true_leaf = rec.label_path[-1]
         if pred.selected_leaf == true_leaf and corpus.taxonomy.nodes[true_leaf].is_leaf:
             assert pred.selected_path == tuple(ancestors(corpus.taxonomy, true_leaf))
+
+
+@functools.cache
+def one_record_setup():
+    """An untrained model whose text table holds -0.0 entries, and records to predict one at a time:
+    titles without tokens, repeated tokens and CPVs, unseen field values and a category name without
+    tokens, then the corpus's."""
+    corpus, model = untrained_model(seed=41)
+    table = model.params["text_table"]
+    table[np.random.default_rng(41).random(table.shape) < 0.3] = -0.0
+    table[::3] = -0.0
+    base = corpus.records[0]
+    edits = [dict(title=""), dict(title=" !! ..,"), dict(category_name="?!"),
+             dict(title="steel steel bolt steel", cpvs=(("colour", "red"), ("colour", "red"))),
+             dict(bu_code="unseen", ou_code="unseen", system_code="unseen"),
+             dict(title="", category_name="", cpvs=None, bu_code="unseen")]
+    return corpus, model, [dataclasses.replace(base, **edit) for edit in edits] + corpus.records
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), tau=st.sampled_from([0.0, 0.3, 0.5, 1.0]), use_repath=st.booleans())
+def test_predict_one_equals_the_prepared_batch_of_one(data, tau, use_repath):
+    corpus, model, records = one_record_setup()
+    rec = records[data.draw(st.integers(0, len(records) - 1))]
+    got = predict_batch(model, [rec], corpus.taxonomy, tau, use_repath)
+    want = predict_prepared(model, prepare_records([rec], model.encoder_config), corpus.taxonomy, tau, use_repath)
+    for column in dataclasses.fields(Predictions)[1:]:
+        a, b = getattr(got, column.name), getattr(want, column.name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), column.name
+    assert got.rows() == want.rows()
+
+
+def test_predict_one_checks_the_taxonomy():
+    corpus, model = untrained_model(seed=29)
+    other = synth_corpus(SynthConfig(leaves=15, samples=0), seed=77).taxonomy
+    with pytest.raises(CheckpointError, match="mismatch"):
+        predict_batch(model, corpus.records[:1], other)

@@ -229,6 +229,21 @@ def test_a_nan_pipeline_setting_exits_1_naming_the_key(tmp_path, inputs, source)
     assert not out.exists()
 
 
+
+@pytest.mark.parametrize("flag, value, rule", [
+    ("--high-conf-fraction", "5", "high_conf_fraction must be in (0,1], got 5.0"),
+    ("--high-conf-fraction", "0", "high_conf_fraction must be in (0,1], got 0.0"),
+    ("--confidence-threshold", "1", "confidence_threshold must be in (0,1), got 1.0"),
+    ("--confidence-threshold", "-3", "confidence_threshold must be in (0,1), got -3.0"),
+])
+def test_a_pipeline_setting_out_of_range_exits_1_before_stage_1(tmp_path, inputs, flag, value, rule):
+    """Refused when the config is read, naming the key, not after stage 1 has written its output."""
+    out = tmp_path / "out"
+    code, err = run("pipeline", "--config", inputs["config"], "--records", inputs["records"],
+                    "--taxonomy", inputs["taxonomy"], "--out", out, flag, value)
+    assert code == 1 and err == f"error: pipeline: {rule}\n", err
+    assert not (out / "cleansed.jsonl").exists()
+
 # --- records that do not fit the taxonomy --------------------------------------------
 
 # the subcommand given records whose fourth label path ends in an unknown code -> what the error says after the file

@@ -148,6 +148,27 @@ def test_gate_hand_softmax():
     assert np.allclose(gate_weights(model, routing, 2), expected, atol=1e-12)
 
 
+def three_line_softmax(logits):
+    """`softmax` as it was before it ran in one array: its oracle."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    exp = np.exp(shifted)
+    return exp / exp.sum(axis=-1, keepdims=True)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(shape=st.one_of(st.tuples(st.integers(1, 40), st.integers(1, 70)),
+                       st.tuples(st.integers(1, 6), st.integers(1, 40), st.integers(1, 70))),
+       scale=st.sampled_from([1e-6, 1.0, 40.0, 1e3, 1e150, 1e300]), transposed=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_softmax_equals_the_three_line_formula(shape, scale, transposed, seed):
+    """Byte for byte, on (N, K) and (L, N, K) logits of large magnitude, contiguous or strided."""
+    logits = np.random.default_rng(seed).standard_normal(shape) * scale
+    if transposed:
+        logits = logits.swapaxes(-1, -2)
+    got, want = softmax(logits), three_line_softmax(logits)
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
 def test_forward_zero_heads_uniform():
     corpus, enc, moe, model = small_setup()
     for level in range(1, moe.levels + 1):

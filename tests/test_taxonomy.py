@@ -207,7 +207,16 @@ def test_fingerprint_is_the_canonical_json_digest(chain_taxonomy):
     assert chain_taxonomy.fingerprint() == fresh
     renamed = json.loads(chain_taxonomy.to_json_bytes())
     renamed["nodes"][0]["name"] = "renamed"
-    assert load_taxonomy(json.dumps(renamed)).fingerprint() != fresh
+    assert load_taxonomy(json.dumps(renamed).encode("utf-8")).fingerprint() != fresh
+
+
+def test_a_str_source_is_a_path(tmp_path, chain_taxonomy):
+    """As every other loader reads it: a `str` names a file, it is not the document's text."""
+    path = tmp_path / "taxonomy.json"
+    path.write_bytes(chain_taxonomy.to_json_bytes())
+    assert load_taxonomy(str(path)).fingerprint() == chain_taxonomy.fingerprint()
+    with pytest.raises(FileNotFoundError):
+        load_taxonomy(str(tmp_path / "missing.json"))
 
 
 def per_call_definition_tokens(tax, code):
