@@ -7,6 +7,7 @@ Everything is deterministic given (config, seed).
 """
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -23,6 +24,7 @@ _SYLLABLES = [c + v for c in _CONSONANTS for v in _VOWELS]
 _CPV_KEYS = ("material", "type", "size")
 _SOURCE_TAGS = ("goods_registry", "knowledge_base", "validation_record", "invoice_archive")
 _SOURCE_WEIGHTS = (0.4, 0.15, 0.15, 0.3)
+BLOCK = 1024  # raw PCG64 words the record sampler draws at a time
 
 
 class SynthConfigError(ValueError):
@@ -64,12 +66,20 @@ class SynthConfig:
             )
         if self.depth_weights is not None:
             span = self.leaf_depth_max - self.leaf_depth_min + 1
-            if len(self.depth_weights) != span or any(w < 0 for w in self.depth_weights):
-                raise SynthConfigError(f"depth_weights needs {span} non-negative entries")
-            if sum(self.depth_weights) <= 0:
-                raise SynthConfigError("depth_weights must not be all zero")
+            if len(self.depth_weights) != span or not all(0 <= w < math.inf for w in self.depth_weights):
+                raise SynthConfigError(f"depth_weights must hold {span} finite non-negative entries: {self.depth_weights}")
+            if not 0 < sum(self.depth_weights) < math.inf:
+                raise SynthConfigError(f"depth_weights must not be all zero nor sum past a float: {self.depth_weights}")
         if self.branching_max < 2:
             raise SynthConfigError("branching_max must be >= 2")
+        # the Zipf weights (r+1)**-zipf_exponent over up to `most` leaves, and their sum, must be floats
+        most = max(self.leaves, self.total_nodes or 0)
+        if not (abs(self.zipf_exponent) + 1) * math.log2(most) < 1000:
+            raise SynthConfigError(f"zipf_exponent must be finite and its weights over {most} leaves floats: "
+                                   f"{self.zipf_exponent}")
+        for name in ("max_roots", "leaf_vocab_size"):
+            if getattr(self, name) < 1:
+                raise SynthConfigError(f"{name} must be >= 1: {getattr(self, name)}")
         if not 1 <= self.title_len_min <= self.title_len_max:
             raise SynthConfigError("bad title length range")
         for name in ("label_noise_rate", "metadata_correlation", "intermediate_noise_rate",
@@ -77,6 +87,10 @@ class SynthConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise SynthConfigError(f"{name} must be in [0,1]: {value}")
+        need = 1 if self.noise_token_rate > 0 else 0  # a noisy title token draws one of them
+        if self.shared_noise_tokens < need:
+            raise SynthConfigError(f"shared_noise_tokens must be >= {need} with noise_token_rate "
+                                   f"{self.noise_token_rate}: {self.shared_noise_tokens}")
 
 
 class SynthCorpus(NamedTuple):
@@ -382,6 +396,49 @@ def _structure_key(code: str, children: dict[str, list[str]], vocab_group: dict[
     return ("node", tuple(sorted(_structure_key(k, children, vocab_group) for k in kids)))
 
 
+def _pcg64_draws(rng: np.random.Generator):
+    """`(random, integers)` that draw what `rng.random()` and `rng.integers(low, high)` draw.
+
+    They decode PCG64's raw words as NumPy does (`next_double`; the bounded Lemire draw over
+    `next_uint32`'s halves, low first, from the half `rng` holds). Words are drawn `BLOCK` at a
+    time, ahead of their use, so nothing may draw from `rng` afterwards.
+    """
+    bit_generator = rng.bit_generator
+    if not isinstance(bit_generator, np.random.PCG64):
+        raise TypeError(f"the draw decoder reads PCG64 words, not {type(bit_generator).__name__}")
+    state = bit_generator.state
+    half = state["uinteger"] if state["has_uint32"] else None
+
+    def blocks():
+        while True:
+            yield from memoryview(bit_generator.random_raw(BLOCK))
+
+    word = blocks().__next__
+
+    def integers(low: int, high: int | None = None) -> int:
+        nonlocal half
+        low, high = (0, low) if high is None else (low, high)
+        span = high - low
+        if span <= 1:
+            if span == 1:
+                return low
+            raise ValueError("high <= 0" if low == 0 else "low >= high")
+        if span > 1 << 32:
+            raise ValueError(f"the draw decoder takes spans up to 2**32, not {span}")
+        threshold = ((1 << 32) - span) % span  # NumPy's (UINT32_MAX - rng) % rng_excl
+        while True:
+            if half is None:
+                w = word()
+                u, half = w & 0xFFFFFFFF, w >> 32
+            else:
+                u, half = half, None
+            m = u * span
+            if m & 0xFFFFFFFF >= threshold:
+                return low + (m >> 32)
+
+    return lambda: (word() >> 11) * (1.0 / 9007199254740992.0), integers
+
+
 def _sample_records(
     config: SynthConfig,
     seed: int,
@@ -438,7 +495,7 @@ def _sample_records(
     # The table Generator.choice(p=_SOURCE_WEIGHTS) searches: one random() per draw, same index.
     cum = np.cumsum(_SOURCE_WEIGHTS)
     source_cdf = (cum / cum[-1]).tolist()
-    random, integers = rng.random, rng.integers
+    random, integers = _pcg64_draws(rng)  # the records stream's last draws
 
     records: list[ProductRecord] = []
     truth: dict[str, tuple[str, ...]] = {}

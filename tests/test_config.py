@@ -70,6 +70,7 @@ def synth_configs(draw):
     low, high, top = sorted(draw(st.lists(st.integers(1, 10), min_size=3, max_size=3)))
     title_min, title_max = sorted(draw(st.lists(st.integers(1, 12), min_size=2, max_size=2)))
     span = high - low + 1
+    noise_token_rate = draw(unit)
     return SynthConfig(
         leaves=draw(st.integers(1, 500)),
         samples=draw(st.integers(0, 10**5)),
@@ -83,8 +84,9 @@ def synth_configs(draw):
         leaf_vocab_size=draw(st.integers(1, 20)),
         title_len_min=title_min,
         title_len_max=title_max,
-        noise_token_rate=draw(unit),
-        shared_noise_tokens=draw(st.integers(0, 100)),
+        noise_token_rate=noise_token_rate,
+        # a noisy title token draws one of the shared noise tokens
+        shared_noise_tokens=draw(st.integers(1 if noise_token_rate > 0 else 0, 100)),
         label_noise_rate=draw(unit),
         metadata_correlation=draw(unit),
         intermediate_noise_rate=draw(unit),

@@ -244,6 +244,23 @@ def test_a_pipeline_setting_out_of_range_exits_1_before_stage_1(tmp_path, inputs
     assert code == 1 and err == f"error: pipeline: {rule}\n", err
     assert not (out / "cleansed.jsonl").exists()
 
+
+@pytest.mark.parametrize("key, value", [
+    ("leaf_vocab_size", 0),
+    ("shared_noise_tokens", -3),
+    ("zipf_exponent", float("nan")),
+    ("zipf_exponent", float("-inf")),
+    ("depth_weights", [1.0, float("nan")]),
+    ("depth_weights", [1.0, float("inf")]),
+])
+def test_a_synth_setting_the_sampler_cannot_use_exits_1_naming_its_key(tmp_path, key, value):
+    """Refused when the config is read: no traceback, and nothing written."""
+    cfg, out = tmp_path / "config.json", tmp_path / "out"
+    cfg.write_text(json.dumps({**TINY, "synth": {**TINY["synth"], key: value}}), encoding="utf-8")
+    code, err = run("gen", "--config", cfg, "--out", out)
+    assert code == 1 and err.startswith(f"error: synth: {key} must "), err
+    assert "Traceback" not in err and not out.exists()
+
 # --- records that do not fit the taxonomy --------------------------------------------
 
 # the subcommand given records whose fourth label path ends in an unknown code -> what the error says after the file

@@ -1,13 +1,17 @@
 """The record sampler against a per-record reference, draw for draw.
 
-`synth._sample_records` reads per-leaf facts from tables built once and
-draws the weighted source as `bisect_right(cdf, rng.random())`. The
-reference below draws the same stream the plain way: one scalar
-`rng.choice(..., p=...)` per source and the leaf's ancestor chain looked up
-per record. Equal outputs pin the sampler's draw order, so `taxpath gen`
-stays a function of (config, seed) and NumPy's `Generator` stream.
+`synth._sample_records` reads per-leaf facts from tables built once, decodes
+its per-record draws from the generator's raw PCG64 words, and draws the
+weighted source as `bisect_right(cdf, random())`. The reference below draws
+the same stream the plain way: `rng.random()`, `rng.integers(...)`, one
+scalar `rng.choice(..., p=...)` per source and the leaf's ancestor chain
+looked up per record. Equal outputs pin the sampler's draw order, so
+`taxpath gen` stays a function of (config, seed) and NumPy's `Generator`
+stream. A property test holds the decoder to `Generator` call for call.
 """
+import math
 from bisect import bisect_right
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -161,6 +165,14 @@ SAMPLER_CONFIGS = {
         leaves=50, samples=3000, leaf_depth_min=2, leaf_depth_max=4, label_noise_rate=0.0,
         noise_token_rate=0.2, zipf_exponent=1.05,
     ),
+    # every title length is one value: integers(5, 6), a span of 1
+    "fixed-title-length": SynthConfig(leaves=20, samples=1000, title_len_min=5, title_len_max=5),
+    # BU and OU misses draw integers(1)
+    "one-root": SynthConfig(leaves=20, samples=1000, max_roots=1, metadata_correlation=0.5),
+    # noisy title tokens draw integers(1)
+    "one-shared-noise-token": SynthConfig(leaves=20, samples=1000, shared_noise_tokens=1, noise_token_rate=0.5),
+    # every metadata draw is taken
+    "uncorrelated-metadata": SynthConfig(leaves=20, samples=1000, metadata_correlation=0.0),
 }
 
 
@@ -227,3 +239,93 @@ def test_label_noise_over_one_leaf_padded_to_more_draws_other_leaves():
     corpus = synth_corpus(config, 1)
     assert sum(node.is_leaf for node in corpus.taxonomy.nodes.values()) > 1
     assert any(corpus.truth[r.id] != r.label_path for r in corpus.records)
+
+
+# --- the draw decoder against Generator, call for call ---------------------------
+
+spans = st.sampled_from([1, 2, 3, 7, 2**31, 2**32 - 1, 2**32]) | st.integers(1, 2**32)
+draw_calls = st.lists(
+    st.tuples(st.just("random"), st.none(), st.none())
+    | st.tuples(st.just("integers(n)"), st.none(), spans)
+    | st.tuples(st.just("integers(low, high)"), st.integers(-(2**40), 2**40), spans),
+    max_size=200,
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), advance=st.integers(0, 5), block=st.sampled_from([1, 2, 5, 1000]),
+       calls=draw_calls)
+def test_the_draw_decoder_draws_what_the_generator_draws(seed, advance, block, calls):
+    g, h = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(advance):
+        assert g.integers(1000) == h.integers(1000)
+    # an odd number of 32-bit draws leaves the high half of a word buffered
+    assert h.bit_generator.state["has_uint32"] == advance % 2
+    with mock.patch.object(synth, "BLOCK", block):
+        random, integers = synth._pcg64_draws(h)
+        for kind, low, span in calls:
+            if kind == "random":
+                assert random() == g.random()
+            elif kind == "integers(n)":
+                assert integers(span) == g.integers(span)
+            else:
+                assert integers(low, low + span) == g.integers(low, low + span)
+
+
+@pytest.mark.parametrize("args", [(0,), (-3,), (0, 0), (0, -1), (5, 3), (5, 5)])
+def test_an_empty_span_raises_what_the_generator_raises(args):
+    _, integers = synth._pcg64_draws(np.random.default_rng(1))
+    with pytest.raises(ValueError) as numpy_error:
+        np.random.default_rng(1).integers(*args)
+    with pytest.raises(ValueError, match=f"^{numpy_error.value}$"):
+        integers(*args)
+
+
+def test_a_span_above_2_to_the_32_is_refused():
+    _, integers = synth._pcg64_draws(np.random.default_rng(1))
+    with pytest.raises(ValueError, match=r"spans up to 2\*\*32, not 4294967297$"):
+        integers(2**32 + 1)
+    with pytest.raises(ValueError, match="spans up to"):
+        integers(-5, 2**32)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64, np.random.PCG64DXSM])
+def test_the_draw_decoder_reads_only_pcg64(bit_generator):
+    with pytest.raises(TypeError, match=f"reads PCG64 words, not {bit_generator.__name__}$"):
+        synth._pcg64_draws(np.random.Generator(bit_generator(1)))
+
+
+# --- settings the sampler cannot use ----------------------------------------------
+
+# SynthConfig keyword arguments -> the field the refusal names
+UNUSABLE_SETTINGS = [
+    ({"leaf_vocab_size": 0}, "leaf_vocab_size"),
+    ({"shared_noise_tokens": -3}, "shared_noise_tokens"),
+    ({"shared_noise_tokens": 0, "noise_token_rate": 0.5}, "shared_noise_tokens"),
+    ({"zipf_exponent": math.nan}, "zipf_exponent"),
+    ({"zipf_exponent": -math.inf}, "zipf_exponent"),
+    ({"zipf_exponent": math.inf}, "zipf_exponent"),
+    ({"zipf_exponent": 1100.0, "leaves": 10}, "zipf_exponent"),  # 2**1100 overflows a float
+    ({"zipf_exponent": -320.0, "leaves": 10}, "zipf_exponent"),  # the weights' sum overflows
+    ({"depth_weights": (1.0, math.nan, 1.0, 1.0, 1.0)}, "depth_weights"),
+    ({"depth_weights": (1.0, 1.0, math.inf, 1.0, 1.0)}, "depth_weights"),
+    ({"depth_weights": (1.0, 1.0, 1e308, 1e308, 1.0)}, "depth_weights"),  # the sum overflows
+    ({"max_roots": 0, "shared_vocab_across_roots": True}, "max_roots"),
+]
+
+
+@pytest.mark.parametrize("settings_, field", UNUSABLE_SETTINGS, ids=[repr(s) for s, _ in UNUSABLE_SETTINGS])
+def test_a_setting_the_sampler_cannot_use_is_refused(settings_, field):
+    with pytest.raises(synth.SynthConfigError, match=f"^{field} must "):
+        SynthConfig(**settings_)
+
+
+def test_the_edges_of_the_refused_settings_still_sample():
+    for config in (
+        SynthConfig(leaves=10, samples=50, shared_noise_tokens=0, noise_token_rate=0.0),
+        SynthConfig(leaves=10, samples=50, leaf_vocab_size=1, shared_noise_tokens=1),
+        SynthConfig(leaves=10, samples=50, leaf_depth_min=2, leaf_depth_max=2, zipf_exponent=-250.0),
+        SynthConfig(leaves=10, samples=50, leaf_depth_min=2, leaf_depth_max=2, zipf_exponent=250.0),
+        SynthConfig(leaves=1, samples=50, leaf_depth_min=1, leaf_depth_max=1, zipf_exponent=1e300),
+    ):
+        assert len(synth_corpus(config, 3).records) == 50
