@@ -16,7 +16,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import asdict, field, fields, make_dataclass, replace
+from dataclasses import asdict, field, fields, make_dataclass
 from pathlib import Path
 from typing import Any
 
@@ -28,8 +28,8 @@ from .dataset import (
     write_records,
     write_rejections,
 )
-from .encoder import EncoderConfig, build_field_vocabs
-from .infer import MODE_REPATHED, leaf_chain, predict_batch, read_predictions, write_predictions
+from .encoder import EncoderConfig
+from .infer import MODE_REPATHED, check_prediction, leaf_chain, predict_batch, read_predictions, write_predictions
 from .metrics import (EvalReport, EvaluationError, InvalidPredictionsError, InvalidTruthError, evaluate, render_table,
                       write_cdf_csv, write_report)
 from .moe import MoEConfig, init_model, load_checkpoint, save_checkpoint
@@ -39,7 +39,7 @@ from .synth import SynthConfig, synth_corpus
 from .taxonomy import load_taxonomy_file
 from .train import LossWeights, TrainConfig, fit
 from .util import (ConfigError, atomic_write_bytes, atomic_write_text, config_from_dict, config_value, naming, read_json,
-                   write_jsonl)
+                   read_jsonl, write_jsonl)
 
 log = logging.getLogger("taxpath")
 
@@ -173,11 +173,8 @@ def cmd_train(args: argparse.Namespace, config: PipelineConfig, synth: SynthConf
     taxonomy = load_taxonomy_file(args.taxonomy)
     train_recs = read_records(args.train)
     val_recs = read_records(args.val) if args.val else []
-    enc = config.encoder
-    if not enc.field_vocabs:
-        enc = replace(enc, field_vocabs=build_field_vocabs(train_recs, enc.fields))
     judge = load_judge(args.judge) if args.judge else None
-    model = init_model(taxonomy, enc, config.moe, config.seed)
+    model = init_model(taxonomy, config.encoder.fitted(train_recs), config.moe, config.seed)
     with naming(args.train):  # validation records meet no check that could refuse one
         annotations = annotate_corpus(train_recs, judge, taxonomy) if judge else None
         model, logs = fit(model, train_recs, val_recs, taxonomy, annotations, config.train, tau_leaf=config.tau_leaf)
@@ -220,13 +217,13 @@ def cmd_predict(args: argparse.Namespace, config: PipelineConfig, synth: SynthCo
 
 def cmd_repath(args: argparse.Namespace, config: PipelineConfig, synth: SynthConfig) -> Path:
     taxonomy = load_taxonomy_file(args.taxonomy)
-    rows = read_predictions(args.pred)
+    rows = read_jsonl(args.pred, required=("id", "path", "leaf"), convert=check_prediction)
 
     def repathed(row: dict) -> dict:
         chain = leaf_chain(taxonomy, row["leaf"])
         return row if chain is None else dict(row, path=list(chain), mode=MODE_REPATHED)
     out = Path(args.out)
-    write_jsonl(out, map(repathed, rows))  # one repathed row at a time
+    write_jsonl(out, map(repathed, rows))  # one row read and written at a time; a bad one leaves the target as it was
     return out.parent
 
 

@@ -11,7 +11,7 @@ A batch is prepared once (`prepare_records`) and assembled per step or chunk
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,6 +39,10 @@ class EncoderConfig:
 
     def vocab(self, name: str) -> tuple[str, ...]:
         return self.field_vocabs.get(name, ())
+
+    def fitted(self, train_records: list[ProductRecord]) -> EncoderConfig:
+        """This config as a model is built with: its field vocabularies if it gives any, else the training records'."""
+        return self if self.field_vocabs else replace(self, field_vocabs=build_field_vocabs(train_records, self.fields))
 
     @property
     def dense_dim(self) -> int:
@@ -99,17 +103,15 @@ class PreparedRecords:
 
 @dataclass
 class EncodedBatch:
-    """Dense + routing features for a batch, with the index bookkeeping the
-    backward pass needs to scatter gradients into the embedding tables."""
+    """Dense + routing features for a batch, with the token and field indices
+    the backward pass scatters gradients into the embedding tables by."""
 
     dense: np.ndarray  # (B, dense_dim)
     routing: np.ndarray  # (B, routing_dim)
     title_tok: np.ndarray  # flat bucket ids over the whole batch
-    title_sample: np.ndarray | None  # sample index per title token; None in a forward-only batch
-    title_weight: np.ndarray | None  # 1/token-count of the owning sample; None in a forward-only batch
+    title_len: np.ndarray  # (B,) title tokens per row
     cat_tok: np.ndarray
-    cat_sample: np.ndarray | None  # None in a forward-only batch
-    cat_weight: np.ndarray | None  # None in a forward-only batch
+    cat_len: np.ndarray  # (B,) category tokens per row
     field_idx: np.ndarray  # (B, n_fields) embedding-row per structured field
 
 
@@ -206,13 +208,9 @@ def _token_means(table: np.ndarray, lists: TokenLists, rows: np.ndarray, out: np
 
 
 def assemble_batch(
-    prepared: PreparedRecords, tables: dict, config: EncoderConfig, rows: np.ndarray | None = None,
-    for_backward: bool = True,
+    prepared: PreparedRecords, tables: dict, config: EncoderConfig, rows: np.ndarray | None = None
 ) -> EncodedBatch:
-    """Features of the prepared records `rows` (all of them by default), in that order.
-
-    A batch only predicted from (`for_backward=False`) skips the per-token
-    bookkeeping that only the backward pass reads; those fields are None."""
+    """Features of the prepared records `rows` (all of them by default), in that order."""
     if rows is None:
         rows = np.arange(len(prepared))
     n = len(rows)
@@ -234,16 +232,11 @@ def assemble_batch(
         dense_off += config.cat_dim
         block_off += len(config.vocab(name)) + 1
 
-    batch = EncodedBatch(dense, routing, title_tok, None, None, cat_tok, None, None, field_idx)
-    if for_backward:
-        batch.title_sample, batch.cat_sample = np.repeat(samples, title_len), np.repeat(samples, cat_len)
-        batch.title_weight = np.repeat(1.0 / np.maximum(title_len, 1), title_len)
-        batch.cat_weight = np.repeat(1.0 / np.maximum(cat_len, 1), cat_len)
-    return batch
+    return EncodedBatch(dense, routing, title_tok, title_len, cat_tok, cat_len, field_idx)
 
 
 def encode_one(record: ProductRecord, tables: dict, config: EncoderConfig) -> EncodedBatch:
-    """The features `assemble_batch(prepare_records([record], config), tables, config, for_backward=False)`
+    """The features `assemble_batch(prepare_records([record], config), tables, config)`
     builds, byte for byte, without a batch's memo, CSR lists and padded gather.
 
     Each mean adds its table rows in `_token_means`'s order, the first row copied and later rows added,
@@ -264,4 +257,5 @@ def encode_one(record: ProductRecord, tables: dict, config: EncoderConfig) -> En
         routing[0, block_off + idx] = 1.0
         dense_off += config.cat_dim
         block_off += len(config.vocab(name)) + 1
-    return EncodedBatch(dense, routing, title_tok, None, None, cat_tok, None, None, np.array([field_idx], dtype=np.int64))
+    title_len, cat_len = (np.array([tokens.size], dtype=np.int64) for tokens in (title_tok, cat_tok))
+    return EncodedBatch(dense, routing, title_tok, title_len, cat_tok, cat_len, np.array([field_idx], dtype=np.int64))

@@ -223,7 +223,7 @@ def predict_prepared(
     n = len(prepared)
     chunks = max(1, -(-n // FORWARD_CHUNK_ROWS))
     bounds = [n * i // chunks for i in range(chunks + 1)]
-    batches = (assemble_batch(prepared, model.params, model.encoder_config, rows=np.arange(lo, hi), for_backward=False)
+    batches = (assemble_batch(prepared, model.params, model.encoder_config, rows=np.arange(lo, hi))
                for lo, hi in zip(bounds, bounds[1:]))
     return _predict(model, batches, taxonomy, tau_leaf, use_repath)
 
@@ -256,7 +256,6 @@ class _JSONTexts(dict):
         return text
 
 
-@gc_paused
 def write_predictions(path: str | Path, ids: list[str], preds: Predictions | list[PredictionPath]) -> None:
     """The lines `write_jsonl(path, map(prediction_to_dict, ids, preds))` writes, keys in its sorted order.
 

@@ -31,7 +31,7 @@ class InvalidTruthError(EvaluationError):
 
 
 class InvalidPredictionsError(EvaluationError):
-    """A prediction dump that repeats an id."""
+    """A prediction dump that repeats an id or predicts an empty path."""
 
 
 @dataclass(frozen=True)
@@ -193,6 +193,9 @@ def evaluate(
     pairs = Counter(
         (tuple(pred_by_id[rec_id]["path"]), tuple(rec.label_path)) for rec_id, rec in truth_by_id.items()
     )
+    if any(not pred for pred, _ in pairs):
+        rec_id = next(row["id"] for row in pred_rows if not row["path"])  # in file order
+        raise InvalidPredictionsError(f"prediction {rec_id!r} has an empty path: no effective leaf")
     # Predicted paths may be structurally inconsistent (that is what RePath
     # repairs); set-overlap scoring handles them fine. Ground truth, however,
     # must be a real chain.
@@ -257,7 +260,6 @@ def render_table(report: EvalReport) -> str:
 _PAIRS = json.JSONEncoder(check_circular=False, separators=(",\n      ", ": "))
 
 
-@gc_paused
 def write_report(path: str | Path, report: EvalReport) -> None:
     """Write `json.dumps(report.to_dict(), indent=2, sort_keys=True)` and a
     newline, byte for byte. That encoder is pure Python, so the confidence

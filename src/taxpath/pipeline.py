@@ -25,7 +25,7 @@ from .dataset import (
     split,
     write_records,
 )
-from .encoder import EncoderConfig, build_field_vocabs
+from .encoder import EncoderConfig
 from .infer import DEFAULT_TAU_LEAF, predict_batch, prediction_to_dict, repath
 from .metrics import evaluate
 from .moe import MoEConfig, MoEModel, init_model, save_checkpoint
@@ -111,7 +111,7 @@ def run_pipeline(
         for name, part in (("train", train_recs), ("val", val_recs), ("test", test_recs)):
             if not part:
                 raise ValueError(f"the {name} split is empty: {len(kept)} cleansed records are too few to split")
-        enc_cfg = replace(config.encoder, field_vocabs=build_field_vocabs(train_recs, config.encoder.fields))
+        enc_cfg = config.encoder.fitted(train_recs)
         prelim_cfg = replace(config.train, seed=seed, loss_weights=replace(config.train.loss_weights, omega_s=1.0))
         prelim = init_model(taxonomy, enc_cfg, config.moe, seed)
         prelim = fit(prelim, train_recs, val_recs, taxonomy, None, prelim_cfg, tau_leaf=tau_leaf)[0]

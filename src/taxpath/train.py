@@ -237,15 +237,14 @@ def backward(
     # over the (L*E*H)-long inner dimension would add in another order
     d_dense = np.matmul(d_a, params.W1.transpose(0, 2, 1)).sum(axis=0)
 
-    # Scatter dense-feature gradients back into the embedding tables
+    # Scatter dense-feature gradients back into the embedding tables: each
+    # token takes its row's gradient over the row's token count
     dt = enc.text_dim
     tokens = np.concatenate((batch.title_tok, batch.cat_tok))
-    contrib = np.concatenate(
-        (
-            d_dense[batch.title_sample, :dt] * batch.title_weight[:, None],
-            d_dense[batch.cat_sample, dt : 2 * dt] * batch.cat_weight[:, None],
-        )
-    )
+    contrib = np.concatenate([
+        d_dense[np.repeat(ar, lengths), lo : lo + dt] * np.repeat(1.0 / np.maximum(lengths, 1), lengths)[:, None]
+        for lo, lengths in ((0, batch.title_len), (dt, batch.cat_len))
+    ])
     out.text_table[...] = _row_sums(tokens, contrib, out.text_table.shape[0])
     off = 2 * dt
     for f_pos, table in enumerate(out.field_tables):

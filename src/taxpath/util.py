@@ -95,8 +95,10 @@ def canonical_json(obj: Any) -> str:
 
 def atomic_write_chunks(path: str | Path, chunks: Iterable[bytes]) -> None:
     """Write `chunks` in turn, each dropped once written, to a temp file in the same directory, then rename it
-    into place. A chunk that fails to come (a row that does not encode) leaves the target as it was."""
+    into place. A chunk that fails to come (a row that does not encode, or a bad row of a file streamed through)
+    leaves the target as it was and no directory this call made."""
     path = Path(path)
+    made = list(itertools.takewhile(lambda d: not d.exists(), (path.parent, *path.parent.parents)))  # nearest first
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
@@ -106,6 +108,9 @@ def atomic_write_chunks(path: str | Path, chunks: Iterable[bytes]) -> None:
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        with contextlib.suppress(OSError):  # a directory written into meanwhile stays
+            for d in made:
+                d.rmdir()
         raise
 
 

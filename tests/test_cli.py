@@ -175,6 +175,25 @@ def test_pipeline_subcommand(tmp_path):
                      "final.ckpt", "metrics.json", "run_manifest.json"}
 
 
+@pytest.mark.parametrize("command", ["pipeline", "train"])
+def test_training_subcommands_use_the_configured_field_vocabs(tmp_path, command):
+    cfg = gen_config(tmp_path, samples=400)
+    data = tmp_path / "data"
+    assert run("gen", "--config", cfg, "--out", str(data)) == 0
+    doc = json.loads((tmp_path / "config.json").read_text())
+    vocabs = {"bu_code": ["zz"], "ou_code": ["zz"], "system_code": ["zz"]}
+    doc["encoder"]["field_vocabs"] = vocabs
+    cfg = write_config(tmp_path, doc, "vocabs.json")
+    out = tmp_path / "out"
+    model = out / ("final.ckpt" if command == "pipeline" else "model.ckpt")
+    inputs = ("--records" if command == "pipeline" else "--train", str(data / "records.jsonl"),
+              "--taxonomy", str(data / "taxonomy.json"), "--out", str(out if command == "pipeline" else model))
+    assert run(command, "--config", cfg, *inputs) == 0
+    got = load_checkpoint(model, load_taxonomy_file(data / "taxonomy.json")).encoder_config.field_vocabs
+    assert {name: list(vocab) for name, vocab in got.items()} == vocabs
+    assert json.loads((out / "run_manifest.json").read_text())["config"]["encoder"]["field_vocabs"] == vocabs
+
+
 @pytest.mark.parametrize("n", [3, 1])
 def test_pipeline_on_too_few_records_exits_1_naming_the_empty_split(tmp_path, capsys, n):
     cfg = gen_config(tmp_path)
@@ -333,6 +352,24 @@ def test_eval_of_a_dump_whose_ids_differ_from_the_truth_exits_1_naming_both_file
                "--taxonomy", str(data / "taxonomy.json"), "--out", str(out / "report.json")) == 1
     assert capsys.readouterr().err == (f"error: {pred} against {truth}: id mismatch between predictions and truth: "
                                        f"missing={[records[0].id]} extra=[]\n")
+    assert not out.exists()
+
+
+def test_eval_row_with_an_empty_path_exits_1_naming_the_dump_and_the_id(tmp_path, capsys):
+    cfg = gen_config(tmp_path)
+    data = tmp_path / "data"
+    assert run("gen", "--config", cfg, "--out", str(data)) == 0
+    records = read_records(data / "records.jsonl")
+    rows = [{"id": r.id, "leaf": r.leaf(), "path": list(r.label_path)} for r in records]
+    rows[5]["path"] = []
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    out = tmp_path / "eval"
+    capsys.readouterr()
+    assert run("eval", "--pred", str(pred), "--truth", str(data / "records.jsonl"),
+               "--taxonomy", str(data / "taxonomy.json"), "--out", str(out / "report.json")) == 1
+    assert capsys.readouterr().err == (f"error: {pred}: prediction {records[5].id!r} has an empty path: "
+                                       "no effective leaf\n")
     assert not out.exists()
 
 

@@ -450,6 +450,7 @@ def one_record_setup():
     return corpus, model, [dataclasses.replace(base, **edit) for edit in edits] + corpus.records
 
 
+@pytest.mark.numpy_floor
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(data=st.data(), tau=st.sampled_from([0.0, 0.3, 0.5, 1.0]), use_repath=st.booleans())
 def test_predict_one_equals_the_prepared_batch_of_one(data, tau, use_repath):

@@ -11,6 +11,7 @@ from taxpath.metrics import (
     EvalPair,
     EvalReport,
     EvaluationError,
+    InvalidPredictionsError,
     effective_leaf,
     evaluate,
     macro_f1,
@@ -369,7 +370,8 @@ def reference_category_counts(pairs, mode):
 
 def reference_evaluate(pred_rows, truth_records, taxonomy, include_absent=False):
     """`evaluate` as it was before it counted distinct pairs: one EvalPair
-    and one truth-path check per row, rows visited in id order."""
+    and one truth-path check per row, rows visited in id order. An empty
+    predicted path is refused first, naming its id in file order."""
     pred_by_id = {row["id"]: row for row in pred_rows}
     truth_by_id = {rec.id: rec for rec in truth_records}
     if len(pred_by_id) != len(pred_rows):
@@ -384,6 +386,9 @@ def reference_evaluate(pred_rows, truth_records, taxonomy, include_absent=False)
         )
     if not pred_rows:
         raise EvaluationError("nothing to evaluate")
+    empty = [row["id"] for row in pred_rows if not row["path"]]
+    if empty:
+        raise EvaluationError(f"prediction {empty[0]!r} has an empty path: no effective leaf")
     buckets = {}
     confidences = []
     for rec_id in sorted(truth_by_id):
@@ -488,6 +493,14 @@ def test_evaluate_raises_what_the_per_pair_reference_raises(dump, include_absent
     got = outcome(evaluate, rows, records, include_absent)
     assert got[0] == "error"
     assert got == outcome(reference_evaluate, rows, records, include_absent)
+
+
+def test_an_empty_predicted_path_is_an_invalid_prediction_named_by_its_first_id():
+    records = [ProductRecord(id=rec_id, title="t", category_name="c", bu_code="b", ou_code="o", system_code="s",
+                             label_path=DUMP_CHAINS[0], source="synthetic") for rec_id in ("r1", "r5", "r9")]
+    rows = [{"id": "r9", "path": list(DUMP_CHAINS[0])}, {"id": "r5", "path": []}, {"id": "r1", "path": []}]
+    with pytest.raises(InvalidPredictionsError, match=r"^prediction 'r5' has an empty path: no effective leaf$"):
+        evaluate(rows, records, DUMP_TAXONOMY)
 
 
 def test_invalid_truth_error_names_the_smallest_offending_id():

@@ -114,12 +114,11 @@ def loop_backward(model, batch, targets, semantic_targets, weights):
             d_dense += d_a @ model.params[f"level{level}/expert{e}/W1"].T
 
     dt = enc.text_dim
-    if batch.title_tok.size:
-        contrib = d_dense[batch.title_sample, :dt] * batch.title_weight[:, None]
-        np.add.at(grads["text_table"], batch.title_tok, contrib)
-    if batch.cat_tok.size:
-        contrib = d_dense[batch.cat_sample, dt : 2 * dt] * batch.cat_weight[:, None]
-        np.add.at(grads["text_table"], batch.cat_tok, contrib)
+    for lo, tokens, lengths in ((0, batch.title_tok, batch.title_len), (dt, batch.cat_tok, batch.cat_len)):
+        sample = [i for i, k in enumerate(lengths) for _ in range(k)]  # the row of each token
+        weight = [1.0 / k for k in lengths for _ in range(k)]
+        if tokens.size:
+            np.add.at(grads["text_table"], tokens, d_dense[sample, lo : lo + dt] * np.array(weight)[:, None])
     off = 2 * dt
     for f_pos, name in enumerate(enc.fields):
         np.add.at(grads[f"field/{name}/table"], batch.field_idx[:, f_pos], d_dense[:, off : off + enc.cat_dim])
@@ -216,11 +215,11 @@ def predictions_equal(a, b) -> bool:
         "argmax", "confidence", "path", "last", "leaf", "confident", "repathed", "leaf_confidence"))
 
 
+@pytest.mark.numpy_floor
 @pytest.mark.parametrize("n", [1, 2047, 2048, 2049, 6151])
 def test_chunked_forward_equals_one_pass(n):
     corpus, model = setup(2, extra_levels=1, samples=n, seed=7, hidden=8)
-    batch = assemble_batch(prepare_records(corpus.records, model.encoder_config), model.params,
-                           model.encoder_config, for_backward=False)
+    batch = assemble_batch(prepare_records(corpus.records, model.encoder_config), model.params, model.encoder_config)
     assert batch.dense.shape[0] == n
     one_pass = forward_batch(model, batch, for_backward=False)  # all rows at once
     tables = label_tables(corpus.taxonomy, model.level_labels)
@@ -229,6 +228,7 @@ def test_chunked_forward_equals_one_pass(n):
     assert len(got) == n and predictions_equal(got, want)
 
 
+@pytest.mark.numpy_floor
 def test_chunks_are_balanced(monkeypatch):
     import taxpath.infer as infer
 

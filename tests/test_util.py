@@ -180,7 +180,8 @@ def record(i, path=("A", "A.1", "A.1.1")):
                          ou_code="ou00", system_code="sys0", label_path=path, source="goods_registry")
 
 
-def test_the_corpus_sized_functions_run_with_the_collector_paused(tmp_path, chain_taxonomy, monkeypatch):
+def test_the_corpus_sized_builders_run_with_the_collector_paused_and_the_writers_without(
+        tmp_path, chain_taxonomy, monkeypatch):
     seen = {}
 
     def spy_on(owner, name, caller):
@@ -211,7 +212,8 @@ def test_the_corpus_sized_functions_run_with_the_collector_paused(tmp_path, chai
     assert report.leaf_micro_f1 == 1.0
     assert set(seen) == {"read_records", "write_predictions", "read_predictions", "evaluate", "write_report",
                          "annotate_corpus"}
-    assert not any(enabled for calls in seen.values() for enabled in calls), seen
+    writers = {"write_predictions", "write_report"}  # they keep few containers alive: a pause did not pay
+    assert all(enabled == (caller in writers) for caller, calls in seen.items() for enabled in calls), seen
     assert gc.isenabled()
 
 

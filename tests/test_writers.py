@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from taxpath.cli import dispatch
 from taxpath.dataset import record_to_dict, write_records
 from taxpath.infer import (
     MODE_DEEPEST_VALID,
@@ -119,6 +120,16 @@ def test_writing_20k_rows_holds_at_most_a_quarter_of_the_file(tmp_path):
         assert peak <= size / 4, (name, peak, size)
 
 
+def test_repath_of_20k_rows_holds_at_most_a_quarter_of_the_dump(tmp_path):
+    pred, tax, out = tmp_path / "pred.jsonl", tmp_path / "taxonomy.json", tmp_path / "repathed.jsonl"
+    preds = predictions(20_000)  # not repathed: the subcommand rewrites the confident rows
+    write_predictions(pred, [f"p{k:05d}" for k in range(len(preds))], preds)
+    tax.write_bytes(TAXONOMY.to_json_bytes())
+    peak = write_peak(lambda: dispatch(["repath", "--pred", str(pred), "--taxonomy", str(tax), "--out", str(out)]))
+    assert out.read_bytes() != pred.read_bytes()
+    assert peak <= pred.stat().st_size / 4, (peak, pred.stat().st_size)
+
+
 # --- a row that fails part way -----------------------------------------------------
 
 def bad_rows(n: int, at: int, value) -> list[dict]:
@@ -148,3 +159,11 @@ def test_a_row_that_fails_leaves_no_file_where_there_was_none(tmp_path):
     with pytest.raises(TypeError):
         write_jsonl(tmp_path / "rows.jsonl", iter(bad_rows(2 * WRITE_LINES, WRITE_LINES, object())))
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_row_that_fails_leaves_no_directory_the_write_made(tmp_path):
+    (tmp_path / "kept").mkdir()
+    for target in (tmp_path / "new" / "deeper" / "rows.jsonl", tmp_path / "kept" / "new" / "rows.jsonl"):
+        with pytest.raises(TypeError):
+            write_jsonl(target, iter(bad_rows(2 * WRITE_LINES, WRITE_LINES, object())))
+    assert [p.relative_to(tmp_path).as_posix() for p in sorted(tmp_path.rglob("*"))] == ["kept"]
