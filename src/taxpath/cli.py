@@ -1,10 +1,9 @@
-"""Command-line entry point for the whole workflow.
+"""Command-line entry point for the whole workflow (`taxpath --help` lists the subcommands).
 
-Subcommands: gen, cleanse, split, pipeline, train, judge, predict, repath,
-eval, report. Every value can come from a JSON config file; command-line
-flags override file values, which override the config dataclasses' defaults.
-A key no dataclass has is an error. Each run writes a manifest with the
-resolved configuration and seed next to its outputs.
+Every value can come from a JSON config file; command-line flags override
+file values, which override the config dataclasses' defaults. A key no
+dataclass has is an error. Each run writes a manifest with the resolved
+configuration and seed next to its outputs.
 
 Exit codes: 0 success, 1 validation error, 2 I/O error.
 """
@@ -259,95 +258,54 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *config_flags):
+    def command(name, run, help, *inputs, out=None, reads=()):
+        """A subcommand that runs under a config; `run` returns the directory its run manifest goes in.
+
+        It takes the flag of every config key under the prefixes `reads` (the keys `run` reads),
+        the required input files `inputs` and `--out`, whose help is `out`.
+        """
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument("--config", help="JSON config file (flags override file values)")
         p.add_argument("--seed", type=int, default=None)
-        for flag in config_flags:
-            dest, kind = CONFIG_FLAGS[flag]
-            p.add_argument(flag, dest=dest, type=kind, default=None)
+        for flag, (dest, kind) in CONFIG_FLAGS.items():
+            if dest.startswith(reads):
+                p.add_argument(flag, dest=dest, type=kind, default=None)
+        for flag in inputs:
+            p.add_argument(flag, required=True)
+        p.add_argument("--out", required=True, help=out)
+        return p
 
-    p = sub.add_parser("gen", help="generate a synthetic taxonomy + corpus")
-    common(p)
-    p.add_argument("--out", required=True, help="output directory")
-
-    p = sub.add_parser("cleanse", help="validate, de-duplicate, resolve label conflicts")
-    common(p)
-    p.add_argument("--records", required=True)
-    p.add_argument("--taxonomy", required=True)
-    p.add_argument("--out", required=True, help="kept records (jsonl)")
+    command("gen", cmd_gen, "generate a synthetic taxonomy + corpus", out="output directory")
+    p = command("cleanse", cmd_cleanse, "validate, de-duplicate, resolve label conflicts", "--records", "--taxonomy",
+                out="kept records (jsonl)")
     p.add_argument("--rejected", help="rejection report (default: rejected.jsonl beside --out)")
-
-    p = sub.add_parser("split", help="stratified train/val/test split")
-    common(p)
-    p.add_argument("--records", required=True)
-    p.add_argument("--out", required=True, help="output directory")
+    p = command("split", cmd_split, "stratified train/val/test split", "--records", out="output directory")
     p.add_argument("--fractions", help="comma-separated train,val,test fractions")
-
-    p = sub.add_parser("pipeline", help="run the four-stage training pipeline")
-    common(p, *CONFIG_FLAGS)
-    p.add_argument("--records", required=True)
-    p.add_argument("--taxonomy", required=True)
-    p.add_argument("--out", required=True, help="output directory")
-
-    p = sub.add_parser("train", help="train a model on prepared splits")
-    common(p, *(flag for flag, (dest, _) in CONFIG_FLAGS.items() if not dest.startswith("pipeline.")))
-    p.add_argument("--train", required=True)
+    command("pipeline", cmd_pipeline, "run the four-stage training pipeline", "--records", "--taxonomy",
+            out="output directory", reads=("train.", "moe.", "pipeline."))
+    p = command("train", cmd_train, "train a model on prepared splits", "--train", "--taxonomy",
+                out="model checkpoint path", reads=("train.", "moe.", "pipeline.tau_leaf"))
     p.add_argument("--val")
-    p.add_argument("--taxonomy", required=True)
-    p.add_argument("--out", required=True, help="model checkpoint path")
     p.add_argument("--log", help="per-epoch log (jsonl)")
     p.add_argument("--judge", help="distilled judge checkpoint for the semantic task")
-
-    p = sub.add_parser("judge", help="distill the consistency judge from a dev set")
-    common(p)
-    p.add_argument("--dev", required=True)
-    p.add_argument("--taxonomy", required=True)
-    p.add_argument("--out", required=True, help="judge checkpoint path")
+    p = command("judge", cmd_judge, "distill the consistency judge from a dev set", "--dev", "--taxonomy",
+                out="judge checkpoint path")
     p.add_argument("--annotate", help="records to annotate with the distilled judge")
     p.add_argument("--annotations", help="annotation output path")
-
-    p = sub.add_parser("predict", help="predict paths for records")
-    common(p, "--tau-leaf")
-    p.add_argument("--model", required=True)
-    p.add_argument("--records", required=True)
-    p.add_argument("--taxonomy", required=True)
-    p.add_argument("--out", required=True)
+    p = command("predict", cmd_predict, "predict paths for records", "--model", "--records", "--taxonomy",
+                reads=("pipeline.tau_leaf",))
     p.add_argument("--repath", action="store_true")
-
-    p = sub.add_parser("repath", help="reconstruct paths from predicted leaves")
-    common(p)
-    p.add_argument("--pred", required=True)
-    p.add_argument("--taxonomy", required=True)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("eval", help="score predictions against ground truth")
-    common(p)
-    p.add_argument("--pred", required=True)
-    p.add_argument("--truth", required=True)
-    p.add_argument("--taxonomy", required=True)
-    p.add_argument("--out", required=True, help="report JSON path")
-    p.add_argument("--include-absent", action="store_true",
-                   help="macro-average over every taxonomy category")
+    command("repath", cmd_repath, "reconstruct paths from predicted leaves", "--pred", "--taxonomy")
+    p = command("eval", cmd_eval, "score predictions against ground truth", "--pred", "--truth", "--taxonomy",
+                out="report JSON path")
+    p.add_argument("--include-absent", action="store_true", help="macro-average over every taxonomy category")
 
     p = sub.add_parser("report", help="render a stored evaluation report")
     p.add_argument("--report", required=True)
     p.add_argument("--cdf-csv", help="write the confidence CDF as CSV")
 
     return parser
-
-
-# Subcommands that run under a config; each returns the directory its run manifest goes in.
-HANDLERS = {
-    "gen": cmd_gen,
-    "cleanse": cmd_cleanse,
-    "split": cmd_split,
-    "pipeline": cmd_pipeline,
-    "train": cmd_train,
-    "judge": cmd_judge,
-    "predict": cmd_predict,
-    "repath": cmd_repath,
-    "eval": cmd_eval,
-}
 
 
 def _setup_logging() -> None:
@@ -369,7 +327,7 @@ def dispatch(argv: list[str]) -> int:
             cmd_report(args)
         else:
             _, config, synth = load_config(read_config(args))
-            out_dir = HANDLERS[args.command](args, config, synth)
+            out_dir = args.run(args, config, synth)
             _write_manifest(out_dir, args.command, config, synth, argv)
         return 0
     except (ValueError, RuntimeError) as exc:

@@ -21,6 +21,11 @@ from .util import fnv1a_64, tokenize
 UNK = "<unk>"
 
 DEFAULT_FIELDS = ("bu_code", "ou_code", "system_code")
+# The record fields a config may one-hot: its categorical strings. The others are not categories: an `id`
+# names one record, so its one-hot would only memorise the training set; a `title` is free text, embedded
+# by its hashed tokens; `label_path` is the target, which the gates would then read; `cpvs` is a list of
+# pairs, or None, not one value.
+CATEGORICAL_FIELDS = ("category_name", "bu_code", "ou_code", "system_code", "source")
 
 
 @dataclass(frozen=True)
@@ -36,6 +41,15 @@ class EncoderConfig:
             raise ValueError(f"hash_buckets must be >= 1: {self.hash_buckets}")
         if self.text_dim < 1 or self.cat_dim < 1:
             raise ValueError("embedding dims must be >= 1")
+        named = set(self.fields)
+        if not self.fields or len(named) < len(self.fields) or not named <= set(CATEGORICAL_FIELDS):
+            raise ValueError(f"fields must be distinct names out of {CATEGORICAL_FIELDS}, at least one: {self.fields}")
+        if self.field_vocabs and set(self.field_vocabs) != named:
+            raise ValueError(
+                f"field_vocabs must be keyed by exactly the fields {self.fields}: {tuple(self.field_vocabs)}")
+        for name, vocab in self.field_vocabs.items():
+            if len(set(vocab)) < len(vocab):
+                raise ValueError(f"field_vocabs[{name!r}] repeats an entry: {vocab}")
 
     def vocab(self, name: str) -> tuple[str, ...]:
         return self.field_vocabs.get(name, ())

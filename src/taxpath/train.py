@@ -61,8 +61,14 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer: {self.optimizer}")
         if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
             raise ValueError("adam betas must lie in (0,1)")
+        if not math.isfinite(self.learning_rate):
+            raise ValueError(f"learning_rate must be finite: {self.learning_rate}")
+        if not 0 < self.eps < math.inf:  # false for NaN too
+            raise ValueError(f"eps must be finite and above 0: {self.eps}")
         if self.grad_clip is not None and self.grad_clip <= 0:
             raise ValueError("grad_clip must be positive")
+        if self.grad_clip is not None and not math.isfinite(self.grad_clip):
+            raise ValueError(f"grad_clip must be finite: {self.grad_clip}")
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
+import argparse
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from taxpath.cli import dispatch
+from taxpath.cli import build_parser, dispatch
 from taxpath.dataset import cleanse, read_records, write_records
 from taxpath.moe import JUDGE_MAGIC, load_checkpoint, save_checkpoint, write_container
 from taxpath.semantic import FEATURE_NAMES, JudgeModel
@@ -624,3 +626,83 @@ def test_gen_with_label_noise_over_one_leaf_exits_1_naming_the_rate(tmp_path, ca
     assert "error: label_noise_rate 0.5 relabels a record to another leaf, but the taxonomy has only 1 leaf" in err
     assert "Traceback" not in err
     assert not (tmp_path / "data").exists()
+
+
+# each subcommand's option strings; `train` takes `--tau-leaf` because it picks its best epoch by tau_leaf
+CONFIG = ["--config", "--seed"]
+TRAINING = ["--epochs", "--batch-size", "--learning-rate", "--omega-c", "--omega-s", "--experts", "--levels",
+            "--hidden-dim", "--tau-leaf"]
+OPTIONS = {
+    "gen": [*CONFIG, "--out"],
+    "cleanse": [*CONFIG, "--records", "--taxonomy", "--out", "--rejected"],
+    "split": [*CONFIG, "--records", "--out", "--fractions"],
+    "pipeline": [*CONFIG, *TRAINING, "--confidence-threshold", "--high-conf-fraction", "--records", "--taxonomy",
+                 "--out"],
+    "train": [*CONFIG, *TRAINING, "--train", "--taxonomy", "--out", "--val", "--log", "--judge"],
+    "judge": [*CONFIG, "--dev", "--taxonomy", "--out", "--annotate", "--annotations"],
+    "predict": [*CONFIG, "--tau-leaf", "--model", "--records", "--taxonomy", "--out", "--repath"],
+    "repath": [*CONFIG, "--pred", "--taxonomy", "--out"],
+    "eval": [*CONFIG, "--pred", "--truth", "--taxonomy", "--out", "--include-absent"],
+    "report": ["--report", "--cdf-csv"],
+}
+
+
+def test_each_subcommand_takes_exactly_its_options():
+    (subcommands,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    got = {name: sorted(s for a in p._actions for s in a.option_strings) for name, p in subcommands.choices.items()}
+    assert got == {name: sorted(["-h", "--help", *options]) for name, options in OPTIONS.items()}
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_each_subcommand_prints_its_help(capsys, command):
+    assert run(command, "--help") == 0
+    assert capsys.readouterr().out.startswith(f"usage: taxpath {command} ")
+
+
+# config values the run cannot use -> the start of the one error line `taxpath train` prints
+CONFIG_REFUSALS = {
+    "eps-zero": ("train", {"eps": 0}, "eps must be finite and above 0: 0"),
+    "eps-nan": ("train", {"eps": float("nan")}, "eps must be finite and above 0: nan"),
+    "eps-negative": ("train", {"eps": -1.0}, "eps must be finite and above 0: -1.0"),
+    "learning_rate-infinite": ("train", {"learning_rate": float("inf")}, "learning_rate must be finite: inf"),
+    "learning_rate-nan": ("train", {"learning_rate": float("nan")}, "learning_rate must be finite: nan"),
+    "grad_clip-infinite": ("train", {"grad_clip": float("inf")}, "grad_clip must be finite: inf"),
+    "grad_clip-nan": ("train", {"grad_clip": float("nan")}, "grad_clip must be finite: nan"),
+    "no-fields": ("encoder", {"fields": []}, "fields must be distinct names out of"),
+    "unknown-field": ("encoder", {"fields": ["nope"]}, "fields must be distinct names out of"),
+    "cpvs-field": ("encoder", {"fields": ["cpvs"]}, "fields must be distinct names out of"),
+    "label-field": ("encoder", {"fields": ["label_path"]}, "fields must be distinct names out of"),
+    "repeated-field": ("encoder", {"fields": ["bu_code", "bu_code"]}, "fields must be distinct names out of"),
+    "misspelt-vocab-key": ("encoder", {"field_vocabs": {"bu_code": ["a"], "ou_cod": ["a"], "system_code": ["a"]}},
+                           "field_vocabs must be keyed by exactly the fields ('bu_code', 'ou_code', 'system_code')"),
+    "missing-vocab": ("encoder", {"field_vocabs": {"bu_code": ["a"]}}, "field_vocabs must be keyed by exactly"),
+    "repeated-vocab-entry": ("encoder", {"field_vocabs": {"bu_code": ["a", "a"], "ou_code": ["a"],
+                                                         "system_code": ["a"]}},
+                             "field_vocabs['bu_code'] repeats an entry: ('a', 'a')"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_REFUSALS))
+def test_train_refuses_a_config_value_it_cannot_use(tmp_path, workflow, capsys, case):
+    section, values, message = CONFIG_REFUSALS[case]
+    doc = json.loads(Path(workflow[0]).read_text())
+    doc[section].update(values)
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run("train", "--config", cfg, *subcommand_args("train", workflow, out)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {section}: {message}")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_pipeline_refuses_an_unknown_encoder_field_before_stage_1_writes(tmp_path, workflow, capsys):
+    doc = json.loads(Path(workflow[0]).read_text())
+    doc["encoder"]["fields"] = ["nope"]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run("pipeline", "--config", write_config(tmp_path, doc), *subcommand_args("pipeline", workflow, out)) == 1
+    assert capsys.readouterr().err.startswith("error: encoder: fields must be distinct names out of")
+    assert not out.exists()

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from taxpath.cli import config_document, dispatch, load_config
 from taxpath.dataset import SplitSpec
-from taxpath.encoder import EncoderConfig
+from taxpath.encoder import CATEGORICAL_FIELDS, EncoderConfig
 from taxpath.moe import CHECKPOINT_MAGIC, CheckpointError, MoEConfig, init_model, load_checkpoint, write_container
 from taxpath.pipeline import PipelineConfig
 from taxpath.synth import SynthConfig
@@ -25,13 +25,17 @@ names = st.text(st.characters(codec="utf-8"), max_size=8)
 unit = st.floats(0.0, 1.0)
 seeds = st.integers(0, 2**63 - 1)
 
-encoder_configs = st.builds(
-    EncoderConfig,
-    hash_buckets=st.integers(1, 10**6),
-    text_dim=st.integers(1, 64),
-    cat_dim=st.integers(1, 16),
-    fields=st.lists(names, max_size=4).map(tuple),
-    field_vocabs=st.dictionaries(names, st.lists(names, max_size=4).map(tuple), max_size=3),
+# the configs EncoderConfig accepts: distinct categorical fields, with a vocabulary of distinct names for each or none
+encoder_configs = st.lists(st.sampled_from(CATEGORICAL_FIELDS), min_size=1, max_size=4, unique=True).map(tuple).flatmap(
+    lambda fields: st.builds(
+        EncoderConfig,
+        hash_buckets=st.integers(1, 10**6),
+        text_dim=st.integers(1, 64),
+        cat_dim=st.integers(1, 16),
+        fields=st.just(fields),
+        field_vocabs=st.just({}) | st.fixed_dictionaries(
+            {name: st.lists(names, max_size=4, unique=True).map(tuple) for name in fields}),
+    )
 )
 moe_configs = st.builds(
     MoEConfig,
@@ -170,8 +174,8 @@ def test_readme_minimal_config_loads():
 
 
 def test_tuple_fields_come_back_as_tuples():
-    enc = config_from_dict(EncoderConfig, {"fields": ["a"], "field_vocabs": {"a": ["x", "y"]}}, "encoder")
-    assert enc.fields == ("a",) and enc.field_vocabs == {"a": ("x", "y")}
+    enc = config_from_dict(EncoderConfig, {"fields": ["source"], "field_vocabs": {"source": ["x", "y"]}}, "encoder")
+    assert enc.fields == ("source",) and enc.field_vocabs == {"source": ("x", "y")}
     synth = config_from_dict(SynthConfig, {"depth_weights": [1, 2, 3, 4, 5]}, "synth")
     assert synth.depth_weights == (1, 2, 3, 4, 5)
 
@@ -206,6 +210,10 @@ def test_checkpoint_with_an_unknown_config_key_is_rejected(chain_taxonomy, tmp_p
     del meta["moe_config"]
     path.write_bytes(write_container(CHECKPOINT_MAGIC, meta, model.params))
     with pytest.raises(CheckpointError, match=r"meta has no 'moe_config' key"):
+        load_checkpoint(path)
+    meta.update(moe_config=asdict(moe), encoder_config={**asdict(enc), "fields": ["label_path"]})
+    path.write_bytes(write_container(CHECKPOINT_MAGIC, meta, model.params))
+    with pytest.raises(CheckpointError, match=r"meta\.encoder_config: fields must be distinct names out of"):
         load_checkpoint(path)
 
 
@@ -320,18 +328,28 @@ def test_flags_override_the_file(tmp_path):
     assert manifest["config"]["split"] == {"train_fraction": 0.5, "val_fraction": 0.25, "test_fraction": 0.25}
 
 
-def test_train_selects_epochs_with_the_configured_tau_leaf(tmp_path, monkeypatch):
+def fit_tau_leaves(tmp_path, monkeypatch, pipeline, *flags):
+    """The tau_leaf each `fit` of `taxpath train` is given, under a config whose pipeline section is `pipeline`."""
     import taxpath.cli as cli
 
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"synth": {"leaves": 12, "samples": 40, "leaf_depth_max": 3},
                                 "moe": {"levels": 3}, "train": {"epochs": 1},
-                                "pipeline": {"tau_leaf": 0.7}}), encoding="utf-8")
+                                "pipeline": pipeline}), encoding="utf-8")
     data = tmp_path / "data"
     assert dispatch(["gen", "--config", str(path), "--out", str(data)]) == 0
     seen = []
     real_fit = cli.fit
     monkeypatch.setattr(cli, "fit", lambda *args, **kw: seen.append(kw.get("tau_leaf")) or real_fit(*args, **kw))
     assert dispatch(["train", "--config", str(path), "--train", str(data / "records.jsonl"),
-                     "--taxonomy", str(data / "taxonomy.json"), "--out", str(tmp_path / "m.ckpt")]) == 0
-    assert seen == [0.7]
+                     "--taxonomy", str(data / "taxonomy.json"), "--out", str(tmp_path / "m.ckpt"), *flags]) == 0
+    return seen
+
+
+def test_train_selects_epochs_with_the_configured_tau_leaf(tmp_path, monkeypatch):
+    assert fit_tau_leaves(tmp_path, monkeypatch, {"tau_leaf": 0.7}) == [0.7]
+
+
+def test_train_takes_tau_leaf_as_a_flag(tmp_path, monkeypatch):
+    assert fit_tau_leaves(tmp_path, monkeypatch, {"tau_leaf": 0.3}, "--tau-leaf", "0.7") == [0.7]
+    assert json.loads((tmp_path / "run_manifest.json").read_text())["config"]["pipeline"]["tau_leaf"] == 0.7
