@@ -12,6 +12,7 @@ A batch is prepared once (`prepare_records`) and assembled per step or chunk
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -54,6 +55,11 @@ class EncoderConfig:
     def vocab(self, name: str) -> tuple[str, ...]:
         return self.field_vocabs.get(name, ())
 
+    @cached_property  # kept in the instance's __dict__, which a frozen dataclass allows
+    def value_indices(self) -> dict[str, dict[str, int]]:
+        """Each field's value -> its index in `vocab(field)`, built once: `tuple.index` is linear in the vocabulary."""
+        return {name: {value: i for i, value in enumerate(self.vocab(name))} for name in self.fields}
+
     def fitted(self, train_records: list[ProductRecord]) -> EncoderConfig:
         """This config as a model is built with: its field vocabularies if it gives any, else the training records'."""
         return self if self.field_vocabs else replace(self, field_vocabs=build_field_vocabs(train_records, self.fields))
@@ -79,11 +85,8 @@ def cpv_token(key: str, value: str) -> str:
 
 def field_index(config: EncoderConfig, name: str, value: str) -> int:
     """Index of `value` in the field's one-hot block; unseen values map to UNK."""
-    vocab = config.vocab(name)
-    try:
-        return vocab.index(value)
-    except ValueError:
-        return len(vocab)  # UNK slot
+    indices = config.value_indices[name]
+    return indices.get(value, len(indices))  # UNK slot
 
 
 @dataclass(eq=False)  # holds arrays: compare by identity

@@ -11,13 +11,13 @@ repairing structural inconsistencies without touching the leaf decision.
 Selection is columnar: one `select_prediction` call turns a batch's per-level
 `(N, K_l)` probabilities into a `Predictions` of label arrays (`LabelTables`
 numbers the model's labels level by level), and RePath marks the rows whose
-path becomes their leaf's entry in a chain table. Rows are built only where
-they are read one by one. The rules hold exactly as per row: ties in a
-level's argmax go to the lowest label; between equally confident leaves the
-shallowest level wins; a NULL argmax at or above the chosen leaf forfeits the
-leaf-first branch; the fallback's first level is the argmax over non-NULL
-labels only; and a fallback of length 1 reports that label's probability,
-not the level-1 argmax confidence.
+path becomes their leaf's entry in a chain table; a lone row takes the rules
+over its Python floats. Rows are built only where they are read one by one.
+The rules hold exactly as per row: ties in a level's argmax go to the lowest
+label; between equally confident leaves the shallowest level wins; a NULL
+argmax at or above the chosen leaf forfeits the leaf-first branch; the
+fallback's first level is the argmax over non-NULL labels only; and a fallback
+of length 1 reports that label's probability, not the level-1 argmax confidence.
 """
 from __future__ import annotations
 
@@ -154,6 +154,8 @@ def select_prediction(
     levels = tables.gather.shape[0]
     if len(probs) != levels or flat.shape[1] != len(tables.codes):
         raise ValueError(f"missing level distribution: need {levels} levels of {len(tables.codes)} labels in all")
+    if len(flat) == 1:
+        return _select_row(flat, tables, tau_leaf)
     rows = np.arange(flat.shape[0])
     # padding repeats a level's first label, so a tie never goes to it
     argmax = flat[:, tables.gather].argmax(axis=2) + tables.gather[:, 0]  # (N, L)
@@ -171,6 +173,24 @@ def select_prediction(
     leaf = path[rows, last]
     repathed = np.zeros(len(rows), dtype=bool)
     return Predictions(tables, argmax, confidence, path, last, leaf, confident, repathed, flat[rows, leaf])
+
+
+def _select_row(flat: np.ndarray, tables: LabelTables, tau_leaf: float) -> Predictions:
+    """`select_prediction` of one row `flat` (1, G), to the same bytes: NumPy places each argmax (ties, NaN),
+    and the rules run over Python values, which one row reads faster than arrays."""
+    row = flat[0]  # a 1-D row indexes faster
+    argmax = row[tables.gather].argmax(axis=1) + tables.gather[:, 0]  # (L,)
+    confidence = row[argmax]
+    labels, values = argmax.tolist(), confidence.tolist()
+    eligible = [tables.chains[g] is not None and c >= tau_leaf for g, c in zip(labels, values)]
+    best = max(range(len(labels)), key=lambda col: values[col] if eligible[col] else -math.inf)  # first maximum
+    confident = eligible[best] and not any(tables.is_null[g] for g in labels[: best + 1])
+    path = argmax.copy()
+    if labels[0] >= tables.roots:  # NULL: the first maximum over the roots instead
+        path[0] = row[: tables.roots].argmax()
+    last = best if confident else (tables.parent[path[tables.next_column]] == path).argmin()
+    return Predictions(tables, argmax[None], confidence[None], path[None], np.array([last]), path[last : last + 1],
+                       np.array([confident]), np.zeros(1, dtype=bool), row[path[last] : path[last] + 1])
 
 
 def leaf_chain(taxonomy: Taxonomy, leaf: str) -> tuple[str, ...] | None:

@@ -47,14 +47,24 @@ def normalize_title(title: str) -> str:
     return " ".join(tokenize(title))
 
 
+# `fnv1a_64`'s results, for the process: tokens follow a Zipf law, so nearly every lookup repeats one. The memo
+# keeps the FNV_MEMO_ENTRIES inputs used last, none longer than FNV_MEMO_LENGTH, so no input pins memory.
+FNV_MEMO_ENTRIES, FNV_MEMO_LENGTH = 1 << 14, 64
+
+
 def fnv1a_64(data: str | bytes) -> int:
-    """FNV-1a 64-bit hash. Fixed constants; stable across runs and platforms."""
-    if isinstance(data, str):
-        data = data.encode("utf-8")
+    """FNV-1a 64-bit hash of the UTF-8 bytes of a `str`. Fixed constants; stable across runs and platforms."""
+    return _fnv1a_64_memo(data) if len(data) <= FNV_MEMO_LENGTH else _fnv1a_64_bytes(data)
+
+
+def _fnv1a_64_bytes(data: str | bytes) -> int:
     h = FNV_OFFSET_64
-    for byte in data:
+    for byte in data.encode("utf-8") if isinstance(data, str) else data:
         h = ((h ^ byte) * FNV_PRIME_64) & _MASK_64  # one statement: about 30% faster per byte
     return h
+
+
+_fnv1a_64_memo = functools.lru_cache(maxsize=FNV_MEMO_ENTRIES)(_fnv1a_64_bytes)
 
 
 def gc_paused(fn: Callable) -> Callable:

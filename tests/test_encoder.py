@@ -399,3 +399,17 @@ def test_encode_one_equals_the_batch_of_one(title, category, cpvs, bu_code, hash
     for name in EncodedBatch.__dataclass_fields__:
         a, b = getattr(got, name), getattr(want, name)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+def test_field_lookup_on_a_5000_entry_vocabulary_equals_tuple_index():
+    """The value-to-index dicts give the index `tuple.index` finds, on both paths, the UNK slot included."""
+    vocab = tuple(f"bu{i:05d}" for i in range(5000))
+    cfg = EncoderConfig(hash_buckets=16, text_dim=2, cat_dim=2, fields=("bu_code",), field_vocabs={"bu_code": vocab})
+    tables = make_tables(cfg)
+    values = [vocab[0], vocab[1], vocab[2500], vocab[-2], vocab[-1], "unseen", "", "bu5000", "BU00001"]
+    want = [vocab.index(v) if v in vocab else len(vocab) for v in values]
+    assert want[-4:] == [5000] * 4
+    assert [field_index(cfg, "bu_code", v) for v in values] == want
+    records = [make_record(id=f"r{i}", bu_code=v) for i, v in enumerate(values)]
+    assert prepare_records(records, cfg).field_idx[:, 0].tolist() == want
+    assert [encode_one(r, tables, cfg).field_idx.tolist() for r in records] == [[[i]] for i in want]

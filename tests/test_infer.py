@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -149,6 +150,62 @@ def test_select_prediction_argmax_ties_go_to_the_lowest_label():
     preds = select_prediction([np.array([[0.2, 0.4, 0.4]])], label_tables(taxonomy, spaces))
     (pred,) = preds
     assert (pred.per_level_argmax[0], float(preds.confidence[0, 0])) == ("b", 0.4)
+
+
+# --- one row, selected over Python values, against its columnar selection ----
+
+
+def assert_same_columns(got, want):
+    for column in dataclasses.fields(Predictions)[1:]:
+        a, b = getattr(got, column.name), getattr(want, column.name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), column.name
+
+
+def assert_one_row_selects_as_the_columns(probs, taxonomy, spaces, tau):
+    """`select_prediction` of one row, then RePath, equal that row selected as the first of two copies, which
+    selects columns, field by field."""
+    tables = label_tables(taxonomy, spaces)
+    got = select_prediction(probs, tables, tau)
+    want = select_prediction([np.concatenate([p, p]) for p in probs], tables, tau)
+    assert_same_columns(got, want[:1])
+    assert_same_columns(repath(got, taxonomy), repath(want, taxonomy)[:1])
+
+
+edge_values = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, math.nan, math.inf, -math.inf]) | st.floats()
+
+
+@pytest.mark.numpy_floor
+@settings(max_examples=400, derandomize=True)
+@given(case=selection_cases(), data=st.data())
+def test_one_row_selection_equals_the_columnar_row(case, data):
+    """Over random taxonomies and label spaces, with or without NULL, and rows of coarse values (ties), signed
+    zeros, NaN and ±inf, at τ 0, 1 and between."""
+    taxonomy, spaces, _, _ = case
+    probs = [data.draw(hnp.arrays(np.float64, (1, len(labels)), elements=edge_values)) for labels in spaces]
+    tau = data.draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    assert_one_row_selects_as_the_columns(probs, taxonomy, spaces, tau)
+
+
+NAN, INF = math.nan, math.inf
+EDGE_ROWS = {  # over skip_taxonomy's label spaces: (A, B, NULL), (A.1, B.1, NULL), (A.1.1, B.1.1, NULL)
+    "ties at every level": [[0.4, 0.4, 0.2], [0.5, 0.5, 0.0], [0.45, 0.45, 0.1]],
+    "NULL argmax above the leaf": [[0.9, 0.1, 0.0], [0.1, 0.1, 0.8], [0.95, 0.0, 0.05]],
+    "NULL argmax at level 1": [[0.2, 0.1, 0.7], [0.8, 0.1, 0.1], [0.9, 0.05, 0.05]],
+    "NULL argmax at the leaf level": [[0.9, 0.1, 0.0], [0.8, 0.1, 0.1], [0.1, 0.1, 0.8]],
+    "fallback of length 1": [[0.6, 0.4, 0.0], [0.0, 0.9, 0.1], [0.0, 0.2, 0.8]],
+    "first NaN wins its level": [[NAN, 0.5, NAN], [0.2, NAN, 0.9], [0.9, NAN, 0.0]],
+    "NaN everywhere": [[NAN, NAN, NAN], [NAN, NAN, NAN], [NAN, NAN, NAN]],
+    "+inf and -inf": [[-INF, INF, 0.0], [INF, INF, -INF], [-INF, -INF, -INF]],
+    "signed zeros": [[-0.0, 0.0, 0.0], [0.0, -0.0, -0.0], [-0.0, -0.0, 0.0]],
+}
+
+
+@pytest.mark.numpy_floor
+@pytest.mark.parametrize("tau", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("name", EDGE_ROWS)
+def test_one_row_selection_equals_the_columnar_row_on_edge_rows(skip_taxonomy, name, tau):
+    spaces = tuple(skip_taxonomy.per_level_labels[l] for l in (1, 2, 3))
+    assert_one_row_selects_as_the_columns([np.array([level]) for level in EDGE_ROWS[name]], skip_taxonomy, spaces, tau)
 
 
 # --- the selection rules on hand-built distributions -------------------------

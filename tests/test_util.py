@@ -8,12 +8,21 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from taxpath import dataset, infer, metrics, semantic
+from taxpath import dataset, infer, metrics, semantic, util
 from taxpath.dataset import ProductRecord, read_records, write_records
 from taxpath.infer import PredictionPath, read_predictions, write_predictions
 from taxpath.metrics import evaluate, write_report
 from taxpath.semantic import FEATURE_NAMES, JudgeModel, annotate_corpus
-from taxpath.util import _ALNUM_RUNS, canonical_json, gc_paused, normalize_title, read_jsonl, tokenize, write_jsonl
+from taxpath.util import (
+    _ALNUM_RUNS,
+    canonical_json,
+    fnv1a_64,
+    gc_paused,
+    normalize_title,
+    read_jsonl,
+    tokenize,
+    write_jsonl,
+)
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
@@ -52,6 +61,49 @@ def test_normalize_title_equals_the_per_character_rule(title):
 @given(text=st.text() | st.text(alphabet="aZ9_=-. \t\u00a0\u00c4\u00df\u2460\uff21\u6f22"))
 def test_tokenize_splits_the_per_character_rule(text):
     assert tokenize(text) == per_character_normalize_title(text).split()
+
+
+def bytewise_fnv1a_64(data):
+    """FNV-1a 64-bit over the UTF-8 bytes of a str, byte by byte and without a memo: the oracle for `fnv1a_64`."""
+    h = 0xCBF29CE484222325
+    for byte in data.encode("utf-8") if isinstance(data, str) else data:
+        h = ((h ^ byte) * 0x100000001B3) % 2**64
+    return h
+
+
+@settings(max_examples=500, derandomize=True)
+@given(items=st.lists(st.text() | st.binary() | st.text(alphabet="aZ9=_ \u00c4\u00df\u6f22\U0001f600", max_size=80),
+                      max_size=6))
+def test_the_memoised_fnv1a_64_equals_the_byte_loop(items):
+    items += [item.encode("utf-8") for item in items if isinstance(item, str)]  # a str and its bytes: two keys
+    for item in items + items:  # the second time from the memo, unless too long to keep
+        assert fnv1a_64(item) == bytewise_fnv1a_64(item)
+
+
+def test_the_fnv_memo_keeps_at_most_its_bound_of_entries():
+    util._fnv1a_64_memo.cache_clear()
+    for i in range(util.FNV_MEMO_ENTRIES + 100):
+        assert fnv1a_64(f"token{i}") == bytewise_fnv1a_64(f"token{i}")
+        fnv1a_64("token0")  # used on every call, so the least recently used entries go first
+    info = util._fnv1a_64_memo.cache_info()
+    assert info.maxsize == info.currsize == util.FNV_MEMO_ENTRIES
+    assert fnv1a_64("token0") == bytewise_fnv1a_64("token0")
+    assert util._fnv1a_64_memo.cache_info().hits == info.hits + 1  # still kept
+    assert fnv1a_64("token1") == bytewise_fnv1a_64("token1")
+    assert util._fnv1a_64_memo.cache_info().misses == info.misses + 1  # gone when the memo filled
+
+
+@pytest.mark.parametrize("longest", ["x" * util.FNV_MEMO_LENGTH, b"\xff" * util.FNV_MEMO_LENGTH,
+                                     "\u6f22" * util.FNV_MEMO_LENGTH])
+def test_an_over_long_token_is_hashed_but_not_kept(longest):
+    util._fnv1a_64_memo.cache_clear()
+    over = longest + longest[:1]
+    for _ in range(2):
+        assert fnv1a_64(over) == bytewise_fnv1a_64(over)
+    assert util._fnv1a_64_memo.cache_info().currsize == 0
+    assert fnv1a_64(longest) == bytewise_fnv1a_64(longest)
+    assert fnv1a_64(longest) == bytewise_fnv1a_64(longest)
+    assert util._fnv1a_64_memo.cache_info()[:2] == (1, 1)  # (hits, misses): the longest input is kept
 
 
 def json_loads_reader(path):
