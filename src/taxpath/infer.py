@@ -61,6 +61,7 @@ class LabelTables:
     parent: np.ndarray  # (G,) label of the node's parent; -1 at level 1, for NULL and unknown codes
     chains: tuple  # (G,) a leaf's root-first chain of codes, RePath's path; None for other labels
     roots: int  # non-NULL level-1 labels, labels 0 .. roots-1
+    sizes: tuple[int, ...]  # (L,) the labels of each level
     gather: np.ndarray  # (L, Kmax) each level's labels, padded with its first label
     next_column: np.ndarray  # (L,) 1, 2, ..., L-1, 0
 
@@ -95,6 +96,7 @@ def label_tables(taxonomy: Taxonomy, level_labels: tuple[tuple[str, ...], ...]) 
         parent=np.array([label.get(getattr(taxonomy.nodes.get(code), "parent", None), -1) for code in codes]),
         chains=chains,
         roots=sum(code != NULL_CODE for code in level_labels[0]),
+        sizes=tuple(sizes.tolist()),
         gather=(np.cumsum(sizes) - sizes)[:, None] + np.where(width < sizes[:, None], width, 0),
         next_column=np.roll(np.arange(len(sizes)), -1),
     )
@@ -151,9 +153,9 @@ def select_prediction(
     by the rules in the module docstring; `tau_leaf` is the least confidence
     of a leaf-first selection."""
     flat = np.concatenate(probs, axis=1)  # (N, G)
-    levels = tables.gather.shape[0]
-    if len(probs) != levels or flat.shape[1] != len(tables.codes):
-        raise ValueError(f"missing level distribution: need {levels} levels of {len(tables.codes)} labels in all")
+    widths = tuple(p.shape[1] for p in probs)
+    if widths != tables.sizes:
+        raise ValueError(f"missing level distribution: need levels of {tables.sizes} labels, got {widths}")
     if len(flat) == 1:
         return _select_row(flat, tables, tau_leaf)
     rows = np.arange(flat.shape[0])

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import ProductRecord, largest_remainder
-from .taxonomy import NULL_CODE, Taxonomy, build_taxonomy
+from .taxonomy import MAX_LEVELS, NULL_CODE, Taxonomy, build_taxonomy
 from .util import stream_rng
 
 _CONSONANTS = "bcdfgklmnprstvz"
@@ -35,7 +35,6 @@ class SynthConfigError(ValueError):
 class SynthConfig:
     leaves: int = 50
     samples: int = 1000
-    max_depth: int = 10
     leaf_depth_min: int = 2
     leaf_depth_max: int = 6
     depth_weights: tuple[float, ...] | None = None  # over [leaf_depth_min, leaf_depth_max]
@@ -59,11 +58,8 @@ class SynthConfig:
             raise SynthConfigError("need at least one leaf")
         if self.samples < 0:
             raise SynthConfigError("samples must be >= 0")
-        if not 1 <= self.leaf_depth_min <= self.leaf_depth_max <= self.max_depth <= 10:
-            raise SynthConfigError(
-                f"bad depth range: {self.leaf_depth_min}..{self.leaf_depth_max} "
-                f"within max_depth {self.max_depth}"
-            )
+        if not 1 <= self.leaf_depth_min <= self.leaf_depth_max <= MAX_LEVELS:
+            raise SynthConfigError(f"bad depth range: {self.leaf_depth_min}..{self.leaf_depth_max} within 1..{MAX_LEVELS}")
         if self.depth_weights is not None:
             span = self.leaf_depth_max - self.leaf_depth_min + 1
             if len(self.depth_weights) != span or not all(0 <= w < math.inf for w in self.depth_weights):

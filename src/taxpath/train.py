@@ -46,29 +46,14 @@ class TrainConfig:
     batch_size: int = 64
     epochs: int = 10
     learning_rate: float = 1e-3
-    optimizer: str = "adam"  # "adam" or "sgd"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     loss_weights: LossWeights = LossWeights()
-    grad_clip: float | None = None
     seed: int = 0
 
     def __post_init__(self):
         if self.batch_size < 1 or self.epochs < 0 or self.learning_rate < 0:
             raise ValueError("batch_size, epochs, learning_rate must be non-negative (batch >= 1)")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer: {self.optimizer}")
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ValueError("adam betas must lie in (0,1)")
         if not math.isfinite(self.learning_rate):
             raise ValueError(f"learning_rate must be finite: {self.learning_rate}")
-        if not 0 < self.eps < math.inf:  # false for NaN too
-            raise ValueError(f"eps must be finite and above 0: {self.eps}")
-        if self.grad_clip is not None and self.grad_clip <= 0:
-            raise ValueError("grad_clip must be positive")
-        if self.grad_clip is not None and not math.isfinite(self.grad_clip):
-            raise ValueError(f"grad_clip must be finite: {self.grad_clip}")
 
 
 @dataclass(frozen=True)
@@ -270,7 +255,7 @@ def _row_sums(index: np.ndarray, values: np.ndarray, rows: int) -> np.ndarray:
 
 
 class SGD:
-    """Plain gradient descent over a flat parameter buffer, in place."""
+    """Plain gradient descent over a flat parameter buffer, in place; `fit` steps with Adam."""
 
     def __init__(self, learning_rate: float):
         self.learning_rate = learning_rate
@@ -291,9 +276,10 @@ class Adam:
     that order, so it matches the same update applied array by array.
     """
 
-    def __init__(self, learning_rate: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, learning_rate: float):
         self.learning_rate = learning_rate
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m: np.ndarray | None = None
         self.v: np.ndarray | None = None
@@ -321,19 +307,6 @@ class Adam:
         b += self.eps
         a /= b
         params -= a
-
-
-def make_optimizer(config: TrainConfig):
-    if config.optimizer == "sgd":
-        return SGD(config.learning_rate)
-    return Adam(config.learning_rate, config.beta1, config.beta2, config.eps)
-
-
-def clip_gradients(grad_flat: np.ndarray, max_norm: float) -> None:
-    """Scale the flat gradient buffer in place so its L2 norm is at most `max_norm`."""
-    total = math.sqrt(grad_flat @ grad_flat)
-    if total > max_norm:
-        grad_flat *= max_norm / total
 
 
 def semantic_targets_for(
@@ -387,7 +360,7 @@ def fit(
     val_prepared = prepare_records(val_records, enc)
     val_truth = label_tables(taxonomy, model.level_labels).labels_of([r.leaf() for r in val_records])
 
-    optimizer = make_optimizer(config)
+    optimizer = Adam(config.learning_rate)
     grad_flat = np.zeros_like(model.flat)
     logs: list[dict] = []
     best_flat = model.flat.copy()
@@ -411,8 +384,6 @@ def fit(
                 sample_ids=ids[take],
                 grad_flat=grad_flat,
             )
-            if config.grad_clip is not None:
-                clip_gradients(grad_flat, config.grad_clip)
             optimizer.step(model.flat, grad_flat)
             epoch_loss += loss * len(take)
         epoch_loss /= len(train_records)

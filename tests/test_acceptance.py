@@ -422,8 +422,7 @@ def test_cli_determinism(tmp_path, capsys):
         "encoder": {"hash_buckets": 256, "text_dim": 8, "cat_dim": 2,
                     "fields": ["bu_code", "ou_code", "system_code"]},
         "moe": {"levels": 3, "experts_per_level": 2, "expert_hidden_dim": 12},
-        "train": {"batch_size": 32, "epochs": 2, "learning_rate": 5e-3, "optimizer": "adam",
-                  "beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "omega_c": 0.2, "omega_s": 0.2},
+        "train": {"batch_size": 32, "epochs": 2, "learning_rate": 5e-3, "omega_c": 0.2, "omega_s": 0.2},
     }
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config), encoding="utf-8")

@@ -6,12 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from taxpath.cli import build_parser, dispatch
+from taxpath.cli import build_parser, dispatch, load_config
 from taxpath.dataset import cleanse, read_records, write_records
 from taxpath.moe import JUDGE_MAGIC, load_checkpoint, save_checkpoint, write_container
 from taxpath.semantic import FEATURE_NAMES, JudgeModel
 from taxpath.taxonomy import load_taxonomy_file
-from taxpath.util import read_jsonl
+from taxpath.util import ConfigError, read_jsonl
 
 
 def run(*argv):
@@ -37,8 +37,7 @@ def gen_config(tmp_path, **synth):
         "encoder": {"hash_buckets": 256, "text_dim": 8, "cat_dim": 2,
                     "fields": ["bu_code", "ou_code", "system_code"]},
         "moe": {"levels": 3, "experts_per_level": 2, "expert_hidden_dim": 12},
-        "train": {"batch_size": 32, "epochs": 2, "learning_rate": 5e-3, "optimizer": "adam",
-                  "beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "omega_c": 0.2, "omega_s": 0.2},
+        "train": {"batch_size": 32, "epochs": 2, "learning_rate": 5e-3, "omega_c": 0.2, "omega_s": 0.2},
     }
     return write_config(tmp_path, doc)
 
@@ -661,13 +660,9 @@ def test_each_subcommand_prints_its_help(capsys, command):
 
 # config values the run cannot use -> the start of the one error line `taxpath train` prints
 CONFIG_REFUSALS = {
-    "eps-zero": ("train", {"eps": 0}, "eps must be finite and above 0: 0"),
-    "eps-nan": ("train", {"eps": float("nan")}, "eps must be finite and above 0: nan"),
-    "eps-negative": ("train", {"eps": -1.0}, "eps must be finite and above 0: -1.0"),
+    "batch_size-zero": ("train", {"batch_size": 0}, "batch_size, epochs, learning_rate must be non-negative"),
     "learning_rate-infinite": ("train", {"learning_rate": float("inf")}, "learning_rate must be finite: inf"),
     "learning_rate-nan": ("train", {"learning_rate": float("nan")}, "learning_rate must be finite: nan"),
-    "grad_clip-infinite": ("train", {"grad_clip": float("inf")}, "grad_clip must be finite: inf"),
-    "grad_clip-nan": ("train", {"grad_clip": float("nan")}, "grad_clip must be finite: nan"),
     "no-fields": ("encoder", {"fields": []}, "fields must be distinct names out of"),
     "unknown-field": ("encoder", {"fields": ["nope"]}, "fields must be distinct names out of"),
     "cpvs-field": ("encoder", {"fields": ["cpvs"]}, "fields must be distinct names out of"),
@@ -694,6 +689,28 @@ def test_train_refuses_a_config_value_it_cannot_use(tmp_path, workflow, capsys, 
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {section}: {message}")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+# keys that older config documents and run manifests hold, each at its old default: Adam's constants are fixed,
+# nothing clips gradients, and the synthetic depth is bounded by the taxonomy's level cap
+REMOVED_KEYS = {"train.optimizer": "adam", "train.beta1": 0.9, "train.beta2": 0.999, "train.eps": 1e-8,
+                "train.grad_clip": None, "synth.max_depth": 10}
+
+
+@pytest.mark.parametrize("path", sorted(REMOVED_KEYS))
+def test_a_removed_key_is_refused_as_unknown(tmp_path, workflow, capsys, path):
+    section, key = path.split(".")
+    doc = json.loads(Path(workflow[0]).read_text())
+    doc[section][key] = REMOVED_KEYS[path]
+    with pytest.raises(ConfigError, match=rf"^unknown config key {re.escape(path)}$"):
+        load_config(doc)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run("train", "--config", write_config(tmp_path, doc), *subcommand_args("train", workflow, out)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: unknown config key {path}\n"
     assert captured.out == ""
     assert not out.exists()
 

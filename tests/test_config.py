@@ -14,6 +14,7 @@ from taxpath.encoder import CATEGORICAL_FIELDS, EncoderConfig
 from taxpath.moe import CHECKPOINT_MAGIC, CheckpointError, MoEConfig, init_model, load_checkpoint, write_container
 from taxpath.pipeline import PipelineConfig
 from taxpath.synth import SynthConfig
+from taxpath.taxonomy import MAX_LEVELS
 from taxpath.train import LossWeights, TrainConfig
 from taxpath.util import ConfigError, config_from_dict
 
@@ -52,12 +53,7 @@ train_configs = st.builds(
     batch_size=st.integers(1, 512),
     epochs=st.integers(0, 50),
     learning_rate=st.floats(0.0, 1.0),
-    optimizer=st.sampled_from(["adam", "sgd"]),
-    beta1=open_unit,
-    beta2=open_unit,
-    eps=st.floats(1e-12, 1e-3),
     loss_weights=loss_weights,
-    grad_clip=st.none() | st.floats(1e-6, 1e3),
     seed=seeds,
 )
 
@@ -71,14 +67,13 @@ def split_specs(draw, seed=seeds):
 
 @st.composite
 def synth_configs(draw):
-    low, high, top = sorted(draw(st.lists(st.integers(1, 10), min_size=3, max_size=3)))
+    low, high = sorted(draw(st.lists(st.integers(1, MAX_LEVELS), min_size=2, max_size=2)))
     title_min, title_max = sorted(draw(st.lists(st.integers(1, 12), min_size=2, max_size=2)))
     span = high - low + 1
     noise_token_rate = draw(unit)
     return SynthConfig(
         leaves=draw(st.integers(1, 500)),
         samples=draw(st.integers(0, 10**5)),
-        max_depth=top,
         leaf_depth_min=low,
         leaf_depth_max=high,
         depth_weights=draw(st.none() | st.lists(st.floats(0.1, 5.0), min_size=span, max_size=span).map(tuple)),
@@ -155,11 +150,11 @@ def test_empty_document_takes_every_dataclass_default():
     assert PipelineConfig().split == SplitSpec() == SplitSpec(0.64, 0.16, 0.20)
 
 
-def test_the_document_holds_49_settable_keys():
+def test_the_document_holds_43_settable_keys():
     doc = config_document(PipelineConfig(), SynthConfig())
     counts = {key: len(value) if isinstance(value, dict) else 1 for key, value in doc.items()}
-    assert counts == {"seed": 1, "encoder": 5, "moe": 5, "train": 10, "split": 3, "pipeline": 5, "synth": 20}
-    assert sum(counts.values()) == 49
+    assert counts == {"seed": 1, "encoder": 5, "moe": 5, "train": 5, "split": 3, "pipeline": 5, "synth": 19}
+    assert sum(counts.values()) == 43
 
 
 def test_readme_minimal_config_loads():
@@ -169,7 +164,7 @@ def test_readme_minimal_config_loads():
     doc = json.loads(block.group(1))
     seed, config, synth = load_config(doc)
     assert seed == doc["seed"] == config.train.seed == config.split.seed
-    assert config.train.grad_clip is None and "grad_clip" in doc["train"]
+    assert doc["train"].keys() == config_document(PipelineConfig(), synth)["train"].keys()
     assert config_document(config, synth)["train"] == {**config_document(PipelineConfig(), synth)["train"], **doc["train"]}
 
 

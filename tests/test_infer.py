@@ -312,6 +312,18 @@ def test_select_missing_level_errors(skip_taxonomy):
         select_prediction(probs, tables)
 
 
+@pytest.mark.parametrize("rows", [1, 3])
+def test_select_refuses_level_widths_that_only_sum_right(rows):
+    # label spaces of 3 and 4 labels: widths 4 and 3 have the right count and total, not the right levels
+    taxonomy = build_taxonomy([{"code": c, "name": c, "definition": "d", "level": 1} for c in "AB"]
+                              + [{"code": c, "name": c, "definition": "d", "parent": c[0], "level": 2}
+                                 for c in ("A.1", "A.2", "B.1")])
+    tables = label_tables(taxonomy, (("A", "B", NULL_CODE), ("A.1", "A.2", "B.1", NULL_CODE)))
+    probs = [np.full((rows, 4), 0.25), np.full((rows, 3), 1 / 3)]
+    with pytest.raises(ValueError, match=r"missing level distribution: need levels of \(3, 4\) labels, got \(4, 3\)"):
+        select_prediction(probs, tables)
+
+
 def test_confident_leaf_keeps_off_chain_prefix(skip_taxonomy):
     # per-level heads decide independently: the level-2 argmax strays to the
     # other subtree while the leaf head is confident and right

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -17,7 +17,6 @@ from taxpath.train import (
     TrainingError,
     backward,
     build_level_targets,
-    clip_gradients,
     fit,
     hierarchical_loss,
     level_loss,
@@ -343,24 +342,6 @@ def test_backward_reuses_and_zeroes_the_gradient_buffer():
         assert np.array_equal(g, fresh[name]), name
 
 
-def test_clip_gradients_scales_the_flat_buffer_to_the_norm():
-    rng = np.random.default_rng(3)
-    grad = rng.normal(size=10_000)
-    direction = grad / np.linalg.norm(grad)
-    clip_gradients(grad, 0.5)
-    assert abs(np.linalg.norm(grad) - 0.5) / 0.5 <= 1e-12
-    assert np.allclose(grad / np.linalg.norm(grad), direction, rtol=0, atol=1e-15)
-
-
-def test_clip_gradients_leaves_a_small_gradient_alone():
-    grad = np.array([0.3, -0.4, 0.0])  # norm 0.5
-    before = grad.copy()
-    clip_gradients(grad, 0.5)
-    assert np.array_equal(grad, before)
-    clip_gradients(grad, 10.0)
-    assert np.array_equal(grad, before)
-
-
 def test_fit_zero_learning_rate_keeps_parameters():
     corpus, enc, moe, model = tiny_setup(seed=8)
     before = {k: v.copy() for k, v in model.params.items()}
@@ -449,12 +430,13 @@ def test_loss_decreases_over_first_epochs():
 
 
 def test_train_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(optimizer="rmsprop")
-    with pytest.raises(ValueError):
-        TrainConfig(beta1=1.5)
-    with pytest.raises(ValueError):
-        TrainConfig(grad_clip=0.0)
+    assert [f.name for f in fields(TrainConfig)] == ["batch_size", "epochs", "learning_rate", "loss_weights", "seed"]
+    for bad in ({"batch_size": 0}, {"epochs": -1}, {"learning_rate": -1e-3}, {"learning_rate": math.inf}):
+        with pytest.raises(ValueError):
+            TrainConfig(**bad)
+    for gone in ("optimizer", "beta1", "beta2", "eps", "grad_clip"):  # Adam's constants; no clipping
+        with pytest.raises(TypeError, match=gone):
+            TrainConfig(**{gone: 0.5})
 
 
 def test_fixed_depth_corpus_without_null_label(tmp_path):
