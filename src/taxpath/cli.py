@@ -191,7 +191,7 @@ def cmd_judge(args: argparse.Namespace, config: PipelineConfig, synth: SynthConf
     dev = read_records(args.dev)
     to_annotate = read_records(args.annotate) if args.annotate else None  # every input read before any output
     with naming(args.dev):
-        labeled = label_dev_set(dev, taxonomy, config.oracle_y_threshold, config.oracle_n_threshold)
+        labeled = label_dev_set(dev, taxonomy)
         judge = distill_judge(labeled, taxonomy, config.seed)
     with naming(args.annotate):  # before any output, which a record it refuses would leave half written
         annotations = annotate_corpus(to_annotate, judge, taxonomy) if to_annotate is not None else None

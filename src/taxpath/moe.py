@@ -36,7 +36,9 @@ from .util import ConfigError, atomic_write_bytes, config_from_dict, config_valu
 
 CHECKPOINT_MAGIC = b"TAXN"
 JUDGE_MAGIC = b"TXNJ"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+# Width of the semantic head: one class per consistency verdict, Y, N and U (`semantic.VERDICTS`)
+SEMANTIC_CLASSES = 3
 
 
 class CheckpointError(RuntimeError):
@@ -48,14 +50,10 @@ class MoEConfig:
     levels: int = 10
     experts_per_level: int = 2
     expert_hidden_dim: int = 32
-    include_null_label: bool = True
-    semantic_classes: int = 3
 
     def __post_init__(self):
         if self.levels < 1 or self.experts_per_level < 1 or self.expert_hidden_dim < 1:
             raise ValueError("levels, experts_per_level, expert_hidden_dim must be >= 1")
-        if self.semantic_classes < 2:
-            raise ValueError("semantic_classes must be >= 2")
 
 
 @dataclass(frozen=True, eq=False)  # holds views: compare by identity
@@ -73,8 +71,8 @@ class StackedViews:
     b2: np.ndarray  # (L*E, H)
     head_W: tuple[np.ndarray, ...]  # per level: (H, K_level)
     head_b: tuple[np.ndarray, ...]  # per level: (K_level,)
-    semantic_W: np.ndarray  # (H, semantic_classes)
-    semantic_b: np.ndarray  # (semantic_classes,)
+    semantic_W: np.ndarray  # (H, SEMANTIC_CLASSES)
+    semantic_b: np.ndarray  # (SEMANTIC_CLASSES,)
 
 
 @dataclass(eq=False)  # holds a parameter buffer: compare by identity
@@ -161,24 +159,14 @@ class MoEModel:
 
 
 def level_spaces(taxonomy: Taxonomy, moe_config: MoEConfig) -> tuple[tuple[str, ...], ...]:
-    """Per-level label spaces for a model over `taxonomy`.
+    """Per-level label spaces for a model over `taxonomy`: each level's codes, NULL last.
 
     Levels beyond the taxonomy's depth get a NULL-only space, so a 10-level
     model over a shallower taxonomy stays well-defined.
     """
     if moe_config.levels < taxonomy.max_depth:
-        raise ValueError(
-            f"model levels ({moe_config.levels}) < taxonomy depth ({taxonomy.max_depth})"
-        )
-    spaces = []
-    for level in range(1, moe_config.levels + 1):
-        labels = taxonomy.per_level_labels.get(level, (NULL_CODE,))
-        if not moe_config.include_null_label:
-            labels = labels[:-1]
-            if not labels:
-                raise ValueError(f"level {level} has no labels and NULL is disabled")
-        spaces.append(labels)
-    return tuple(spaces)
+        raise ValueError(f"moe.levels ({moe_config.levels}) < taxonomy depth ({taxonomy.max_depth})")
+    return tuple(taxonomy.per_level_labels.get(level, (NULL_CODE,)) for level in range(1, moe_config.levels + 1))
 
 
 def _param_specs(
@@ -206,8 +194,8 @@ def _param_specs(
             specs.append((f"level{level}/expert{e}/b2", (h,), h, 7))
         specs.append((f"level{level}/head/W", (h, k), h, 8))
         specs.append((f"level{level}/head/b", (k,), h, 8))
-    specs.append(("semantic/W", (h, moe_config.semantic_classes), h, 9))
-    specs.append(("semantic/b", (moe_config.semantic_classes,), h, 9))
+    specs.append(("semantic/W", (h, SEMANTIC_CLASSES), h, 9))
+    specs.append(("semantic/b", (SEMANTIC_CLASSES,), h, 9))
     return specs
 
 
@@ -270,7 +258,7 @@ class ForwardCache:
     hidden: np.ndarray | None  # (L, B, H); None from the forward-only pass
     probs: list[np.ndarray]  # per level: (B, K_level)
     pool: np.ndarray | None  # (B, H); None from the forward-only pass
-    semantic_probs: np.ndarray | None  # (B, semantic_classes); None from the forward-only pass
+    semantic_probs: np.ndarray | None  # (B, SEMANTIC_CLASSES); None from the forward-only pass
 
 
 # Most float64 bytes of (E, B, H) expert activations a forward-only pass holds per

@@ -28,16 +28,8 @@ from .dataset import (
 from .encoder import EncoderConfig
 from .infer import DEFAULT_TAU_LEAF, predict_batch, prediction_to_dict, repath
 from .metrics import evaluate
-from .moe import MoEConfig, MoEModel, init_model, save_checkpoint
-from .semantic import (
-    DEFAULT_N_THRESHOLD,
-    DEFAULT_Y_THRESHOLD,
-    annotate_corpus,
-    distill_judge,
-    label_dev_set,
-    save_judge,
-    write_annotations,
-)
+from .moe import MoEConfig, MoEModel, init_model, level_spaces, save_checkpoint
+from .semantic import annotate_corpus, distill_judge, label_dev_set, save_judge, write_annotations
 from .taxonomy import Taxonomy
 from .train import LossWeights, TrainConfig, fit
 from .util import atomic_write_text
@@ -61,12 +53,10 @@ class PipelineConfig:
     confidence_threshold: float = 0.9
     high_conf_fraction: float = 0.05
     tau_leaf: float = DEFAULT_TAU_LEAF
-    oracle_y_threshold: float = DEFAULT_Y_THRESHOLD
-    oracle_n_threshold: float = DEFAULT_N_THRESHOLD
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("confidence_threshold", "high_conf_fraction", "tau_leaf", "oracle_y_threshold", "oracle_n_threshold"):
+        for name in ("confidence_threshold", "high_conf_fraction", "tau_leaf"):
             if math.isnan(getattr(self, name)):  # every comparison with NaN is false: a NaN threshold selects nothing
                 raise ValueError(f"{name} must be a number, got nan")
         if not 0.0 < self.confidence_threshold < 1.0:  # as `stratified_dev_sample` requires
@@ -95,6 +85,7 @@ def run_pipeline(
     """Run all four stages; returns the final model and the artifact paths.
 
     An exception inside a stage is raised again as a PipelineError naming it."""
+    level_spaces(taxonomy, config.moe)  # a model shallower than the taxonomy is refused before any output
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     artifacts = {name: out / file for name, file in ARTIFACTS.items()}
@@ -121,7 +112,7 @@ def run_pipeline(
 
         # Stage 3: oracle labels on the dev set, judge distillation
         stage = 3
-        labeled = label_dev_set(dev, taxonomy, config.oracle_y_threshold, config.oracle_n_threshold)
+        labeled = label_dev_set(dev, taxonomy)
         judge = distill_judge(labeled, taxonomy, seed)
         save_judge(judge, artifacts["judge"])
         del prelim, scored, labeled  # freed before the final model trains

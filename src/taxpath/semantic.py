@@ -27,8 +27,9 @@ FEATURE_NAMES = ("leaf_overlap", "ancestor_overlap", "title_length", "popularity
 JudgeMeta = TypedDict("JudgeMeta", {"tau_hi": float, "tau_lo": float, "popularity": dict[str, float],
                                     "holdout_agreement": float, "feature_names": tuple[str, ...]})
 
-DEFAULT_Y_THRESHOLD = 0.5
-DEFAULT_N_THRESHOLD = 0.1
+# The oracle's cut-offs on the title's overlap with a code's definition: Y at or above, N at or below
+Y_THRESHOLD = 0.5
+N_THRESHOLD = 0.1
 # `distill_judge`'s held-out share of the labeled pairs, and its full-batch gradient descent
 HOLDOUT_FRACTION = 0.2
 DISTILL_EPOCHS = 400
@@ -49,23 +50,17 @@ class ConsistencyLabel:
             raise ValueError(f"verdict must be one of {VERDICTS}: {self.verdict!r}")
 
 
-def oracle_judge(
-    title: str,
-    code: str,
-    taxonomy: Taxonomy,
-    y_threshold: float = DEFAULT_Y_THRESHOLD,
-    n_threshold: float = DEFAULT_N_THRESHOLD,
-) -> ConsistencyLabel:
+def oracle_judge(title: str, code: str, taxonomy: Taxonomy) -> ConsistencyLabel:
     """Expert stand-in: verdict from the share of title tokens found in the
-    code's name + definition. Y above `y_threshold`, N at or below
-    `n_threshold`, U between."""
+    code's name + definition. Y at or above `Y_THRESHOLD`, N at or below
+    `N_THRESHOLD`, U between."""
     title_tokens = set(tokenize(title))
     def_tokens = taxonomy.definition_tokens(code)
     matched = sorted(title_tokens & def_tokens)
     s = len(matched) / len(title_tokens) if title_tokens else 0.0
-    if s >= y_threshold:
+    if s >= Y_THRESHOLD:
         verdict = "Y"
-    elif s <= n_threshold:
+    elif s <= N_THRESHOLD:
         verdict = "N"
     else:
         verdict = "U"
@@ -76,12 +71,7 @@ def oracle_judge(
     return ConsistencyLabel(verdict=verdict, rationale=rationale)
 
 
-def label_dev_set(
-    dev: list[ProductRecord],
-    taxonomy: Taxonomy,
-    y_threshold: float = DEFAULT_Y_THRESHOLD,
-    n_threshold: float = DEFAULT_N_THRESHOLD,
-) -> list[tuple[str, str, ConsistencyLabel]]:
+def label_dev_set(dev: list[ProductRecord], taxonomy: Taxonomy) -> list[tuple[str, str, ConsistencyLabel]]:
     """Oracle labels for each dev record's (title, leaf), the judge's training set.
 
     A dev set of confidently predicted records can hold no pair the oracle
@@ -91,9 +81,7 @@ def label_dev_set(
     the pairs the oracle labels N join the set. If none does, the set stays
     without N and `distill_judge` refuses it.
     """
-    labeled = [
-        (r.title, r.leaf(), oracle_judge(r.title, r.leaf(), taxonomy, y_threshold, n_threshold)) for r in dev
-    ]
+    labeled = [(r.title, r.leaf(), oracle_judge(r.title, r.leaf(), taxonomy)) for r in dev]
     if any(label.verdict == "N" for _, _, label in labeled):
         return labeled
     n = len(dev)
@@ -109,7 +97,7 @@ def label_dev_set(
         if j is None:
             continue
         leaf = dev[j].leaf()
-        label = oracle_judge(rec.title, leaf, taxonomy, y_threshold, n_threshold)
+        label = oracle_judge(rec.title, leaf, taxonomy)
         if label.verdict == "N":
             labeled.append((rec.title, leaf, label))
     return labeled

@@ -696,14 +696,15 @@ def test_train_refuses_a_config_value_it_cannot_use(tmp_path, workflow, capsys, 
 # keys that older config documents and run manifests hold, each at its old default: Adam's constants are fixed,
 # nothing clips gradients, and the synthetic depth is bounded by the taxonomy's level cap
 REMOVED_KEYS = {"train.optimizer": "adam", "train.beta1": 0.9, "train.beta2": 0.999, "train.eps": 1e-8,
-                "train.grad_clip": None, "synth.max_depth": 10}
+                "train.grad_clip": None, "synth.max_depth": 10, "moe.include_null_label": True,
+                "moe.semantic_classes": 3, "pipeline.oracle_y_threshold": 0.5, "pipeline.oracle_n_threshold": 0.1}
 
 
 @pytest.mark.parametrize("path", sorted(REMOVED_KEYS))
 def test_a_removed_key_is_refused_as_unknown(tmp_path, workflow, capsys, path):
     section, key = path.split(".")
     doc = json.loads(Path(workflow[0]).read_text())
-    doc[section][key] = REMOVED_KEYS[path]
+    doc.setdefault(section, {})[key] = REMOVED_KEYS[path]
     with pytest.raises(ConfigError, match=rf"^unknown config key {re.escape(path)}$"):
         load_config(doc)
     out = tmp_path / "out"
@@ -712,6 +713,18 @@ def test_a_removed_key_is_refused_as_unknown(tmp_path, workflow, capsys, path):
     captured = capsys.readouterr()
     assert captured.err == f"error: unknown config key {path}\n"
     assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["pipeline", "train"])
+def test_a_model_shallower_than_the_taxonomy_is_refused_naming_moe_levels_before_any_output(
+        tmp_path, workflow, capsys, command):
+    depth = load_taxonomy_file(workflow[1] / "taxonomy.json").max_depth
+    out = tmp_path / "out"
+    capsys.readouterr()
+    args = subcommand_args(command, workflow, out)
+    assert run(command, "--config", workflow[0], *args, "--levels", str(depth - 1)) == 1
+    assert capsys.readouterr().err == f"error: moe.levels ({depth - 1}) < taxonomy depth ({depth})\n"
     assert not out.exists()
 
 

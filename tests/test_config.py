@@ -43,8 +43,6 @@ moe_configs = st.builds(
     levels=st.integers(1, 12),
     experts_per_level=st.integers(1, 8),
     expert_hidden_dim=st.integers(1, 64),
-    include_null_label=st.booleans(),
-    semantic_classes=st.integers(2, 5),
 )
 loss_weights = st.builds(LossWeights, omega_c=unit, omega_s=unit)
 open_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
@@ -107,8 +105,6 @@ def pipeline_configs(draw, seed=seeds):
         confidence_threshold=draw(open_unit),
         high_conf_fraction=draw(st.floats(0.0, 1.0, exclude_min=True)),
         tau_leaf=draw(unit),
-        oracle_y_threshold=draw(unit),
-        oracle_n_threshold=draw(unit),
         seed=shared,
     )
 
@@ -150,11 +146,11 @@ def test_empty_document_takes_every_dataclass_default():
     assert PipelineConfig().split == SplitSpec() == SplitSpec(0.64, 0.16, 0.20)
 
 
-def test_the_document_holds_43_settable_keys():
+def test_the_document_holds_39_settable_keys():
     doc = config_document(PipelineConfig(), SynthConfig())
     counts = {key: len(value) if isinstance(value, dict) else 1 for key, value in doc.items()}
-    assert counts == {"seed": 1, "encoder": 5, "moe": 5, "train": 5, "split": 3, "pipeline": 5, "synth": 19}
-    assert sum(counts.values()) == 43
+    assert counts == {"seed": 1, "encoder": 5, "moe": 3, "train": 5, "split": 3, "pipeline": 3, "synth": 19}
+    assert sum(counts.values()) == 39
 
 
 def test_readme_minimal_config_loads():
@@ -216,7 +212,7 @@ def test_checkpoint_with_an_unknown_config_key_is_rejected(chain_taxonomy, tmp_p
 
 WRONG_TYPES = {
     "encoder": ("hash_buckets", "2048"),
-    "moe": ("include_null_label", "yes"),
+    "moe": ("expert_hidden_dim", "yes"),
     "train": ("epochs", 2.5),
     "split": ("train_fraction", "0.64"),
     "pipeline": ("tau_leaf", None),

@@ -83,8 +83,8 @@ def scalar_repath(row, taxonomy):
 
 @st.composite
 def selection_cases(draw):
-    """A random taxonomy, a model's label spaces over it (with or without
-    NULL, possibly deeper than the taxonomy) and per-level probabilities."""
+    """A random taxonomy, a model's label spaces over it (possibly deeper
+    than the taxonomy) and per-level probabilities."""
     counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))  # codes per level
     nodes, above = [], []
     for level, count in enumerate(counts, start=1):
@@ -95,9 +95,7 @@ def selection_cases(draw):
                           **({"parent": parent} if parent else {})})
         above = codes
     taxonomy = build_taxonomy(nodes)
-    null = draw(st.booleans())
-    levels = len(counts) + (draw(st.integers(0, 2)) if null else 0)
-    spaces = level_spaces(taxonomy, MoEConfig(levels=levels, include_null_label=null))
+    spaces = level_spaces(taxonomy, MoEConfig(levels=len(counts) + draw(st.integers(0, 2))))
     n = draw(st.integers(0, 12))
     # a few coarse values, so rows often tie for their maximum
     values = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))

@@ -210,7 +210,7 @@ def test_non_finite_fractions_exit_1_naming_the_rule(tmp_path, inputs, source):
     assert len(err.splitlines()) == 1 and not (tmp_path / "out").exists()
 
 
-PIPELINE_FLOATS = ("confidence_threshold", "high_conf_fraction", "tau_leaf", "oracle_y_threshold", "oracle_n_threshold")
+PIPELINE_FLOATS = ("confidence_threshold", "high_conf_fraction", "tau_leaf")
 
 
 @pytest.mark.parametrize("source", ["--tau-leaf", *PIPELINE_FLOATS])

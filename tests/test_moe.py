@@ -17,6 +17,7 @@ from taxpath.encoder import EncodedBatch, EncoderConfig, assemble_batch, build_f
 from taxpath.infer import label_tables, select_prediction
 from taxpath.moe import (
     CHECKPOINT_MAGIC,
+    SEMANTIC_CLASSES,
     SLAB_BYTES,
     CheckpointError,
     MoEConfig,
@@ -27,7 +28,7 @@ from taxpath.moe import (
     softmax,
     write_container,
 )
-from taxpath.semantic import JudgeModel, load_judge, save_judge
+from taxpath.semantic import VERDICTS, JudgeModel, load_judge, save_judge
 from taxpath.synth import SynthConfig, synth_corpus
 
 from encoder_oracles import encode_batch
@@ -312,21 +313,31 @@ def test_checkpoint_version_mismatch():
         loaded(load_checkpoint, bytes(blob))
 
 
-def test_checkpoint_is_version_2_and_its_meta_has_no_seed():
-    import json
-    import struct
-
+def test_checkpoint_is_version_3_and_its_meta_has_no_seed(tmp_path):
     corpus, enc, moe, model = small_setup(seed=13)
     blob = saved(save_checkpoint, model)
-    assert struct.unpack("<I", blob[4:8]) == (2,)
+    assert struct.unpack("<I", blob[4:8]) == (3,)
     (header_len,) = struct.unpack("<Q", blob[8:16])
     meta = json.loads(blob[16 : 16 + header_len])["meta"]
-    assert "seed" not in meta["encoder_config"] and "seed" not in meta["moe_config"]
+    assert "seed" not in meta["encoder_config"]
+    assert sorted(meta["moe_config"]) == ["expert_hidden_dim", "experts_per_level", "levels"]
     assert not hasattr(enc, "seed") and not hasattr(moe, "seed")
-    v1 = bytearray(blob)
-    v1[4:8] = struct.pack("<I", 1)  # the level-major layout has no reader
-    with pytest.raises(CheckpointError, match="version mismatch: 1 != 2"):
-        loaded(load_checkpoint, bytes(v1))
+    # version 1 had the level-major layout; version 2's moe_config also held these two keys
+    v2_meta = {**meta, "moe_config": {**meta["moe_config"], "include_null_label": True, "semantic_classes": 3}}
+    v2_blob = write_container(CHECKPOINT_MAGIC, v2_meta, model.params)
+    for version, old in ((1, blob), (2, v2_blob)):
+        path = tmp_path / f"v{version}.ckpt"
+        path.write_bytes(old[:4] + struct.pack("<I", version) + old[8:])
+        message = rf"^{re.escape(str(path))}: checkpoint version mismatch: {version} != 3$"
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path, corpus.taxonomy)
+
+
+def test_the_semantic_head_has_one_class_per_verdict():
+    corpus, enc, moe, model = small_setup()
+    assert SEMANTIC_CLASSES == len(VERDICTS) == 3
+    assert model.params["semantic/W"].shape == (moe.expert_hidden_dim, len(VERDICTS))
+    assert model.params["semantic/b"].shape == (len(VERDICTS),)
 
 
 def test_head_width_includes_null():
@@ -346,7 +357,7 @@ def test_params_are_views_into_one_flat_buffer():
         offset += view.size
     assert offset == model.flat.size
     model.params["semantic/b"][0] = 42.0
-    assert model.flat[-moe.semantic_classes] == 42.0
+    assert model.flat[-SEMANTIC_CLASSES] == 42.0
     with pytest.raises(AttributeError):
         model.params = {}
 

@@ -20,6 +20,8 @@ from taxpath.moe import (
 from taxpath.pipeline import score_records
 from taxpath.semantic import (
     FEATURE_NAMES,
+    N_THRESHOLD,
+    Y_THRESHOLD,
     ConsistencyLabel,
     DegenerateLabelsError,
     JudgeModel,
@@ -116,10 +118,16 @@ def test_oracle_monotone_in_matching_tokens(chain_taxonomy):
         previous = current
 
 
-def test_oracle_thresholds_configurable(chain_taxonomy):
-    title = "alpha one box crate jar lid"  # s = 1/3
-    assert oracle_judge(title, "A.1.1", chain_taxonomy, y_threshold=0.3).verdict == "Y"
-    assert oracle_judge(title, "A.1.1", chain_taxonomy, n_threshold=0.4).verdict == "N"
+@pytest.mark.parametrize("title, verdict", [
+    ("alpha one box crate", "Y"),  # overlap exactly 0.5
+    ("alpha one things box crate jar lid", "U"),  # 3/7
+    ("alpha one box crate jar lid", "U"),  # 1/3
+    ("alpha b c d e f g h i", "U"),  # 1/9
+    ("alpha b c d e f g h i j", "N"),  # exactly 0.1
+])
+def test_oracle_cut_offs_are_fixed(chain_taxonomy, title, verdict):
+    assert (Y_THRESHOLD, N_THRESHOLD) == (0.5, 0.1)
+    assert oracle_judge(title, "A.1.1", chain_taxonomy).verdict == verdict
 
 
 def test_consistency_label_validation():
@@ -345,6 +353,17 @@ def test_judge_checkpoint_round_trips_through_a_path_or_its_string(tmp_path):
         loaded = load_judge(source)
         assert np.array_equal(loaded.weights, judge.weights) and np.array_equal(loaded.bias, judge.bias)
         assert (loaded.tau_hi, loaded.tau_lo, loaded.popularity) == (judge.tau_hi, judge.tau_lo, judge.popularity)
+
+
+def test_a_version_2_judge_checkpoint_is_refused_naming_its_path(tmp_path):
+    corpus, labeled = oracle_labeled_corpus(seed=39, samples=200)
+    save_judge(distill_judge(labeled, corpus.taxonomy, seed=5), tmp_path / "judge.ckpt")
+    blob = (tmp_path / "judge.ckpt").read_bytes()
+    assert blob[4:8] == (3).to_bytes(4, "little")
+    path = tmp_path / "v2.ckpt"
+    path.write_bytes(blob[:4] + (2).to_bytes(4, "little") + blob[8:])
+    with pytest.raises(CheckpointError, match=rf"^{re.escape(str(path))}: checkpoint version mismatch: 2 != 3$"):
+        load_judge(path)
 
 
 def test_high_confidence_stratum_has_higher_yes_rate():

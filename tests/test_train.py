@@ -8,6 +8,7 @@ from taxpath.encoder import EncoderConfig, build_field_vocabs
 from taxpath.moe import MoEConfig, forward_batch, init_model
 from taxpath.semantic import ConsistencyLabel
 from taxpath.synth import SynthConfig, synth_corpus
+from taxpath.taxonomy import NULL_CODE
 from taxpath.train import (
     Adam,
     LossWeights,
@@ -439,8 +440,8 @@ def test_train_config_validation():
             TrainConfig(**{gone: 0.5})
 
 
-def test_fixed_depth_corpus_without_null_label(tmp_path):
-    # every path reaches full depth, so the NULL label can be disabled
+def test_fixed_depth_corpus_carries_a_null_label_that_is_never_a_target(tmp_path):
+    # every path reaches full depth: each level's head still holds NULL, and no record targets it
     from taxpath.dataset import SplitSpec, load_wos, split
     from taxpath.infer import predict_batch
 
@@ -465,10 +466,11 @@ def test_fixed_depth_corpus_without_null_label(tmp_path):
     fields = ("bu_code", "ou_code", "system_code")
     enc = EncoderConfig(hash_buckets=256, text_dim=8, cat_dim=2, fields=fields,
                         field_vocabs=build_field_vocabs(train_recs, fields))
-    moe = MoEConfig(levels=2, experts_per_level=2, expert_hidden_dim=16,
-                    include_null_label=False)
+    moe = MoEConfig(levels=2, experts_per_level=2, expert_hidden_dim=16)
     model = init_model(taxonomy, enc, moe, seed=3)
-    assert [w.shape[1] for w in (model.params["level1/head/W"], model.params["level2/head/W"])] == [3, 6]
+    assert [w.shape[1] for w in (model.params["level1/head/W"], model.params["level2/head/W"])] == [4, 7]
+    assert all(labels[-1] == NULL_CODE for labels in model.level_labels)
+    assert all(len(r.label_path) == 2 for r in records)
     cfg = TrainConfig(batch_size=32, epochs=6, learning_rate=5e-3, seed=3,
                       loss_weights=LossWeights(0.2, 1.0))
     model, _ = fit(model, train_recs, val_recs, taxonomy, None, cfg)
