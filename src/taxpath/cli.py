@@ -31,7 +31,7 @@ from .encoder import EncoderConfig
 from .infer import MODE_REPATHED, check_prediction, leaf_chain, predict_batch, read_predictions, write_predictions
 from .metrics import (EvalReport, EvaluationError, InvalidPredictionsError, InvalidTruthError, evaluate, render_table,
                       write_cdf_csv, write_report)
-from .moe import MoEConfig, init_model, load_checkpoint, save_checkpoint
+from .moe import CheckpointError, MoEConfig, init_model, load_checkpoint, save_checkpoint
 from .pipeline import PipelineConfig, run_pipeline
 from .semantic import annotate_corpus, distill_judge, label_dev_set, load_judge, save_judge, write_annotations
 from .synth import SynthConfig, synth_corpus
@@ -174,8 +174,9 @@ def cmd_train(args: argparse.Namespace, config: PipelineConfig, synth: SynthConf
     val_recs = read_records(args.val) if args.val else []
     judge = load_judge(args.judge) if args.judge else None
     model = init_model(taxonomy, config.encoder.fitted(train_recs), config.moe, config.seed)
-    with naming(args.train):  # validation records meet no check that could refuse one
+    with naming(args.judge, CheckpointError, CheckpointError), naming(args.train, ValueError):  # the judge's taxonomy
         annotations = annotate_corpus(train_recs, judge, taxonomy) if judge else None
+    with naming(args.train):  # validation records meet no check that could refuse one
         model, logs = fit(model, train_recs, val_recs, taxonomy, annotations, config.train, tau_leaf=config.tau_leaf)
     out = Path(args.out)
     save_checkpoint(model, out)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .dataset import ProductRecord, is_string_list
 from .encoder import PreparedRecords, assemble_batch, encode_one, prepare_records
-from .moe import CheckpointError, MoEModel, forward_batch
+from .moe import CheckpointError, MoEModel, forward_batch, level_spaces
 from .taxonomy import NULL_CODE, Taxonomy
 from .util import _ENCODE, WRITE_LINES, atomic_write_chunks, canonical_json, gc_paused, read_jsonl
 
@@ -70,18 +70,19 @@ class LabelTables:
         return np.array([self.label.get(code, -1) for code in codes], dtype=np.intp)
 
 
-_TABLES: dict[tuple[str, tuple], LabelTables] = {}  # the last few built, by content
+_TABLES: dict[tuple[str, int], LabelTables] = {}  # the last few built, by content
 
 
-def label_tables(taxonomy: Taxonomy, level_labels: tuple[tuple[str, ...], ...]) -> LabelTables:
-    """The tables of label spaces `level_labels` over `taxonomy`, built once per
-    content (taxonomy fingerprint, label spaces) however often either is loaded."""
-    key = (taxonomy.fingerprint(), level_labels)
+def label_tables(taxonomy: Taxonomy, levels: int) -> LabelTables:
+    """The tables of a `levels`-level model's label spaces over `taxonomy` (`level_spaces`),
+    built once per content (taxonomy fingerprint, levels) however often the taxonomy is loaded."""
+    key = (taxonomy.fingerprint(), levels)
     tables = _TABLES.get(key)
     if tables is not None:
         return tables
     if len(_TABLES) >= 16:
         _TABLES.clear()
+    level_labels = level_spaces(taxonomy, levels)
     codes = [code for labels in level_labels for code in labels]
     sizes = np.array([len(labels) for labels in level_labels])
     label = {code: g for g, code in enumerate(codes) if code != NULL_CODE}
@@ -252,10 +253,10 @@ def predict_prepared(
 
 def _predict(model: MoEModel, batches, taxonomy: Taxonomy, tau_leaf: float, use_repath: bool) -> Predictions:
     """Check the taxonomy, then forward and select each of `batches` (consecutive rows' features) and join them."""
-    tables = label_tables(taxonomy, model.level_labels)
-    if model.taxonomy_hash != tables.fingerprint:
+    if model.taxonomy_hash != taxonomy.fingerprint():
         raise CheckpointError(f"taxonomy hash mismatch: model {model.taxonomy_hash[:12]}..., "
-                              f"supplied {tables.fingerprint[:12]}...")
+                              f"supplied {taxonomy.fingerprint()[:12]}...")
+    tables = label_tables(taxonomy, model.moe_config.levels)
     parts = []
     for batch in batches:
         parts.append(select_prediction(forward_batch(model, batch, for_backward=False).probs, tables, tau_leaf))

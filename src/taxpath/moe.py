@@ -36,7 +36,7 @@ from .util import ConfigError, atomic_write_bytes, config_from_dict, config_valu
 
 CHECKPOINT_MAGIC = b"TAXN"
 JUDGE_MAGIC = b"TXNJ"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 # Width of the semantic head: one class per consistency verdict, Y, N and U (`semantic.VERDICTS`)
 SEMANTIC_CLASSES = 3
 
@@ -87,7 +87,7 @@ class MoEModel:
     encoder_config: EncoderConfig
     moe_config: MoEConfig
     taxonomy_hash: str
-    level_labels: tuple[tuple[str, ...], ...]  # label space per level, NULL last
+    level_labels: tuple[tuple[str, ...], ...]  # `level_spaces` of its taxonomy: per level, NULL last
     flat: np.ndarray | None = field(repr=False, default=None)  # None: all zeros
 
     def __post_init__(self):
@@ -118,8 +118,6 @@ class MoEModel:
         """Named and stacked views of a buffer laid out like `flat`, such as a
         gradient buffer. The views of the last buffer asked for are kept, so
         a loop that reuses one buffer builds them once."""
-        if buffer is self.flat:
-            return self._views, self._stacks
         if self._other is None or self._other[0] is not buffer:
             if buffer.dtype != np.float64 or buffer.shape != self.flat.shape:
                 raise ValueError(
@@ -158,15 +156,12 @@ class MoEModel:
         )
 
 
-def level_spaces(taxonomy: Taxonomy, moe_config: MoEConfig) -> tuple[tuple[str, ...], ...]:
-    """Per-level label spaces for a model over `taxonomy`: each level's codes, NULL last.
-
-    Levels beyond the taxonomy's depth get a NULL-only space, so a 10-level
-    model over a shallower taxonomy stays well-defined.
-    """
-    if moe_config.levels < taxonomy.max_depth:
-        raise ValueError(f"moe.levels ({moe_config.levels}) < taxonomy depth ({taxonomy.max_depth})")
-    return tuple(taxonomy.per_level_labels.get(level, (NULL_CODE,)) for level in range(1, moe_config.levels + 1))
+def level_spaces(taxonomy: Taxonomy, levels: int) -> tuple[tuple[str, ...], ...]:
+    """Per-level label spaces of a `levels`-level model over `taxonomy`: each level's codes, NULL last.
+    Levels beyond the taxonomy's depth get a NULL-only space, so a deeper model stays well-defined."""
+    if levels < taxonomy.max_depth:
+        raise ValueError(f"moe.levels ({levels}) < taxonomy depth ({taxonomy.max_depth})")
+    return tuple(taxonomy.per_level_labels.get(level, (NULL_CODE,)) for level in range(1, levels + 1))
 
 
 def _param_specs(
@@ -227,7 +222,7 @@ def init_model(
 ) -> MoEModel:
     """Fresh model with uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) parameters,
     drawn level by level and expert by expert whatever the buffer layout."""
-    spaces = level_spaces(taxonomy, moe_config)
+    spaces = level_spaces(taxonomy, moe_config.levels)
     rng = stream_rng(seed, "init")
     model = MoEModel(
         encoder_config=encoder_config,
@@ -317,8 +312,7 @@ def forward_batch(model: MoEModel, batch: EncodedBatch, for_backward: bool = Tru
 # The container's JSON header, one array of its manifest, and a model checkpoint's meta
 ArraySpec = TypedDict("ArraySpec", {"name": str, "shape": tuple[int, ...]})
 ContainerHeader = TypedDict("ContainerHeader", {"meta": Any, "manifest": tuple[ArraySpec, ...], "payload_sha256": str})
-ModelMeta = TypedDict("ModelMeta", {"encoder_config": EncoderConfig, "moe_config": MoEConfig, "taxonomy_hash": str,
-                                    "level_labels": tuple[tuple[str, ...], ...]})
+ModelMeta = TypedDict("ModelMeta", {"encoder_config": EncoderConfig, "moe_config": MoEConfig, "taxonomy_hash": str})
 
 
 def write_container(magic: bytes, meta: dict, params: dict[str, np.ndarray]) -> bytes:
@@ -376,27 +370,26 @@ def save_checkpoint(model: MoEModel, path: str | Path) -> None:
         "encoder_config": asdict(model.encoder_config),
         "moe_config": asdict(model.moe_config),
         "taxonomy_hash": model.taxonomy_hash,
-        "level_labels": [list(labels) for labels in model.level_labels],
     }
     atomic_write_bytes(path, write_container(CHECKPOINT_MAGIC, meta, model.params))
 
 
-def load_checkpoint(path: str | Path, taxonomy: Taxonomy | None = None) -> MoEModel:
-    """The model checkpoint at `path`; verifies the taxonomy hash when one is given.
-    Every CheckpointError it raises names `path`."""
+def load_checkpoint(path: str | Path, taxonomy: Taxonomy) -> MoEModel:
+    """The model checkpoint at `path`, over `taxonomy`: its hash must be the checkpoint's, and its
+    label spaces are the model's (`level_spaces`). Every CheckpointError it raises names `path`."""
     with naming(path, CheckpointError, CheckpointError):
         meta, manifest, flat = read_container(Path(path).read_bytes(), CHECKPOINT_MAGIC, ModelMeta)
-        moe_config, level_labels = meta["moe_config"], meta["level_labels"]
+        if meta["taxonomy_hash"] != taxonomy.fingerprint():
+            raise CheckpointError(f"taxonomy hash mismatch: checkpoint {meta['taxonomy_hash'][:12]}..., "
+                                  f"supplied {taxonomy.fingerprint()[:12]}...")
+        moe_config = meta["moe_config"]
         # the count first, so a header naming huge configs is refused without building their manifest
         count = 3 + len(meta["encoder_config"].fields) + moe_config.levels * (4 + 4 * moe_config.experts_per_level)
-        if (len(level_labels) != moe_config.levels or not all(level_labels) or len(manifest) != count
-                or manifest != param_manifest(meta["encoder_config"], moe_config, level_labels)):
+        if (moe_config.levels < taxonomy.max_depth or len(manifest) != count or manifest != param_manifest(
+                meta["encoder_config"], moe_config, level_spaces(taxonomy, moe_config.levels))):
             raise CheckpointError("label spaces or parameter manifest do not match the checkpoint's model configuration")
-        model = MoEModel(**meta, flat=flat)
+        model = MoEModel(**meta, level_labels=level_spaces(taxonomy, moe_config.levels), flat=flat)
         if not np.isfinite(flat).all():  # a NaN weight would reach every confidence of the model
             name = next(name for name, value in model.params.items() if not np.isfinite(value).all())
             raise CheckpointError(f"checkpoint parameter {name!r} holds a non-finite value")
-        if taxonomy is not None and taxonomy.fingerprint() != model.taxonomy_hash:
-            raise CheckpointError(f"taxonomy hash mismatch: checkpoint {model.taxonomy_hash[:12]}..., "
-                                  f"supplied {taxonomy.fingerprint()[:12]}...")
         return model

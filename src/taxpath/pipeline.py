@@ -63,6 +63,8 @@ class PipelineConfig:
             raise ValueError(f"confidence_threshold must be in (0,1), got {self.confidence_threshold}")
         if not 0.0 < self.high_conf_fraction <= 1.0:
             raise ValueError(f"high_conf_fraction must be in (0,1], got {self.high_conf_fraction}")
+        if not 0.0 <= self.tau_leaf <= 1.0:  # above 1 no leaf is confident, below 0 every leaf is
+            raise ValueError(f"tau_leaf must be in [0,1], got {self.tau_leaf}")
 
 
 def score_records(
@@ -85,7 +87,7 @@ def run_pipeline(
     """Run all four stages; returns the final model and the artifact paths.
 
     An exception inside a stage is raised again as a PipelineError naming it."""
-    level_spaces(taxonomy, config.moe)  # a model shallower than the taxonomy is refused before any output
+    level_spaces(taxonomy, config.moe.levels)  # a model shallower than the taxonomy is refused before any output
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     artifacts = {name: out / file for name, file in ARTIFACTS.items()}

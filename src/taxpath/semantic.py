@@ -25,7 +25,7 @@ VERDICTS = ("Y", "N", "U")
 FEATURE_NAMES = ("leaf_overlap", "ancestor_overlap", "title_length", "popularity")
 # The meta of a judge checkpoint: `JudgeModel`'s scalar fields and the feature order, every key required
 JudgeMeta = TypedDict("JudgeMeta", {"tau_hi": float, "tau_lo": float, "popularity": dict[str, float],
-                                    "holdout_agreement": float, "feature_names": tuple[str, ...]})
+                                    "holdout_agreement": float, "feature_names": tuple[str, ...], "taxonomy_hash": str})
 
 # The oracle's cut-offs on the title's overlap with a code's definition: Y at or above, N at or below
 Y_THRESHOLD = 0.5
@@ -136,6 +136,7 @@ class JudgeModel:
     bias: np.ndarray  # (3,)
     tau_hi: float
     tau_lo: float
+    taxonomy_hash: str  # fingerprint of the taxonomy it was distilled on
     popularity: dict[str, float] = field(default_factory=dict)
     holdout_agreement: float = float("nan")
 
@@ -176,13 +177,9 @@ class JudgeModel:
 
 
 def _code_popularity(codes: list[str]) -> dict[str, float]:
-    counts: dict[str, int] = {}
-    for code in codes:
-        counts[code] = counts.get(code, 0) + 1
-    if not counts:
-        return {}
+    counts = Counter(codes)
     top = math.log1p(max(counts.values()))
-    return {code: math.log1p(n) / top if top else 0.0 for code, n in sorted(counts.items())}
+    return {code: math.log1p(n) / top for code, n in sorted(counts.items())}
 
 
 def _best_threshold(scores: np.ndarray, positive: np.ndarray, direction: str) -> float:
@@ -257,7 +254,7 @@ def distill_judge(
         mid = (tau_lo + tau_hi) / 2.0
         tau_hi, tau_lo = mid + 1e-6, mid - 1e-6
 
-    model = JudgeModel(weights=w, bias=b, tau_hi=tau_hi, tau_lo=tau_lo, popularity=popularity)
+    model = JudgeModel(w, b, tau_hi, tau_lo, taxonomy.fingerprint(), popularity)
     check_rows = holdout_rows if holdout_rows else fit_rows
     judged = model.judge_batch([t for t, _, _ in check_rows], [c for _, c, _ in check_rows], taxonomy)
     hits = sum(1 for (_, _, l), got in zip(check_rows, judged) if got.verdict == l.verdict)
@@ -273,8 +270,11 @@ def annotate_corpus(
     judged in one `judge_batch`.
 
     Output ordering is stable: keys ascend by record id. Records must not
-    share an id, since a label is looked up by it.
+    share an id, since a label is looked up by it. The judge must have been distilled on `taxonomy`.
     """
+    if judge.taxonomy_hash != taxonomy.fingerprint():
+        raise CheckpointError(f"taxonomy hash mismatch: judge {judge.taxonomy_hash[:12]}..., "
+                              f"supplied {taxonomy.fingerprint()[:12]}...")
     ordered = sorted(records, key=lambda r: r.id)
     labels = judge.judge_batch([r.title for r in ordered], [r.leaf() for r in ordered], taxonomy)
     table = dict(zip((r.id for r in ordered), labels))
@@ -294,6 +294,7 @@ def save_judge(judge: JudgeModel, path: str | Path) -> None:
     meta = {
         "tau_hi": judge.tau_hi,
         "tau_lo": judge.tau_lo,
+        "taxonomy_hash": judge.taxonomy_hash,
         "popularity": judge.popularity,
         "holdout_agreement": judge.holdout_agreement,
         "feature_names": list(FEATURE_NAMES),

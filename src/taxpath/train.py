@@ -358,7 +358,7 @@ def fit(
     sem_targets = semantic_targets_for(train_records, annotations)
     ids = np.array([r.id for r in train_records], dtype=object)
     val_prepared = prepare_records(val_records, enc)
-    val_truth = label_tables(taxonomy, model.level_labels).labels_of([r.leaf() for r in val_records])
+    val_truth = label_tables(taxonomy, model.moe_config.levels).labels_of([r.leaf() for r in val_records])
 
     optimizer = Adam(config.learning_rate)
     grad_flat = np.zeros_like(model.flat)

@@ -240,7 +240,8 @@ def test_train_with_mis_shaped_judge_exits_1_naming_the_array(tmp_path, capsys):
     data = tmp_path / "data"
     assert run("gen", "--config", cfg, "--out", str(data)) == 0
     judge = tmp_path / "judge.ckpt"
-    meta = {"tau_hi": 0.5, "tau_lo": -0.5, "popularity": {}, "holdout_agreement": 1.0, "feature_names": FEATURE_NAMES}
+    meta = {"tau_hi": 0.5, "tau_lo": -0.5, "popularity": {}, "holdout_agreement": 1.0, "feature_names": FEATURE_NAMES,
+            "taxonomy_hash": load_taxonomy_file(data / "taxonomy.json").fingerprint()}
     judge.write_bytes(write_container(JUDGE_MAGIC, meta, {"weights": np.zeros((2, 3)), "bias": np.zeros(3)}))
     capsys.readouterr()
     code = run("train", "--config", cfg, "--train", str(data / "records.jsonl"),
@@ -266,7 +267,8 @@ def test_train_with_a_non_finite_judge_meta_value_exits_1_naming_the_judge(tmp_p
     data = tmp_path / "data"
     assert run("gen", "--config", cfg, "--out", str(data)) == 0
     judge = tmp_path / "judge.ckpt"
-    meta = {"tau_hi": 0.5, "tau_lo": -0.5, "popularity": {}, "holdout_agreement": 1.0, "feature_names": FEATURE_NAMES}
+    meta = {"tau_hi": 0.5, "tau_lo": -0.5, "popularity": {}, "holdout_agreement": 1.0, "feature_names": FEATURE_NAMES,
+            "taxonomy_hash": load_taxonomy_file(data / "taxonomy.json").fingerprint()}
     judge.write_bytes(write_container(JUDGE_MAGIC, {**meta, **meta_update},
                                       {"weights": np.zeros((len(FEATURE_NAMES), 3)), "bias": np.zeros(3)}))
     capsys.readouterr()
@@ -462,6 +464,25 @@ def test_train_with_judge_annotates_each_training_record_once(tmp_path, monkeypa
     assert sorted(pair for batch in calls for pair in batch) == sorted((r.title, r.leaf()) for r in records)
 
 
+def test_train_with_a_judge_distilled_on_another_taxonomy_exits_1_naming_the_judge_and_both_hashes(tmp_path, capsys):
+    cfg = gen_config(tmp_path, label_noise_rate=0.2)
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run("gen", "--config", cfg, "--seed", "1", "--out", str(first)) == 0
+    assert run("gen", "--config", cfg, "--seed", "2", "--out", str(second)) == 0
+    hashes = [load_taxonomy_file(data / "taxonomy.json").fingerprint() for data in (first, second)]
+    assert hashes[0] != hashes[1]
+    judge = tmp_path / "judge.ckpt"
+    assert run("judge", "--config", cfg, "--dev", str(first / "records.jsonl"),
+               "--taxonomy", str(first / "taxonomy.json"), "--out", str(judge)) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run("train", "--config", cfg, "--train", str(second / "records.jsonl"),
+               "--taxonomy", str(second / "taxonomy.json"), "--judge", str(judge), "--out", str(out / "model.ckpt")) == 1
+    assert capsys.readouterr().err == (f"error: {judge}: taxonomy hash mismatch: judge {hashes[0][:12]}..., "
+                                       f"supplied {hashes[1][:12]}...\n")
+    assert not out.exists()
+
+
 BAD_PREDICTION_VALUES = [
     # eval would die hashing a list id; repath would copy it
     ("id", ["a"], "has a non-string 'id': ['a']"),
@@ -557,7 +578,7 @@ def test_a_failing_subcommand_writes_no_manifest(tmp_path, workflow, capsys):
 
 def test_predict_with_a_non_finite_checkpoint_parameter_exits_1_writing_nothing(tmp_path, workflow, capsys):
     cfg, data, kept, splits, model, preds, report = workflow
-    weights = load_checkpoint(model)
+    weights = load_checkpoint(model, load_taxonomy_file(data / "taxonomy.json"))
     weights.params["level1/head/b"][0] = np.nan  # saved as is: only the loader checks
     bad = tmp_path / "nan.ckpt"
     save_checkpoint(weights, bad)
@@ -674,6 +695,9 @@ CONFIG_REFUSALS = {
     "repeated-vocab-entry": ("encoder", {"field_vocabs": {"bu_code": ["a", "a"], "ou_code": ["a"],
                                                          "system_code": ["a"]}},
                              "field_vocabs['bu_code'] repeats an entry: ('a', 'a')"),
+    # above 1 no leaf is confident, below 0 every leaf is
+    "tau_leaf-above-1": ("pipeline", {"tau_leaf": 1.5}, "tau_leaf must be in [0,1], got 1.5"),
+    "tau_leaf-below-0": ("pipeline", {"tau_leaf": -0.5}, "tau_leaf must be in [0,1], got -0.5"),
 }
 
 
@@ -681,7 +705,7 @@ CONFIG_REFUSALS = {
 def test_train_refuses_a_config_value_it_cannot_use(tmp_path, workflow, capsys, case):
     section, values, message = CONFIG_REFUSALS[case]
     doc = json.loads(Path(workflow[0]).read_text())
-    doc[section].update(values)
+    doc.setdefault(section, {}).update(values)
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "out"
     capsys.readouterr()

@@ -188,24 +188,23 @@ def test_checkpoint_with_an_unknown_config_key_is_rejected(chain_taxonomy, tmp_p
         "encoder_config": asdict(enc),
         "moe_config": {**asdict(moe), "experts": 4},
         "taxonomy_hash": model.taxonomy_hash,
-        "level_labels": [list(labels) for labels in model.level_labels],
     }
     path = tmp_path / "model.ckpt"
     path.write_bytes(write_container(CHECKPOINT_MAGIC, meta, model.params))  # checksum-valid
     with pytest.raises(CheckpointError, match=r"unknown config key checkpoint header\.meta\.moe_config\.experts"):
-        load_checkpoint(path)
+        load_checkpoint(path, chain_taxonomy)
     meta["moe_config"] = {**asdict(moe), "levels": "3"}
     path.write_bytes(write_container(CHECKPOINT_MAGIC, meta, model.params))
     with pytest.raises(CheckpointError, match=r"moe_config\.levels must be an integer"):
-        load_checkpoint(path)
+        load_checkpoint(path, chain_taxonomy)
     del meta["moe_config"]
     path.write_bytes(write_container(CHECKPOINT_MAGIC, meta, model.params))
     with pytest.raises(CheckpointError, match=r"meta has no 'moe_config' key"):
-        load_checkpoint(path)
+        load_checkpoint(path, chain_taxonomy)
     meta.update(moe_config=asdict(moe), encoder_config={**asdict(enc), "fields": ["label_path"]})
     path.write_bytes(write_container(CHECKPOINT_MAGIC, meta, model.params))
     with pytest.raises(CheckpointError, match=r"meta\.encoder_config: fields must be distinct names out of"):
-        load_checkpoint(path)
+        load_checkpoint(path, chain_taxonomy)
 
 
 # --- the command line -----------------------------------------------------------

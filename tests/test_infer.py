@@ -95,7 +95,7 @@ def selection_cases(draw):
                           **({"parent": parent} if parent else {})})
         above = codes
     taxonomy = build_taxonomy(nodes)
-    spaces = level_spaces(taxonomy, MoEConfig(levels=len(counts) + draw(st.integers(0, 2))))
+    spaces = level_spaces(taxonomy, len(counts) + draw(st.integers(0, 2)))
     n = draw(st.integers(0, 12))
     # a few coarse values, so rows often tie for their maximum
     values = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
@@ -108,7 +108,7 @@ def selection_cases(draw):
 @given(case=selection_cases())
 def test_columnar_selection_and_repath_match_the_scalar_oracle(case):
     taxonomy, spaces, probs, tau = case
-    preds = select_prediction(probs, label_tables(taxonomy, spaces), tau)
+    preds = select_prediction(probs, label_tables(taxonomy, len(spaces)), tau)
     expected = scalar_select(probs, spaces, taxonomy, tau)
     assert len(preds) == len(expected)
     for got, want in zip(preds, expected):
@@ -123,9 +123,9 @@ def test_columnar_selection_and_repath_match_the_scalar_oracle(case):
 @given(case=selection_cases())
 def test_select_prediction_argmax_matches_per_row_argmax(case):
     taxonomy, spaces, probs, _ = case
-    preds = select_prediction(probs, label_tables(taxonomy, spaces))
+    preds = select_prediction(probs, label_tables(taxonomy, len(spaces)))
     assert len(preds) == probs[0].shape[0]
-    codes = label_tables(taxonomy, spaces).codes
+    codes = label_tables(taxonomy, len(spaces)).codes
     for i in range(len(preds)):
         got = [(level, codes[g], c) for level, (g, c) in
                enumerate(zip(preds.argmax[i].tolist(), preds.confidence[i].tolist()), start=1)]
@@ -145,7 +145,7 @@ def per_row_argmax(spaces, probs, i):
 def test_select_prediction_argmax_ties_go_to_the_lowest_label():
     taxonomy = build_taxonomy([{"code": c, "name": c, "definition": c, "level": 1} for c in ("a", "b")])
     spaces = (("a", "b", NULL_CODE),)
-    preds = select_prediction([np.array([[0.2, 0.4, 0.4]])], label_tables(taxonomy, spaces))
+    preds = select_prediction([np.array([[0.2, 0.4, 0.4]])], label_tables(taxonomy, len(spaces)))
     (pred,) = preds
     assert (pred.per_level_argmax[0], float(preds.confidence[0, 0])) == ("b", 0.4)
 
@@ -162,7 +162,7 @@ def assert_same_columns(got, want):
 def assert_one_row_selects_as_the_columns(probs, taxonomy, spaces, tau):
     """`select_prediction` of one row, then RePath, equal that row selected as the first of two copies, which
     selects columns, field by field."""
-    tables = label_tables(taxonomy, spaces)
+    tables = label_tables(taxonomy, len(spaces))
     got = select_prediction(probs, tables, tau)
     want = select_prediction([np.concatenate([p, p]) for p in probs], tables, tau)
     assert_same_columns(got, want[:1])
@@ -225,7 +225,7 @@ def probs_for(taxonomy, level, weights):
 def select(taxonomy, per_level, tau_leaf=0.5):
     """Predictions of one row whose level l has the weights per_level[l - 1]."""
     probs = [probs_for(taxonomy, level, w) for level, w in enumerate(per_level, start=1)]
-    tables = label_tables(taxonomy, tuple(taxonomy.per_level_labels[l] for l in range(1, taxonomy.max_depth + 1)))
+    tables = label_tables(taxonomy, taxonomy.max_depth)
     return select_prediction(probs, tables, tau_leaf)
 
 
@@ -304,7 +304,7 @@ def test_select_low_confidence_leaf_uses_fallback_chain(skip_taxonomy):
 
 
 def test_select_missing_level_errors(skip_taxonomy):
-    tables = label_tables(skip_taxonomy, tuple(skip_taxonomy.per_level_labels[l] for l in (1, 2, 3)))
+    tables = label_tables(skip_taxonomy, 3)
     probs = [probs_for(skip_taxonomy, 1, {"A": 0.9}), probs_for(skip_taxonomy, 3, {"A.1.1": 0.9})]
     with pytest.raises(ValueError, match="missing level"):
         select_prediction(probs, tables)
@@ -316,7 +316,8 @@ def test_select_refuses_level_widths_that_only_sum_right(rows):
     taxonomy = build_taxonomy([{"code": c, "name": c, "definition": "d", "level": 1} for c in "AB"]
                               + [{"code": c, "name": c, "definition": "d", "parent": c[0], "level": 2}
                                  for c in ("A.1", "A.2", "B.1")])
-    tables = label_tables(taxonomy, (("A", "B", NULL_CODE), ("A.1", "A.2", "B.1", NULL_CODE)))
+    tables = label_tables(taxonomy, 2)
+    assert tables.sizes == (3, 4) and tables.codes.tolist() == ["A", "B", NULL_CODE, "A.1", "A.2", "B.1", NULL_CODE]
     probs = [np.full((rows, 4), 0.25), np.full((rows, 3), 1 / 3)]
     with pytest.raises(ValueError, match=r"missing level distribution: need levels of \(3, 4\) labels, got \(4, 3\)"):
         select_prediction(probs, tables)
@@ -367,13 +368,13 @@ def test_repath_refuses_another_taxonomy(skip_taxonomy, chain_taxonomy):
 
 
 def test_label_tables_are_kept_by_content(skip_taxonomy):
-    spaces = tuple(skip_taxonomy.per_level_labels[l] for l in (1, 2, 3))
     reloaded = build_taxonomy([
         {"code": n.code, "name": n.name, "definition": n.definition, "level": n.level,
          **({"parent": n.parent} if n.parent else {})}
         for n in skip_taxonomy.nodes.values()
     ])
-    assert label_tables(reloaded, tuple(map(tuple, map(list, spaces)))) is label_tables(skip_taxonomy, spaces)
+    assert reloaded is not skip_taxonomy
+    assert label_tables(reloaded, 3) is label_tables(skip_taxonomy, 3) is not label_tables(skip_taxonomy, 4)
 
 
 # --- RePath and leaf accuracy properties on synth taxonomies -----------------
@@ -389,12 +390,12 @@ def synth_selections(draw):
         taxonomy = synth_corpus(config, seed=seed).taxonomy
     except SynthConfigError:
         reject()  # a shape the generator cannot build
-    spaces = level_spaces(taxonomy, MoEConfig(levels=taxonomy.max_depth + draw(st.integers(0, 2))))
+    spaces = level_spaces(taxonomy, taxonomy.max_depth + draw(st.integers(0, 2)))
     rng = np.random.default_rng(seed)
     n = draw(st.integers(1, 30))
     probs = [rng.dirichlet(np.full(len(labels), 0.3), size=n) for labels in spaces]
     tau = draw(st.sampled_from([0.0, 0.3, 0.5, 0.9, 1.0]))
-    return taxonomy, select_prediction(probs, label_tables(taxonomy, spaces), tau)
+    return taxonomy, select_prediction(probs, label_tables(taxonomy, len(spaces)), tau)
 
 
 @settings(max_examples=100)
@@ -435,7 +436,7 @@ def test_leaf_accuracy_equals_a_brute_force_count(seed, tau, inner):
     records = [ProductRecord(**{**r.__dict__, "label_path": r.label_path[:1]}) if i < inner else r
                for i, r in enumerate(records)]
     leaves = [r.leaf() for r in records]
-    truth = label_tables(corpus.taxonomy, model.level_labels).labels_of(leaves)
+    truth = label_tables(corpus.taxonomy, model.moe_config.levels).labels_of(leaves)
     prepared = prepare_records(records, model.encoder_config)
     rows = predict_batch(model, records, corpus.taxonomy, tau_leaf=tau)
     hits = sum(1 for row, leaf in zip(rows, leaves) if row.selected_leaf == leaf)

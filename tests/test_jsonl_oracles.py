@@ -108,12 +108,12 @@ def column_predictions(draw):
     nodes += [{"code": code, "name": "n", "definition": "d", "level": 2, "parent": draw(st.sampled_from(top))}
               for code in below]
     taxonomy = build_taxonomy(nodes)
-    spaces = (tuple(top) + (NULL_CODE,), tuple(below) + (NULL_CODE,))
+    spaces = (taxonomy.per_level_labels[1], taxonomy.per_level_labels[2])  # each level's codes, NULL last
     n = draw(st.integers(0, 8))
     values = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
     probs = [np.array(draw(st.lists(st.lists(values, min_size=len(s), max_size=len(s)), min_size=n, max_size=n)),
                       dtype=np.float64).reshape(n, len(s)) for s in spaces]
-    preds = select_prediction(probs, label_tables(taxonomy, spaces), draw(st.sampled_from([0.0, 0.5, 1.0])))
+    preds = select_prediction(probs, label_tables(taxonomy, len(spaces)), draw(st.sampled_from([0.0, 0.5, 1.0])))
     if draw(st.booleans()):
         preds = repath(preds, taxonomy)
     leaf_confidence = np.array(draw(st.lists(confidences, min_size=n, max_size=n)), dtype=np.float64)

@@ -86,6 +86,12 @@ def test_macro_f1_hand_example(chain_taxonomy):
     assert macro_f1([pair(["A", "A.1"], ["A", "A.1"])], chain_taxonomy, "path")[2] == 1.0
 
 
+def test_macro_f1_of_pairs_with_only_empty_paths_scores_zero_like_micro(chain_taxonomy):
+    """No category is touched, so the mean has no terms: it scores 0, as the pooled counts do."""
+    pairs = [pair([], [])]
+    assert macro_f1(pairs, chain_taxonomy, "path") == micro_f1(pairs, "path") == (0.0, 0.0, 0.0)
+
+
 def test_macro_include_absent_flag(chain_taxonomy):
     pairs = [pair(["A", "A.1"], ["A", "A.1"])]
     default = macro_f1(pairs, chain_taxonomy, "path")[2]

@@ -21,9 +21,11 @@ from taxpath.moe import (
     SLAB_BYTES,
     CheckpointError,
     MoEConfig,
+    MoEModel,
     forward_batch,
     init_model,
     load_checkpoint,
+    param_manifest,
     save_checkpoint,
     softmax,
     write_container,
@@ -212,7 +214,7 @@ def test_forward_single_expert_ignores_gate_params():
 
 def test_probs_normalized_on_random_inputs():
     corpus, enc, moe, model = small_setup(seed=7)
-    tables = label_tables(corpus.taxonomy, model.level_labels)
+    tables = label_tables(corpus.taxonomy, moe.levels)
     rng = np.random.default_rng(7)
     for _ in range(1000):
         dense = rng.normal(size=enc.dense_dim)
@@ -288,9 +290,9 @@ def test_checkpoint_corrupt_and_truncated():
     blob = bytearray(good)
     blob[-1] ^= 0xFF
     with pytest.raises(CheckpointError, match="truncated or corrupt"):
-        loaded(load_checkpoint, bytes(blob))
+        loaded(load_checkpoint, bytes(blob), corpus.taxonomy)
     with pytest.raises(CheckpointError, match="truncated"):
-        loaded(load_checkpoint, good[:-9])
+        loaded(load_checkpoint, good[:-9], corpus.taxonomy)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -310,27 +312,46 @@ def test_checkpoint_version_mismatch():
     blob = bytearray(saved(save_checkpoint, model))
     blob[4] = 99
     with pytest.raises(CheckpointError, match="version"):
-        loaded(load_checkpoint, bytes(blob))
+        loaded(load_checkpoint, bytes(blob), corpus.taxonomy)
 
 
-def test_checkpoint_is_version_3_and_its_meta_has_no_seed(tmp_path):
+def test_checkpoint_is_version_4_and_its_meta_has_no_seed_and_no_label_spaces(tmp_path):
     corpus, enc, moe, model = small_setup(seed=13)
     blob = saved(save_checkpoint, model)
-    assert struct.unpack("<I", blob[4:8]) == (3,)
+    assert struct.unpack("<I", blob[4:8]) == (4,)
     (header_len,) = struct.unpack("<Q", blob[8:16])
     meta = json.loads(blob[16 : 16 + header_len])["meta"]
+    assert sorted(meta) == ["encoder_config", "moe_config", "taxonomy_hash"]
     assert "seed" not in meta["encoder_config"]
     assert sorted(meta["moe_config"]) == ["expert_hidden_dim", "experts_per_level", "levels"]
     assert not hasattr(enc, "seed") and not hasattr(moe, "seed")
-    # version 1 had the level-major layout; version 2's moe_config also held these two keys
+    # version 1 had the level-major layout; version 2's moe_config also held these two keys;
+    # version 3's meta also held the label spaces
     v2_meta = {**meta, "moe_config": {**meta["moe_config"], "include_null_label": True, "semantic_classes": 3}}
-    v2_blob = write_container(CHECKPOINT_MAGIC, v2_meta, model.params)
-    for version, old in ((1, blob), (2, v2_blob)):
+    v3_meta = {**meta, "level_labels": [list(labels) for labels in model.level_labels]}
+    olds = (blob, write_container(CHECKPOINT_MAGIC, v2_meta, model.params),
+            write_container(CHECKPOINT_MAGIC, v3_meta, model.params))
+    for version, old in enumerate(olds, start=1):
         path = tmp_path / f"v{version}.ckpt"
         path.write_bytes(old[:4] + struct.pack("<I", version) + old[8:])
-        message = rf"^{re.escape(str(path))}: checkpoint version mismatch: {version} != 3$"
+        message = rf"^{re.escape(str(path))}: checkpoint version mismatch: {version} != 4$"
         with pytest.raises(CheckpointError, match=message):
             load_checkpoint(path, corpus.taxonomy)
+
+
+def test_a_checkpoint_header_holding_label_spaces_is_refused_as_an_unknown_key(tmp_path):
+    """The label spaces come from the taxonomy alone: a file cannot carry others, such as permuted ones."""
+    corpus, enc, moe, model = small_setup(seed=13)
+    blob = saved(save_checkpoint, model)
+    (header_len,) = struct.unpack("<Q", blob[8:16])
+    meta = json.loads(blob[16 : 16 + header_len])["meta"]
+    permuted = [list(labels) for labels in model.level_labels]
+    permuted[0] = [permuted[0][-1], *reversed(permuted[0][:-1])]  # NULL first, the codes reversed
+    path = tmp_path / "permuted.ckpt"
+    path.write_bytes(write_container(CHECKPOINT_MAGIC, {**meta, "level_labels": permuted}, model.params))
+    message = rf"^{re.escape(str(path))}: unknown config key checkpoint header\.meta\.level_labels"
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path, corpus.taxonomy)
 
 
 def test_the_semantic_head_has_one_class_per_verdict():
@@ -362,6 +383,17 @@ def test_params_are_views_into_one_flat_buffer():
         model.params = {}
 
 
+@pytest.mark.parametrize("fault", ["float32", "short", "long", "two-dimensional"])
+def test_a_model_refuses_a_parameter_buffer_of_another_layout(fault):
+    corpus, enc, moe, model = small_setup(seed=15)
+    flat = {"float32": model.flat.astype(np.float32), "short": model.flat[:-1],
+            "long": np.append(model.flat, 0.0), "two-dimensional": model.flat[None, :]}[fault]
+    message = rf"^parameter buffer {flat.dtype}\({', '.join(map(str, flat.shape))},?\) does not match the model's "
+    with pytest.raises(ValueError, match=message + rf"float64\({model.flat.size},\)$"):
+        MoEModel(enc, moe, model.taxonomy_hash, model.level_labels, flat=flat)
+    MoEModel(enc, moe, model.taxonomy_hash, model.level_labels, flat=model.flat.copy())  # the layout itself builds
+
+
 def test_checkpoint_payload_is_the_flat_buffer():
     corpus, enc, moe, model = small_setup(seed=15)
     blob = saved(save_checkpoint, model)
@@ -378,11 +410,20 @@ def test_checkpoint_manifest_must_match_its_config():
         "encoder_config": asdict(enc),
         "moe_config": {**asdict(moe), "expert_hidden_dim": moe.expert_hidden_dim + 1},
         "taxonomy_hash": model.taxonomy_hash,
-        "level_labels": [list(labels) for labels in model.level_labels],
     }
     blob = write_container(CHECKPOINT_MAGIC, meta, model.params)
     with pytest.raises(CheckpointError, match="manifest"):
-        loaded(load_checkpoint, blob)
+        loaded(load_checkpoint, blob, corpus.taxonomy)
+
+
+def test_a_checkpoint_shallower_than_its_taxonomy_is_refused():
+    """Its header names fewer levels than the taxonomy's depth, with the manifest of that many levels."""
+    corpus, enc, moe, model = small_setup(seed=16)
+    shallow = dataclasses.replace(moe, levels=moe.levels - 1)
+    params = {name: np.zeros(shape) for name, shape in param_manifest(enc, shallow, model.level_labels)}
+    meta = {"encoder_config": asdict(enc), "moe_config": asdict(shallow), "taxonomy_hash": model.taxonomy_hash}
+    with pytest.raises(CheckpointError, match="label spaces or parameter manifest do not match"):
+        loaded(load_checkpoint, write_container(CHECKPOINT_MAGIC, meta, params), corpus.taxonomy)
 
 
 @functools.cache
@@ -444,7 +485,7 @@ def test_a_checkpoint_loaded_from_a_path_is_refused_naming_the_path(tmp_path):
     bad.write_bytes(bad.read_bytes()[:-9])
     for source in (bad, str(bad)):
         with pytest.raises(CheckpointError, match=rf"^{re.escape(str(bad))}: truncated checkpoint: payload has "):
-            load_checkpoint(source)
+            load_checkpoint(source, corpus.taxonomy)
         with pytest.raises(CheckpointError, match=rf"^{re.escape(str(bad))}: bad magic: expected b'TXNJ'$"):
             load_judge(source)
 
@@ -504,7 +545,7 @@ def mutated_containers(draw, blob):
 
 def judge_container():
     judge = JudgeModel(weights=np.zeros((4, 3)), bias=np.zeros(3), tau_hi=0.1, tau_lo=-0.1,
-                       popularity={"A": 0.5}, holdout_agreement=0.9)
+                       taxonomy_hash=FUZZ_SETUP[0].taxonomy.fingerprint(), popularity={"A": 0.5}, holdout_agreement=0.9)
     return saved(save_judge, judge)
 
 
@@ -513,10 +554,10 @@ FUZZ_MODEL = saved(save_checkpoint, FUZZ_SETUP[3])
 
 
 @settings(max_examples=300)
-@given(blob=mutated_containers(FUZZ_MODEL), with_taxonomy=st.booleans())
-def test_only_checkpoint_error_escapes_a_mutated_model_container(blob, with_taxonomy):
+@given(blob=mutated_containers(FUZZ_MODEL))
+def test_only_checkpoint_error_escapes_a_mutated_model_container(blob):
     try:
-        loaded(load_checkpoint, blob, FUZZ_SETUP[0].taxonomy if with_taxonomy else None)
+        loaded(load_checkpoint, blob, FUZZ_SETUP[0].taxonomy)
     except CheckpointError:
         pass
 
@@ -530,23 +571,23 @@ def test_only_checkpoint_error_escapes_a_mutated_judge_container(blob):
         pass
 
 
-@pytest.mark.parametrize("key", ["level_labels", "taxonomy_hash"])
+@pytest.mark.parametrize("key", ["moe_config", "taxonomy_hash"])
 def test_checkpoint_header_without_a_key_raises_checkpoint_error(key):
     blob = FUZZ_MODEL
     (header_len,) = struct.unpack("<Q", blob[8:16])
     header = json.loads(blob[16 : 16 + header_len])
     del header["meta"][key]
     with pytest.raises(CheckpointError, match=key):
-        loaded(load_checkpoint, with_header(blob, header))
+        loaded(load_checkpoint, with_header(blob, header), FUZZ_SETUP[0].taxonomy)
     header = json.loads(blob[16 : 16 + header_len])
     del header["manifest"]
     with pytest.raises(CheckpointError, match="manifest"):
-        loaded(load_checkpoint, with_header(blob, header))
+        loaded(load_checkpoint, with_header(blob, header), FUZZ_SETUP[0].taxonomy)
     header["manifest"], header["meta"] = json.loads(blob[16 : 16 + header_len])["manifest"], [1]
     with pytest.raises(CheckpointError, match="meta must be a JSON object"):
-        loaded(load_checkpoint, with_header(blob, header))
+        loaded(load_checkpoint, with_header(blob, header), FUZZ_SETUP[0].taxonomy)
     header = json.loads(blob[16 : 16 + header_len])
     rows, cols = header["manifest"][0]["shape"]
     header["manifest"][0]["shape"] = [-rows, -cols]  # the same element count
     with pytest.raises(CheckpointError, match="non-negative"):
-        loaded(load_checkpoint, with_header(blob, header))
+        loaded(load_checkpoint, with_header(blob, header), FUZZ_SETUP[0].taxonomy)

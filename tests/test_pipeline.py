@@ -96,7 +96,7 @@ def test_pipeline_dev_composition_matches_construction_rule(tmp_path, corpus):
 def test_pipeline_pure_hierarchical_equals_stage2(tmp_path, corpus):
     config = small_pipeline_config(omega_s=1.0, epochs=3)
     _, artifacts = run_pipeline(corpus.records, corpus.taxonomy, config, tmp_path / "run")
-    final = load_checkpoint(artifacts["final"])
+    final = load_checkpoint(artifacts["final"], corpus.taxonomy)
 
     # stage 2 rerun by hand: with omega_s = 1 the judge contributes nothing,
     # so the stage 4 model must coincide bit-for-bit

@@ -286,7 +286,8 @@ ORACLE_TITLES = ["", "!!!", " -- ", "alpha", "Alpha One", "alpha one one things"
 )
 def test_judge_batch_matches_the_scalar_judge(chain_taxonomy, pairs, weights, popularity, tau_lo, gap):
     judge = JudgeModel(weights=np.array(weights[:12]).reshape(4, 3), bias=np.array(weights[12:]),
-                       tau_hi=tau_lo + gap, tau_lo=tau_lo, popularity=popularity)
+                       tau_hi=tau_lo + gap, tau_lo=tau_lo, taxonomy_hash=chain_taxonomy.fingerprint(),
+                       popularity=popularity)
     titles, codes = [t for t, _ in pairs], [c for _, c in pairs]
     phi = judge_feature_matrix(titles, codes, chain_taxonomy, popularity)
     assert phi.shape == (len(pairs), len(FEATURE_NAMES))
@@ -309,7 +310,8 @@ def test_judge_batch_of_a_distilled_judge_matches_the_scalar_judge():
 
 
 def test_judge_batch_rejects_an_unknown_code(chain_taxonomy):
-    judge = JudgeModel(weights=np.ones((4, 3)), bias=np.zeros(3), tau_hi=0.1, tau_lo=-0.1)
+    judge = JudgeModel(weights=np.ones((4, 3)), bias=np.zeros(3), tau_hi=0.1, tau_lo=-0.1,
+                       taxonomy_hash=chain_taxonomy.fingerprint())
     for title in ("alpha thing", ""):
         with pytest.raises(TaxonomyError):
             judge.judge_batch(["alpha", title], ["A", "Z.9"], chain_taxonomy)
@@ -336,6 +338,7 @@ def test_judge_checkpoint_round_trip(chain_taxonomy, tmp_path):
     assert np.array_equal(loaded.bias, judge.bias)
     assert (loaded.tau_hi, loaded.tau_lo) == (judge.tau_hi, judge.tau_lo)
     assert loaded.popularity == judge.popularity
+    assert loaded.taxonomy_hash == judge.taxonomy_hash == corpus.taxonomy.fingerprint()
     sample = corpus.records[0]
     assert (
         loaded.judge(sample.title, sample.leaf(), corpus.taxonomy)
@@ -355,15 +358,28 @@ def test_judge_checkpoint_round_trips_through_a_path_or_its_string(tmp_path):
         assert (loaded.tau_hi, loaded.tau_lo, loaded.popularity) == (judge.tau_hi, judge.tau_lo, judge.popularity)
 
 
-def test_a_version_2_judge_checkpoint_is_refused_naming_its_path(tmp_path):
+@pytest.mark.parametrize("version", [2, 3])
+def test_an_older_judge_checkpoint_is_refused_naming_its_path(tmp_path, version):
     corpus, labeled = oracle_labeled_corpus(seed=39, samples=200)
     save_judge(distill_judge(labeled, corpus.taxonomy, seed=5), tmp_path / "judge.ckpt")
     blob = (tmp_path / "judge.ckpt").read_bytes()
-    assert blob[4:8] == (3).to_bytes(4, "little")
-    path = tmp_path / "v2.ckpt"
-    path.write_bytes(blob[:4] + (2).to_bytes(4, "little") + blob[8:])
-    with pytest.raises(CheckpointError, match=rf"^{re.escape(str(path))}: checkpoint version mismatch: 2 != 3$"):
+    assert blob[4:8] == (4).to_bytes(4, "little")
+    path = tmp_path / f"v{version}.ckpt"
+    path.write_bytes(blob[:4] + version.to_bytes(4, "little") + blob[8:])
+    message = rf"^{re.escape(str(path))}: checkpoint version mismatch: {version} != 4$"
+    with pytest.raises(CheckpointError, match=message):
         load_judge(path)
+
+
+def test_annotate_corpus_refuses_a_judge_distilled_on_another_taxonomy_naming_both_hashes():
+    corpus, labeled = oracle_labeled_corpus(seed=39, samples=200)
+    other = oracle_labeled_corpus(seed=40, samples=0)[0].taxonomy
+    judge = distill_judge(labeled, corpus.taxonomy, seed=5)
+    assert judge.taxonomy_hash == corpus.taxonomy.fingerprint() != other.fingerprint()
+    message = (rf"^taxonomy hash mismatch: judge {judge.taxonomy_hash[:12]}\.\.\., "
+               rf"supplied {other.fingerprint()[:12]}\.\.\.$")
+    with pytest.raises(CheckpointError, match=message):
+        annotate_corpus(corpus.records, judge, other)
 
 
 def test_high_confidence_stratum_has_higher_yes_rate():
@@ -444,7 +460,7 @@ def test_load_judge_names_a_mis_shaped_array(arrays, bad, tmp_path):
         load_judge(judge_file_with(tmp_path, arrays))
 
 
-@pytest.mark.parametrize("key", ["tau_hi", "tau_lo", "popularity", "holdout_agreement", "feature_names"])
+@pytest.mark.parametrize("key", ["tau_hi", "tau_lo", "popularity", "holdout_agreement", "feature_names", "taxonomy_hash"])
 def test_load_judge_names_a_missing_meta_key(key, tmp_path):
     load_judge(judge_file_with(tmp_path))  # the rebuilt container alone loads
     with pytest.raises(CheckpointError, match=f"meta has no '{key}'"):
@@ -474,4 +490,25 @@ def test_load_judge_refuses_a_non_finite_threshold_or_popularity_naming_the_path
         value = {**meta["popularity"], next(iter(meta["popularity"])): value}
     path = judge_file_with(tmp_path, set_meta={key: value})
     with pytest.raises(CheckpointError, match=rf"^{re.escape(str(path))}: bad judge checkpoint meta: {message}"):
+        load_judge(path)
+
+
+@pytest.mark.parametrize("tau_hi", ["equal", "below"])
+def test_load_judge_refuses_thresholds_out_of_order_naming_the_path(tau_hi, tmp_path):
+    meta = read_container(judge_file_with(tmp_path).read_bytes(), JUDGE_MAGIC)[0]
+    tau_lo = meta["tau_lo"]
+    path = judge_file_with(tmp_path, set_meta={"tau_hi": tau_lo if tau_hi == "equal" else tau_lo - 0.5})
+    message = rf"^{re.escape(str(path))}: bad judge checkpoint meta: tau_hi must exceed tau_lo: "
+    with pytest.raises(CheckpointError, match=message):
+        load_judge(path)
+
+
+@pytest.mark.parametrize("array", ["weights", "bias"])
+def test_load_judge_refuses_a_nan_weight_naming_the_path(array, tmp_path):
+    _, manifest, flat = read_container(judge_file_with(tmp_path).read_bytes(), JUDGE_MAGIC)
+    arrays = {name: view.copy() for name, view in param_views(flat, manifest).items()}
+    arrays[array].flat[-1] = np.nan
+    path = judge_file_with(tmp_path, arrays)
+    with pytest.raises(CheckpointError, match=rf"^{re.escape(str(path))}: bad judge checkpoint meta: "
+                                              r"judge weights must be finite$"):
         load_judge(path)

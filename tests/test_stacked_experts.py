@@ -222,7 +222,7 @@ def test_chunked_forward_equals_one_pass(n):
     batch = assemble_batch(prepare_records(corpus.records, model.encoder_config), model.params, model.encoder_config)
     assert batch.dense.shape[0] == n
     one_pass = forward_batch(model, batch, for_backward=False)  # all rows at once
-    tables = label_tables(corpus.taxonomy, model.level_labels)
+    tables = label_tables(corpus.taxonomy, model.moe_config.levels)
     want = select_prediction(one_pass.probs, tables, 0.3)
     got = predict_batch(model, corpus.records, corpus.taxonomy, tau_leaf=0.3)  # in chunks
     assert len(got) == n and predictions_equal(got, want)

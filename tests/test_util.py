@@ -258,7 +258,8 @@ def test_the_corpus_sized_builders_run_with_the_collector_paused_and_the_writers
     write_predictions(pred_path, [r.id for r in records], preds)
     report = evaluate(read_predictions(pred_path), records, chain_taxonomy)
     write_report(tmp_path / "metrics.json", report)
-    judge = JudgeModel(weights=np.zeros((len(FEATURE_NAMES), 3)), bias=np.zeros(3), tau_hi=0.5, tau_lo=-0.5)
+    judge = JudgeModel(weights=np.zeros((len(FEATURE_NAMES), 3)), bias=np.zeros(3), tau_hi=0.5, tau_lo=-0.5,
+                       taxonomy_hash=chain_taxonomy.fingerprint())
     assert len(annotate_corpus(records, judge, chain_taxonomy)) == 2
 
     assert report.leaf_micro_f1 == 1.0

@@ -41,7 +41,7 @@ def predictions(n: int, seed: int = 0):
     for space in SPACES:
         logits = rng.normal(size=(40, len(space)))[prototype] * 4 + rng.normal(size=(n, len(space))) * 1e-3
         probs.append(np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True))
-    preds = select_prediction(probs, label_tables(TAXONOMY, SPACES), 0.5)
+    preds = select_prediction(probs, label_tables(TAXONOMY, len(SPACES)), 0.5)
     return repath(preds, TAXONOMY) if seed % 2 else preds
 
 
