@@ -28,14 +28,14 @@ from .dataset import (
     write_rejections,
 )
 from .encoder import EncoderConfig
-from .infer import MODE_REPATHED, check_prediction, leaf_chain, predict_batch, read_predictions, write_predictions
+from .infer import MODE_REPATHED, check_prediction, predict_batch, read_predictions, write_predictions
 from .metrics import (EvalReport, EvaluationError, InvalidPredictionsError, InvalidTruthError, evaluate, render_table,
                       write_cdf_csv, write_report)
 from .moe import CheckpointError, MoEConfig, init_model, load_checkpoint, save_checkpoint
 from .pipeline import PipelineConfig, run_pipeline
 from .semantic import annotate_corpus, distill_judge, label_dev_set, load_judge, save_judge, write_annotations
 from .synth import SynthConfig, synth_corpus
-from .taxonomy import load_taxonomy_file
+from .taxonomy import leaf_chain, load_taxonomy_file
 from .train import LossWeights, TrainConfig, fit
 from .util import (ConfigError, atomic_write_bytes, atomic_write_text, config_from_dict, config_value, naming, read_json,
                    read_jsonl, write_jsonl)

@@ -9,7 +9,7 @@ replaces the selected path with the ancestor chain of the selected leaf,
 repairing structural inconsistencies without touching the leaf decision.
 
 Selection is columnar: one `select_prediction` call turns a batch's per-level
-`(N, K_l)` probabilities into a `Predictions` of label arrays (`LabelTables`
+`(N, K_l)` probabilities into a `Predictions` of label arrays (`moe.LabelTables`
 numbers the model's labels level by level), and RePath marks the rows whose
 path becomes their leaf's entry in a chain table; a lone row takes the rules
 over its Python floats. Rows are built only where they are read one by one.
@@ -30,8 +30,8 @@ import numpy as np
 
 from .dataset import ProductRecord, is_string_list
 from .encoder import PreparedRecords, assemble_batch, encode_one, prepare_records
-from .moe import CheckpointError, MoEModel, forward_batch, level_spaces
-from .taxonomy import NULL_CODE, Taxonomy
+from .moe import CheckpointError, LabelTables, MoEModel, forward_batch
+from .taxonomy import Taxonomy
 from .util import _ENCODE, WRITE_LINES, atomic_write_chunks, canonical_json, gc_paused, read_jsonl
 
 MODE_LEAF_CONFIDENT = "leaf_confident"
@@ -47,61 +47,6 @@ FORWARD_CHUNK_ROWS = 2048
 # One row of a `Predictions`, as a prediction dump holds it. The path and the argmax are tuples of codes,
 # which `write_predictions` looks up by value.
 PredictionPath = namedtuple("PredictionPath", "selected_path selected_leaf mode leaf_confidence per_level_argmax")
-
-
-@dataclass(frozen=True, eq=False)  # holds arrays: compare by identity
-class LabelTables:
-    """Lookups over a model's label spaces concatenated level by level."""
-
-    fingerprint: str  # of the taxonomy the tables were built from
-    codes: np.ndarray  # (G,) object: the code of each label, NULL included
-    label: dict[str, int]  # code -> label; NULL has none
-    is_leaf: np.ndarray  # (G,) taxonomy leaf nodes
-    is_null: np.ndarray  # (G,)
-    parent: np.ndarray  # (G,) label of the node's parent; -1 at level 1, for NULL and unknown codes
-    chains: tuple  # (G,) a leaf's root-first chain of codes, RePath's path; None for other labels
-    roots: int  # non-NULL level-1 labels, labels 0 .. roots-1
-    sizes: tuple[int, ...]  # (L,) the labels of each level
-    gather: np.ndarray  # (L, Kmax) each level's labels, padded with its first label
-    next_column: np.ndarray  # (L,) 1, 2, ..., L-1, 0
-
-    def labels_of(self, codes: list[str]) -> np.ndarray:
-        """Label of each code; -1 for NULL and codes outside the label spaces."""
-        return np.array([self.label.get(code, -1) for code in codes], dtype=np.intp)
-
-
-_TABLES: dict[tuple[str, int], LabelTables] = {}  # the last few built, by content
-
-
-def label_tables(taxonomy: Taxonomy, levels: int) -> LabelTables:
-    """The tables of a `levels`-level model's label spaces over `taxonomy` (`level_spaces`),
-    built once per content (taxonomy fingerprint, levels) however often the taxonomy is loaded."""
-    key = (taxonomy.fingerprint(), levels)
-    tables = _TABLES.get(key)
-    if tables is not None:
-        return tables
-    if len(_TABLES) >= 16:
-        _TABLES.clear()
-    level_labels = level_spaces(taxonomy, levels)
-    codes = [code for labels in level_labels for code in labels]
-    sizes = np.array([len(labels) for labels in level_labels])
-    label = {code: g for g, code in enumerate(codes) if code != NULL_CODE}
-    chains = tuple(leaf_chain(taxonomy, code) for code in codes)
-    width = np.arange(sizes.max())
-    tables = _TABLES[key] = LabelTables(
-        fingerprint=key[0],
-        codes=np.array(codes, dtype=object),
-        label=label,
-        is_leaf=np.array([links is not None for links in chains]),
-        is_null=np.array([code == NULL_CODE for code in codes]),
-        parent=np.array([label.get(getattr(taxonomy.nodes.get(code), "parent", None), -1) for code in codes]),
-        chains=chains,
-        roots=sum(code != NULL_CODE for code in level_labels[0]),
-        sizes=tuple(sizes.tolist()),
-        gather=(np.cumsum(sizes) - sizes)[:, None] + np.where(width < sizes[:, None], width, 0),
-        next_column=np.roll(np.arange(len(sizes)), -1),
-    )
-    return tables
 
 
 @dataclass(eq=False, slots=True)  # holds arrays: compare by identity; not frozen, which costs µs per batch
@@ -196,15 +141,6 @@ def _select_row(flat: np.ndarray, tables: LabelTables, tau_leaf: float) -> Predi
                        np.array([confident]), np.zeros(1, dtype=bool), row[path[last] : path[last] + 1])
 
 
-def leaf_chain(taxonomy: Taxonomy, leaf: str) -> tuple[str, ...] | None:
-    """Ancestor chain RePath puts in place for `leaf`; None unless `leaf` is
-    a taxonomy leaf node (inner nodes and unknown codes are left alone)."""
-    node = taxonomy.nodes.get(leaf)
-    if node is None or not node.is_leaf:
-        return None
-    return taxonomy.chain(leaf)
-
-
 def repath(preds: Predictions, taxonomy: Taxonomy) -> Predictions:
     """Rebuild each path as the ancestor chain of its selected leaf.
 
@@ -253,10 +189,10 @@ def predict_prepared(
 
 def _predict(model: MoEModel, batches, taxonomy: Taxonomy, tau_leaf: float, use_repath: bool) -> Predictions:
     """Check the taxonomy, then forward and select each of `batches` (consecutive rows' features) and join them."""
-    if model.taxonomy_hash != taxonomy.fingerprint():
-        raise CheckpointError(f"taxonomy hash mismatch: model {model.taxonomy_hash[:12]}..., "
+    tables = model.tables
+    if tables.fingerprint != taxonomy.fingerprint():
+        raise CheckpointError(f"taxonomy hash mismatch: model {tables.fingerprint[:12]}..., "
                               f"supplied {taxonomy.fingerprint()[:12]}...")
-    tables = label_tables(taxonomy, model.moe_config.levels)
     parts = []
     for batch in batches:
         parts.append(select_prediction(forward_batch(model, batch, for_backward=False).probs, tables, tau_leaf))

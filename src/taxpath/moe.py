@@ -3,7 +3,8 @@
 One MoE block per taxonomy level: a gate reads the structured one-hot routing
 vector and softmax-mixes E experts (affine -> tanh -> affine) applied to the
 full dense feature; a per-level head maps the mixed hidden state to that
-level's label space (codes + NULL). A semantic head classifies the mean of
+level's label space (codes + NULL; `LabelTables` numbers every level's labels
+for training and prediction alike). A semantic head classifies the mean of
 the per-level hidden states into consistency classes.
 
 Parameters live in one flat buffer laid out kind by kind (the manifest
@@ -31,7 +32,7 @@ from typing import Any, TypedDict
 import numpy as np
 
 from .encoder import EncodedBatch, EncoderConfig
-from .taxonomy import NULL_CODE, Taxonomy
+from .taxonomy import NULL_CODE, Taxonomy, leaf_chain
 from .util import ConfigError, atomic_write_bytes, config_from_dict, config_value, naming, read_json, stream_rng
 
 CHECKPOINT_MAGIC = b"TAXN"
@@ -54,6 +55,53 @@ class MoEConfig:
     def __post_init__(self):
         if self.levels < 1 or self.experts_per_level < 1 or self.expert_hidden_dim < 1:
             raise ValueError("levels, experts_per_level, expert_hidden_dim must be >= 1")
+
+
+@dataclass(frozen=True, eq=False)  # holds arrays: compare by identity
+class LabelTables:
+    """A model's label spaces concatenated level by level: a label is one code at one level. Each level
+    holds its codes sorted, NULL last; a level beyond the taxonomy's depth holds NULL only."""
+
+    fingerprint: str  # of the taxonomy the tables were built from
+    codes: np.ndarray  # (G,) object: the code of each label, NULL included
+    label: dict[str, int]  # code -> label; NULL has none
+    is_leaf: np.ndarray  # (G,) taxonomy leaf nodes
+    is_null: np.ndarray  # (G,)
+    parent: np.ndarray  # (G,) label of the node's parent; -1 at level 1, for NULL and unknown codes
+    chains: tuple  # (G,) a leaf's root-first chain of codes, RePath's path; None for other labels
+    roots: int  # non-NULL level-1 labels, labels 0 .. roots-1
+    sizes: tuple[int, ...]  # (L,) the labels of each level
+    gather: np.ndarray  # (L, Kmax) each level's labels, padded with its first label
+    next_column: np.ndarray  # (L,) 1, 2, ..., L-1, 0
+
+    def labels_of(self, codes: list[str]) -> np.ndarray:
+        """Label of each code; -1 for NULL and codes outside the label spaces."""
+        return np.array([self.label.get(code, -1) for code in codes], dtype=np.intp)
+
+
+def label_tables(taxonomy: Taxonomy, levels: int) -> LabelTables:
+    """The label tables of a `levels`-level model over `taxonomy`; a model shallower than it is refused."""
+    if levels < taxonomy.max_depth:
+        raise ValueError(f"moe.levels ({levels}) < taxonomy depth ({taxonomy.max_depth})")
+    spaces = [taxonomy.per_level_labels.get(level, (NULL_CODE,)) for level in range(1, levels + 1)]
+    codes = [code for labels in spaces for code in labels]
+    sizes = np.array([len(labels) for labels in spaces])
+    label = {code: g for g, code in enumerate(codes) if code != NULL_CODE}
+    chains = tuple(leaf_chain(taxonomy, code) for code in codes)
+    width = np.arange(sizes.max())
+    return LabelTables(
+        fingerprint=taxonomy.fingerprint(),
+        codes=np.array(codes, dtype=object),
+        label=label,
+        is_leaf=np.array([links is not None for links in chains]),
+        is_null=np.array([code == NULL_CODE for code in codes]),
+        parent=np.array([label.get(getattr(taxonomy.nodes.get(code), "parent", None), -1) for code in codes]),
+        chains=chains,
+        roots=sum(code != NULL_CODE for code in spaces[0]),
+        sizes=tuple(sizes.tolist()),
+        gather=(np.cumsum(sizes) - sizes)[:, None] + np.where(width < sizes[:, None], width, 0),
+        next_column=np.roll(np.arange(len(sizes)), -1),
+    )
 
 
 @dataclass(frozen=True, eq=False)  # holds views: compare by identity
@@ -86,12 +134,11 @@ class MoEModel:
 
     encoder_config: EncoderConfig
     moe_config: MoEConfig
-    taxonomy_hash: str
-    level_labels: tuple[tuple[str, ...], ...]  # `level_spaces` of its taxonomy: per level, NULL last
+    tables: LabelTables  # of its taxonomy; a head's width is its level's size
     flat: np.ndarray | None = field(repr=False, default=None)  # None: all zeros
 
     def __post_init__(self):
-        self._manifest = param_manifest(self.encoder_config, self.moe_config, self.level_labels)
+        self._manifest = param_manifest(self.encoder_config, self.moe_config, self.tables.sizes)
         size = sum(math.prod(shape) for _, shape in self._manifest)
         if self.flat is None:
             self.flat = np.zeros(size)
@@ -156,16 +203,8 @@ class MoEModel:
         )
 
 
-def level_spaces(taxonomy: Taxonomy, levels: int) -> tuple[tuple[str, ...], ...]:
-    """Per-level label spaces of a `levels`-level model over `taxonomy`: each level's codes, NULL last.
-    Levels beyond the taxonomy's depth get a NULL-only space, so a deeper model stays well-defined."""
-    if levels < taxonomy.max_depth:
-        raise ValueError(f"moe.levels ({levels}) < taxonomy depth ({taxonomy.max_depth})")
-    return tuple(taxonomy.per_level_labels.get(level, (NULL_CODE,)) for level in range(1, levels + 1))
-
-
 def _param_specs(
-    encoder_config: EncoderConfig, moe_config: MoEConfig, spaces
+    encoder_config: EncoderConfig, moe_config: MoEConfig, sizes: tuple[int, ...]
 ) -> list[tuple[str, tuple[int, ...], int, int]]:
     """(name, shape, fan_in, kind) for every parameter, in initialisation
     order (level by level, expert by expert); `kind` ranks its manifest group."""
@@ -179,7 +218,7 @@ def _param_specs(
         rows = len(encoder_config.vocab(name)) + 1
         specs.append((f"field/{name}/table", (rows, encoder_config.cat_dim), encoder_config.cat_dim, 1))
     for level in range(1, moe_config.levels + 1):
-        k = len(spaces[level - 1])
+        k = sizes[level - 1]
         specs.append((f"level{level}/gate/W", (rd, moe_config.experts_per_level), rd, 2))
         specs.append((f"level{level}/gate/b", (moe_config.experts_per_level,), rd, 3))
         for e in range(moe_config.experts_per_level):
@@ -195,11 +234,11 @@ def _param_specs(
 
 
 def param_manifest(
-    encoder_config: EncoderConfig, moe_config: MoEConfig, spaces
+    encoder_config: EncoderConfig, moe_config: MoEConfig, sizes: tuple[int, ...]
 ) -> list[tuple[str, tuple[int, ...]]]:
-    """(name, shape) of every parameter, in manifest order: grouped by kind,
-    level-major and expert-minor within a kind (a stable sort keeps that)."""
-    specs = sorted(_param_specs(encoder_config, moe_config, spaces), key=lambda spec: spec[3])
+    """(name, shape) of every parameter, with `sizes` labels per level, in manifest order: grouped
+    by kind, level-major and expert-minor within a kind (a stable sort keeps that)."""
+    specs = sorted(_param_specs(encoder_config, moe_config, sizes), key=lambda spec: spec[3])
     return [(name, shape) for name, shape, _, _ in specs]
 
 
@@ -222,15 +261,10 @@ def init_model(
 ) -> MoEModel:
     """Fresh model with uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) parameters,
     drawn level by level and expert by expert whatever the buffer layout."""
-    spaces = level_spaces(taxonomy, moe_config.levels)
+    tables = label_tables(taxonomy, moe_config.levels)
     rng = stream_rng(seed, "init")
-    model = MoEModel(
-        encoder_config=encoder_config,
-        moe_config=moe_config,
-        taxonomy_hash=taxonomy.fingerprint(),
-        level_labels=spaces,
-    )
-    for name, shape, fan_in, _ in _param_specs(encoder_config, moe_config, spaces):
+    model = MoEModel(encoder_config, moe_config, tables)
+    for name, shape, fan_in, _ in _param_specs(encoder_config, moe_config, tables.sizes):
         scale = 1.0 / np.sqrt(fan_in)
         model.params[name][...] = rng.uniform(-scale, scale, size=shape)
     return model
@@ -369,26 +403,27 @@ def save_checkpoint(model: MoEModel, path: str | Path) -> None:
     meta = {
         "encoder_config": asdict(model.encoder_config),
         "moe_config": asdict(model.moe_config),
-        "taxonomy_hash": model.taxonomy_hash,
+        "taxonomy_hash": model.tables.fingerprint,
     }
     atomic_write_bytes(path, write_container(CHECKPOINT_MAGIC, meta, model.params))
 
 
 def load_checkpoint(path: str | Path, taxonomy: Taxonomy) -> MoEModel:
-    """The model checkpoint at `path`, over `taxonomy`: its hash must be the checkpoint's, and its
-    label spaces are the model's (`level_spaces`). Every CheckpointError it raises names `path`."""
+    """The model checkpoint at `path`, over `taxonomy`: its hash must be the checkpoint's, and the model's
+    label tables are built from it (`label_tables`). Every CheckpointError it raises names `path`."""
     with naming(path, CheckpointError, CheckpointError):
         meta, manifest, flat = read_container(Path(path).read_bytes(), CHECKPOINT_MAGIC, ModelMeta)
         if meta["taxonomy_hash"] != taxonomy.fingerprint():
             raise CheckpointError(f"taxonomy hash mismatch: checkpoint {meta['taxonomy_hash'][:12]}..., "
                                   f"supplied {taxonomy.fingerprint()[:12]}...")
-        moe_config = meta["moe_config"]
-        # the count first, so a header naming huge configs is refused without building their manifest
-        count = 3 + len(meta["encoder_config"].fields) + moe_config.levels * (4 + 4 * moe_config.experts_per_level)
-        if (moe_config.levels < taxonomy.max_depth or len(manifest) != count or manifest != param_manifest(
-                meta["encoder_config"], moe_config, level_spaces(taxonomy, moe_config.levels))):
+        encoder_config, moe_config = meta["encoder_config"], meta["moe_config"]
+        # the count first, so a header naming huge configs is refused before its tables or manifest are built
+        count = 3 + len(encoder_config.fields) + moe_config.levels * (4 + 4 * moe_config.experts_per_level)
+        tables = (label_tables(taxonomy, moe_config.levels)
+                  if moe_config.levels >= taxonomy.max_depth and len(manifest) == count else None)
+        if tables is None or manifest != param_manifest(encoder_config, moe_config, tables.sizes):
             raise CheckpointError("label spaces or parameter manifest do not match the checkpoint's model configuration")
-        model = MoEModel(**meta, level_labels=level_spaces(taxonomy, moe_config.levels), flat=flat)
+        model = MoEModel(encoder_config, moe_config, tables, flat)
         if not np.isfinite(flat).all():  # a NaN weight would reach every confidence of the model
             name = next(name for name, value in model.params.items() if not np.isfinite(value).all())
             raise CheckpointError(f"checkpoint parameter {name!r} holds a non-finite value")

@@ -28,7 +28,7 @@ from .dataset import (
 from .encoder import EncoderConfig
 from .infer import DEFAULT_TAU_LEAF, predict_batch, prediction_to_dict, repath
 from .metrics import evaluate
-from .moe import MoEConfig, MoEModel, init_model, level_spaces, save_checkpoint
+from .moe import MoEConfig, MoEModel, init_model, label_tables, save_checkpoint
 from .semantic import annotate_corpus, distill_judge, label_dev_set, save_judge, write_annotations
 from .taxonomy import Taxonomy
 from .train import LossWeights, TrainConfig, fit
@@ -87,7 +87,7 @@ def run_pipeline(
     """Run all four stages; returns the final model and the artifact paths.
 
     An exception inside a stage is raised again as a PipelineError naming it."""
-    level_spaces(taxonomy, config.moe.levels)  # a model shallower than the taxonomy is refused before any output
+    label_tables(taxonomy, config.moe.levels)  # a model shallower than the taxonomy is refused before any output
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     artifacts = {name: out / file for name, file in ARTIFACTS.items()}

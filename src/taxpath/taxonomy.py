@@ -213,3 +213,12 @@ def ancestors(taxonomy: Taxonomy, code: str) -> list[str]:
 def is_valid_path(taxonomy: Taxonomy, codes: list[str]) -> bool:
     """True iff `codes` is a nonempty root-to-node chain of parent/child links."""
     return bool(codes) and codes[-1] in taxonomy.nodes and taxonomy.chain(codes[-1]) == tuple(codes)
+
+
+def leaf_chain(taxonomy: Taxonomy, leaf: str) -> tuple[str, ...] | None:
+    """Ancestor chain RePath puts in place for `leaf`; None unless `leaf` is
+    a taxonomy leaf node (inner nodes and unknown codes are left alone)."""
+    node = taxonomy.nodes.get(leaf)
+    if node is None or not node.is_leaf:
+        return None
+    return taxonomy.chain(leaf)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dataset import ProductRecord
 from .encoder import EncodedBatch, PreparedRecords, assemble_batch, prepare_records
-from .infer import DEFAULT_TAU_LEAF, label_tables, predict_batch, predict_prepared  # noqa: F401 (perfbench patches train.predict_batch)
+from .infer import DEFAULT_TAU_LEAF, predict_batch, predict_prepared  # noqa: F401 (perfbench patches train.predict_batch)
 from .moe import MoEModel, forward_batch
 from .semantic import ConsistencyLabel
 from .taxonomy import NULL_CODE, Taxonomy
@@ -67,9 +67,10 @@ def build_level_targets(
     model: MoEModel,
     target_overrides: dict[str, tuple[str, ...]] | None = None,
 ) -> LevelTargets:
-    """Per-level target indices: the label path's code at each level, NULL beyond."""
-    levels = model.moe_config.levels
-    index_maps = [{code: i for i, code in enumerate(labels)} for labels in model.level_labels]
+    """Per-level target indices: the label path's code at each level, NULL beyond. A level's index
+    is the code's label in `model.tables` less the level's first label; NULL is the level's last."""
+    levels, tables = model.moe_config.levels, model.tables
+    firsts = tables.gather[:, 0].tolist()
     indices = np.zeros((len(records), levels), dtype=np.int64)
     leaf_level = np.zeros(len(records), dtype=np.int64)
     for i, rec in enumerate(records):
@@ -81,14 +82,12 @@ def build_level_targets(
         if target_overrides is not None and rec.id in target_overrides:
             codes = list(target_overrides[rec.id])
         leaf_level[i] = len(rec.label_path)
-        for level in range(1, levels + 1):
+        for level, first, size in zip(range(1, levels + 1), firsts, tables.sizes):
             code = codes[level - 1] if level <= len(codes) else NULL_CODE
-            try:
-                indices[i, level - 1] = index_maps[level - 1][code]
-            except KeyError:
-                raise TrainingError(
-                    f"record {rec.id!r}: code {code!r} not in level-{level} label space"
-                ) from None
+            index = size - 1 if code == NULL_CODE else tables.label.get(code, -1) - first
+            if not 0 <= index < size:  # a code's label is never its level's NULL
+                raise TrainingError(f"record {rec.id!r}: code {code!r} not in level-{level} label space")
+            indices[i, level - 1] = index
     return LevelTargets(indices=indices, leaf_level=leaf_level)
 
 
@@ -358,7 +357,7 @@ def fit(
     sem_targets = semantic_targets_for(train_records, annotations)
     ids = np.array([r.id for r in train_records], dtype=object)
     val_prepared = prepare_records(val_records, enc)
-    val_truth = label_tables(taxonomy, model.moe_config.levels).labels_of([r.leaf() for r in val_records])
+    val_truth = model.tables.labels_of([r.leaf() for r in val_records])
 
     optimizer = Adam(config.learning_rate)
     grad_flat = np.zeros_like(model.flat)

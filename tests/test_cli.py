@@ -695,6 +695,12 @@ CONFIG_REFUSALS = {
     "repeated-vocab-entry": ("encoder", {"field_vocabs": {"bu_code": ["a", "a"], "ou_code": ["a"],
                                                          "system_code": ["a"]}},
                              "field_vocabs['bu_code'] repeats an entry: ('a', 'a')"),
+    "hash_buckets-zero": ("encoder", {"hash_buckets": 0}, "hash_buckets must be >= 1: 0"),
+    "text_dim-zero": ("encoder", {"text_dim": 0}, "embedding dims must be >= 1"),
+    "cat_dim-zero": ("encoder", {"cat_dim": 0}, "embedding dims must be >= 1"),
+    "levels-zero": ("moe", {"levels": 0}, "levels, experts_per_level, expert_hidden_dim must be >= 1"),
+    "experts_per_level-zero": ("moe", {"experts_per_level": 0}, "levels, experts_per_level, expert_hidden_dim must"),
+    "expert_hidden_dim-zero": ("moe", {"expert_hidden_dim": 0}, "levels, experts_per_level, expert_hidden_dim must"),
     # above 1 no leaf is confident, below 0 every leaf is
     "tau_leaf-above-1": ("pipeline", {"tau_leaf": 1.5}, "tau_leaf must be in [0,1], got 1.5"),
     "tau_leaf-below-0": ("pipeline", {"tau_leaf": -0.5}, "tau_leaf must be in [0,1], got -0.5"),

@@ -187,7 +187,7 @@ def test_checkpoint_with_an_unknown_config_key_is_rejected(chain_taxonomy, tmp_p
     meta = {
         "encoder_config": asdict(enc),
         "moe_config": {**asdict(moe), "experts": 4},
-        "taxonomy_hash": model.taxonomy_hash,
+        "taxonomy_hash": model.tables.fingerprint,
     }
     path = tmp_path / "model.ckpt"
     path.write_bytes(write_container(CHECKPOINT_MAGIC, meta, model.params))  # checksum-valid

@@ -16,7 +16,6 @@ from taxpath.infer import (
     MODE_REPATHED,
     PredictionPath,
     Predictions,
-    label_tables,
     predict_batch,
     predict_prepared,
     prediction_to_dict,
@@ -25,13 +24,19 @@ from taxpath.infer import (
     select_prediction,
     write_predictions,
 )
-from taxpath.moe import CheckpointError, MoEConfig, init_model, level_spaces
+from taxpath.moe import CheckpointError, MoEConfig, init_model, label_tables
 from taxpath.synth import SynthConfig, SynthConfigError, synth_corpus
 from taxpath.taxonomy import NULL_CODE, ancestors, build_taxonomy, is_valid_path
 from taxpath.train import leaf_accuracy
 
 
 # --- the per-row selector the columnar one replaced, kept as its oracle ------
+
+
+def level_spaces(taxonomy, levels):
+    """The label spaces `label_tables` numbers, as a tuple per level: its codes, NULL last, or NULL alone
+    beyond the taxonomy's depth."""
+    return tuple(taxonomy.per_level_labels.get(level, (NULL_CODE,)) for level in range(1, levels + 1))
 
 
 def scalar_select(probs, spaces, taxonomy, tau_leaf):
@@ -367,14 +372,17 @@ def test_repath_refuses_another_taxonomy(skip_taxonomy, chain_taxonomy):
         repath(preds, chain_taxonomy)
 
 
-def test_label_tables_are_kept_by_content(skip_taxonomy):
+def test_label_tables_are_built_from_content(skip_taxonomy):
     reloaded = build_taxonomy([
         {"code": n.code, "name": n.name, "definition": n.definition, "level": n.level,
          **({"parent": n.parent} if n.parent else {})}
         for n in skip_taxonomy.nodes.values()
     ])
     assert reloaded is not skip_taxonomy
-    assert label_tables(reloaded, 3) is label_tables(skip_taxonomy, 3) is not label_tables(skip_taxonomy, 4)
+    tables, again, deeper = label_tables(skip_taxonomy, 3), label_tables(reloaded, 3), label_tables(skip_taxonomy, 4)
+    assert again.codes.tolist() == tables.codes.tolist() == [code for labels in level_spaces(skip_taxonomy, 3)
+                                                              for code in labels]
+    assert again.sizes == tables.sizes == (3, 3, 3) != deeper.sizes == (3, 3, 3, 1)
 
 
 # --- RePath and leaf accuracy properties on synth taxonomies -----------------
@@ -436,7 +444,7 @@ def test_leaf_accuracy_equals_a_brute_force_count(seed, tau, inner):
     records = [ProductRecord(**{**r.__dict__, "label_path": r.label_path[:1]}) if i < inner else r
                for i, r in enumerate(records)]
     leaves = [r.leaf() for r in records]
-    truth = label_tables(corpus.taxonomy, model.moe_config.levels).labels_of(leaves)
+    truth = model.tables.labels_of(leaves)
     prepared = prepare_records(records, model.encoder_config)
     rows = predict_batch(model, records, corpus.taxonomy, tau_leaf=tau)
     hits = sum(1 for row, leaf in zip(rows, leaves) if row.selected_leaf == leaf)

@@ -16,12 +16,12 @@ from taxpath.infer import (
     MODE_LEAF_CONFIDENT,
     MODE_REPATHED,
     PredictionPath,
-    label_tables,
     prediction_to_dict,
     repath,
     select_prediction,
     write_predictions,
 )
+from taxpath.moe import label_tables
 from taxpath.taxonomy import NULL_CODE, build_taxonomy
 from taxpath.util import canonical_json, read_jsonl, write_jsonl
 

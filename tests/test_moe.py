@@ -4,6 +4,7 @@ import json
 import re
 import struct
 import tempfile
+import time
 import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taxpath.encoder import EncodedBatch, EncoderConfig, assemble_batch, build_field_vocabs, prepare_records
-from taxpath.infer import label_tables, select_prediction
+from taxpath.infer import select_prediction
 from taxpath.moe import (
     CHECKPOINT_MAGIC,
     SEMANTIC_CLASSES,
@@ -24,6 +25,7 @@ from taxpath.moe import (
     MoEModel,
     forward_batch,
     init_model,
+    label_tables,
     load_checkpoint,
     param_manifest,
     save_checkpoint,
@@ -50,6 +52,12 @@ def small_setup(seed=0, experts=2, hidden=4, text_dim=4, cat_dim=2, buckets=32):
     moe = MoEConfig(levels=corpus.taxonomy.max_depth, experts_per_level=experts, expert_hidden_dim=hidden)
     model = init_model(corpus.taxonomy, enc, moe, seed=seed)
     return corpus, enc, moe, model
+
+
+def label_spaces(model) -> list[list[str]]:
+    """The model's label spaces, level by level, as its tables number them."""
+    codes, ends = model.tables.codes.tolist(), np.cumsum(model.tables.sizes).tolist()
+    return [codes[lo:hi] for lo, hi in zip([0, *ends], ends)]
 
 
 def saved(save, obj) -> bytes:
@@ -179,7 +187,7 @@ def test_forward_zero_heads_uniform():
     batch = encode_batch(corpus.records[:1], model.params, enc)
     probs, _ = forward_one(model, batch)
     for level, p in enumerate(probs, start=1):
-        k = len(model.level_labels[level - 1])
+        k = model.tables.sizes[level - 1]
         assert np.allclose(p, 1.0 / k, atol=1e-12)
 
 
@@ -255,8 +263,8 @@ def test_checkpoint_round_trip(tmp_path):
     corpus, enc, moe, model = small_setup(seed=11)
     save_checkpoint(model, tmp_path / "model.ckpt")
     back = load_checkpoint(tmp_path / "model.ckpt", corpus.taxonomy)
-    assert back.taxonomy_hash == model.taxonomy_hash
-    assert back.level_labels == model.level_labels
+    assert back.tables.fingerprint == model.tables.fingerprint
+    assert back.tables.codes.tolist() == model.tables.codes.tolist()
     for name in model.params:
         assert np.array_equal(back.params[name], model.params[name])
     batch = encode_batch(corpus.records[:1], model.params, enc)
@@ -273,7 +281,7 @@ def test_checkpoint_round_trips_through_a_path_or_its_string(tmp_path):
     assert (tmp_path / "model.ckpt").read_bytes() == saved(save_checkpoint, model)
     for source in (tmp_path / "model.ckpt", str(tmp_path / "model.ckpt")):
         back = load_checkpoint(source, corpus.taxonomy)
-        assert back.level_labels == model.level_labels
+        assert back.tables.codes.tolist() == model.tables.codes.tolist()
         assert np.array_equal(back.flat, model.flat)
 
 
@@ -328,7 +336,7 @@ def test_checkpoint_is_version_4_and_its_meta_has_no_seed_and_no_label_spaces(tm
     # version 1 had the level-major layout; version 2's moe_config also held these two keys;
     # version 3's meta also held the label spaces
     v2_meta = {**meta, "moe_config": {**meta["moe_config"], "include_null_label": True, "semantic_classes": 3}}
-    v3_meta = {**meta, "level_labels": [list(labels) for labels in model.level_labels]}
+    v3_meta = {**meta, "level_labels": label_spaces(model)}
     olds = (blob, write_container(CHECKPOINT_MAGIC, v2_meta, model.params),
             write_container(CHECKPOINT_MAGIC, v3_meta, model.params))
     for version, old in enumerate(olds, start=1):
@@ -345,7 +353,7 @@ def test_a_checkpoint_header_holding_label_spaces_is_refused_as_an_unknown_key(t
     blob = saved(save_checkpoint, model)
     (header_len,) = struct.unpack("<Q", blob[8:16])
     meta = json.loads(blob[16 : 16 + header_len])["meta"]
-    permuted = [list(labels) for labels in model.level_labels]
+    permuted = label_spaces(model)
     permuted[0] = [permuted[0][-1], *reversed(permuted[0][:-1])]  # NULL first, the codes reversed
     path = tmp_path / "permuted.ckpt"
     path.write_bytes(write_container(CHECKPOINT_MAGIC, {**meta, "level_labels": permuted}, model.params))
@@ -390,8 +398,8 @@ def test_a_model_refuses_a_parameter_buffer_of_another_layout(fault):
             "long": np.append(model.flat, 0.0), "two-dimensional": model.flat[None, :]}[fault]
     message = rf"^parameter buffer {flat.dtype}\({', '.join(map(str, flat.shape))},?\) does not match the model's "
     with pytest.raises(ValueError, match=message + rf"float64\({model.flat.size},\)$"):
-        MoEModel(enc, moe, model.taxonomy_hash, model.level_labels, flat=flat)
-    MoEModel(enc, moe, model.taxonomy_hash, model.level_labels, flat=model.flat.copy())  # the layout itself builds
+        MoEModel(enc, moe, model.tables, flat=flat)
+    MoEModel(enc, moe, model.tables, flat=model.flat.copy())  # the layout itself builds
 
 
 def test_checkpoint_payload_is_the_flat_buffer():
@@ -409,7 +417,7 @@ def test_checkpoint_manifest_must_match_its_config():
     meta = {
         "encoder_config": asdict(enc),
         "moe_config": {**asdict(moe), "expert_hidden_dim": moe.expert_hidden_dim + 1},
-        "taxonomy_hash": model.taxonomy_hash,
+        "taxonomy_hash": model.tables.fingerprint,
     }
     blob = write_container(CHECKPOINT_MAGIC, meta, model.params)
     with pytest.raises(CheckpointError, match="manifest"):
@@ -420,8 +428,8 @@ def test_a_checkpoint_shallower_than_its_taxonomy_is_refused():
     """Its header names fewer levels than the taxonomy's depth, with the manifest of that many levels."""
     corpus, enc, moe, model = small_setup(seed=16)
     shallow = dataclasses.replace(moe, levels=moe.levels - 1)
-    params = {name: np.zeros(shape) for name, shape in param_manifest(enc, shallow, model.level_labels)}
-    meta = {"encoder_config": asdict(enc), "moe_config": asdict(shallow), "taxonomy_hash": model.taxonomy_hash}
+    params = {name: np.zeros(shape) for name, shape in param_manifest(enc, shallow, model.tables.sizes)}
+    meta = {"encoder_config": asdict(enc), "moe_config": asdict(shallow), "taxonomy_hash": model.tables.fingerprint}
     with pytest.raises(CheckpointError, match="label spaces or parameter manifest do not match"):
         loaded(load_checkpoint, write_container(CHECKPOINT_MAGIC, meta, params), corpus.taxonomy)
 
@@ -433,7 +441,7 @@ def bench_setup(experts):
     activations fill a slab with."""
     rows = max(2048, SLAB_BYTES // (8 * experts * BENCH_DIMS["hidden"]))
     corpus, model = setup(experts, extra_levels=1, samples=rows, seed=experts, depth=4, **BENCH_DIMS)
-    assert model.level_labels[-1] == ("∅",) and model.moe_config.levels == 5
+    assert model.tables.codes[-1] == "∅" and model.tables.sizes[-1] == 1 and model.moe_config.levels == 5
     batch = assemble_batch(prepare_records(corpus.records, model.encoder_config), model.params, model.encoder_config)
     return model, batch
 
@@ -569,6 +577,20 @@ def test_only_checkpoint_error_escapes_a_mutated_judge_container(blob):
         loaded(load_judge, blob)
     except CheckpointError:
         pass
+
+
+def test_a_header_naming_a_huge_model_is_refused_before_anything_is_built(tmp_path):
+    """The manifest's array count is checked before the label tables or the manifest of the header's config are
+    built, so a header naming 10**12 levels costs nothing to refuse."""
+    (header_len,) = struct.unpack("<Q", FUZZ_MODEL[8:16])
+    header = json.loads(FUZZ_MODEL[16 : 16 + header_len])
+    header["meta"]["moe_config"]["levels"] = 10**12
+    path = tmp_path / "huge.ckpt"
+    path.write_bytes(with_header(FUZZ_MODEL, header))  # the payload and its checksum are kept
+    start = time.perf_counter()
+    with pytest.raises(CheckpointError, match=rf"^{re.escape(str(path))}: label spaces or parameter manifest do not"):
+        load_checkpoint(path, FUZZ_SETUP[0].taxonomy)
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("key", ["moe_config", "taxonomy_hash"])

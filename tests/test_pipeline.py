@@ -62,7 +62,7 @@ def test_pipeline_emits_exactly_the_artifact_manifest(tmp_path, corpus):
     assert [a["id"] for a in annotations] == sorted(a["id"] for a in annotations)
     assert all(a["verdict"] in ("Y", "N", "U") for a in annotations)
     final = load_checkpoint(artifacts["final"], corpus.taxonomy)
-    assert final.taxonomy_hash == corpus.taxonomy.fingerprint()
+    assert final.tables.fingerprint == corpus.taxonomy.fingerprint()
     metrics = json.loads(artifacts["metrics"].read_text())
     assert set(metrics["test"]) == {"base", "repath"}
     for key in ("path_macro_f1", "path_micro_f1", "leaf_macro_f1", "leaf_micro_f1"):

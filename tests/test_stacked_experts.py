@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from taxpath.encoder import EncoderConfig, assemble_batch, build_field_vocabs, prepare_records
-from taxpath.infer import FORWARD_CHUNK_ROWS, label_tables, predict_batch, select_prediction
+from taxpath.infer import FORWARD_CHUNK_ROWS, predict_batch, select_prediction
 from taxpath.moe import (
     MoEConfig,
     forward_batch,
@@ -163,7 +163,7 @@ BENCH_DIMS = dict(leaves=50, text_dim=24, cat_dim=4, hidden=48, buckets=2048)
 def test_stacked_forward_and_backward_match_the_per_expert_loops(experts, batch_size, dims):
     # one level past the taxonomy's depth: a NULL-only label space
     corpus, model = setup(experts, extra_levels=1, seed=experts, **dims)
-    assert model.level_labels[-1] == ("∅",)
+    assert model.tables.codes[-1] == "∅" and model.tables.sizes[-1] == 1
     records = corpus.records[:batch_size]
     batch = encode_batch(records, model.params, model.encoder_config)
     assert_forward_equal(forward_batch(model, batch), loop_forward(model, batch))
@@ -222,8 +222,7 @@ def test_chunked_forward_equals_one_pass(n):
     batch = assemble_batch(prepare_records(corpus.records, model.encoder_config), model.params, model.encoder_config)
     assert batch.dense.shape[0] == n
     one_pass = forward_batch(model, batch, for_backward=False)  # all rows at once
-    tables = label_tables(corpus.taxonomy, model.moe_config.levels)
-    want = select_prediction(one_pass.probs, tables, 0.3)
+    want = select_prediction(one_pass.probs, model.tables, 0.3)
     got = predict_batch(model, corpus.records, corpus.taxonomy, tau_leaf=0.3)  # in chunks
     assert len(got) == n and predictions_equal(got, want)
 
@@ -270,7 +269,7 @@ def test_prediction_memory_stays_flat_in_the_number_of_chunks():
 def test_manifest_lists_each_kind_as_one_contiguous_stack():
     corpus, model = setup(3, extra_levels=1, samples=40)
     enc, cfg = model.encoder_config, model.moe_config
-    names = [name for name, _ in param_manifest(enc, cfg, model.level_labels)]
+    names = [name for name, _ in param_manifest(enc, cfg, model.tables.sizes)]
     levels = range(1, cfg.levels + 1)
     experts = range(cfg.experts_per_level)
     expected = ["text_table", *(f"field/{f}/table" for f in enc.fields)]

@@ -10,6 +10,7 @@ looked up per record. Equal outputs pin the sampler's draw order, so
 stream. A property test holds the decoder to `Generator` call for call.
 """
 import math
+import re
 from bisect import bisect_right
 from unittest import mock
 
@@ -317,6 +318,26 @@ UNUSABLE_SETTINGS = [
 @pytest.mark.parametrize("settings_, field", UNUSABLE_SETTINGS, ids=[repr(s) for s, _ in UNUSABLE_SETTINGS])
 def test_a_setting_the_sampler_cannot_use_is_refused(settings_, field):
     with pytest.raises(synth.SynthConfigError, match=f"^{field} must "):
+        SynthConfig(**settings_)
+
+
+# SynthConfig keyword arguments -> the whole refusal, for the refusals that do not start with the field they name
+REFUSED_SHAPES = [
+    ({"samples": -1}, "samples must be >= 0"),
+    ({"leaf_depth_min": 0, "leaf_depth_max": 3}, "bad depth range: 0..3 within 1..10"),
+    ({"leaf_depth_min": 4, "leaf_depth_max": 3}, "bad depth range: 4..3 within 1..10"),
+    ({"leaf_depth_min": 2, "leaf_depth_max": 11}, "bad depth range: 2..11 within 1..10"),
+    ({"branching_max": 1}, "branching_max must be >= 2"),
+    ({"title_len_min": 0}, "bad title length range"),
+    ({"title_len_min": 5, "title_len_max": 4}, "bad title length range"),
+    *(({rate: 1.5}, f"{rate} must be in [0,1]: 1.5") for rate in (
+        "label_noise_rate", "metadata_correlation", "intermediate_noise_rate", "noise_token_rate", "cpv_rate")),
+]
+
+
+@pytest.mark.parametrize("settings_, message", REFUSED_SHAPES, ids=[repr(s) for s, _ in REFUSED_SHAPES])
+def test_a_shape_or_rate_the_sampler_cannot_draw_is_refused(settings_, message):
+    with pytest.raises(synth.SynthConfigError, match=f"^{re.escape(message)}$"):
         SynthConfig(**settings_)
 
 

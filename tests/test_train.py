@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from taxpath.encoder import EncoderConfig, build_field_vocabs
-from taxpath.moe import MoEConfig, forward_batch, init_model
+from taxpath.infer import predict_batch
+from taxpath.moe import MoEConfig, MoEModel, forward_batch, init_model
 from taxpath.semantic import ConsistencyLabel
 from taxpath.synth import SynthConfig, synth_corpus
 from taxpath.taxonomy import NULL_CODE
@@ -131,19 +132,39 @@ def tiny_setup(seed=0, experts=2, hidden=4, levels=None, samples=40):
     return corpus, enc, moe, model
 
 
+def level_firsts(model):
+    """Each level's first label in `model.tables`: a target index is a label less its level's first."""
+    return np.cumsum(model.tables.sizes) - model.tables.sizes
+
+
 def test_build_level_targets_lie_on_ancestor_chain():
     corpus, enc, moe, model = tiny_setup()
     records = corpus.records[:10]
     targets = build_level_targets(records, model)
+    firsts = level_firsts(model)
     for i, rec in enumerate(records):
         d = len(rec.label_path)
         assert targets.leaf_level[i] == d
         for level in range(1, moe.levels + 1):
-            label = model.level_labels[level - 1][targets.indices[i, level - 1]]
+            label = model.tables.codes[firsts[level - 1] + targets.indices[i, level - 1]]
             if level <= d:
                 assert label == rec.label_path[level - 1]
             else:
                 assert label == "∅"
+
+
+def test_training_and_prediction_use_one_numbering():
+    """The model holds its label tables: prediction selects with them, and every training target decodes
+    through them to its record's chain, NULL-padded (one level past the taxonomy's depth holds NULL only)."""
+    corpus, enc, moe, model = tiny_setup(levels=4)
+    assert [field.name for field in fields(MoEModel)] == ["encoder_config", "moe_config", "tables", "flat"]
+    records = corpus.records[:10]
+    assert predict_batch(model, records, corpus.taxonomy).tables is model.tables
+    assert predict_batch(model, records[:1], corpus.taxonomy).tables is model.tables
+    targets = build_level_targets(records, model)
+    for rec, row in zip(records, targets.indices):
+        chain = list(rec.label_path)
+        assert model.tables.codes[level_firsts(model) + row].tolist() == chain + [NULL_CODE] * (4 - len(chain))
 
 
 def test_zero_model_head_bias_gradient_closed_form():
@@ -356,7 +377,7 @@ def test_fit_zero_learning_rate_keeps_parameters():
 def test_fit_selects_epochs_with_the_given_tau_leaf():
     # tau_leaf above 1 admits no leaf-confident prediction, so validation
     # scores the deepest-valid fallback; training itself is unchanged
-    from taxpath.infer import MODE_DEEPEST_VALID, predict_batch
+    from taxpath.infer import MODE_DEEPEST_VALID
 
     corpus, enc, moe, _ = tiny_setup(seed=2, samples=200, hidden=8)
     cfg = TrainConfig(batch_size=16, epochs=3, learning_rate=2e-2, seed=2,
@@ -443,7 +464,6 @@ def test_train_config_validation():
 def test_fixed_depth_corpus_carries_a_null_label_that_is_never_a_target(tmp_path):
     # every path reaches full depth: each level's head still holds NULL, and no record targets it
     from taxpath.dataset import SplitSpec, load_wos, split
-    from taxpath.infer import predict_batch
 
     topics = {
         "Biology": {"Genetics": "gene dna allele locus", "Ecology": "habitat species biome niche"},
@@ -469,7 +489,7 @@ def test_fixed_depth_corpus_carries_a_null_label_that_is_never_a_target(tmp_path
     moe = MoEConfig(levels=2, experts_per_level=2, expert_hidden_dim=16)
     model = init_model(taxonomy, enc, moe, seed=3)
     assert [w.shape[1] for w in (model.params["level1/head/W"], model.params["level2/head/W"])] == [4, 7]
-    assert all(labels[-1] == NULL_CODE for labels in model.level_labels)
+    assert (model.tables.codes[np.cumsum(model.tables.sizes) - 1] == NULL_CODE).all()
     assert all(len(r.label_path) == 2 for r in records)
     cfg = TrainConfig(batch_size=32, epochs=6, learning_rate=5e-3, seed=3,
                       loss_weights=LossWeights(0.2, 1.0))

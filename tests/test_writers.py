@@ -16,12 +16,12 @@ from taxpath.infer import (
     MODE_LEAF_CONFIDENT,
     MODE_REPATHED,
     PredictionPath,
-    label_tables,
     prediction_to_dict,
     repath,
     select_prediction,
     write_predictions,
 )
+from taxpath.moe import label_tables
 from taxpath.synth import SynthConfig, synth_corpus
 from taxpath.util import WRITE_LINES, canonical_json, write_jsonl
 
