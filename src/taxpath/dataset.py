@@ -1,13 +1,16 @@
 """Product records: ingestion, cleansing, splitting, and dev-set sampling."""
 from __future__ import annotations
 
+import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from json.encoder import encode_basestring  # the text canonical_json gives a string; a TypeError for a non-string
 from pathlib import Path
 
 from .taxonomy import Taxonomy, build_taxonomy, is_valid_path
-from .util import gc_paused, normalize_title, read_jsonl, stream_rng, tokenize, write_jsonl
+from .util import (WRITE_LINES, JSONTexts, atomic_write_chunks, canonical_json, gc_paused, normalize_title, read_jsonl,
+                   stream_rng, tokenize, write_jsonl)
 
 REJECT_EMPTY_TITLE = "empty-title"
 REJECT_UNKNOWN_CODE = "unknown-code"
@@ -305,7 +308,22 @@ def read_records(path: str | Path) -> list[ProductRecord]:
 
 
 def write_records(path: str | Path, records: list[ProductRecord]) -> None:
-    write_jsonl(path, (record_to_dict(r) for r in records))
+    """The bytes `write_jsonl(path, map(record_to_dict, records))` writes, keys in its sorted order. Each distinct
+    code, category name, source, label path and CPV tuple is encoded once (`util.JSONTexts`), the id and the title
+    per row; a row with a non-string id or title, or a value no dict can key, is written from `record_to_dict`."""
+    texts = JSONTexts()
+
+    def line(r: ProductRecord) -> str:
+        try:
+            cpvs = "" if r.cpvs is None else f'"cpvs":{texts[tuple(map(tuple, r.cpvs))]},'
+            return (f'{{"bu_code":{texts[r.bu_code]},"category_name":{texts[r.category_name]},{cpvs}'
+                    f'"id":{encode_basestring(r.id)},"label_path":{texts[tuple(r.label_path)]},"ou_code":'
+                    f'{texts[r.ou_code]},"source":{texts[r.source]},"system_code":{texts[r.system_code]},'
+                    f'"title":{encode_basestring(r.title)}}}\n')
+        except TypeError:
+            return canonical_json(record_to_dict(r)) + "\n"
+    lines = map(line, records)  # joined, encoded and written WRITE_LINES at a time, as by `write_jsonl`
+    atomic_write_chunks(path, map(str.encode, iter(lambda: "".join(itertools.islice(lines, WRITE_LINES)), "")))
 
 
 def write_rejections(path: str | Path, rejected: list[tuple[ProductRecord, str]]) -> None:

@@ -32,7 +32,7 @@ from .dataset import ProductRecord, is_string_list
 from .encoder import PreparedRecords, assemble_batch, encode_one, prepare_records
 from .moe import CheckpointError, LabelTables, MoEModel, forward_batch
 from .taxonomy import Taxonomy
-from .util import _ENCODE, WRITE_LINES, atomic_write_chunks, canonical_json, gc_paused, read_jsonl
+from .util import _ENCODE, WRITE_LINES, JSONTexts, atomic_write_chunks, gc_paused, read_jsonl
 
 MODE_LEAF_CONFIDENT = "leaf_confident"
 MODE_DEEPEST_VALID = "deepest_valid"
@@ -207,14 +207,6 @@ def prediction_to_dict(record_id: str, pred: PredictionPath) -> dict:
             "leaf_confidence": pred.leaf_confidence, "per_level_argmax": list(pred.per_level_argmax)}
 
 
-class _JSONTexts(dict):
-    """value -> `canonical_json(value)`, encoded at the first lookup."""
-
-    def __missing__(self, value):
-        text = self[value] = canonical_json(value)
-        return text
-
-
 def write_predictions(path: str | Path, ids: list[str], preds: Predictions | list[PredictionPath]) -> None:
     """The lines `write_jsonl(path, map(prediction_to_dict, ids, preds))` writes, keys in its sorted order.
 
@@ -222,7 +214,7 @@ def write_predictions(path: str | Path, ids: list[str], preds: Predictions | lis
     dump are bounded by the label spaces, so each distinct one is encoded once; the id and the confidence
     are encoded per row.
     """
-    texts = _JSONTexts()
+    texts = JSONTexts()
 
     def chunks():
         for lo in range(0, len(preds), WRITE_LINES):

@@ -370,13 +370,9 @@ def synth_corpus(config: SynthConfig, seed: int) -> SynthCorpus:
             if options:
                 corrupted[leaf] = (level, options[int(rng_noise.integers(len(options)))])
 
-    records: list[ProductRecord] = []
-    truth: dict[str, tuple[str, ...]] = {}
-    overrides: dict[str, tuple[str, ...]] = {}
-    if config.samples > 0:
-        records, truth, overrides = _sample_records(
-            config, seed, taxonomy, leaves, vocab_group, group_vocab, shared_noise, corrupted
-        )
+    records, truth, overrides = _sample_records(
+        config, seed, taxonomy, leaves, vocab_group, group_vocab, shared_noise, corrupted
+    )
     return SynthCorpus(
         taxonomy=taxonomy,
         records=records,
@@ -410,18 +406,21 @@ def _pcg64_draws(rng: np.random.Generator):
             yield from memoryview(bit_generator.random_raw(BLOCK))
 
     word = blocks().__next__
+    thresholds = {}  # span -> its rejection threshold, for each span drawn from; a refused span is never kept
 
     def integers(low: int, high: int | None = None) -> int:
         nonlocal half
         low, high = (0, low) if high is None else (low, high)
         span = high - low
-        if span <= 1:
-            if span == 1:
-                return low
-            raise ValueError("high <= 0" if low == 0 else "low >= high")
-        if span > 1 << 32:
-            raise ValueError(f"the draw decoder takes spans up to 2**32, not {span}")
-        threshold = ((1 << 32) - span) % span  # NumPy's (UINT32_MAX - rng) % rng_excl
+        threshold = thresholds.get(span)
+        if threshold is None:
+            if span <= 1:
+                if span == 1:
+                    return low
+                raise ValueError("high <= 0" if low == 0 else "low >= high")
+            if span > 1 << 32:
+                raise ValueError(f"the draw decoder takes spans up to 2**32, not {span}")
+            threshold = thresholds[span] = ((1 << 32) - span) % span  # NumPy's (UINT32_MAX - rng) % rng_excl
         while True:
             if half is None:
                 w = word()
@@ -491,6 +490,8 @@ def _sample_records(
     # The table Generator.choice(p=_SOURCE_WEIGHTS) searches: one random() per draw, same index.
     cum = np.cumsum(_SOURCE_WEIGHTS)
     source_cdf = (cum / cum[-1]).tolist()
+    bu_codes, ou_codes = [f"bu{i:02d}" for i in range(n_roots)], [f"ou{i:02d}" for i in range(n_roots)]
+    system_codes = [f"sys{i}" for i in range(3)]  # each code one string, as `read_records` holds them
     random, integers = _pcg64_draws(rng)  # the records stream's last draws
 
     records: list[ProductRecord] = []
@@ -510,9 +511,9 @@ def _sample_records(
             labeled_leaf = leaves[j + (j >= pos)]
             label_path = facts[labeled_leaf][0]
 
-        bu = r_idx if random() < config.metadata_correlation else int(integers(n_roots))
-        ou = r_idx if random() < config.metadata_correlation else int(integers(n_roots))
-        sys_idx = (r_idx % 3) if random() < config.metadata_correlation else int(integers(3))
+        bu = r_idx if random() < config.metadata_correlation else integers(n_roots)
+        ou = r_idx if random() < config.metadata_correlation else integers(n_roots)
+        sys_idx = (r_idx % 3) if random() < config.metadata_correlation else integers(3)
 
         cpvs = None
         if random() < config.cpv_rate:
@@ -520,19 +521,8 @@ def _sample_records(
 
         source = _SOURCE_TAGS[bisect_right(source_cdf, random())]
         rec_id = f"s{i:06d}"
-        records.append(
-            ProductRecord(
-                id=rec_id,
-                title=title,
-                category_name=category,
-                bu_code=f"bu{bu:02d}",
-                ou_code=f"ou{ou:02d}",
-                system_code=f"sys{sys_idx}",
-                label_path=label_path,
-                source=source,
-                cpvs=cpvs,
-            )
-        )
+        records.append(ProductRecord(rec_id, title, category, bu_codes[bu], ou_codes[ou], system_codes[sys_idx],
+                                     label_path, source, cpvs))
         truth[rec_id] = true_path
 
         if config.intermediate_noise_rate > 0:

@@ -52,6 +52,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.epochs < 0 or self.learning_rate < 0:
             raise ValueError("batch_size, epochs, learning_rate must be non-negative (batch >= 1)")
+        if self.epochs < 1:  # no epoch, no trained model
+            raise ValueError(f"epochs must be >= 1: {self.epochs}")
         if not math.isfinite(self.learning_rate):
             raise ValueError(f"learning_rate must be finite: {self.learning_rate}")
 

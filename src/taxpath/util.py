@@ -103,6 +103,20 @@ def canonical_json(obj: Any) -> str:
     return "".join(_ENCODE(obj, 0))
 
 
+def _memoable(value) -> bool:  # a string or a tuple of such values: no value that is not one equals one
+    return isinstance(value, str) or (isinstance(value, tuple) and all(map(_memoable, value)))
+
+
+class JSONTexts(dict):
+    """value -> `canonical_json(value)`, kept only for strings and tuples of them: `1`, `1.0` and `True` are equal."""
+
+    def __missing__(self, value):
+        text = canonical_json(value)
+        if _memoable(value):
+            self[value] = text
+        return text
+
+
 def atomic_write_chunks(path: str | Path, chunks: Iterable[bytes]) -> None:
     """Write `chunks` in turn, each dropped once written, to a temp file in the same directory, then rename it
     into place. A chunk that fails to come (a row that does not encode, or a bad row of a file streamed through)

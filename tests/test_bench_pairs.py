@@ -1,5 +1,7 @@
 """`tools/bench_pairs.py` on canned result files: its alternation, its arithmetic and its schema."""
+import hashlib
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -104,7 +106,9 @@ def test_the_file_schema(summary):
     out, _ = summary
     assert set(out) == {"pairs", "run_seconds", "command", "workloads", "sides"}
     assert out["run_seconds"] == BENCHMARK["run_seconds"]
-    assert out["sides"]["parent"]["context"] == {"src_lines": 4000, "git_sha": "parent", "nproc": 2}
+    files = bench_pairs.benchmark_files(ROOT)
+    assert out["sides"]["parent"]["context"] == {"src_lines": 4000, "git_sha": "parent", "nproc": 2,
+                                                 "benchmark_files": files}
     assert out["sides"]["change"]["context"]["src_lines"] == 4001
     w = out["workloads"]["predict-one"]
     assert set(w) == {"seeds", "first", "metrics", "host_slowdown", "failed_frac", "digest_differences"}
@@ -115,6 +119,37 @@ def test_the_file_schema(summary):
     assert w["host_slowdown"]["parent"]["median"] == 1.5 and w["host_slowdown"]["change"]["median"] == 1.25
     assert w["failed_frac"] == {"parent": [0.0] * 5, "change": [0.0] * 5}
     json.dumps(out, allow_nan=False)
+
+
+def test_the_benchmark_files_are_hashed_and_the_same_on_both_sides(capsys, summary):
+    # capsys is set up before summary, so it captures what bench_pairs prints
+    out, _ = summary
+    files = out["sides"]["change"]["context"]["benchmark_files"]
+    assert {"BENCHMARK.json", "perfbench/run.py", "perfbench/workloads.py"} <= set(files)
+    assert not any("__pycache__" in name for name in files)
+    assert files["BENCHMARK.json"] == hashlib.sha256((ROOT / "BENCHMARK.json").read_bytes()).hexdigest()
+    assert out["sides"]["parent"]["context"]["benchmark_files"] == files
+    assert "benchmark files differ" not in capsys.readouterr().out
+
+
+def test_benchmark_files_that_differ_between_the_sides_are_printed(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_runner([]))
+    parent = tmp_path / "parent"
+    parent.mkdir()
+    (parent / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    shutil.copytree(ROOT / "perfbench", parent / "perfbench", ignore=shutil.ignore_patterns("__pycache__"))
+    with open(parent / "perfbench" / "workloads.py", "a") as fh:
+        fh.write("# edited\n")
+    (parent / "perfbench" / "only_here.py").write_text("")
+    (parent / "perfbench" / "__pycache__").mkdir()
+    (parent / "perfbench" / "__pycache__" / "run.cpython-311.pyc").write_bytes(b"bytecode")
+    trees = {"parent": parent, "change": benchmark_tree(tmp_path / "change")}
+    out = bench_pairs.bench_pairs(trees, ["predict-one"], 5, 100, tmp_path / "kept")
+    assert capsys.readouterr().out == (
+        "benchmark files differ between sides: perfbench/only_here.py, perfbench/workloads.py\n")
+    parent_files, change_files = (out["sides"][side]["context"]["benchmark_files"] for side in bench_pairs.SIDES)
+    assert set(parent_files) - set(change_files) == {"perfbench/only_here.py"}
+    assert parent_files["perfbench/run.py"] == change_files["perfbench/run.py"]
 
 
 def test_the_digest_differences_come_from_run_py_compare(summary):

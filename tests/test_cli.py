@@ -682,6 +682,7 @@ def test_each_subcommand_prints_its_help(capsys, command):
 # config values the run cannot use -> the start of the one error line `taxpath train` prints
 CONFIG_REFUSALS = {
     "batch_size-zero": ("train", {"batch_size": 0}, "batch_size, epochs, learning_rate must be non-negative"),
+    "epochs-zero": ("train", {"epochs": 0}, "epochs must be >= 1: 0"),
     "learning_rate-infinite": ("train", {"learning_rate": float("inf")}, "learning_rate must be finite: inf"),
     "learning_rate-nan": ("train", {"learning_rate": float("nan")}, "learning_rate must be finite: nan"),
     "no-fields": ("encoder", {"fields": []}, "fields must be distinct names out of"),

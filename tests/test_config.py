@@ -49,7 +49,7 @@ open_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 train_configs = st.builds(
     TrainConfig,
     batch_size=st.integers(1, 512),
-    epochs=st.integers(0, 50),
+    epochs=st.integers(1, 50),
     learning_rate=st.floats(0.0, 1.0),
     loss_weights=loss_weights,
     seed=seeds,

@@ -206,6 +206,9 @@ def test_sampler_matches_the_per_record_reference(monkeypatch, name, seed):
         assert type(got.label_path) is tuple
         assert got.cpvs is None or (type(got.cpvs) is tuple and type(got.cpvs[0]) is tuple)
     assert all(type(path) is tuple for path in corpus.truth.values())
+    for key in ("bu_code", "ou_code", "system_code"):  # each distinct code is one object, as a read holds them
+        codes = [getattr(got, key) for got in corpus.records]
+        assert len(set(map(id, codes))) == len(set(codes)), key
     assert all(type(target) is tuple for target in (corpus.target_overrides or {}).values())
     if config.label_noise_rate > 0:
         assert any(corpus.truth[r.id] != r.label_path for r in corpus.records)
@@ -278,16 +281,20 @@ def test_an_empty_span_raises_what_the_generator_raises(args):
     _, integers = synth._pcg64_draws(np.random.default_rng(1))
     with pytest.raises(ValueError) as numpy_error:
         np.random.default_rng(1).integers(*args)
-    with pytest.raises(ValueError, match=f"^{numpy_error.value}$"):
-        integers(*args)
+    assert 0 <= integers(7) < 7  # a span drawn from: its threshold is kept, a refused span's is not
+    for _ in range(2):
+        with pytest.raises(ValueError, match=f"^{numpy_error.value}$"):
+            integers(*args)
 
 
 def test_a_span_above_2_to_the_32_is_refused():
     _, integers = synth._pcg64_draws(np.random.default_rng(1))
-    with pytest.raises(ValueError, match=r"spans up to 2\*\*32, not 4294967297$"):
-        integers(2**32 + 1)
-    with pytest.raises(ValueError, match="spans up to"):
-        integers(-5, 2**32)
+    assert 0 <= integers(2**32) < 2**32
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"spans up to 2\*\*32, not 4294967297$"):
+            integers(2**32 + 1)
+        with pytest.raises(ValueError, match="spans up to"):
+            integers(-5, 2**32)
 
 
 @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64, np.random.PCG64DXSM])

@@ -453,7 +453,8 @@ def test_loss_decreases_over_first_epochs():
 
 def test_train_config_validation():
     assert [f.name for f in fields(TrainConfig)] == ["batch_size", "epochs", "learning_rate", "loss_weights", "seed"]
-    for bad in ({"batch_size": 0}, {"epochs": -1}, {"learning_rate": -1e-3}, {"learning_rate": math.inf}):
+    for bad in ({"batch_size": 0}, {"epochs": -1}, {"epochs": 0}, {"learning_rate": -1e-3},
+                {"learning_rate": math.inf}):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
     for gone in ("optimizer", "beta1", "beta2", "eps", "grad_clip"):  # Adam's constants; no clipping

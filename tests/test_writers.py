@@ -3,14 +3,17 @@ leave the target as it was when a row fails part way. The error classes of the e
 layer depend on the interpreter, so these also run on the lowest Python the package allows."""
 from __future__ import annotations
 
+import dataclasses
 import gc
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taxpath.cli import dispatch
-from taxpath.dataset import record_to_dict, write_records
+from taxpath.dataset import ProductRecord, record_to_dict, write_records
 from taxpath.infer import (
     MODE_DEEPEST_VALID,
     MODE_LEAF_CONFIDENT,
@@ -79,6 +82,44 @@ def test_write_jsonl_and_write_records_write_the_one_shot_bytes(tmp_path, n):
     assert (tmp_path / "rows.jsonl").read_bytes() == one_shot(rows)
 
 
+# text with what JSON escapes or passes through as it is: quotes, backslashes, control and non-ASCII characters
+texts = st.text(st.characters(codec="utf-8") | st.sampled_from('"\\\n\t\x00\x1f\x7f\u2028é∅'), max_size=8)
+
+
+@st.composite
+def record_pools(draw):
+    """A few records whose codes, paths and CPV pairs come from a shared handful or are drawn anew."""
+    shared = draw(st.lists(texts, min_size=1, max_size=4))
+    code = st.sampled_from(shared) | texts
+    path = st.lists(code, min_size=1, max_size=4)
+    record = st.builds(
+        ProductRecord, id=texts, title=texts, category_name=code, bu_code=code, ou_code=code, system_code=code,
+        label_path=path | path.map(tuple), source=code,
+        cpvs=st.none() | st.lists(st.tuples(code, code), max_size=3).map(tuple))
+    return draw(st.lists(record, min_size=1, max_size=8))
+
+
+@pytest.mark.parametrize("n", COUNTS)
+@settings(max_examples=15, deadline=None)
+@given(pool=record_pools())
+def test_write_records_writes_the_one_shot_bytes_of_any_records(tmp_path_factory, n, pool):
+    records = [pool[k % len(pool)] for k in range(n)]
+    path = tmp_path_factory.mktemp("records") / "records.jsonl"
+    write_records(path, records)
+    assert path.read_bytes() == one_shot(map(record_to_dict, records))
+
+
+def test_write_records_keys_no_value_that_equals_one_of_another_type(tmp_path):
+    """`1`, `1.0` and `True` are equal keys, as are `(1,)` and `(True,)`: each is written as itself, and a
+    value the memo cannot key (a list, an integer id) is written as `record_to_dict` gives it."""
+    base = CORPUS.records[0]
+    records = [dataclasses.replace(base, bu_code=code, ou_code=code, label_path=(code,) if k % 2 else [code],
+                                   cpvs=((code, "x"),) if k % 3 else [[code, "x"]], id=k if k == 7 else str(k))
+               for k, code in enumerate([1, True, 1.0, "1", 0, False, 0.0, -0.0, ["1"]] * 3)]
+    write_records(tmp_path / "records.jsonl", records)
+    assert (tmp_path / "records.jsonl").read_bytes() == one_shot(map(record_to_dict, records))
+
+
 @pytest.mark.parametrize("n", COUNTS)
 @pytest.mark.parametrize("seed", [0, 1])
 def test_write_predictions_of_columns_and_of_rows_write_the_one_shot_bytes(tmp_path, n, seed):
@@ -110,10 +151,12 @@ def test_writing_20k_rows_holds_at_most_a_quarter_of_the_file(tmp_path):
     ids = [f"p{k:05d}" for k in range(len(preds))]
     rows = reference_rows(preds)
     dicts = [prediction_to_dict(i, row) for i, row in zip(ids, rows)]
+    records = [dataclasses.replace(CORPUS.records[k % len(CORPUS.records)], id=f"r{k:05d}") for k in range(20_000)]
     path = tmp_path / "pred.jsonl"
     writers = {"columns": lambda: write_predictions(path, ids, preds),
                "rows": lambda: write_predictions(path, ids, rows),
-               "dicts": lambda: write_jsonl(path, dicts)}
+               "dicts": lambda: write_jsonl(path, dicts),
+               "records": lambda: write_records(path, records)}
     for name, write in writers.items():
         peak = write_peak(write)
         size = path.stat().st_size
@@ -151,6 +194,11 @@ def test_a_row_that_fails_mid_stream_raises_and_leaves_the_old_file(tmp_path, va
         with pytest.raises(error) as raised:
             write_predictions(path, ids, rows)
         assert type(raised.value) is error
+    records = list(CORPUS.records[:n])
+    records[WRITE_LINES + 5] = dataclasses.replace(records[WRITE_LINES + 5], title=value)
+    with pytest.raises(error) as raised:
+        write_records(path, records)
+    assert type(raised.value) is error
     assert path.read_bytes() == b"old bytes\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.jsonl"]  # no *.tmp left behind
 

@@ -21,11 +21,15 @@ the change wins (ties count for neither side), whether that is a gain (it wins
 at least nine tenths of the pairs and the medians differ by more than the
 parent's interquartile range) and how far the change's median is worse than
 the parent's, against the metric's bound. It also holds each side's run
-context, `host_slowdown` and `failed_frac`.
+context, with the sha256 of each of the benchmark's own files (BENCHMARK.json
+and every file under its `paths`, bytecode caches left out), `host_slowdown`
+and `failed_frac`. The tool prints the files whose digests differ between the
+sides, so a summary shows whether both ran the same benchmark code.
 """
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import re
 import shutil
@@ -84,6 +88,13 @@ def summarise(results: dict[str, list[dict]], metrics: list[dict]) -> dict:
     }
 
 
+def benchmark_files(tree: Path) -> dict[str, str]:
+    """The sha256 of BENCHMARK.json and of every file under the paths it lists in `tree`, by relative path."""
+    paths = [tree / "BENCHMARK.json"] + [tree / p for p in json.loads((tree / "BENCHMARK.json").read_text())["paths"]]
+    files = [f for p in paths for f in (p, *sorted(p.rglob("*"))) if f.is_file() and "__pycache__" not in f.parts]
+    return {f.relative_to(tree).as_posix(): hashlib.sha256(f.read_bytes()).hexdigest() for f in files}
+
+
 def run_bench(tree: Path, workload: str, seed: int, seconds: float, keep: Path) -> dict:
     """One untraced benchmark run in `tree`; its result file is copied into `keep` and returned."""
     result = tree / ".perfbench_results" / f"{workload}-seed{seed}-trace0.json"
@@ -114,6 +125,11 @@ def bench_pairs(trees: dict[str, Path], workloads: list[str], pairs: int, seed: 
     benchmark = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
     out = {"pairs": pairs, "run_seconds": seconds, "command": benchmark["command"], "workloads": {}}
+    files = {side: benchmark_files(trees[side]) for side in SIDES}
+    differ = sorted(f for f in files["parent"].keys() | files["change"].keys()
+                    if files["parent"].get(f) != files["change"].get(f))
+    if differ:
+        print(f"benchmark files differ between sides: {', '.join(differ)}")
     runs: dict[str, dict[str, list[dict]]] = {w: {side: [] for side in SIDES} for w in workloads}
     for workload in workloads:
         for pair_seed, order in plan(pairs, seed):
@@ -123,7 +139,8 @@ def bench_pairs(trees: dict[str, Path], workloads: list[str], pairs: int, seed: 
     differences = digest_differences(trees["change"], kept, pairs * len(workloads))
     for workload in workloads:
         out["workloads"][workload]["digest_differences"] = [d for d in differences if f"'{workload}'" in d]
-    out["sides"] = {side: {"context": runs[workloads[0]][side][0]["context"]} for side in SIDES}
+    out["sides"] = {side: {"context": {**runs[workloads[0]][side][0]["context"], "benchmark_files": files[side]}}
+                    for side in SIDES}
     return out
 
 
